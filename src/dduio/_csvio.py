@@ -1,9 +1,12 @@
-"""Deterministic CSV reading/writing shared by datasets and run exports.
+"""Deterministic CSV and JSON writing shared by datasets and run exports.
 
 Floats are written with 17 significant digits so that float64 values
 round-trip bit-exactly; line endings are LF regardless of platform.
+JSON files have sorted keys, two-space indents and a trailing newline.
 """
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -20,6 +23,12 @@ def write_csv(path, header: list[str], rows: np.ndarray) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_float(v) for v in row) + "\n")
+
+
+def write_json(path, payload) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_csv(path, n_cols: int | None = None) -> np.ndarray:

@@ -7,14 +7,13 @@ much that costs against the model-based and data-driven designs.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
 
-from ._csvio import format_float
+from ._csvio import format_float, write_json
 from .datagen import NodeDataset, collect
 from .design_data import analyze_datasets, build_data_driven_gains, recover_output_map
 from .design_model import DuioGains, assemble_from_node_matrices, build_model_based_gains
@@ -115,6 +114,9 @@ def design_for_method(method: str, config, model: PlantModel, graph: SensorGraph
                       datasets=None) -> DuioGains:
     """Dispatch one design method from a resolved configuration."""
     d = config.design
+    if method == "id" and d.grant_couplings != "plant":
+        raise DesignError("identification baseline needs the granted unknown-input "
+                          "couplings; set design.grant_couplings to 'plant'")
     kwargs = dict(decay=d.decay, gamma_margin=d.gamma_margin,
                   gamma_override=d.gamma_override)
     if method == "model":
@@ -199,9 +201,7 @@ def monte_carlo_compare(config, K: int | None = None, master_seed: int | None = 
         if artifacts_dir is not None:
             exp_dir = os.path.join(artifacts_dir, f"k_{k:03d}")
             os.makedirs(exp_dir, exist_ok=True)
-            with open(os.path.join(exp_dir, "metrics.json"), "w", newline="\n") as fh:
-                json.dump(experiment_record, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(os.path.join(exp_dir, "metrics.json"), experiment_record)
     summaries = []
     for method in methods:
         runs = per_method[method]

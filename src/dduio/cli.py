@@ -14,9 +14,11 @@ import os
 import sys
 
 from . import __version__
+from ._csvio import write_json
 from .baselines import (collect_all_nodes, design_for_method, monte_carlo_compare,
                         write_comparison_table, compute_mse_mae)
-from .config import ExperimentConfig, load_config, parse_config, write_resolved
+from .config import (DESIGN_METHODS, ExperimentConfig, load_config, parse_config,
+                     write_resolved)
 from .datagen import check_excitation_rank, load_dataset, save_dataset
 from .design_data import analyze_datasets, rank_spectra
 from .design_model import DuioGains
@@ -107,9 +109,6 @@ def cmd_design(args) -> int:
                 for name, sv in rank_spectra(ds).items():
                     print(f"node {ds.node_index} sv[{name}]: "
                           + " ".join(f"{v:.3e}" for v in sv))
-    if args.method == "id" and cfg.design.grant_couplings != "plant":
-        raise DesignError("identification baseline needs the granted unknown-input "
-                          "couplings; set design.grant_couplings to 'plant'")
     gains = design_for_method(args.method, cfg, model, graph, datasets)
     _, abscissa = error_dynamics_matrix(gains, graph)
     verification = {"spectral_abscissa": abscissa, "gamma": gains.gamma,
@@ -118,9 +117,7 @@ def cmd_design(args) -> int:
         verification["decoupling"] = verify_decoupling(model, gains).to_json_dict()
     payload = {"gains": gains.to_json_dict(), "verification": verification,
                "resolved_config": cfg.resolved_dict()}
-    with open(args.out, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, payload)
     print(f"method={args.method} leader={gains.leader} gamma={gains.gamma:.6g} "
           f"abscissa={abscissa:.6g}")
     return 0
@@ -172,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="experiment configuration (YAML)")
         p.add_argument("--seed", type=int, help="override the configured seed")
 
@@ -190,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="design observer gains")
     common(p)
-    p.add_argument("--method", required=True, choices=("model", "data", "id"))
+    p.add_argument("--method", required=True, choices=DESIGN_METHODS)
     p.add_argument("--data", help="datasets for the data/id methods")
     p.add_argument("--out", required=True, help="output gains JSON path")
     p.add_argument("--gamma", type=float, help="override the coupling gain")

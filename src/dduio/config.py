@@ -19,6 +19,9 @@ from .plant import PlantModel
 from .signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
 
 _SIGNAL_KINDS = ("sinusoid", "autonomous-linear", "piecewise-constant-random", "zero")
+DESIGN_METHODS = ("model", "data", "id")
+_GRANT_POLICIES = ("plant", "none")
+_Z0_POLICIES = ("zero", "matched")
 
 
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -233,7 +236,7 @@ class RunSection:
 @dataclass(frozen=True)
 class CompareSection:
     K: int = 10
-    methods: tuple[str, ...] = ("model", "data", "id")
+    methods: tuple[str, ...] = DESIGN_METHODS
 
 
 def _parse_simple(section: dict, cls, where: str):
@@ -248,6 +251,30 @@ def _parse_simple(section: dict, cls, where: str):
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _validate(data: DataSection, design: DesignSection, run: RunSection,
+              compare: CompareSection) -> None:
+    """Reject values that would otherwise fail deep inside a command."""
+    if not (_is_number(run.dt) and 0.0 < run.dt < np.inf):
+        raise ConfigError(f"run.dt must be a positive number, got {run.dt!r}")
+    if not (_is_number(run.horizon) and run.dt <= run.horizon < np.inf):
+        raise ConfigError(f"run.horizon must be a number of at least run.dt={run.dt!r}, "
+                          f"got {run.horizon!r}")
+    if run.z0 not in _Z0_POLICIES:
+        raise ConfigError(f"run.z0 must be one of {list(_Z0_POLICIES)}, got {run.z0!r}")
+    if not (isinstance(data.N, int) and not isinstance(data.N, bool) and data.N > 0):
+        raise ConfigError(f"data.N must be a positive integer, got {data.N!r}")
+    if not compare.methods or any(m not in DESIGN_METHODS for m in compare.methods):
+        raise ConfigError(f"compare.methods must be a non-empty list drawn from "
+                          f"{list(DESIGN_METHODS)}, got {list(compare.methods)}")
+    if design.grant_couplings not in _GRANT_POLICIES:
+        raise ConfigError(f"design.grant_couplings must be one of {list(_GRANT_POLICIES)}, "
+                          f"got {design.grant_couplings!r}")
 
 
 @dataclass(frozen=True)
@@ -339,15 +366,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                   "top level")
     plant = _parse_plant(raw.get("plant", {"preset": "two-mass-spring"}))
     graph = _parse_graph(raw.get("graph", {}))
-    return ExperimentConfig(
-        seed=int(raw.get("seed", 0)),
-        plant=plant,
-        graph=graph,
-        data=_parse_simple(raw.get("data", {}), DataSection, "data"),
-        design=_parse_simple(raw.get("design", {}), DesignSection, "design"),
-        run=_parse_simple(raw.get("run", {}), RunSection, "run"),
-        compare=_parse_simple(raw.get("compare", {}), CompareSection, "compare"),
-    )
+    data = _parse_simple(raw.get("data", {}), DataSection, "data")
+    design = _parse_simple(raw.get("design", {}), DesignSection, "design")
+    run = _parse_simple(raw.get("run", {}), RunSection, "run")
+    compare = _parse_simple(raw.get("compare", {}), CompareSection, "compare")
+    _validate(data, design, run, compare)
+    return ExperimentConfig(seed=int(raw.get("seed", 0)), plant=plant, graph=graph,
+                            data=data, design=design, run=run, compare=compare)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._csvio import read_csv, write_csv
+from ._csvio import read_csv, write_csv, write_json
 from .errors import DimensionError, ExcitationError, OracleUnavailableError
 from .linalg import numerical_rank, singular_values, rank_threshold
 from .plant import PlantModel, simulate
@@ -228,9 +228,7 @@ def save_dataset(ds: NodeDataset, out_dir: str) -> None:
     write_csv(os.path.join(out_dir, "times.csv"), ["t"], ds.sample_times.reshape(-1, 1))
     meta = {"N": ds.N, "n_m": ds.n_m, "n_x": ds.n_x, "n_y": ds.n_y,
             "node_index": ds.node_index, "seed": ds.seed}
-    with open(os.path.join(out_dir, "meta.json"), "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "meta.json"), meta)
 
 
 def load_dataset(data_dir: str) -> NodeDataset:

@@ -6,13 +6,12 @@ integrator), so the closed loop is integrated as a single system.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import write_csv, write_json
 from .design_model import DuioGains
 from .errors import DimensionError
 from .integrate import DIVERGENCE_LIMIT, rk4_linear
@@ -231,6 +230,4 @@ def export_run(result: RunResult, out_dir: str, extra_summary: dict | None = Non
     summary = result.summary()
     if extra_summary:
         summary.update(extra_summary)
-    with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)

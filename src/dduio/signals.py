@@ -93,10 +93,10 @@ class PiecewiseConstantRandom(SignalGenerator):
             raise ValueError("hold interval must be positive")
         self._rng = np.random.default_rng(self.seed)
 
-    def _index(self, t: float) -> int:
+    def _index(self, ts):
+        """Held-value index of each time; scalars and arrays alike."""
         # Nudge guards against sample times landing epsilon below a boundary.
-        k = int(np.floor(t / self.hold * (1.0 + 1e-12) + 1e-9))
-        return max(k, 0)
+        return np.maximum(np.floor(ts / self.hold * (1.0 + 1e-12) + 1e-9), 0.0).astype(np.intp)
 
     def _ensure(self, k: int) -> None:
         if k >= self._values.size:
@@ -104,18 +104,14 @@ class PiecewiseConstantRandom(SignalGenerator):
             self._values = np.concatenate([self._values, extra])
 
     def value(self, t: float) -> float:
-        k = self._index(t)
+        k = int(self._index(t))
         self._ensure(k)
         return float(self._values[k])
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        idx = np.array([self._index(float(t)) for t in ts])
+        idx = self._index(ts)
         if idx.size:
             self._ensure(int(idx.max()))
         return self._values[idx]
 
-
-def stack_values(generators, t: float) -> np.ndarray:
-    """Evaluate a list of generators at one instant."""
-    return np.array([g.value(t) for g in generators])

@@ -9,7 +9,7 @@ from dduio.baselines import (build_identified_gains, compute_mse_mae,
                              identify_least_squares, monte_carlo_compare,
                              write_comparison_table)
 from dduio.config import parse_config
-from dduio.errors import EmptyRunError, RankError
+from dduio.errors import DesignError, EmptyRunError, RankError
 from dduio.linalg import spectral_abscissa
 from dduio.network import build_laplacian
 from dduio.linalg import coupling_matrix
@@ -140,6 +140,14 @@ def test_monte_carlo_aggregation_identity(small_compare_config):
         assert s.mse == pytest.approx(s.per_experiment_mse.mean(), rel=1e-15)
         assert s.mae == pytest.approx(s.per_experiment_mae.mean(), rel=1e-15)
         assert s.experiments == 3
+
+
+def test_compare_refuses_id_without_granted_couplings():
+    cfg = parse_config({"run": {"horizon": 0.1, "dt": 1e-2},
+                        "compare": {"K": 1, "methods": ["id"]},
+                        "design": {"grant_couplings": "none"}})
+    with pytest.raises(DesignError, match="grant_couplings"):
+        monte_carlo_compare(cfg)
 
 
 def test_comparison_table_files(tmp_path, small_compare_config):

@@ -119,6 +119,9 @@ def test_design_without_data_or_grant(tmp_path, fast_config_path, collected):
     path.write_text(yaml.safe_dump(cfg))
     assert main(["design", "--config", str(path), "--method", "id",
                  "--data", collected, "--out", str(tmp_path / "g2.json")]) == 5
+    assert not (tmp_path / "g2.json").exists()
+    assert main(["compare", "--config", str(path), "--k", "1",
+                 "--out", str(tmp_path / "cmp")]) == 5
 
 
 def test_design_deterministic(tmp_path, fast_config_path, collected):

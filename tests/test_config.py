@@ -100,3 +100,34 @@ def test_z0_policies(model_gains, bench_model):
     with pytest.raises(ConfigError):
         parse_config({"run": {"z0": "warm"}}).initial_observer_states(
             x0, bench_model, model_gains)
+
+
+def test_negative_dt_rejected():
+    with pytest.raises(ConfigError, match="run.dt"):
+        parse_config({"run": {"dt": -1}})
+
+
+def test_horizon_shorter_than_dt_rejected():
+    with pytest.raises(ConfigError, match="run.horizon"):
+        parse_config({"run": {"horizon": 5e-4, "dt": 1e-3}})
+
+
+def test_nonpositive_sample_count_rejected():
+    with pytest.raises(ConfigError, match="data.N"):
+        parse_config({"data": {"N": -3}})
+
+
+def test_unknown_compare_method_rejected():
+    with pytest.raises(ConfigError, match="compare.methods"):
+        parse_config({"compare": {"methods": ["bogus"]}})
+
+
+def test_unknown_grant_policy_rejected():
+    with pytest.raises(ConfigError, match="grant_couplings"):
+        parse_config({"design": {"grant_couplings": "maybe"}})
+    assert parse_config({"design": {"grant_couplings": "none"}}).design.grant_couplings == "none"
+
+
+def test_unknown_z0_policy_rejected():
+    with pytest.raises(ConfigError, match="run.z0"):
+        parse_config({"run": {"z0": "nope"}})

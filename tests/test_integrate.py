@@ -1,0 +1,114 @@
+"""The strided one-step-propagator integrator against a stage-by-stage RK4."""
+import numpy as np
+import pytest
+
+from dduio import integrate
+from dduio.config import parse_config
+from dduio.design_model import build_model_based_gains
+from dduio.errors import DivergenceError
+from dduio.observer_sim import _closed_loop, error_dynamics_matrix, simulate_error_dynamics
+from dduio.signals import PiecewiseConstantRandom, Sinusoid
+
+TOL = 1e-10
+
+
+def rk4_stage_loop(a, g, generators, x0, n_steps, dt,
+                   divergence_limit=integrate.DIVERGENCE_LIMIT):
+    """Classical RK4, four stages per step, forcing read at the stage times."""
+    x = np.asarray(x0, dtype=float).copy()
+    out = np.empty((n_steps + 1, x.size))
+    out[0] = x
+    forced = g.size > 0 and len(generators) > 0
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for j in range(n_steps):
+        t0 = j * dt
+        if forced:
+            f0 = g @ np.array([gen.value(t0) for gen in generators])
+            fh = g @ np.array([gen.value(t0 + half) for gen in generators])
+            f1 = g @ np.array([gen.value(t0 + dt) for gen in generators])
+        else:
+            f0 = fh = f1 = 0.0
+        k1 = a @ x + f0
+        k2 = a @ (x + half * k1) + fh
+        k3 = a @ (x + half * k2) + fh
+        k4 = a @ (x + dt * k3) + f1
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        m = np.abs(x).max()
+        if not (m < divergence_limit):
+            raise DivergenceError(
+                f"state magnitude {m!r} exceeded {divergence_limit:g} at t={t0 + dt:.6g}",
+                t=t0 + dt)
+        out[j + 1] = x
+    return out
+
+
+def assert_agrees(x, x_ref):
+    assert x.shape == x_ref.shape
+    assert np.abs(x - x_ref).max() <= TOL * max(1.0, np.abs(x_ref).max())
+
+
+@pytest.fixture(scope="module")
+def preset_loop():
+    cfg = parse_config({})
+    model, graph = cfg.build_model(), cfg.build_graph()
+    gains = build_model_based_gains(model, graph)
+    a_cl, g_cl = _closed_loop(model, graph, gains)
+    x0 = np.concatenate([cfg.draw_x0(3), np.zeros(model.M * model.n_x)])
+    return cfg, graph, gains, a_cl, g_cl, x0
+
+
+def test_preset_closed_loop_with_hold_equal_to_dt(preset_loop):
+    cfg, _, _, a_cl, g_cl, x0 = preset_loop
+    dt = cfg.run.dt
+
+    def signals():
+        return cfg.build_inputs(3) + cfg.build_disturbances(3)
+
+    assert signals()[-1].hold == dt
+    n_steps = 3000
+    x = integrate.rk4_linear(a_cl, g_cl, signals(), x0, n_steps, dt)
+    assert_agrees(x, rk4_stage_loop(a_cl, g_cl, signals(), x0, n_steps, dt))
+
+
+@pytest.mark.parametrize("n_steps", [16 * 7 + 5, 16 * 3, 1, 15])
+def test_step_counts_off_the_stride(n_steps):
+    rng = np.random.default_rng(n_steps)
+    a = rng.normal(size=(6, 6)) - 3.0 * np.eye(6)
+    g = rng.normal(size=(6, 2))
+    gens = [Sinusoid(1.0, 3.0, 0.2), PiecewiseConstantRandom(-1.0, 1.0, 0.07, 4)]
+    x0 = rng.normal(size=6)
+    dt = 0.01
+    assert_agrees(integrate.rk4_linear(a, g, gens, x0, n_steps, dt),
+                  rk4_stage_loop(a, g, gens, x0, n_steps, dt))
+
+
+def test_unforced_error_dynamics(preset_loop):
+    _, graph, gains, *_ = preset_loop
+    m, _ = error_dynamics_matrix(gains, graph)
+    e0 = np.random.default_rng(8).uniform(-1.0, 1.0, m.shape[0])
+    t, e = simulate_error_dynamics(gains, graph, e0, horizon=2.0, dt=1e-3)
+    assert t.size == 2001
+    assert_agrees(e, rk4_stage_loop(m, np.zeros((m.shape[0], 0)), [], e0, 2000, 1e-3))
+
+
+def test_divergence_raises_at_the_oracle_time():
+    a = np.array([[3.0, 1.0], [0.0, 2.0]])
+    g = np.array([[1.0], [0.5]])
+    gens = [Sinusoid(1.0, 2.0)]
+    args = (a, g, gens, np.array([1.0, -1.0]), 1000, 1e-2, 1e6)
+    with pytest.raises(DivergenceError) as ref:
+        rk4_stage_loop(*args)
+    with pytest.raises(DivergenceError) as err:
+        integrate.rk4_linear(*args)
+    assert err.value.t == ref.value.t
+    assert str(err.value).split(" at ")[1] == str(ref.value).split(" at ")[1]
+
+
+def test_overflow_raises_without_warning():
+    a = np.array([[400.0]])
+    with np.errstate(all="raise"):
+        with pytest.raises(DivergenceError) as err:
+            integrate.rk4_linear(a, np.zeros((1, 0)), [], np.ones(1), 5000, 1.0,
+                                 divergence_limit=np.inf)
+    assert err.value.t > 0.0

@@ -1,0 +1,54 @@
+"""Vectorized signal sampling against pointwise evaluation."""
+import numpy as np
+import pytest
+
+from dduio.signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
+
+
+def pointwise_index(t, hold):
+    """The scalar held-value index rule, evaluated one time at a time."""
+    return max(int(np.floor(t / hold * (1.0 + 1e-12) + 1e-9)), 0)
+
+
+@pytest.mark.parametrize("hold", [1e-3, 0.1, 0.07, 2.5])
+def test_piecewise_sample_is_bit_identical_at_hold_boundaries(hold):
+    boundaries = np.arange(200) * hold
+    ts = np.concatenate([np.nextafter(boundaries, -np.inf), boundaries,
+                         np.nextafter(boundaries, np.inf)])
+    ts = np.concatenate([ts, [-hold, -0.0]])
+    gen = PiecewiseConstantRandom(-1.0, 1.0, hold, 11)
+    sampled = gen.sample(ts)
+    pointwise = np.array([gen.value(float(t)) for t in ts])
+    assert np.array_equal(sampled, pointwise)
+    reference = PiecewiseConstantRandom(-1.0, 1.0, hold, 11)
+    reference._ensure(250)
+    assert np.array_equal(sampled, reference._values[[pointwise_index(float(t), hold)
+                                                      for t in ts]])
+
+
+def test_piecewise_sample_on_the_rk4_stage_grid():
+    dt = 1e-3
+    n_steps = 5000
+    t = np.arange(n_steps) * dt
+    gen = PiecewiseConstantRandom(-0.1, 0.1, dt, 7)
+    for offset in (0.0, 0.5 * dt, dt):
+        stage = t + offset
+        pointwise = np.array([gen.value(j * dt + offset) for j in range(n_steps)])
+        assert np.array_equal(gen.sample(stage), pointwise)
+    # Consecutive stage grids: the k4 time of step j reads hold index j + 1.
+    assert np.array_equal(gen.sample(t + dt)[:-1], gen.sample(t)[1:])
+
+
+@pytest.mark.parametrize("gen", [
+    Zero(),
+    Sinusoid(0.3, 2.1, 0.4),
+    AutonomousLinear([[-0.2]], [0.8]),
+    AutonomousLinear([[0.0, 1.5], [-1.5, -0.1]], [1.0, -0.5], component=1),
+    PiecewiseConstantRandom(-2.0, 3.0, 0.05, 3),
+], ids=["zero", "sinusoid", "autonomous-scalar", "autonomous-oscillator",
+        "piecewise-constant-random"])
+def test_sample_matches_value(gen):
+    ts = np.linspace(0.0, 12.0, 1201)
+    sampled = gen.sample(ts)
+    pointwise = np.array([gen.value(float(t)) for t in ts])
+    np.testing.assert_allclose(sampled, pointwise, rtol=1e-15, atol=0.0)
