@@ -10,19 +10,27 @@ import json
 
 import numpy as np
 
+from .integrate import DRIVE_ROWS
+
+
+FLOAT_FORMAT = "%.17g"
+
 
 def format_float(v: float) -> str:
-    return "%.17g" % v
+    return FLOAT_FORMAT % v
 
 
 def write_csv(path, header: list[str], rows: np.ndarray) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.size and rows.shape[1] != len(header):
         raise ValueError(f"{path}: header has {len(header)} fields, rows have {rows.shape[1]}")
+    # one %-format per block of rows, each field exactly format_float's text
+    line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        for i in range(0, len(rows), DRIVE_ROWS):
+            block = rows[i:i + DRIVE_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_json(path, payload) -> None:

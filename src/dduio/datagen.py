@@ -15,7 +15,7 @@ import numpy as np
 
 from ._csvio import read_csv, write_csv, write_json
 from .errors import DimensionError, ExcitationError, OracleUnavailableError
-from .linalg import numerical_rank, singular_values, rank_threshold
+from .linalg import numerical_rank, rank_from_singular_values, singular_values
 from .plant import PlantModel, simulate
 from .signals import PiecewiseConstantRandom
 
@@ -89,7 +89,7 @@ def check_excitation_rank(ds: NodeDataset, multiplier: float | None = None) -> R
     stack = np.vstack([ds.U, ds.W_validation, ds.X])
     required = stack.shape[0]
     sv = singular_values(stack)
-    rank = int(np.sum(sv > rank_threshold(sv, stack.shape, multiplier)))
+    rank = rank_from_singular_values(sv, stack.shape, multiplier)
     return RankReport(ok=rank == required, rank=rank, required=required, singular_values=sv)
 
 

@@ -140,7 +140,8 @@ def _pencil_points(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def check_data_detectability(ds: NodeDataset, multiplier: float | None = None,
                              tol: float = 1e-8, n_points: int = PENCIL_POINTS,
-                             rtol: float = DEFAULT_RESIDUAL_RTOL) -> tuple[bool, np.ndarray]:
+                             rtol: float = DEFAULT_RESIDUAL_RTOL,
+                             blocks: tuple | None = None) -> tuple[bool, np.ndarray]:
     """Data-side detectability test for a candidate leader node.
 
     The pencil [s X - Xdot; U; Y] must keep rank n_x + n_m + r over the
@@ -148,13 +149,20 @@ def check_data_detectability(ds: NodeDataset, multiplier: float | None = None,
     the recovered pair at the eigenvalues of the recovered error matrix
     (the only points where the rank can drop), cross-checked by direct
     rank evaluation at randomly drawn points with Re(s) >= 0.
+
+    ``blocks`` is (T_x, C_recovered, r_inferred) from a structured solve
+    of this dataset, which implies it passed the solvability test; when
+    given, neither that test nor the solve is repeated.
     """
-    solvable, _, _ = check_data_solvability(ds, multiplier)
-    if not solvable:
-        raise PreconditionError("data solvability rank test failed; "
-                                "detectability test is undefined")
-    _, _, t_x, c_rec, _, r_hat = solve_data_equation_structured(
-        ds, rtol=rtol, multiplier=multiplier)
+    if blocks is None:
+        solvable, _, _ = check_data_solvability(ds, multiplier)
+        if not solvable:
+            raise PreconditionError("data solvability rank test failed; "
+                                    "detectability test is undefined")
+        _, _, t_x, c_rec, _, r_hat = solve_data_equation_structured(
+            ds, rtol=rtol, multiplier=multiplier)
+    else:
+        t_x, c_rec, r_hat = blocks
     detectable = pbh_detectable(t_x, c_rec, tol, multiplier)
 
     rng = np.random.default_rng(PENCIL_SEED)
@@ -223,7 +231,8 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
         ds, rtol=rtol, multiplier=multiplier)
     detectable, points = (None, None)
     if test_detectability:
-        detectable, points = check_data_detectability(ds, multiplier, rtol=rtol)
+        detectable, points = check_data_detectability(
+            ds, multiplier, rtol=rtol, blocks=(t_x, c_rec, r_hat))
     return DataDesignReport(
         node_index=ds.node_index, solvable=True,
         rank_with_output_derivs=lhs, rank_with_state_derivs=rhs,

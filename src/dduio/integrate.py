@@ -4,7 +4,8 @@ For x' = a x + g s(t) with constant (a, g), one RK4 step is exactly the
 affine map x+ = Phi x + W0 g s(t) + Wh g s(t + dt/2) + W1 g s(t + dt),
 with Phi and the W's polynomials in dt * a.  The integrator samples the
 forcing with vectorized ``sample`` calls at the three stage offsets and
-runs that recurrence, stepping STRIDE steps at a time with Phi**STRIDE.
+runs that recurrence in STRIDE-step blocks; the coarse recurrence over
+the blocks, with Phi**STRIDE, is solved the same way, level by level.
 """
 from __future__ import annotations
 
@@ -46,29 +47,39 @@ def _accumulate_drives(out: np.ndarray, g: np.ndarray, weights, generators,
 
 
 def _recur(out: np.ndarray, phi: np.ndarray, n_steps: int) -> None:
-    """Turn out[1:] from drives d_j into states x_{j+1} = Phi x_j + d_j."""
+    """Turn out[1:] from drives d_j into states x_{j+1} = Phi x_j + d_j.
+
+    Horner-sums each STRIDE-step block of drives into one coarse drive,
+    solves the coarse recurrence x_{(b+1)S} = Phi**S x_{bS} + c_b by the
+    same routine, then fills the rows inside every block.  Recursion
+    stops when fewer than STRIDE coarse steps remain, or when Phi**S is
+    not finite; the remaining steps are stepped one at a time.
+    """
     n_blocks = n_steps // STRIDE
+    done = 0
     if n_blocks:
         powers = [phi]
         for _ in range(STRIDE - 1):
             powers.append(powers[-1] @ phi)
-        blocks = out[1:1 + n_blocks * STRIDE].reshape(n_blocks, STRIDE, -1)
-        # Horner: row k of a block becomes the state k + 1 steps of its drives
-        # reach from zero; the last row is the block's coarse drive.
-        for k in range(1, STRIDE):
-            blocks[:, k] += blocks[:, k - 1] @ phi.T
-        # Coarse steps: the last row of every block becomes a state.
         phi_stride = powers[STRIDE - 1]
-        x = out[0]
-        for b in range(n_blocks):
-            row = blocks[b, -1]
-            row += phi_stride @ x
-            x = row
-        # Row k - 1 of a block adds the block's start state carried k steps.
-        starts = out[0:n_blocks * STRIDE:STRIDE]
-        for k in range(1, STRIDE):
-            blocks[:, k - 1] += starts @ powers[k - 1].T
-    for j in range(n_blocks * STRIDE, n_steps):
+        # A non-finite Phi**S (inf * 0 = nan) could poison rows that a
+        # plain step keeps finite, so such a level steps plainly.
+        if np.isfinite(phi_stride).all():
+            blocks = out[1:1 + n_blocks * STRIDE].reshape(n_blocks, STRIDE, -1)
+            # Horner: row k of a block becomes the state k + 1 steps of its
+            # drives reach from zero; the last row is the block's coarse drive.
+            for k in range(1, STRIDE):
+                blocks[:, k] += blocks[:, k - 1] @ phi.T
+            # Coarse steps: the last row of every block becomes a state.
+            coarse = out[0:n_blocks * STRIDE + 1:STRIDE].copy()
+            _recur(coarse, phi_stride, n_blocks)
+            out[STRIDE:n_blocks * STRIDE + 1:STRIDE] = coarse[1:]
+            # Row k - 1 of a block adds the block's start state carried k steps.
+            starts = out[0:n_blocks * STRIDE:STRIDE]
+            for k in range(1, STRIDE):
+                blocks[:, k - 1] += starts @ powers[k - 1].T
+            done = n_blocks * STRIDE
+    for j in range(done, n_steps):
         out[j + 1] += phi @ out[j]
 
 
@@ -89,12 +100,14 @@ def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
             _accumulate_drives(out, g, weights, generators, n_steps, dt)
         _recur(out, phi, n_steps)
         states = out[1:]
-        magnitude = np.maximum(states.max(axis=1), -states.min(axis=1))
-        exceeded = np.flatnonzero(~(magnitude < divergence_limit))
-    if exceeded.size:
-        j = int(exceeded[0])
-        m = magnitude[j]
-        t = j * dt + dt
-        raise DivergenceError(
-            f"state magnitude {m!r} exceeded {divergence_limit:g} at t={t:.6g}", t=t)
+        # Flat max/min allocate nothing and fail the test on NaN; only a
+        # run that fails it pays for the row-wise search of the first row.
+        if states.size and not (states.max() < divergence_limit
+                                and -states.min() < divergence_limit):
+            magnitude = np.maximum(states.max(axis=1), -states.min(axis=1))
+            j = int(np.flatnonzero(~(magnitude < divergence_limit))[0])
+            m = magnitude[j]
+            t = j * dt + dt
+            raise DivergenceError(
+                f"state magnitude {m!r} exceeded {divergence_limit:g} at t={t:.6g}", t=t)
     return out

@@ -30,13 +30,18 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
+def rank_from_singular_values(sv: np.ndarray, shape: tuple[int, int],
+                              multiplier: float | None = None) -> int:
+    """Count of the singular values ``sv`` of a ``shape`` matrix above the threshold."""
+    return int(np.sum(sv > rank_threshold(sv, shape, multiplier)))
+
+
 def numerical_rank(a: np.ndarray, multiplier: float | None = None) -> int:
     """Rank of ``a`` under the shared SVD threshold policy."""
     a = np.atleast_2d(a)
     if a.size == 0:
         return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(sv > rank_threshold(sv, a.shape, multiplier)))
+    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), a.shape, multiplier)
 
 
 def pinv(a: np.ndarray, multiplier: float | None = None) -> np.ndarray:

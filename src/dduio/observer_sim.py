@@ -14,7 +14,7 @@ import numpy as np
 from ._csvio import write_csv, write_json
 from .design_model import DuioGains
 from .errors import DimensionError
-from .integrate import DIVERGENCE_LIMIT, rk4_linear
+from .integrate import DIVERGENCE_LIMIT, DRIVE_ROWS, rk4_linear
 from .linalg import block_diag, coupling_matrix, spectral_abscissa
 from .network import SensorGraph, build_laplacian
 from .plant import PlantModel
@@ -125,17 +125,42 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
 
     t = np.arange(n_steps + 1) * dt
     x = xi[:, :n]
-    z = xi[:, n:].reshape(-1, m_nodes, n)
-    xhat = np.empty_like(z)
-    for i, node in enumerate(model.nodes):
-        xhat[:, i, :] = z[:, i, :] + (x @ node.C.T) @ gains.H[i].T
-    error_norms = np.linalg.norm(x[:, None, :] - xhat, axis=2)
-    spread = np.zeros(t.size)
-    for i in range(m_nodes):
-        for j in range(i + 1, m_nodes):
-            d_ij = np.linalg.norm(xhat[:, i, :] - xhat[:, j, :], axis=1)
-            np.maximum(spread, d_ij, out=spread)
+    xhat, error_norms, spread = _estimates(xi, model, gains)
     return RunResult(t=t, x=x, xhat=xhat, error_norms=error_norms, spread=spread)
+
+
+def _estimates(xi: np.ndarray, model: PlantModel, gains: DuioGains):
+    """xhat_i = z_i + H_i C_i x, the error norms and the pairwise spread.
+
+    Works on DRIVE_ROWS-row blocks transposed to (state, time), so every
+    elementwise op runs along time and no temporary grows with the run.
+    """
+    n, m_nodes = model.n_x, model.M
+    rows = xi.shape[0]
+    # (node * state, state): node i's rows are H_i C_i
+    out_map = np.vstack([h @ node.C for h, node in zip(gains.H, model.nodes)])
+    xhat = np.empty((rows, m_nodes, n))
+    error_norms = np.empty((rows, m_nodes))
+    spread = np.empty(rows)
+    for r0 in range(0, rows, DRIVE_ROWS):
+        r1 = min(r0 + DRIVE_ROWS, rows)
+        block = np.ascontiguousarray(xi[r0:r1].T)
+        x_blk = block[:n]
+        est = out_map @ x_blk
+        est += block[n:]
+        xhat[r0:r1].reshape(r1 - r0, -1)[:] = est.T
+        est = est.reshape(m_nodes, n, -1)
+        err = est - x_blk
+        err *= err
+        error_norms[r0:r1] = np.sqrt(err.sum(axis=1)).T
+        # squared distances from node i to every later node, maximized
+        far = np.zeros(r1 - r0)
+        for i in range(m_nodes - 1):
+            diff = est[i + 1:] - est[i]
+            diff *= diff
+            np.maximum(far, diff.sum(axis=1).max(axis=0), out=far)
+        np.sqrt(far, out=spread[r0:r1])
+    return xhat, error_norms, spread
 
 
 def error_dynamics_matrix(gains: DuioGains, graph: SensorGraph) -> tuple[np.ndarray, float]:

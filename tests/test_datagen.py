@@ -166,3 +166,11 @@ def test_pointwise_dataset_is_valid_offline_data():
     member = (ds.U[:, 0], ds.Y[:, 0], ds.Ydot[:, 0], ds.X[:, 0], ds.Xdot[:, 0])
     ok, _ = check_compatibility(ds, member)
     assert ok
+
+
+def test_excitation_rank_uses_the_shared_rank_rule(bench_datasets):
+    from dduio.linalg import numerical_rank
+    for ds in bench_datasets:
+        stack = np.vstack([ds.U, ds.W_validation, ds.X])
+        assert check_excitation_rank(ds).rank == numerical_rank(stack)
+        assert check_excitation_rank(ds, 1e13).rank == numerical_rank(stack, 1e13)

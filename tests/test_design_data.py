@@ -291,3 +291,22 @@ def test_bounded_noise_smoke(bench_model, bench_graph):
     res = run(bench_model, bench_graph, gains, np.array([0.2, -0.4, 0.3, 0.1]),
               inputs, dist, horizon=20.0, dt=1e-3)
     assert res.error_norms[-1].max() < 0.1
+
+
+@pytest.mark.parametrize("kind", ["generic", "hidden-unstable", "hidden-stable"])
+def test_leader_test_reuses_the_structured_solve(monkeypatch, kind):
+    import dduio.design_data as design_data
+    from conftest import random_node_system
+    a, b_m, b_p, c = random_node_system(np.random.default_rng(31), kind)
+    ds = pointwise_dataset(a, b_m, b_p, c, N=b_m.shape[1] + b_p.shape[1] + a.shape[0] + 10,
+                           seed=77)
+    detectable, points = check_data_detectability(ds)
+    solve = design_data.solve_data_equation_structured
+    calls = []
+    monkeypatch.setattr(design_data, "solve_data_equation_structured",
+                        lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    report = analyze_node(ds, test_detectability=True)
+    assert report.solvable and len(calls) == 1
+    assert report.detectable == detectable == check_detectability(
+        single_node_model(a, b_m, b_p, c), 0)
+    assert np.array_equal(report.pencil_points, points)

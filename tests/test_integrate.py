@@ -1,4 +1,6 @@
 """The strided one-step-propagator integrator against a stage-by-stage RK4."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,9 @@ def test_preset_closed_loop_with_hold_equal_to_dt(preset_loop):
     assert_agrees(x, rk4_stage_loop(a_cl, g_cl, signals(), x0, n_steps, dt))
 
 
-@pytest.mark.parametrize("n_steps", [16 * 7 + 5, 16 * 3, 1, 15])
+# 255: coarse steps stepped plainly; 256, 257: one level of recursion, with
+# and without a tail; 4099: three levels and a tail at the finest.
+@pytest.mark.parametrize("n_steps", [16 * 7 + 5, 16 * 3, 1, 15, 255, 256, 257, 4099])
 def test_step_counts_off_the_stride(n_steps):
     rng = np.random.default_rng(n_steps)
     a = rng.normal(size=(6, 6)) - 3.0 * np.eye(6)
@@ -105,6 +109,25 @@ def test_divergence_raises_at_the_oracle_time():
     assert str(err.value).split(" at ")[1] == str(ref.value).split(" at ")[1]
 
 
+def test_negative_divergence_raises_at_the_oracle_time():
+    args = (np.array([[2.0]]), np.zeros((1, 0)), [], np.array([-1.0]), 1000, 1e-2, 1e6)
+    with pytest.raises(DivergenceError) as ref:
+        rk4_stage_loop(*args)
+    with pytest.raises(DivergenceError) as err:
+        integrate.rk4_linear(*args)
+    assert err.value.t == ref.value.t
+
+
+def test_unexcited_unstable_mode_stays_unexcited():
+    # Phi**256 of the unstable mode overflows; the stable mode's exact zeros
+    # must not meet it as inf * 0 = nan
+    a = np.diag([-1.0, 50.0])
+    x0 = np.array([1.0, 0.0])
+    x = integrate.rk4_linear(a, np.zeros((2, 0)), [], x0, 4099, 0.1)
+    assert not x[:, 1].any()
+    assert_agrees(x, rk4_stage_loop(a, np.zeros((2, 0)), [], x0, 4099, 0.1))
+
+
 def test_overflow_raises_without_warning():
     a = np.array([[400.0]])
     with np.errstate(all="raise"):
@@ -112,3 +135,35 @@ def test_overflow_raises_without_warning():
             integrate.rk4_linear(a, np.zeros((1, 0)), [], np.ones(1), 5000, 1.0,
                                  divergence_limit=np.inf)
     assert err.value.t > 0.0
+
+
+class Spike:
+    """sin(t), except the value ``bad`` at the single grid time ``at``."""
+
+    def __init__(self, at, bad, dt):
+        self.at, self.bad, self.dt = at, bad, dt
+
+    def sample(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.abs(t - self.at) < 0.25 * self.dt, self.bad, np.sin(t))
+
+    def value(self, t):
+        return float(self.sample(t))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_row_raises_at_the_oracle_time_without_warning(bad):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(5, 5)) - 3.0 * np.eye(5)
+    g = rng.normal(size=(5, 1))
+    dt, n_steps = 0.01, 4099
+    gens = [Spike(3001 * dt, bad, dt)]
+    args = (a, g, gens, rng.normal(size=5), n_steps, dt)
+    with pytest.raises(DivergenceError) as ref, np.errstate(all="ignore"):
+        rk4_stage_loop(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"), pytest.raises(DivergenceError) as err:
+            integrate.rk4_linear(*args)
+    assert err.value.t == ref.value.t == pytest.approx(3001 * dt)
+    assert str(err.value).split(" at ")[1] == str(ref.value).split(" at ")[1]

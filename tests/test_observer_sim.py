@@ -1,15 +1,18 @@
 """Closed-loop plant/observer simulation and the error-dynamics identities."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dduio import benchmark
+from dduio.config import parse_config
 from dduio.design_model import build_model_based_gains
 from dduio.errors import DimensionError, DivergenceError
+from dduio.integrate import DRIVE_ROWS, rk4_linear
 from dduio.linalg import spectral_abscissa
 from dduio.network import SensorGraph, complete
-from dduio.observer_sim import (error_dynamics_matrix, export_run, run,
+from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run, run,
                                 simulate_error_dynamics, verify_decoupling)
 from dduio.signals import Sinusoid, Zero
 
@@ -187,3 +190,90 @@ def test_export_files_and_determinism(tmp_path, bench_model, bench_graph, model_
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     header = (d1 / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("t,x1,x2,x3,x4,xhat1_1")
+
+
+def estimates_oracle(xi, model, gains):
+    """Node-by-node xhat, np.linalg.norm errors and the pairwise spread loop."""
+    n, m_nodes = model.n_x, model.M
+    x = xi[:, :n]
+    z = xi[:, n:].reshape(-1, m_nodes, n)
+    xhat = np.empty_like(z)
+    for i, node in enumerate(model.nodes):
+        xhat[:, i, :] = z[:, i, :] + (x @ node.C.T) @ gains.H[i].T
+    error_norms = np.linalg.norm(x[:, None, :] - xhat, axis=2)
+    spread = np.zeros(xi.shape[0])
+    for i in range(m_nodes):
+        for j in range(i + 1, m_nodes):
+            d_ij = np.linalg.norm(xhat[:, i, :] - xhat[:, j, :], axis=1)
+            np.maximum(spread, d_ij, out=spread)
+    return xhat, error_norms, spread
+
+
+def assert_run_matches_oracle(model, graph, gains, x0, z0, signals, n_steps, dt):
+    res = run(model, graph, gains, x0, *signals(), horizon=n_steps * dt, dt=dt, z0=z0)
+    a_cl, g_cl = _closed_loop(model, graph, gains)
+    inputs, dist = signals()
+    xi = rk4_linear(a_cl, g_cl, list(inputs) + list(dist),
+                    np.concatenate([x0, z0.ravel()]), n_steps, dt)
+    assert np.array_equal(res.t, np.arange(n_steps + 1) * dt)
+    assert np.array_equal(res.x, xi[:, :model.n_x])
+    for new, old in zip((res.xhat, res.error_norms, res.spread),
+                        estimates_oracle(xi, model, gains)):
+        assert new.shape == old.shape
+        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+    return res
+
+
+@pytest.fixture(scope="module")
+def preset():
+    cfg = parse_config({})
+    model, graph = cfg.build_model(), cfg.build_graph()
+    return cfg, model, graph, build_model_based_gains(model, graph)
+
+
+@pytest.mark.parametrize("n_steps", [None, 2 * DRIVE_ROWS + 6, DRIVE_ROWS - 1])
+def test_run_estimates_match_the_node_loop_oracle(preset, n_steps):
+    cfg, model, graph, gains = preset
+    dt = cfg.run.dt
+    if n_steps is None:
+        n_steps = int(round(cfg.run.horizon / dt))
+    # node i starts at (-1)**i * i, so the last pair is the farthest apart
+    offsets = np.arange(model.M) * (-1.0) ** np.arange(model.M)
+    z0 = np.outer(offsets, np.ones(model.n_x))
+    res = assert_run_matches_oracle(
+        model, graph, gains, cfg.draw_x0(3), z0,
+        lambda: (cfg.build_inputs(3), cfg.build_disturbances(3)), n_steps, dt)
+    assert res.spread[0] == pytest.approx(np.linalg.norm(res.xhat[0, -1] - res.xhat[0, -2]))
+
+
+def test_single_node_run_matches_oracle_with_zero_spread():
+    a = np.array([[0.0, 1.0], [-2.0, -0.6]])
+    model = single_node_model(a, np.array([[0.0], [1.0]]), np.zeros((2, 0)),
+                              np.array([[1.0, 0.0]]))
+    graph = SensorGraph(np.zeros((1, 1)))
+    gains = build_model_based_gains(model, graph)
+    res = assert_run_matches_oracle(
+        model, graph, gains, np.array([0.8, -0.1]), np.zeros((1, 2)),
+        lambda: ([Sinusoid(0.7, 1.3, 0.4)], []), DRIVE_ROWS + 5, 1e-3)
+    assert res.error_norms.max() > 0.0
+    assert not res.spread.any()
+
+
+def test_run_allocates_no_full_length_temporary(preset):
+    cfg, model, graph, gains = preset
+    x0 = cfg.draw_x0(3)
+
+    def one_run():
+        return run(model, graph, gains, x0, cfg.build_inputs(3),
+                   cfg.build_disturbances(3), horizon=cfg.run.horizon, dt=cfg.run.dt)
+
+    one_run()
+    tracemalloc.start()
+    try:
+        res = one_run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    integrated = res.t.size * model.n_x * (1 + model.M) * 8
+    returned = sum(a.nbytes for a in (res.t, res.xhat, res.error_norms, res.spread))
+    assert peak - integrated - returned <= 4 * 2 ** 20
