@@ -125,10 +125,8 @@ def design_for_method(method: str, config, model: PlantModel, graph: SensorGraph
         raise DesignError(f"method {method!r} needs offline datasets")
     if method == "data":
         views = [ds.design_view() for ds in datasets]
-        reports, leader = analyze_datasets(views, rtol=d.residual_rtol,
-                                           multiplier=d.rank_multiplier)
-        if leader is None:
-            raise DesignError("no node passed the data detectability test")
+        reports, _ = analyze_datasets(views, rtol=d.residual_rtol,
+                                      multiplier=d.rank_multiplier)
         return build_data_driven_gains(reports, graph, **kwargs)
     if method == "id":
         granted_b_u, granted_e = _granted_couplings(model)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DesignError, PreconditionError, RankError
+from .errors import ConsistencyError, DesignError, RankError
 from .datagen import NodeDataset
 from .design_model import (DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN, assemble_from_blocks,
                            decoupling_gain, DuioGains)
@@ -37,15 +37,6 @@ def check_data_solvability(ds: NodeDataset,
     return lhs == rhs, lhs, rhs
 
 
-def infer_unknown_rank(ds: NodeDataset, multiplier: float | None = None) -> int:
-    """Number of unknown-input channels seen by the data.
-
-    rank([U; X; Xdot]) - n_m - n_x, never negative.
-    """
-    rank = numerical_rank(np.vstack([ds.U, ds.X, ds.Xdot]), multiplier)
-    return max(rank - ds.n_m - ds.n_x, 0)
-
-
 def recover_output_map(ds: NodeDataset, multiplier: float | None = None) -> np.ndarray:
     """C = Y X^+; requires the state data to have full row rank."""
     if numerical_rank(ds.X, multiplier) < ds.n_x:
@@ -53,54 +44,12 @@ def recover_output_map(ds: NodeDataset, multiplier: float | None = None) -> np.n
     return ds.Y @ pinv(ds.X, multiplier)
 
 
-@dataclass(frozen=True)
-class DataEquationSolution:
-    """Minimum-norm solution of Xdot = [T_u T_y T_x] [U; Ydot; X].
-
-    ``family(Z)`` returns the affine family member min-norm + Z (I - S S^+);
-    every member solves the same equation.
-    """
-
-    T_u: np.ndarray
-    T_y: np.ndarray
-    T_x: np.ndarray
-    residual: float
-    rank_Ty: int
-    _stack: np.ndarray
-    _null_projector: np.ndarray
-
-    def family(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        Z = np.asarray(Z, dtype=float)
-        t = np.hstack([self.T_u, self.T_y, self.T_x]) + Z @ self._null_projector
-        n_m = self.T_u.shape[1]
-        n_y = self.T_y.shape[1]
-        return t[:, :n_m], t[:, n_m:n_m + n_y], t[:, n_m + n_y:]
-
-
-def solve_data_equation(ds: NodeDataset, rtol: float = DEFAULT_RESIDUAL_RTOL,
-                        multiplier: float | None = None) -> DataEquationSolution:
-    """Minimum-norm blocks, Frobenius residual, and the solution family."""
-    stack = np.vstack([ds.U, ds.Ydot, ds.X])
-    stack_pinv = pinv(stack, multiplier)
-    t = ds.Xdot @ stack_pinv
-    residual = float(np.linalg.norm(ds.Xdot - t @ stack))
-    scale = max(np.linalg.norm(ds.Xdot), 1.0)
-    if residual > rtol * scale:
-        raise ConsistencyError(
-            f"data equation residual {residual:.3e} exceeds {rtol:.1e} x ||Xdot||; "
-            "data are not consistent with one LTI system of this structure")
-    null_proj = np.eye(stack.shape[0]) - stack @ stack_pinv
-    n_m, n_y = ds.n_m, ds.n_y
-    return DataEquationSolution(
-        T_u=t[:, :n_m], T_y=t[:, n_m:n_m + n_y], T_x=t[:, n_m + n_y:],
-        residual=residual, rank_Ty=numerical_rank(t[:, n_m:n_m + n_y], multiplier),
-        _stack=stack, _null_projector=null_proj)
-
-
-def solve_data_equation_structured(ds: NodeDataset, rtol: float = DEFAULT_RESIDUAL_RTOL,
+def solve_data_equation_structured(ds: NodeDataset, r_hat: int,
+                                   rtol: float = DEFAULT_RESIDUAL_RTOL,
                                    multiplier: float | None = None):
-    """The family member with rank(T_y) equal to the unknown-input rank.
+    """The solution of Xdot = [T_u T_y T_x] [U; Ydot; X] with rank(T_y) = r_hat.
 
+    ``r_hat`` is the unknown-input rank the solvability test inferred.
     The span of the unknown-input directions is recovered as the column
     space of Xdot projected onto the orthogonal complement of the rows
     of [U; X]; the output feedthrough built from that span annihilates
@@ -108,22 +57,19 @@ def solve_data_equation_structured(ds: NodeDataset, rtol: float = DEFAULT_RESIDU
     least squares.  On noise-free data this member coincides with the
     blocks the true plant matrices would give.
 
-    Returns (T_u, T_y, T_x, C_recovered, residual, r_inferred).
+    Returns (T_u, T_y, T_x, C_recovered, residual).
     """
-    solvable, _, _ = check_data_solvability(ds, multiplier)
-    if not solvable:
-        raise PreconditionError("data solvability rank test failed for this dataset")
     c_rec = recover_output_map(ds, multiplier)
     known = np.vstack([ds.U, ds.X])
-    perp = ds.Xdot @ (np.eye(ds.N) - pinv(known, multiplier) @ known)
-    r_hat = infer_unknown_rank(ds, multiplier)
+    known_pinv = pinv(known, multiplier)
     if r_hat > 0:
+        perp = ds.Xdot @ (np.eye(ds.N) - known_pinv @ known)
         basis = np.linalg.svd(perp)[0][:, :r_hat]
     else:
         basis = np.zeros((ds.n_x, 0))
     t_y = decoupling_gain(c_rec, basis)
     eye = np.eye(ds.n_x)
-    t_ux = (eye - t_y @ c_rec) @ ds.Xdot @ pinv(known, multiplier)
+    t_ux = (eye - t_y @ c_rec) @ ds.Xdot @ known_pinv
     t_u, t_x = t_ux[:, :ds.n_m], t_ux[:, ds.n_m:]
     stack = np.vstack([ds.U, ds.Ydot, ds.X])
     residual = float(np.linalg.norm(ds.Xdot - np.hstack([t_u, t_y, t_x]) @ stack))
@@ -131,17 +77,11 @@ def solve_data_equation_structured(ds: NodeDataset, rtol: float = DEFAULT_RESIDU
     if residual > rtol * scale:
         raise ConsistencyError(
             f"structured data equation residual {residual:.3e} exceeds {rtol:.1e} x ||Xdot||")
-    return t_u, t_y, t_x, c_rec, residual, r_hat
+    return t_u, t_y, t_x, c_rec, residual
 
 
-def _pencil_points(rng: np.random.Generator, count: int) -> np.ndarray:
-    return rng.uniform(0.0, 10.0, count) + 1j * rng.uniform(-10.0, 10.0, count)
-
-
-def check_data_detectability(ds: NodeDataset, multiplier: float | None = None,
-                             tol: float = 1e-8, n_points: int = PENCIL_POINTS,
-                             rtol: float = DEFAULT_RESIDUAL_RTOL,
-                             blocks: tuple | None = None) -> tuple[bool, np.ndarray]:
+def check_data_detectability(ds: NodeDataset, t_x: np.ndarray, c_rec: np.ndarray,
+                             r_hat: int, multiplier: float | None) -> tuple[bool, np.ndarray]:
     """Data-side detectability test for a candidate leader node.
 
     The pencil [s X - Xdot; U; Y] must keep rank n_x + n_m + r over the
@@ -150,23 +90,13 @@ def check_data_detectability(ds: NodeDataset, multiplier: float | None = None,
     (the only points where the rank can drop), cross-checked by direct
     rank evaluation at randomly drawn points with Re(s) >= 0.
 
-    ``blocks`` is (T_x, C_recovered, r_inferred) from a structured solve
-    of this dataset, which implies it passed the solvability test; when
-    given, neither that test nor the solve is repeated.
+    ``t_x`` and ``c_rec`` are the blocks of the structured solve of this
+    dataset and ``r_hat`` its inferred unknown-input rank.
     """
-    if blocks is None:
-        solvable, _, _ = check_data_solvability(ds, multiplier)
-        if not solvable:
-            raise PreconditionError("data solvability rank test failed; "
-                                    "detectability test is undefined")
-        _, _, t_x, c_rec, _, r_hat = solve_data_equation_structured(
-            ds, rtol=rtol, multiplier=multiplier)
-    else:
-        t_x, c_rec, r_hat = blocks
-    detectable = pbh_detectable(t_x, c_rec, tol, multiplier)
-
+    detectable = pbh_detectable(t_x, c_rec, multiplier=multiplier)
     rng = np.random.default_rng(PENCIL_SEED)
-    points = _pencil_points(rng, n_points)
+    points = (rng.uniform(0.0, 10.0, PENCIL_POINTS)
+              + 1j * rng.uniform(-10.0, 10.0, PENCIL_POINTS))
     want = ds.n_x + ds.n_m + r_hat
     for s in points:
         # row scaling keeps the rank and stops the top singular value from
@@ -219,7 +149,12 @@ class DataDesignReport:
 def analyze_node(ds: NodeDataset, test_detectability: bool = False,
                  rtol: float = DEFAULT_RESIDUAL_RTOL,
                  multiplier: float | None = None) -> DataDesignReport:
-    """Run the rank tests and, when solvable, recover the observer blocks."""
+    """Run the rank tests and, when solvable, recover the observer blocks.
+
+    One pass: the unknown-input rank is read from the solvability test and
+    the leader's detectability test works on the structured solve's blocks,
+    so no matrix is ranked or pseudo-inverted twice.
+    """
     solvable, lhs, rhs = check_data_solvability(ds, multiplier)
     if not solvable:
         return DataDesignReport(
@@ -227,12 +162,12 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
             rank_with_output_derivs=lhs, rank_with_state_derivs=rhs,
             detectable=None, pencil_points=None, T_u=None, T_y=None, T_x=None,
             rank_Ty=None, C_recovered=None, residual=None, r_inferred=None)
-    t_u, t_y, t_x, c_rec, residual, r_hat = solve_data_equation_structured(
-        ds, rtol=rtol, multiplier=multiplier)
+    r_hat = max(rhs - ds.n_m - ds.n_x, 0)
+    t_u, t_y, t_x, c_rec, residual = solve_data_equation_structured(
+        ds, r_hat, rtol=rtol, multiplier=multiplier)
     detectable, points = (None, None)
     if test_detectability:
-        detectable, points = check_data_detectability(
-            ds, multiplier, rtol=rtol, blocks=(t_x, c_rec, r_hat))
+        detectable, points = check_data_detectability(ds, t_x, c_rec, r_hat, multiplier)
     return DataDesignReport(
         node_index=ds.node_index, solvable=True,
         rank_with_output_derivs=lhs, rank_with_state_derivs=rhs,

@@ -77,12 +77,6 @@ def rank_condition(C: np.ndarray, B_p: np.ndarray, multiplier: float | None = No
             and numerical_rank(B_p, multiplier) == r)
 
 
-def check_lemma1(model: PlantModel, i: int) -> bool:
-    """Solvability of the decoupling equations at node ``i``."""
-    node = model.nodes[i]
-    return rank_condition(node.C, node.B_p)
-
-
 def decoupling_gain(C: np.ndarray, B_p: np.ndarray,
                     free_param: np.ndarray | None = None) -> np.ndarray:
     """Solve H C B_p = B_p; the particular solution is B_p (C B_p)^+.
@@ -100,12 +94,6 @@ def decoupling_gain(C: np.ndarray, B_p: np.ndarray,
         free_param = np.asarray(free_param, dtype=float)
         h = h + free_param @ (np.eye(C.shape[0]) - cbp @ pinv(cbp))
     return h
-
-
-def parametrize_H(model: PlantModel, i: int,
-                  Y_free: np.ndarray | None = None) -> np.ndarray:
-    node = model.nodes[i]
-    return decoupling_gain(node.C, node.B_p, Y_free)
 
 
 def check_detectability(model: PlantModel, i: int, tol: float = DETECT_TOL) -> bool:

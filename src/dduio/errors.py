@@ -53,10 +53,6 @@ class ConsistencyError(DuioError):
     """Data are inconsistent with an LTI system of the assumed structure."""
 
 
-class PreconditionError(DuioError):
-    """An operation was called before its prerequisite check passed."""
-
-
 class EmptyRunError(DuioError):
     """A metric was requested on an empty trajectory."""
 

@@ -36,7 +36,6 @@ class SensorGraph:
 @dataclass(frozen=True)
 class LaplacianBundle:
     laplacian: np.ndarray
-    degree: np.ndarray
     reduced: np.ndarray
     lambda_min_reduced: float
     spectrum: np.ndarray
@@ -63,18 +62,8 @@ def build_laplacian(g: SensorGraph, drop: int = 0) -> LaplacianBundle:
             f"graph is not connected: second-smallest Laplacian eigenvalue {spectrum[1]:.3e}")
     red = reduced_laplacian(lap, drop)
     lam_min = float(np.linalg.eigvalsh(red)[0]) if red.size else float("inf")
-    return LaplacianBundle(laplacian=lap, degree=degree, reduced=red,
+    return LaplacianBundle(laplacian=lap, reduced=red,
                            lambda_min_reduced=lam_min, spectrum=spectrum)
-
-
-def check_reduced_hurwitz(bundle: LaplacianBundle) -> tuple[bool, float]:
-    """Positive definiteness of the reduced Laplacian, with certificate.
-
-    For a connected undirected graph the reduced Laplacian is positive
-    definite, equivalently minus it is Hurwitz.
-    """
-    lam = bundle.lambda_min_reduced
-    return lam > 0.0, lam
 
 
 def ring(m: int, weight: float = 1.0) -> SensorGraph:

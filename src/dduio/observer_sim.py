@@ -173,25 +173,6 @@ def error_dynamics_matrix(gains: DuioGains, graph: SensorGraph) -> tuple[np.ndar
     return m, spectral_abscissa(m)
 
 
-def simulate_error_dynamics(gains: DuioGains, graph: SensorGraph, e0,
-                            horizon: float, dt: float,
-                            divergence_limit: float = DIVERGENCE_LIMIT):
-    """Integrate the stacked linear error ODE directly.
-
-    Cross-checks ``run``: with matched initial conditions and decoupled
-    gains the two produce the same stacked error trajectory.
-    """
-    if dt <= 0 or horizon < dt:
-        raise DimensionError("dt must be positive and horizon at least one step")
-    m, _ = error_dynamics_matrix(gains, graph)
-    e0 = np.asarray(e0, dtype=float).reshape(-1)
-    if e0.size != m.shape[0]:
-        raise DimensionError(f"e0 has length {e0.size}, expected {m.shape[0]}")
-    n_steps = int(round(horizon / dt))
-    e = rk4_linear(m, np.zeros((m.shape[0], 0)), [], e0, n_steps, dt, divergence_limit)
-    return np.arange(n_steps + 1) * dt, e
-
-
 @dataclass(frozen=True)
 class DecouplingReport:
     """Residuals of the three decoupling identities, one row per node."""

@@ -120,14 +120,6 @@ class PlantModel:
         return PlantModel(A=A, B=B, E_dist=E_dist, nodes=tuple(nodes))
 
 
-def node_dynamics_matrices(model: PlantModel, i: int):
-    """Per-node triple (A, B_m, B_p) of the node's view of the dynamics."""
-    if not 0 <= i < model.M:
-        raise IndexError(f"node index {i} out of range for M={model.M}")
-    node = model.nodes[i]
-    return model.A, node.B_m, node.B_p
-
-
 def node_unknown_input(model: PlantModel, i: int, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Node i's unknown input w_i = [u_unknown / scales; d], time-major."""
     node = model.nodes[i]
@@ -167,21 +159,6 @@ class Trajectory:
 
     def unknown_inputs(self, i: int) -> np.ndarray:
         return self.ws[i]
-
-
-def export_trajectory(traj: Trajectory, path: str) -> None:
-    """Write one CSV: t, states, state derivatives, then per node u, y, ydot."""
-    from ._csvio import write_csv
-    n = traj.x.shape[1]
-    header = ["t"] + [f"x{k + 1}" for k in range(n)] \
-        + [f"xdot{k + 1}" for k in range(n)]
-    cols = [traj.t.reshape(-1, 1), traj.x, traj.xdot]
-    for i in range(len(traj.ys)):
-        for name, arr in (("u", traj.us_known[i]), ("y", traj.ys[i]),
-                          ("ydot", traj.ydots[i])):
-            header += [f"{name}{i + 1}_{k + 1}" for k in range(arr.shape[1])]
-            cols.append(arr)
-    write_csv(path, header, np.hstack(cols))
 
 
 def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float, dt: float,

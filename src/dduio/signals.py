@@ -18,7 +18,7 @@ class SignalGenerator:
         raise NotImplementedError
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.value(float(t)) for t in np.asarray(ts)])
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ from dduio.baselines import monte_carlo_compare
 from dduio.cli import main
 from dduio.config import parse_config
 from dduio.datagen import check_compatibility
-from dduio.design_data import check_data_detectability, check_data_solvability
-from dduio.design_model import (check_detectability, check_lemma1,
-                                gamma_lower_bound)
+from dduio.design_data import analyze_node, check_data_solvability
+from dduio.design_model import check_detectability, gamma_lower_bound, rank_condition
 from dduio.linalg import coupling_matrix, spectral_abscissa
 from dduio.network import build_laplacian
 from dduio.observer_sim import run, verify_decoupling
@@ -86,10 +85,10 @@ def test_criterion_3_data_tests_agree_with_model_tests():
             ds = pointwise_dataset(a, b_m, b_p, c, N=n_min + 12,
                                    seed=7000 + trial)
             holds, _, _ = check_data_solvability(ds)
-            assert holds == check_lemma1(model, 0)
+            assert holds == rank_condition(model.nodes[0].C, model.nodes[0].B_p)
             if holds:
                 solvable_seen += 1
-                data_detect, _ = check_data_detectability(ds)
+                data_detect = analyze_node(ds, test_detectability=True).detectable
                 model_detect = check_detectability(model, 0)
                 assert data_detect == model_detect
                 detect_true += model_detect

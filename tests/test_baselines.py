@@ -150,6 +150,20 @@ def test_compare_refuses_id_without_granted_couplings():
         monte_carlo_compare(cfg)
 
 
+def test_data_design_without_a_detectable_node_fails(monkeypatch, bench_graph,
+                                                     bench_datasets):
+    import dduio.baselines as baselines
+    analyze = baselines.analyze_datasets
+
+    def undetectable(views, **kw):
+        reports, _ = analyze(views, **kw)
+        return [dataclasses.replace(r, detectable=False) for r in reports], None
+    monkeypatch.setattr(baselines, "analyze_datasets", undetectable)
+    with pytest.raises(DesignError, match="detectability"):
+        baselines.design_for_method("data", parse_config({}), None, bench_graph,
+                                    bench_datasets)
+
+
 def test_comparison_table_files(tmp_path, small_compare_config):
     summaries = monte_carlo_compare(small_compare_config, K=2, master_seed=31)
     write_comparison_table(summaries, tmp_path)

@@ -1,21 +1,41 @@
 """Data-driven design: rank tests, recovery, the data equation, assembly."""
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from dduio import benchmark
+import dduio.design_data as design_data
+from dduio import benchmark, linalg
 from dduio.design_data import (analyze_datasets, analyze_node, build_data_driven_gains,
                                check_data_detectability, check_data_solvability,
-                               infer_unknown_rank, recover_output_map,
-                               solve_data_equation, solve_data_equation_structured)
-from dduio.design_model import check_detectability, check_lemma1, decoupling_gain
-from dduio.errors import (ConsistencyError, DesignError, PreconditionError, RankError)
+                               recover_output_map, solve_data_equation_structured)
+from dduio.design_model import check_detectability, decoupling_gain, rank_condition
+from dduio.errors import ConsistencyError, DesignError, RankError
 from dduio.linalg import numerical_rank, pbh_detectable, pinv, spectral_abscissa
 from dduio.network import build_laplacian
 from dduio.linalg import coupling_matrix
 
 from conftest import pointwise_dataset, single_node_model
+
+
+def min_norm_solution(ds):
+    """Minimum-norm T with Xdot = T [U; Ydot; X], and the projector I - S S^+.
+
+    Every T + Z (I - S S^+) solves the same equation.
+    """
+    stack = np.vstack([ds.U, ds.Ydot, ds.X])
+    stack_pinv = pinv(stack)
+    return ds.Xdot @ stack_pinv, np.eye(stack.shape[0]) - stack @ stack_pinv
+
+
+def record_solve_calls(monkeypatch):
+    """Count calls of the structured solve made through the module global."""
+    solve = design_data.solve_data_equation_structured
+    calls = []
+    monkeypatch.setattr(design_data, "solve_data_equation_structured",
+                        lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    return calls
 
 
 def test_solvability_benchmark_nodes(bench_datasets):
@@ -31,7 +51,7 @@ def test_solvability_without_unknown_channels():
                            N=20, seed=1)
     holds, lhs, rhs = check_data_solvability(ds)
     assert holds and lhs == rhs == 3
-    assert infer_unknown_rank(ds) == 0
+    assert analyze_node(ds).r_inferred == 0
 
 
 def test_solvability_fails_when_output_blind_to_unknown():
@@ -86,30 +106,32 @@ def test_recover_output_map_rank_error():
 def test_data_equation_scalar_brute_force():
     a, b = -0.8, 1.7
     ds = pointwise_dataset([[a]], [[b]], np.zeros((1, 0)), [[1.0]], N=12, seed=6)
-    sol = solve_data_equation(ds)
-    stack = np.vstack([ds.U, ds.Ydot, ds.X])
-    # independent oracle: numpy least squares on the transposed system
-    theta, *_ = np.linalg.lstsq(stack.T, ds.Xdot.T, rcond=None)
+    report = analyze_node(ds)
+    # independent oracle: numpy least squares on the transposed system over
+    # [U; X], which has full row rank when there is no unknown input
+    theta, *_ = np.linalg.lstsq(np.vstack([ds.U, ds.X]).T, ds.Xdot.T, rcond=None)
     expect = theta.T
-    got = np.hstack([sol.T_u, sol.T_y, sol.T_x])
+    assert np.allclose(expect, [[b, a]], atol=1e-10)
+    assert report.r_inferred == 0 and np.allclose(report.T_y, 0)
+    got = np.hstack([report.T_u, report.T_x])
     assert np.allclose(got, expect, atol=1e-10)
-    assert sol.residual < 1e-10
+    assert report.residual < 1e-10
 
 
 def test_data_equation_zero_derivatives():
     ds = pointwise_dataset([[0.0]], [[1.0]], np.zeros((1, 0)), [[1.0]], N=8, seed=7)
     zeroed = dataclasses.replace(ds, Xdot=np.zeros_like(ds.Xdot),
                                  Ydot=np.zeros_like(ds.Ydot))
-    sol = solve_data_equation(zeroed)
-    assert np.allclose(sol.T_u, 0) and np.allclose(sol.T_x, 0)
-    assert sol.residual == pytest.approx(0.0, abs=1e-14)
+    report = analyze_node(zeroed)
+    assert np.allclose(report.T_u, 0) and np.allclose(report.T_x, 0)
+    assert report.residual == pytest.approx(0.0, abs=1e-14)
 
 
 def test_data_equation_inconsistent_data_raises(bench_datasets):
     ds = bench_datasets[0]
     broken = dataclasses.replace(ds, Ydot=np.zeros_like(ds.Ydot))
     with pytest.raises(ConsistencyError):
-        solve_data_equation(broken)
+        solve_data_equation_structured(broken, 2)
 
 
 def test_structured_solution_matches_model_blocks(bench_model, bench_datasets):
@@ -117,10 +139,10 @@ def test_structured_solution_matches_model_blocks(bench_model, bench_datasets):
     for i, ds in enumerate(bench_datasets):
         node = bench_model.nodes[i]
         h = decoupling_gain(node.C, node.B_p)
-        t_u, t_y, t_x, c_rec, residual, r_hat = \
-            solve_data_equation_structured(ds.design_view())
-        assert r_hat == node.r == 2
-        assert residual < 1e-8
+        report = analyze_node(ds.design_view())
+        t_u, t_y, t_x = report.T_u, report.T_y, report.T_x
+        assert report.r_inferred == node.r == 2
+        assert report.residual < 1e-8
         assert np.linalg.norm(t_y - h) < 1e-7
         assert np.linalg.norm(t_x - (eye - h @ node.C) @ bench_model.A) < 1e-7
         assert np.linalg.norm(t_u - (eye - h @ node.C) @ node.B_m) < 1e-7
@@ -131,17 +153,19 @@ def test_minimum_norm_solution_differs_but_solves(bench_datasets):
     # The stacked data matrix is row-rank deficient, so the minimum-norm
     # representative need not have the unknown-input feedthrough rank.
     ds = bench_datasets[0]
-    sol = solve_data_equation(ds)
+    t_mn, _ = min_norm_solution(ds)
     stack = np.vstack([ds.U, ds.Ydot, ds.X])
-    assert sol.residual < 1e-10
+    assert np.linalg.norm(ds.Xdot - t_mn @ stack) < 1e-10
     assert numerical_rank(stack) < stack.shape[0]
-    assert sol.rank_Ty >= infer_unknown_rank(ds)
+    t_y_mn = t_mn[:, ds.n_m:ds.n_m + ds.n_y]
+    assert numerical_rank(t_y_mn) >= analyze_node(ds).r_inferred
 
 
 def test_solution_family_membership_and_rank_preserving_members(bench_datasets):
     ds = bench_datasets[0].design_view()
-    sol = solve_data_equation(ds)
-    t_u, t_y, t_x, c_rec, _, r_hat = solve_data_equation_structured(ds)
+    t_mn, null_proj = min_norm_solution(ds)
+    report = analyze_node(ds)
+    t_y, t_x, c_rec, r_hat = report.T_y, report.T_x, report.C_recovered, report.r_inferred
     stack = np.vstack([ds.U, ds.Ydot, ds.X])
     eye_y = np.eye(ds.n_y)
     proj = eye_y - c_rec @ t_y     # complement of the feedthrough output range
@@ -149,7 +173,6 @@ def test_solution_family_membership_and_rank_preserving_members(bench_datasets):
     known_pinv = pinv(known)
     base_detectable = pbh_detectable(t_x, c_rec)
     rng = np.random.default_rng(8)
-    t_mn = np.hstack([sol.T_u, sol.T_y, sol.T_x])
     for _ in range(20):
         g = rng.normal(scale=0.4, size=(ds.n_y, ds.n_y))
         t_y2 = t_y @ (eye_y + g @ proj)
@@ -157,7 +180,7 @@ def test_solution_family_membership_and_rank_preserving_members(bench_datasets):
         t2 = np.hstack([t_ux2[:, :ds.n_m], t_y2, t_ux2[:, ds.n_m:]])
         # member of the affine solution family
         assert np.linalg.norm(ds.Xdot - t2 @ stack) < 1e-8
-        fam = np.hstack(sol.family(t2 - t_mn))
+        fam = t_mn + (t2 - t_mn) @ null_proj
         assert np.allclose(fam, t2, atol=1e-8)
         # feedthrough rank preserved, detectability verdict unchanged
         assert numerical_rank(t_y2) == r_hat
@@ -165,30 +188,32 @@ def test_solution_family_membership_and_rank_preserving_members(bench_datasets):
 
 
 def test_detectability_benchmark_leader(bench_datasets):
-    detectable, points = check_data_detectability(bench_datasets[0])
-    assert detectable
+    report = analyze_node(bench_datasets[0], test_detectability=True)
+    points = report.pencil_points
+    assert report.detectable
     assert len(points) == 16
     assert np.all(points.real >= 0)
 
 
 def test_detectability_scalar_unstable_blind():
     ds = pointwise_dataset([[1.0]], [[1.0]], np.zeros((1, 0)), [[0.0]], N=10, seed=9)
-    detectable, _ = check_data_detectability(ds)
-    assert not detectable
+    assert analyze_node(ds, test_detectability=True).detectable is False
 
 
 def test_detectability_hurwitz_blind_is_vacuous():
     ds = pointwise_dataset([[-1.0]], [[1.0]], np.zeros((1, 0)), [[0.0]], N=10, seed=10)
-    detectable, _ = check_data_detectability(ds)
-    assert detectable
+    assert analyze_node(ds, test_detectability=True).detectable is True
 
 
-def test_detectability_requires_solvability():
+def test_detectability_requires_solvability(monkeypatch):
     a = np.array([[0.1, 0.4], [-0.6, 0.2]])
     ds = pointwise_dataset(a, np.zeros((2, 0)), [[1.0], [0.0]], [[0.0, 1.0]],
                            N=20, seed=11)
-    with pytest.raises(PreconditionError):
-        check_data_detectability(ds)
+    calls = record_solve_calls(monkeypatch)
+    report = analyze_node(ds, test_detectability=True)
+    assert report.solvable is False
+    assert report.detectable is None
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["generic", "annihilating", "hidden-unstable",
@@ -203,9 +228,9 @@ def test_rank_tests_agree_with_model_conditions(kind):
                                N=b_m.shape[1] + b_p.shape[1] + a.shape[0] + 10,
                                seed=1000 + trial)
         holds, _, _ = check_data_solvability(ds)
-        assert holds == check_lemma1(model, 0)
+        assert holds == rank_condition(model.nodes[0].C, model.nodes[0].B_p)
         if holds:
-            detectable, _ = check_data_detectability(ds)
+            detectable = analyze_node(ds, test_detectability=True).detectable
             assert detectable == check_detectability(model, 0)
 
 
@@ -295,18 +320,41 @@ def test_bounded_noise_smoke(bench_model, bench_graph):
 
 @pytest.mark.parametrize("kind", ["generic", "hidden-unstable", "hidden-stable"])
 def test_leader_test_reuses_the_structured_solve(monkeypatch, kind):
-    import dduio.design_data as design_data
     from conftest import random_node_system
     a, b_m, b_p, c = random_node_system(np.random.default_rng(31), kind)
     ds = pointwise_dataset(a, b_m, b_p, c, N=b_m.shape[1] + b_p.shape[1] + a.shape[0] + 10,
                            seed=77)
-    detectable, points = check_data_detectability(ds)
-    solve = design_data.solve_data_equation_structured
-    calls = []
-    monkeypatch.setattr(design_data, "solve_data_equation_structured",
-                        lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    _, _, rhs = check_data_solvability(ds)
+    r_hat = rhs - ds.n_m - ds.n_x
+    _, _, t_x, c_rec, _ = solve_data_equation_structured(ds, r_hat)
+    detectable, points = check_data_detectability(ds, t_x, c_rec, r_hat, None)
+    calls = record_solve_calls(monkeypatch)
     report = analyze_node(ds, test_detectability=True)
     assert report.solvable and len(calls) == 1
     assert report.detectable == detectable == check_detectability(
         single_node_model(a, b_m, b_p, c), 0)
     assert np.array_equal(report.pencil_points, points)
+
+
+def test_analyze_node_ranks_and_inverts_each_matrix_once(monkeypatch, bench_datasets):
+    # Every rank decision and pseudoinverse of one node's pass, the leader's
+    # detectability test included, is computed from its matrix exactly once.
+    seen = {"numerical_rank": [], "pinv": []}
+    for name in seen:
+        original = getattr(linalg, name)
+
+        def recording(a, *args, _name=name, _original=original, **kw):
+            arr = np.ascontiguousarray(a)
+            seen[_name].append((arr.shape, arr.dtype.str, arr.tobytes()))
+            return _original(a, *args, **kw)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("dduio") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, recording)
+    report = analyze_node(bench_datasets[0].design_view(), test_detectability=True)
+    assert report.solvable and report.detectable
+    ds = bench_datasets[0]
+    ranked = {key[2] for key in seen["numerical_rank"]}
+    assert np.vstack([ds.U, ds.X, ds.Xdot]).tobytes() in ranked
+    for name, matrices in seen.items():
+        assert matrices
+        assert len(set(matrices)) == len(matrices), f"a matrix passed through {name} twice"

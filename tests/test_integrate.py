@@ -8,8 +8,10 @@ from dduio import integrate
 from dduio.config import parse_config
 from dduio.design_model import build_model_based_gains
 from dduio.errors import DivergenceError
-from dduio.observer_sim import _closed_loop, error_dynamics_matrix, simulate_error_dynamics
+from dduio.observer_sim import _closed_loop, error_dynamics_matrix
 from dduio.signals import PiecewiseConstantRandom, Sinusoid
+
+from conftest import simulate_error_dynamics
 
 TOL = 1e-10
 

@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 from dduio.errors import ConnectivityError, GraphError
-from dduio.network import (LaplacianBundle, SensorGraph, build_laplacian,
-                           check_reduced_hurwitz, complete, from_edges, path,
-                           reduced_laplacian, ring, star)
+from dduio.network import (LaplacianBundle, SensorGraph, build_laplacian, complete,
+                           from_edges, path, reduced_laplacian, ring, star)
 
 from conftest import random_connected_graph
 
@@ -29,8 +28,7 @@ def test_star_graph_connected():
     bundle = build_laplacian(star(5))
     zero_count = int(np.sum(np.abs(bundle.spectrum) < 1e-9))
     assert zero_count == 1
-    ok, lam = check_reduced_hurwitz(bundle)
-    assert ok and lam > 0
+    assert bundle.lambda_min_reduced > 0
 
 
 def test_complete_graph_reduced_spectrum():
@@ -53,13 +51,11 @@ def test_forced_disconnected_reduced_fails_certificate():
     lap = np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0],
                     [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0]])
     red = reduced_laplacian(lap, 0)
-    bundle = LaplacianBundle(laplacian=lap, degree=np.diag(np.diag(lap)),
-                             reduced=red,
+    bundle = LaplacianBundle(laplacian=lap, reduced=red,
                              lambda_min_reduced=float(np.linalg.eigvalsh(red)[0]),
                              spectrum=np.linalg.eigvalsh(lap))
-    ok, lam = check_reduced_hurwitz(bundle)
-    assert not ok
-    assert lam <= 1e-12
+    assert not bundle.lambda_min_reduced > 0.0
+    assert bundle.lambda_min_reduced <= 1e-12
 
 
 def test_graph_invariants_rejected():

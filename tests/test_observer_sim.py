@@ -13,10 +13,10 @@ from dduio.integrate import DRIVE_ROWS, rk4_linear
 from dduio.linalg import spectral_abscissa
 from dduio.network import SensorGraph, complete
 from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run, run,
-                                simulate_error_dynamics, verify_decoupling)
+                                verify_decoupling)
 from dduio.signals import Sinusoid, Zero
 
-from conftest import single_node_model
+from conftest import simulate_error_dynamics, single_node_model
 
 
 def bench_signals(seed=5, dt=1e-3, disturbance=True):

@@ -5,7 +5,7 @@ import scipy.linalg
 
 from dduio import benchmark
 from dduio.errors import DimensionError, DivergenceError, RankError
-from dduio.plant import PlantModel, node_dynamics_matrices, simulate
+from dduio.plant import PlantModel, simulate
 from dduio.signals import AutonomousLinear, Sinusoid, Zero
 
 from conftest import single_node_model
@@ -105,23 +105,18 @@ def test_node_split_reconstructs_global_forcing(bench_model):
 
 
 def test_benchmark_node1_matrices(bench_model):
-    _, b_m, b_p = node_dynamics_matrices(bench_model, 0)
-    assert np.allclose(b_m, [[0.0], [1.3333], [0.0], [0.0]])
-    assert np.allclose(b_p, [[1.0, 0.1], [1.0, 0.0], [1.0, 0.1], [1.0, 0.0]])
+    node = bench_model.nodes[0]
+    assert np.allclose(node.B_m, [[0.0], [1.3333], [0.0], [0.0]])
+    assert np.allclose(node.B_p, [[1.0, 0.1], [1.0, 0.0], [1.0, 0.1], [1.0, 0.0]])
 
 
 def test_fully_known_inputs_leave_empty_unknown_block():
     a = np.zeros((2, 2))
     b = np.array([[1.0], [0.5]])
     model = PlantModel.assemble(a, b, np.zeros((2, 0)), [(np.eye(2), (0,))])
-    _, b_m, b_p = node_dynamics_matrices(model, 0)
-    assert b_p.shape == (2, 0)
-    assert np.array_equal(b_m, b)
-
-
-def test_node_index_out_of_range(bench_model):
-    with pytest.raises(IndexError):
-        node_dynamics_matrices(bench_model, 5)
+    node = model.nodes[0]
+    assert node.B_p.shape == (2, 0)
+    assert np.array_equal(node.B_m, b)
 
 
 def test_rank_deficient_unknown_columns_rejected():
@@ -150,18 +145,3 @@ def test_divergence_reports_timestamp():
         simulate(model, [1.0, 1.0], [Zero()], [], horizon=10.0, dt=1e-2,
                  divergence_limit=1e3)
     assert 0.0 < err.value.t < 10.0
-
-
-def test_trajectory_csv_export(tmp_path, bench_model):
-    from dduio.plant import export_trajectory
-    traj = simulate(bench_model, [0.1, 0.2, 0.3, 0.4], bench_inputs(0.5),
-                    [Zero()], horizon=0.5, dt=1e-2)
-    path = tmp_path / "traj.csv"
-    export_trajectory(traj, path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[:9] == ["t", "x1", "x2", "x3", "x4",
-                          "xdot1", "xdot2", "xdot3", "xdot4"]
-    # per node: one known input, four outputs, four output derivatives
-    assert len(header) == 9 + 5 * (1 + 4 + 4)
-    assert len(lines) == 1 + traj.t.size
