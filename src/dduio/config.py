@@ -7,18 +7,25 @@ artifacts alone.
 """
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from . import benchmark
 from .errors import ConfigError
 from .network import GENERATORS, SensorGraph, from_edges
 from .plant import PlantModel
 from .signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
 
-_SIGNAL_KINDS = ("sinusoid", "autonomous-linear", "piecewise-constant-random", "zero")
+# Required and optional parameter keys of each signal kind.
+_SIGNAL_KEYS = {
+    "sinusoid": (("amplitude", "frequency"), ("phase",)),
+    "autonomous-linear": (("transition", "initial"), ("component",)),
+    "piecewise-constant-random": (("low", "high"), ("hold",)),
+    "zero": ((), ()),
+}
 DESIGN_METHODS = ("model", "data", "id")
 _GRANT_POLICIES = ("plant", "none")
 _Z0_POLICIES = ("zero", "matched")
@@ -29,6 +36,16 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
                           f"allowed: {sorted(allowed)}")
+
+
+def _check_keys(section, required: tuple, optional: tuple, where: str) -> None:
+    """Reject a non-mapping, unknown keys, and missing required keys."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {section!r}")
+    _require_keys(section, {*required, *optional}, where)
+    missing = [k for k in required if k not in section]
+    if missing:
+        raise ConfigError(f"{where}: missing required key(s) {missing}")
 
 
 def _matrix(value, where: str) -> np.ndarray:
@@ -72,21 +89,50 @@ def _parse_signal(spec: dict, where: str) -> SignalSpec:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: a signal needs a 'kind' field")
     kind = spec["kind"]
-    if kind not in _SIGNAL_KINDS:
-        raise ConfigError(f"{where}: unknown signal kind {kind!r}; choose from {_SIGNAL_KINDS}")
-    allowed = {
-        "zero": {"kind"},
-        "sinusoid": {"kind", "amplitude", "frequency", "phase"},
-        "autonomous-linear": {"kind", "transition", "initial", "component"},
-        "piecewise-constant-random": {"kind", "low", "high", "hold"},
-    }[kind]
-    _require_keys(spec, allowed, where)
+    if kind not in _SIGNAL_KEYS:
+        raise ConfigError(f"{where}: unknown signal kind {kind!r}; "
+                          f"choose from {tuple(_SIGNAL_KEYS)}")
+    required, optional = _SIGNAL_KEYS[kind]
+    _check_keys(spec, ("kind", *required), optional, where)
+    if kind == "autonomous-linear" and isinstance(spec["initial"], dict):
+        _check_keys(spec["initial"], ("uniform",), (), f"{where}.initial")
     return SignalSpec(kind=kind, params={k: v for k, v in spec.items() if k != "kind"})
+
+
+# The paper's numerical example in the explicit plant form: a four-state
+# two-mass-spring system observed by five nodes.  Input 0 is known to
+# every node, input 1 to none; each node sees that unknown column through
+# its own scale.  The known input follows u(k+1) = 0.5 u(k) between
+# samples, i.e. u' = ln(0.5) u.
+PRESETS = {
+    "two-mass-spring": {
+        "A": [[0.0, 1.0, 0.0, 0.0],
+              [-5.3333, 0.0, 2.6667, 0.0],
+              [0.0, 0.0, 0.0, 1.0],
+              [2.6667, 0.0, -2.6667, 0.0]],
+        "B": [[0.0, 1.0], [1.3333, 1.0], [0.0, 1.0], [0.0, 1.0]],
+        "E": [[0.1], [0.0], [0.1], [0.0]],
+        "nodes": [
+            {"C": c, "known_input_indices": [0], "unknown_scales": [scale]}
+            for c, scale in (
+                ([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 1.0),
+                ([[0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]], 0.5),
+                ([[0, 0, 1, 1], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], 0.33),
+                ([[1, 0, 1, 1], [0, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]], 0.25),
+                ([[1, 0, 1, 0], [0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]], 0.2))],
+        "inputs": [
+            {"kind": "autonomous-linear", "transition": [[math.log(0.5)]],
+             "initial": {"uniform": [0.0, 1.0]}},
+            {"kind": "sinusoid", "amplitude": 0.2, "frequency": 0.2, "phase": 2.0}],
+        # Uniform noise held for one integration step (run.dt).
+        "disturbances": [
+            {"kind": "piecewise-constant-random", "low": -0.1, "high": 0.1, "hold": None}],
+    },
+}
 
 
 @dataclass(frozen=True)
 class PlantSection:
-    preset: str | None
     A: np.ndarray
     B: np.ndarray
     E_dist: np.ndarray
@@ -98,46 +144,18 @@ class PlantSection:
         return PlantModel.assemble(self.A, self.B, self.E_dist, list(self.node_specs))
 
 
-def _preset_plant() -> PlantSection:
-    inputs = (
-        SignalSpec("autonomous-linear", {
-            "transition": [[benchmark.KNOWN_INPUT_DECAY]],
-            "initial": {"uniform": [0.0, 1.0]}}),
-        SignalSpec("sinusoid", {
-            "amplitude": benchmark.UNKNOWN_AMPLITUDE,
-            "frequency": benchmark.UNKNOWN_FREQUENCY,
-            "phase": benchmark.UNKNOWN_PHASE}),
-    )
-    disturbances = (
-        SignalSpec("piecewise-constant-random", {
-            "low": -benchmark.DISTURBANCE_RANGE,
-            "high": benchmark.DISTURBANCE_RANGE,
-            "hold": None}),
-    )
-    node_specs = tuple(
-        (benchmark.C_NODES[i], (0,), np.array([benchmark.UNKNOWN_SCALES[i]]))
-        for i in range(5))
-    return PlantSection(preset="two-mass-spring",
-                        A=benchmark.A,
-                        B=np.hstack([benchmark.B_KNOWN, benchmark.B_UNKNOWN]),
-                        E_dist=benchmark.E_DIST,
-                        node_specs=node_specs,
-                        inputs=inputs, disturbances=disturbances)
-
-
 def _parse_plant(section: dict) -> PlantSection:
-    _require_keys(section, {"preset", "A", "B", "E", "nodes", "inputs", "disturbances"},
-                  "plant")
-    if section.get("preset"):
-        if section["preset"] != "two-mass-spring":
-            raise ConfigError(f"unknown plant preset {section['preset']!r}")
+    if isinstance(section, dict) and section.get("preset"):
+        name = section["preset"]
+        if name not in PRESETS:
+            raise ConfigError(f"unknown plant preset {name!r}; choose from {sorted(PRESETS)}")
         extra = set(section) - {"preset"}
         if extra:
             raise ConfigError(f"plant preset does not accept extra keys {sorted(extra)}")
-        return _preset_plant()
-    for key in ("A", "B", "E", "nodes", "inputs"):
-        if key not in section:
-            raise ConfigError(f"plant: explicit form requires key {key!r}")
+        # A private copy: parsed signal parameters must not alias the preset.
+        section = copy.deepcopy(PRESETS[name])
+    _check_keys(section, ("A", "B", "E", "nodes", "inputs"), ("preset", "disturbances"),
+                "plant")
     a = _matrix(section["A"], "plant.A")
     b = _matrix(section["B"], "plant.B")
     e = _matrix(section["E"], "plant.E")
@@ -147,7 +165,8 @@ def _parse_plant(section: dict) -> PlantSection:
         e = e.reshape(-1, 1)
     node_specs = []
     for k, node in enumerate(section["nodes"]):
-        _require_keys(node, {"C", "known_input_indices", "unknown_scales"}, f"plant.nodes[{k}]")
+        _check_keys(node, ("C", "known_input_indices"), ("unknown_scales",),
+                    f"plant.nodes[{k}]")
         scales = node.get("unknown_scales")
         node_specs.append((_matrix(node["C"], f"plant.nodes[{k}].C"),
                            tuple(node["known_input_indices"]),
@@ -167,7 +186,7 @@ def _parse_plant(section: dict) -> PlantSection:
         if scales is None:
             scales = np.ones(b.shape[1] - len(known))
         fixed.append((c, known, scales))
-    return PlantSection(preset=None, A=a, B=b, E_dist=e, node_specs=tuple(fixed),
+    return PlantSection(A=a, B=b, E_dist=e, node_specs=tuple(fixed),
                         inputs=inputs, disturbances=dist)
 
 
@@ -200,7 +219,7 @@ def _parse_graph(section: dict) -> GraphSection:
 
 @dataclass(frozen=True)
 class DataSection:
-    N: int = benchmark.N_SAMPLES
+    N: int = 50
     sample_interval: float = 0.1
     substeps: int = 20
     restarts: int = 1
@@ -225,7 +244,7 @@ class DesignSection:
 
 @dataclass(frozen=True)
 class RunSection:
-    horizon: float = benchmark.HORIZON
+    horizon: float = 40.0
     dt: float = 1e-3
     z0: str = "zero"
     x0: tuple | None = None

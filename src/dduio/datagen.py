@@ -16,7 +16,7 @@ import numpy as np
 from ._csvio import read_csv, write_csv, write_json
 from .errors import DimensionError, ExcitationError, OracleUnavailableError
 from .linalg import numerical_rank, rank_from_singular_values, singular_values
-from .plant import PlantModel, simulate
+from .plant import PlantModel, node_unknown_input, simulate
 from .signals import PiecewiseConstantRandom
 
 DEFAULT_SAMPLE_INTERVAL = 0.1
@@ -189,12 +189,13 @@ def collect(model: PlantModel, i: int, N: int, *, seed: int,
                 idx = np.sort(rng_pick.choice(grid + 1, size=n_k, replace=False))
             else:
                 idx = np.arange(n_k) * substeps
-            cols_u.append(traj.known_inputs(i)[idx])
-            cols_y.append(traj.outputs(i)[idx])
-            cols_yd.append(traj.output_derivatives(i)[idx])
-            cols_x.append(traj.x[idx])
-            cols_xd.append(traj.xdot[idx])
-            cols_w.append(traj.unknown_inputs(i)[idx])
+            x, xdot, u = traj.x[idx], traj.xdot[idx], traj.u[idx]
+            cols_u.append(u[:, list(node.known_input_indices)])
+            cols_y.append(x @ node.C.T)
+            cols_yd.append(xdot @ node.C.T)
+            cols_x.append(x)
+            cols_xd.append(xdot)
+            cols_w.append(node_unknown_input(model, i, u, traj.d[idx]))
             times.append(traj.t[idx])
         Y = np.vstack(cols_y).T
         Ydot = np.vstack(cols_yd).T

@@ -224,11 +224,8 @@ def build_data_driven_gains(reports, graph: SensorGraph,
 
 def rank_spectra(ds: NodeDataset) -> dict[str, np.ndarray]:
     """Singular-value spectra of every stacked matrix the rank tests use."""
-    spectra = {
+    return {
         "U;Ydot;X": singular_values(np.vstack([ds.U, ds.Ydot, ds.X])),
         "U;X;Xdot": singular_values(np.vstack([ds.U, ds.X, ds.Xdot])),
         "X": singular_values(ds.X),
     }
-    if ds.W_validation is not None:
-        spectra["U;W;X"] = singular_values(np.vstack([ds.U, ds.W_validation, ds.X]))
-    return spectra

@@ -9,7 +9,7 @@ consistent with the global trajectory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,22 +143,6 @@ class Trajectory:
     xdot: np.ndarray
     u: np.ndarray
     d: np.ndarray
-    ys: tuple[np.ndarray, ...] = field(repr=False)
-    ydots: tuple[np.ndarray, ...] = field(repr=False)
-    us_known: tuple[np.ndarray, ...] = field(repr=False)
-    ws: tuple[np.ndarray, ...] = field(repr=False)
-
-    def known_inputs(self, i: int) -> np.ndarray:
-        return self.us_known[i]
-
-    def outputs(self, i: int) -> np.ndarray:
-        return self.ys[i]
-
-    def output_derivatives(self, i: int) -> np.ndarray:
-        return self.ydots[i]
-
-    def unknown_inputs(self, i: int) -> np.ndarray:
-        return self.ws[i]
 
 
 def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float, dt: float,
@@ -190,13 +174,4 @@ def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float, dt: fl
     u = np.column_stack([gen.sample(t) for gen in inputs]) if inputs else np.zeros((t.size, 0))
     d = np.column_stack([gen.sample(t) for gen in disturbances]) if disturbances else np.zeros((t.size, 0))
     xdot = x @ model.A.T + u @ model.B.T + d @ model.E_dist.T
-
-    ys, ydots, us_known, ws = [], [], [], []
-    for i, node in enumerate(model.nodes):
-        ys.append(x @ node.C.T)
-        ydots.append(xdot @ node.C.T)
-        us_known.append(u[:, list(node.known_input_indices)])
-        ws.append(node_unknown_input(model, i, u, d))
-    return Trajectory(t=t, x=x, xdot=xdot, u=u, d=d,
-                      ys=tuple(ys), ydots=tuple(ydots),
-                      us_known=tuple(us_known), ws=tuple(ws))
+    return Trajectory(t=t, x=x, xdot=xdot, u=u, d=d)

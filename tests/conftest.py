@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dduio import benchmark
+from dduio.config import parse_config
 from dduio.datagen import NodeDataset, collect
 from dduio.design_data import analyze_datasets, build_data_driven_gains
 from dduio.design_model import build_model_based_gains
@@ -13,28 +13,45 @@ from dduio.observer_sim import error_dynamics_matrix
 from dduio.plant import PlantModel
 
 BENCH_SEED = 20240100
+# The default configuration: the two-mass-spring preset on the five-ring.
+BENCH = parse_config({})
+# The coupling gain the paper uses on its two-mass-spring example.
+BENCH_GAMMA = 5.0
+
+
+def bench_signals(input_seed, dist_seed, dt_hold, active=True):
+    """The preset's online inputs and disturbances, the latter held for dt_hold."""
+    cfg = parse_config({"run": {"dt": dt_hold}})
+    return cfg.build_inputs(input_seed), cfg.build_disturbances(dist_seed, active)
+
+
+def online_sample(model, traj, i, k):
+    """Node i's (u_i, y_i, ydot_i, x, xdot) at grid index k of a trajectory."""
+    node = model.nodes[i]
+    return (traj.u[k, list(node.known_input_indices)], traj.x[k] @ node.C.T,
+            traj.xdot[k] @ node.C.T, traj.x[k], traj.xdot[k])
 
 
 @pytest.fixture(scope="session")
 def bench_model():
-    return benchmark.two_mass_spring()
+    return BENCH.build_model()
 
 
 @pytest.fixture(scope="session")
 def bench_graph():
-    return benchmark.benchmark_graph()
+    return BENCH.build_graph()
 
 
 @pytest.fixture(scope="session")
 def bench_datasets(bench_model):
-    return [collect(bench_model, i, benchmark.N_SAMPLES, seed=BENCH_SEED + i)
+    return [collect(bench_model, i, BENCH.data.N, seed=BENCH_SEED + i)
             for i in range(bench_model.M)]
 
 
 @pytest.fixture(scope="session")
 def model_gains(bench_model, bench_graph):
     return build_model_based_gains(bench_model, bench_graph,
-                                   gamma_override=benchmark.GAMMA)
+                                   gamma_override=BENCH_GAMMA)
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +59,7 @@ def data_gains(bench_datasets, bench_graph):
     reports, leader = analyze_datasets([ds.design_view() for ds in bench_datasets])
     assert leader is not None
     return build_data_driven_gains(reports, bench_graph,
-                                   gamma_override=benchmark.GAMMA)
+                                   gamma_override=BENCH_GAMMA)
 
 
 def simulate_error_dynamics(gains, graph, e0, horizon: float, dt: float):

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import yaml
 
-from dduio import benchmark
 from dduio.baselines import monte_carlo_compare
 from dduio.cli import main
 from dduio.config import parse_config
@@ -24,7 +23,8 @@ from dduio.observer_sim import run, verify_decoupling
 from dduio.plant import simulate
 from dduio.signals import Zero
 
-from conftest import (pointwise_dataset, random_connected_graph,
+from conftest import (BENCH, BENCH_GAMMA, bench_signals, online_sample,
+                      pointwise_dataset, random_connected_graph,
                       random_node_system, single_node_model)
 
 
@@ -59,13 +59,11 @@ def test_criterion_2_unknown_input_insensitivity(bench_model, bench_graph,
                                                  data_gains):
     with _Budget("2 unknown-input insensitivity", 10.0):
         x0 = np.array([0.45, -0.35, 0.25, 0.65])
-        known = benchmark.online_inputs(seed=41)[0]
-        unknown = benchmark.online_inputs(seed=41)[1]
-        dist = benchmark.online_disturbances(seed=42, dt_hold=1e-3)[0]
+        inputs, dist = bench_signals(41, 42, 1e-3)
         res_a = run(bench_model, bench_graph, data_gains, x0,
-                    [known, unknown], [dist], horizon=10.0, dt=1e-3)
+                    inputs, dist, horizon=10.0, dt=1e-3)
         res_b = run(bench_model, bench_graph, data_gains, x0,
-                    [known, Zero()], [Zero()], horizon=10.0, dt=1e-3)
+                    [inputs[0], Zero()], [Zero()], horizon=10.0, dt=1e-3)
         e_a = res_a.x[:, None, :] - res_a.xhat
         e_b = res_b.x[:, None, :] - res_b.xhat
         assert np.abs(e_a - e_b).max() < 1e-8
@@ -140,12 +138,10 @@ def test_criterion_5_stability_above_gamma_bound(bench_model, bench_graph,
 def test_criterion_6_benchmark_convergence(bench_model, bench_graph, data_gains):
     with _Budget("6 benchmark convergence and disturbance robustness", 60.0):
         x0 = np.array([0.52, -0.61, 0.33, 0.27])
-        horizon, dt = benchmark.HORIZON, 1e-3
+        horizon, dt = BENCH.run.horizon, 1e-3
 
         def one_run(with_disturbance):
-            inputs = benchmark.online_inputs(seed=61)
-            dist = benchmark.online_disturbances(seed=62, dt_hold=dt,
-                                                 active=with_disturbance)
+            inputs, dist = bench_signals(61, 62, dt, active=with_disturbance)
             return run(bench_model, bench_graph, data_gains, x0, inputs, dist,
                        horizon=horizon, dt=dt)
 
@@ -162,7 +158,7 @@ def test_criterion_6_benchmark_convergence(bench_model, bench_graph, data_gains)
 
 def test_criterion_7_comparison_ordering():
     with _Budget("7 Monte-Carlo comparison ordering", 300.0):
-        cfg = parse_config({"design": {"gamma_override": benchmark.GAMMA}})
+        cfg = parse_config({"design": {"gamma_override": BENCH_GAMMA}})
         summaries = monte_carlo_compare(cfg, K=10, master_seed=777)
         by_method = {s.method: s for s in summaries}
         mse_model = by_method["model"].mse
@@ -191,29 +187,24 @@ def test_criterion_8_reduced_laplacian_certificates():
 def test_criterion_9_online_compatibility(bench_model, bench_datasets):
     with _Budget("9 online-sample compatibility", 20.0):
         ds = bench_datasets[0]
-        inputs = benchmark.online_inputs(seed=91)
-        dist = benchmark.online_disturbances(seed=92, dt_hold=1e-2)
+        inputs, dist = bench_signals(91, 92, 1e-2)
         traj = simulate(bench_model, [0.35, -0.15, 0.55, 0.05], inputs, dist,
                         horizon=4.0, dt=1e-2)
-
-        def sample(tr, k):
-            return (tr.known_inputs(0)[k], tr.outputs(0)[k],
-                    tr.output_derivatives(0)[k], tr.x[k], tr.xdot[k])
-
         for k in range(1, 401, 2):
-            ok, residual = check_compatibility(ds, sample(traj, k))
+            ok, residual = check_compatibility(
+                ds, online_sample(bench_model, traj, 0, k))
             assert ok and residual < 1e-8
 
         perturbed = dataclasses.replace(bench_model,
                                         A=bench_model.A + 0.5 * np.eye(4))
         traj_p = simulate(perturbed, [0.35, -0.15, 0.55, 0.05],
-                          benchmark.online_inputs(seed=91),
-                          benchmark.online_disturbances(seed=92, dt_hold=1e-2),
+                          *bench_signals(91, 92, 1e-2),
                           horizon=4.0, dt=1e-2)
         rejected = 0
         total = 200
         for k in range(1, 401, 2):
-            ok, _ = check_compatibility(ds, sample(traj_p, k))
+            ok, _ = check_compatibility(
+                ds, online_sample(perturbed, traj_p, 0, k))
             rejected += not ok
         assert rejected >= 0.95 * total
 
@@ -225,7 +216,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             "seed": 99,
             "run": {"horizon": 2.0, "dt": 2e-3},
             "compare": {"K": 1},
-            "design": {"gamma_override": benchmark.GAMMA},
+            "design": {"gamma_override": BENCH_GAMMA},
         }))
 
         def tree(root):

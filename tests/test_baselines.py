@@ -4,7 +4,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dduio import benchmark
 from dduio.baselines import (build_identified_gains, compute_mse_mae,
                              identify_least_squares, monte_carlo_compare,
                              write_comparison_table)
@@ -15,7 +14,7 @@ from dduio.network import build_laplacian
 from dduio.linalg import coupling_matrix
 from dduio.observer_sim import RunResult
 
-from conftest import pointwise_dataset
+from conftest import BENCH_GAMMA, bench_signals, pointwise_dataset
 
 
 def test_identification_exact_without_unknown_inputs():
@@ -72,7 +71,7 @@ def test_identified_gains_are_stable_on_benchmark(bench_model, bench_graph,
                                                   bench_datasets):
     granted = [node.B_p[:, :node.r - bench_model.n_d] for node in bench_model.nodes]
     gains = build_identified_gains(bench_datasets, granted, bench_model.E_dist,
-                                   bench_graph, gamma_override=benchmark.GAMMA)
+                                   bench_graph, gamma_override=BENCH_GAMMA)
     assert gains.method == "identified"
     lap = build_laplacian(bench_graph).laplacian
     assert spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, lap)) < 0
@@ -120,7 +119,7 @@ def test_metrics_empty_run():
 def small_compare_config():
     return parse_config({"run": {"horizon": 5.0, "dt": 2e-3},
                          "compare": {"K": 2},
-                         "design": {"gamma_override": benchmark.GAMMA}})
+                         "design": {"gamma_override": BENCH_GAMMA}})
 
 
 def test_monte_carlo_deterministic(small_compare_config):
@@ -179,8 +178,7 @@ def test_quadrature_refinement(bench_model, bench_graph, model_gains):
     x0 = np.array([0.5, -0.1, 0.7, -0.3])
     values = []
     for dt in (2e-3, 1e-3):
-        inputs = benchmark.online_inputs(seed=17)
-        dist = benchmark.online_disturbances(seed=18, dt_hold=dt)
+        inputs, dist = bench_signals(17, 18, dt)
         res = run(bench_model, bench_graph, model_gains, x0, inputs, dist,
                   horizon=20.0, dt=dt)
         values.append(compute_mse_mae(res).mse)

@@ -1,17 +1,38 @@
 """Configuration schema: validation, defaults, preset expansion."""
 import numpy as np
 import pytest
+import yaml
 
-from dduio import benchmark
+from dduio.cli import main
 from dduio.config import load_config, parse_config, write_resolved
 from dduio.errors import ConfigError
+from dduio.signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid
 
 
 def test_defaults_expand_to_benchmark():
     cfg = parse_config({})
     model = cfg.build_model()
     assert model.M == 5
-    assert np.array_equal(model.A, benchmark.A)
+    assert np.array_equal(model.A, [[0.0, 1.0, 0.0, 0.0],
+                                    [-5.3333, 0.0, 2.6667, 0.0],
+                                    [0.0, 0.0, 0.0, 1.0],
+                                    [2.6667, 0.0, -2.6667, 0.0]])
+    assert np.array_equal(model.B, [[0.0, 1.0], [1.3333, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(model.E_dist, [[0.1], [0.0], [0.1], [0.0]])
+    assert [n.known_input_indices for n in model.nodes] == [(0,)] * 5
+    assert [n.unknown_input_scales.tolist() for n in model.nodes] == \
+        [[1.0], [0.5], [0.33], [0.25], [0.2]]
+    assert np.array_equal(model.nodes[2].C, [[0, 0, 1, 1], [0, 1, 0, 0],
+                                             [1, 0, 1, 0], [0, 1, 1, 0]])
+    assert [s.to_dict() for s in cfg.plant.inputs] == [
+        {"kind": "autonomous-linear", "transition": [[np.log(0.5)]],
+         "initial": {"uniform": [0.0, 1.0]}},
+        {"kind": "sinusoid", "amplitude": 0.2, "frequency": 0.2, "phase": 2.0}]
+    assert [s.to_dict() for s in cfg.plant.disturbances] == [
+        {"kind": "piecewise-constant-random", "low": -0.1, "high": 0.1, "hold": None}]
+    inputs, (dist,) = cfg.build_inputs(0), cfg.build_disturbances(0)
+    assert isinstance(inputs[0], AutonomousLinear) and isinstance(inputs[1], Sinusoid)
+    assert isinstance(dist, PiecewiseConstantRandom) and dist.hold == cfg.run.dt
     graph = cfg.build_graph()
     assert graph.M == 5
     assert cfg.data.N == 50
@@ -75,7 +96,66 @@ def test_resolved_config_contains_all_defaults(tmp_path):
     write_resolved(cfg, path)
     reloaded = load_config(path)
     assert reloaded.seed == 7
-    assert np.array_equal(reloaded.plant.A, cfg.plant.A)
+    for name in ("A", "B", "E_dist"):
+        assert np.array_equal(getattr(reloaded.plant, name), getattr(cfg.plant, name))
+    assert len(reloaded.plant.node_specs) == len(cfg.plant.node_specs) == 5
+    for (c_r, known_r, scales_r), (c, known, scales) in zip(reloaded.plant.node_specs,
+                                                            cfg.plant.node_specs):
+        assert np.array_equal(c_r, c)
+        assert known_r == known
+        assert np.array_equal(scales_r, scales)
+    assert reloaded.resolved_dict() == d
+    ts = np.linspace(0.0, 5.0, 101)
+    for got, want in ((reloaded.build_inputs(3), cfg.build_inputs(3)),
+                      (reloaded.build_disturbances(3), cfg.build_disturbances(3))):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.sample(ts), w.sample(ts))
+
+
+def test_preset_is_not_aliased_by_parsed_configs():
+    a = parse_config({})
+    a.plant.inputs[0].params["initial"]["uniform"][1] = 9.0
+    a.plant.inputs[1].params["amplitude"] = 9.0
+    b = parse_config({})
+    assert b.plant.inputs[0].params["initial"] == {"uniform": [0.0, 1.0]}
+    assert b.plant.inputs[1].params["amplitude"] == 0.2
+
+
+def _one_node_plant(node=None, inputs=None):
+    return {"plant": {
+        "A": [[0.0]], "B": [[1.0]], "E": [],
+        "nodes": [node or {"C": [[1.0]], "known_input_indices": [0]}],
+        "inputs": inputs or [{"kind": "zero"}]}}
+
+
+@pytest.mark.parametrize("raw, field", [
+    (_one_node_plant(inputs=[{"kind": "sinusoid", "frequency": 1.0}]), "amplitude"),
+    (_one_node_plant(inputs=[{"kind": "piecewise-constant-random", "low": -1.0}]), "high"),
+    (_one_node_plant(inputs=[{"kind": "autonomous-linear", "initial": [1.0]}]),
+     "transition"),
+    (_one_node_plant(inputs=[{"kind": "autonomous-linear", "transition": [[-1.0]],
+                              "initial": {}}]), "uniform"),
+    (_one_node_plant(node={"C": [[1.0]]}), "known_input_indices"),
+    (_one_node_plant(node={"known_input_indices": [0]}), "C"),
+    ({"plant": {"A": [[0.0]], "B": [[1.0]], "E": [], "inputs": [{"kind": "zero"}]}},
+     "nodes"),
+])
+def test_incomplete_plant_rejected_at_parse_time(raw, field):
+    with pytest.raises(ConfigError, match=f"missing required key.*'{field}'"):
+        parse_config(raw)
+
+
+def test_cli_reports_incomplete_signal(tmp_path, capsys):
+    raw = parse_config({"compare": {"K": 1}}).resolved_dict()
+    del raw["plant"]["inputs"][1]["amplitude"]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code = main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error: plant.inputs[1]: missing required key(s) ['amplitude']" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_signal_builders_are_seed_deterministic():

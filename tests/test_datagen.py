@@ -6,14 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from dduio import benchmark
 from dduio.datagen import (NodeDataset, check_compatibility, check_excitation_rank,
                            collect, load_dataset, save_dataset)
 from dduio.errors import ExcitationError, OracleUnavailableError
 from dduio.plant import simulate
 from dduio.signals import PiecewiseConstantRandom, Zero
 
-from conftest import pointwise_dataset, single_node_model
+from conftest import (bench_signals, online_sample, pointwise_dataset,
+                      single_node_model)
 
 
 def test_benchmark_collection_satisfies_rank(bench_datasets):
@@ -68,36 +68,30 @@ def test_duplicate_columns_keep_rank(bench_datasets):
     assert report.ok and report.rank == 7
 
 
-def _online_sample(model, traj, i, k):
-    return (traj.known_inputs(i)[k], traj.outputs(i)[k],
-            traj.output_derivatives(i)[k], traj.x[k], traj.xdot[k])
-
-
 def test_compatibility_member_and_online(bench_model, bench_datasets):
     ds = bench_datasets[0]
     member = (ds.U[:, 3], ds.Y[:, 3], ds.Ydot[:, 3], ds.X[:, 3], ds.Xdot[:, 3])
     ok, residual = check_compatibility(ds, member)
     assert ok and residual < 1e-12
 
-    inputs = benchmark.online_inputs(seed=5)
-    dist = benchmark.online_disturbances(seed=6, dt_hold=1e-2)
+    inputs, dist = bench_signals(5, 6, 1e-2)
     traj = simulate(bench_model, [0.4, -0.3, 0.2, 0.6], inputs, dist,
                     horizon=2.0, dt=1e-2)
     for k in (10, 50, 150):
-        ok, residual = check_compatibility(ds, _online_sample(bench_model, traj, 0, k))
+        ok, residual = check_compatibility(ds, online_sample(bench_model, traj, 0, k))
         assert ok and residual < 1e-8
 
 
 def test_compatibility_rejects_perturbed_plant(bench_model, bench_datasets):
     perturbed = dataclasses.replace(bench_model, A=bench_model.A + 0.5 * np.eye(4))
-    inputs = benchmark.online_inputs(seed=5)
+    inputs, _ = bench_signals(5, 6, 1e-2)
     traj = simulate(perturbed, [0.4, -0.3, 0.2, 0.6], inputs, [Zero()],
                     horizon=2.0, dt=1e-2)
     fails = 0
     checks = 40
     for k in range(5, 5 + checks):
         ok, _ = check_compatibility(bench_datasets[0],
-                                    _online_sample(perturbed, traj, 0, k * 4))
+                                    online_sample(perturbed, traj, 0, k * 4))
         fails += not ok
     assert fails >= 0.95 * checks
 

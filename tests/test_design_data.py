@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dduio.design_data as design_data
-from dduio import benchmark, linalg
+from dduio import linalg
 from dduio.design_data import (analyze_datasets, analyze_node, build_data_driven_gains,
                                check_data_detectability, check_data_solvability,
                                recover_output_map, solve_data_equation_structured)
@@ -16,7 +16,8 @@ from dduio.linalg import numerical_rank, pbh_detectable, pinv, spectral_abscissa
 from dduio.network import build_laplacian
 from dduio.linalg import coupling_matrix
 
-from conftest import pointwise_dataset, single_node_model
+from conftest import (BENCH_GAMMA, bench_signals, pointwise_dataset,
+                      single_node_model)
 
 
 def min_norm_solution(ds):
@@ -77,9 +78,9 @@ def test_recover_output_map_identity_data():
     assert np.allclose(recover_output_map(ds_like), c_true, atol=1e-10)
 
 
-def test_recover_output_map_benchmark_node3(bench_datasets):
+def test_recover_output_map_benchmark_node3(bench_model, bench_datasets):
     c = recover_output_map(bench_datasets[2])
-    assert np.linalg.norm(c - benchmark.C_NODES[2]) < 1e-9
+    assert np.linalg.norm(c - bench_model.nodes[2].C) < 1e-9
 
 
 def test_recover_output_map_duplicate_columns(bench_datasets):
@@ -282,7 +283,7 @@ def test_design_path_never_reads_unknown_inputs(bench_datasets, bench_graph):
     reports, leader = analyze_datasets(poisoned)
     assert leader == 0
     gains = build_data_driven_gains(reports, bench_graph,
-                                    gamma_override=benchmark.GAMMA)
+                                    gamma_override=BENCH_GAMMA)
     assert gains.method == "data"
     # sanity: the poison does trip when ground truth is actually used
     from dduio.datagen import check_excitation_rank
@@ -309,10 +310,9 @@ def test_bounded_noise_smoke(bench_model, bench_graph):
     reports, leader = analyze_datasets(views, rtol=1e-2, multiplier=1e10)
     assert leader == 0
     gains = build_data_driven_gains(reports, bench_graph,
-                                    gamma_override=benchmark.GAMMA)
+                                    gamma_override=BENCH_GAMMA)
     assert verify_decoupling(bench_model, gains).max_residual < 1e-1
-    inputs = benchmark.online_inputs(seed=55)
-    dist = benchmark.online_disturbances(seed=56, dt_hold=1e-3)
+    inputs, dist = bench_signals(55, 56, 1e-3)
     res = run(bench_model, bench_graph, gains, np.array([0.2, -0.4, 0.3, 0.1]),
               inputs, dist, horizon=20.0, dt=1e-3)
     assert res.error_norms[-1].max() < 0.1

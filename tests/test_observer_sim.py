@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dduio import benchmark
 from dduio.config import parse_config
 from dduio.design_model import build_model_based_gains
 from dduio.errors import DimensionError, DivergenceError
@@ -16,13 +15,7 @@ from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run,
                                 verify_decoupling)
 from dduio.signals import Sinusoid, Zero
 
-from conftest import simulate_error_dynamics, single_node_model
-
-
-def bench_signals(seed=5, dt=1e-3, disturbance=True):
-    return (benchmark.online_inputs(seed=seed),
-            benchmark.online_disturbances(seed=seed + 1, dt_hold=dt,
-                                          active=disturbance))
+from conftest import bench_signals, simulate_error_dynamics, single_node_model
 
 
 def matched_z0(model, gains, x0):
@@ -36,14 +29,14 @@ def test_zero_initial_error_is_invariant(bench_model, bench_graph, model_gains):
     gains = dataclasses.replace(
         model_gains, K=tuple(np.zeros((4, 4)) for _ in range(5)))
     x0 = np.array([0.4, -0.7, 0.2, 0.9])
-    inputs, dist = bench_signals()
+    inputs, dist = bench_signals(5, 6, 1e-3)
     res = run(bench_model, bench_graph, gains, x0, inputs, dist,
               horizon=2.0, dt=1e-3, z0=matched_z0(bench_model, gains, x0))
     assert res.error_norms.max() < 1e-9
 
 
 def test_benchmark_errors_decay(bench_model, bench_graph, data_gains):
-    inputs, dist = bench_signals()
+    inputs, dist = bench_signals(5, 6, 1e-3)
     res = run(bench_model, bench_graph, data_gains, np.array([0.5, -0.5, 0.3, -0.2]),
               inputs, dist, horizon=15.0, dt=1e-3)
     assert res.error_norms[-1].max() < 1e-3
@@ -118,7 +111,7 @@ def test_decoupling_report(bench_model, model_gains, data_gains):
 
 def test_run_matches_error_ode(bench_model, bench_graph, model_gains):
     x0 = np.array([0.6, -0.2, 0.4, 0.1])
-    inputs, dist = bench_signals(seed=9)
+    inputs, dist = bench_signals(9, 10, 1e-3)
     res = run(bench_model, bench_graph, model_gains, x0, inputs, dist,
               horizon=10.0, dt=1e-3)
     e0 = np.concatenate([x0 - model_gains.H[i] @ (bench_model.nodes[i].C @ x0)
@@ -148,7 +141,7 @@ def test_error_ode_trivial_and_envelope(bench_graph, model_gains):
 
 def test_unknown_input_insensitivity(bench_model, bench_graph, data_gains):
     x0 = np.array([0.3, 0.3, -0.4, 0.2])
-    inputs_a, dist_a = bench_signals(seed=13)
+    inputs_a, dist_a = bench_signals(13, 14, 1e-3)
     res_a = run(bench_model, bench_graph, data_gains, x0, inputs_a, dist_a,
                 horizon=3.0, dt=1e-3)
     inputs_b = [inputs_a[0], Zero()]        # unknown input channel silenced
@@ -160,7 +153,7 @@ def test_unknown_input_insensitivity(bench_model, bench_graph, data_gains):
 
 
 def test_divergence_and_dimension_errors(bench_model, bench_graph, model_gains):
-    inputs, dist = bench_signals()
+    inputs, dist = bench_signals(5, 6, 1e-3)
     with pytest.raises(DimensionError):
         run(bench_model, bench_graph, model_gains, np.zeros(3), inputs, dist,
             horizon=1.0, dt=1e-3)
@@ -180,7 +173,7 @@ def test_divergence_and_dimension_errors(bench_model, bench_graph, model_gains):
 
 
 def test_export_files_and_determinism(tmp_path, bench_model, bench_graph, model_gains):
-    inputs, dist = bench_signals()
+    inputs, dist = bench_signals(5, 6, 1e-3)
     res = run(bench_model, bench_graph, model_gains, np.array([0.1, 0.2, 0.3, 0.4]),
               inputs, dist, horizon=1.0, dt=1e-2)
     d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -3,12 +3,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dduio import benchmark
 from dduio.errors import DimensionError, DivergenceError, RankError
 from dduio.plant import PlantModel, simulate
 from dduio.signals import AutonomousLinear, Sinusoid, Zero
 
-from conftest import single_node_model
+from conftest import BENCH, single_node_model
 
 
 def two_state_model(a):
@@ -29,6 +28,11 @@ def test_double_integrator_analytic():
     assert np.linalg.norm(traj.x[-1] - np.array([1.0, 1.0])) < 1e-9
 
 
+# The preset's known-input decay and unknown-input sinusoid parameters.
+DECAY = BENCH.plant.inputs[0].params["transition"][0][0]
+SINUSOID = BENCH.plant.inputs[1].params
+
+
 def _augmented_oracle(model, u0, t_end):
     """Matrix-exponential solution of the benchmark with its smooth inputs.
 
@@ -36,15 +40,15 @@ def _augmented_oracle(model, u0, t_end):
     pair generating the unknown-input cosine; evaluates exp(A_aug t)
     directly, fully independent of the package integrator.
     """
-    w = benchmark.UNKNOWN_FREQUENCY
-    amp = benchmark.UNKNOWN_AMPLITUDE
-    phase = benchmark.UNKNOWN_PHASE
+    w = SINUSOID["frequency"]
+    amp = SINUSOID["amplitude"]
+    phase = SINUSOID["phase"]
     n = model.n_x
     a_aug = np.zeros((n + 3, n + 3))
     a_aug[:n, :n] = model.A
-    a_aug[:n, n] = benchmark.B_KNOWN[:, 0]
-    a_aug[:n, n + 1] = amp * benchmark.B_UNKNOWN[:, 0]
-    a_aug[n, n] = benchmark.KNOWN_INPUT_DECAY
+    a_aug[:n, n] = model.B[:, 0]
+    a_aug[:n, n + 1] = amp * model.B[:, 1]
+    a_aug[n, n] = DECAY
     a_aug[n + 1, n + 2] = -w
     a_aug[n + 2, n + 1] = w
     z0 = np.zeros(n + 3)
@@ -55,9 +59,8 @@ def _augmented_oracle(model, u0, t_end):
 
 
 def bench_inputs(u0):
-    return [AutonomousLinear([[benchmark.KNOWN_INPUT_DECAY]], [u0]),
-            Sinusoid(benchmark.UNKNOWN_AMPLITUDE, benchmark.UNKNOWN_FREQUENCY,
-                     benchmark.UNKNOWN_PHASE)]
+    return [AutonomousLinear([[DECAY]], [u0]),
+            Sinusoid(SINUSOID["amplitude"], SINUSOID["frequency"], SINUSOID["phase"])]
 
 
 def test_rk4_matches_matrix_exponential_oracle(bench_model):
@@ -77,16 +80,6 @@ def test_rk4_fourth_order_convergence(bench_model):
                         horizon=1.0, dt=dt)
         errors.append(np.linalg.norm(traj.x[-1] - x_ref))
     assert errors[0] / errors[1] >= 12.0
-
-
-def test_output_derivative_consistency(bench_model):
-    traj = simulate(bench_model, [0.3, -0.2, 0.5, 0.1], bench_inputs(0.4),
-                    [benchmark.online_disturbances(3, 1e-2)[0]],
-                    horizon=1.0, dt=1e-2)
-    for i, node in enumerate(bench_model.nodes):
-        assert np.allclose(traj.output_derivatives(i), traj.xdot @ node.C.T,
-                           atol=1e-13)
-        assert np.allclose(traj.outputs(i), traj.x @ node.C.T, atol=1e-13)
 
 
 def test_node_split_reconstructs_global_forcing(bench_model):
