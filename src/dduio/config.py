@@ -26,6 +26,8 @@ _SIGNAL_KEYS = {
     "piecewise-constant-random": (("low", "high"), ("hold",)),
     "zero": ((), ()),
 }
+# Signal parameters that must be finite numbers whenever they are given.
+_NUMERIC_PARAMS = ("amplitude", "frequency", "phase", "low", "high")
 DESIGN_METHODS = ("model", "data", "id")
 _GRANT_POLICIES = ("plant", "none")
 _Z0_POLICIES = ("zero", "matched")
@@ -77,7 +79,7 @@ class SignalSpec:
                 initial = np.random.default_rng(seed).uniform(lo, hi, k)
             return AutonomousLinear(p["transition"], initial, p.get("component", 0))
         if self.kind == "piecewise-constant-random":
-            hold = p.get("hold") or default_hold
+            hold = default_hold if p.get("hold") is None else p["hold"]
             return PiecewiseConstantRandom(p["low"], p["high"], hold, seed)
         raise ConfigError(f"unknown signal kind {self.kind!r}")
 
@@ -96,6 +98,16 @@ def _parse_signal(spec: dict, where: str) -> SignalSpec:
     _check_keys(spec, ("kind", *required), optional, where)
     if kind == "autonomous-linear" and isinstance(spec["initial"], dict):
         _check_keys(spec["initial"], ("uniform",), (), f"{where}.initial")
+    for key in _NUMERIC_PARAMS:
+        if key in spec and not (_is_number(spec[key]) and math.isfinite(spec[key])):
+            raise ConfigError(f"{where}.{key} must be a finite number, got {spec[key]!r}")
+    if kind == "piecewise-constant-random":
+        if spec["low"] > spec["high"]:
+            raise ConfigError(f"{where}: low {spec['low']!r} exceeds high {spec['high']!r}")
+        hold = spec.get("hold")
+        if hold is not None and not (_is_number(hold) and 0.0 < hold < math.inf):
+            raise ConfigError(f"{where}.hold must be null (one run.dt) or a positive "
+                              f"number, got {hold!r}")
     return SignalSpec(kind=kind, params={k: v for k, v in spec.items() if k != "kind"})
 
 
@@ -390,6 +402,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     run = _parse_simple(raw.get("run", {}), RunSection, "run")
     compare = _parse_simple(raw.get("compare", {}), CompareSection, "compare")
     _validate(data, design, run, compare)
+    if graph.size != len(plant.node_specs):
+        raise ConfigError(f"graph.size is {graph.size} but the plant has "
+                          f"{len(plant.node_specs)} nodes; they must be equal")
     return ExperimentConfig(seed=int(raw.get("seed", 0)), plant=plant, graph=graph,
                             data=data, design=design, run=run, compare=compare)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import write_csv, write_json
+from ._csvio import write_json
 from .design_model import DuioGains
 from .errors import DimensionError
 from .integrate import DIVERGENCE_LIMIT, DRIVE_ROWS, rk4_linear
@@ -218,21 +218,16 @@ def verify_decoupling(model: PlantModel, gains: DuioGains) -> DecouplingReport:
 
 
 def export_run(result: RunResult, out_dir: str, extra_summary: dict | None = None) -> None:
-    """Write trajectory.csv, errors.csv, and summary.json."""
+    """Write each dense field of ``result`` as ``<field>.npy``, and summary.json.
+
+    ``t`` (T,), ``x`` (T, n_x), ``xhat`` (T, M, n_x), ``error_norms``
+    (T, M) and ``spread`` (T,) are saved as bit-exact float64 arrays.  The
+    ``.npy`` header holds no timestamp, so reruns are byte-identical.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    n = result.x.shape[1]
-    header = ["t"] + [f"x{k + 1}" for k in range(n)]
-    cols = [result.t.reshape(-1, 1), result.x]
-    for i in range(result.M):
-        header += [f"xhat{i + 1}_{k + 1}" for k in range(n)]
-        cols.append(result.xhat[:, i, :])
-    write_csv(os.path.join(out_dir, "trajectory.csv"), header, np.hstack(cols))
-
-    header_e = ["t"] + [f"e{i + 1}" for i in range(result.M)] + ["spread"]
-    write_csv(os.path.join(out_dir, "errors.csv"), header_e,
-              np.hstack([result.t.reshape(-1, 1), result.error_norms,
-                         result.spread.reshape(-1, 1)]))
-
+    for name in ("t", "x", "xhat", "error_norms", "spread"):
+        np.save(os.path.join(out_dir, f"{name}.npy"), getattr(result, name),
+                allow_pickle=False)
     summary = result.summary()
     if extra_summary:
         summary.update(extra_summary)

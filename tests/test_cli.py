@@ -1,10 +1,14 @@
 """Command-line pipeline: exit codes, file contracts, reproducibility."""
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 import yaml
 
+import dduio
 from dduio.cli import main
 
 FAST_CONFIG = {
@@ -13,6 +17,8 @@ FAST_CONFIG = {
     "compare": {"K": 2},
     "design": {"gamma_override": 5.0},
 }
+RUN_FILES = ("t.npy", "x.npy", "xhat.npy", "error_norms.npy", "spread.npy",
+             "summary.json", "config.resolved.yaml")
 
 
 @pytest.fixture(scope="module")
@@ -145,13 +151,30 @@ def test_run_outputs_and_determinism(tmp_path, fast_config_path, gains_path):
     for d in (d1, d2):
         assert main(["run", "--config", fast_config_path, "--gains", gains_path,
                      "--out", d]) == 0
-    for f in ("trajectory.csv", "errors.csv", "summary.json",
-              "config.resolved.yaml"):
+    for f in RUN_FILES:
         assert os.path.exists(os.path.join(d1, f))
         assert open(os.path.join(d1, f), "rb").read() == \
             open(os.path.join(d2, f), "rb").read()
     summary = json.load(open(os.path.join(d1, "summary.json")))
     assert "mse" in summary and "final_error_norms" in summary
+    # horizon 2.0 at dt 2e-3: 1001 samples of the 4 states at 5 nodes
+    shapes = {"t": (1001,), "x": (1001, 4), "xhat": (1001, 5, 4),
+              "error_norms": (1001, 5), "spread": (1001,)}
+    arrays = {}
+    for field, shape in shapes.items():
+        arrays[field] = np.load(os.path.join(d1, f"{field}.npy"), allow_pickle=False)
+        assert arrays[field].dtype == np.float64 and arrays[field].shape == shape
+    assert arrays["t"].tobytes() == (np.arange(1001) * 2e-3).tobytes()
+    assert arrays["error_norms"][-1].tolist() == summary["final_error_norms"]
+    assert arrays["spread"][-1] == summary["final_spread"]
+
+
+def test_run_output_directory_holds_exactly_the_run_files(tmp_path, fast_config_path,
+                                                          gains_path):
+    out = tmp_path / "r"
+    assert main(["run", "--config", fast_config_path, "--gains", gains_path,
+                 "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(RUN_FILES)
 
 
 def test_run_dimension_mismatch(tmp_path, fast_config_path, gains_path):
@@ -173,3 +196,12 @@ def test_compare_outputs(tmp_path, fast_config_path):
     assert os.path.exists(os.path.join(out, "table1.md"))
     assert os.path.exists(os.path.join(out, "experiments", "k_000", "metrics.json"))
     assert os.path.exists(os.path.join(out, "experiments", "k_001", "metrics.json"))
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dduio.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "dduio", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == dduio.__version__

@@ -79,7 +79,7 @@ def test_explicit_plant_form():
 
 
 def test_graph_edges_form():
-    cfg = parse_config({"graph": {"size": 3, "edges": [[0, 1], [1, 2, 0.5]]}})
+    cfg = parse_config({"graph": {"size": 5, "edges": [[0, 1], [1, 2, 0.5], [2, 3], [3, 4]]}})
     g = cfg.build_graph()
     assert g.adjacency[1, 2] == 0.5
     assert g.adjacency[0, 1] == 1.0
@@ -155,6 +155,68 @@ def test_cli_reports_incomplete_signal(tmp_path, capsys):
     assert code == 1
     assert "error: plant.inputs[1]: missing required key(s) ['amplitude']" \
         in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _preset_signal(section="disturbances", index=0, **params):
+    raw = parse_config({}).resolved_dict()
+    raw["plant"][section][index].update(params)
+    return raw
+
+
+@pytest.mark.parametrize("raw, message", [
+    pytest.param(_preset_signal("inputs", 1, amplitude="big"),
+                 r"plant\.inputs\[1\]\.amplitude must be a finite number", id="text"),
+    pytest.param(_preset_signal("inputs", 1, frequency=None),
+                 r"plant\.inputs\[1\]\.frequency must be a finite number", id="null"),
+    pytest.param(_preset_signal("inputs", 1, phase=True),
+                 r"plant\.inputs\[1\]\.phase must be a finite number", id="bool"),
+    pytest.param(_preset_signal("inputs", 1, amplitude=float("nan")),
+                 r"plant\.inputs\[1\]\.amplitude must be a finite number", id="nan"),
+    pytest.param(_preset_signal(low="-0.1"),
+                 r"plant\.disturbances\[0\]\.low must be a finite number", id="low-text"),
+    pytest.param(_preset_signal(high=[0.1]),
+                 r"plant\.disturbances\[0\]\.high must be a finite number", id="high-list"),
+    pytest.param(_preset_signal(low=0.2, high=0.1),
+                 r"plant\.disturbances\[0\]: low 0\.2 exceeds high 0\.1", id="low-above-high"),
+    pytest.param(_preset_signal(hold=-0.5),
+                 r"plant\.disturbances\[0\]\.hold must be null", id="hold-negative"),
+    pytest.param(_preset_signal(hold=0),
+                 r"plant\.disturbances\[0\]\.hold must be null", id="hold-zero"),
+    pytest.param(_preset_signal(hold="0.1"),
+                 r"plant\.disturbances\[0\]\.hold must be null", id="hold-text"),
+])
+def test_bad_signal_values_rejected_at_parse_time(raw, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
+
+
+def test_held_signal_keeps_an_explicit_hold():
+    cfg = parse_config(_preset_signal(hold=0.25, low=0.1, high=0.1))
+    (dist,) = cfg.build_disturbances(3)
+    assert dist.hold == 0.25 and dist.sample(np.array([0.3])) == 0.1
+
+
+def test_graph_size_must_match_the_plant():
+    with pytest.raises(ConfigError, match="graph.size is 5 but the plant has 1 nodes"):
+        parse_config(_one_node_plant())
+    with pytest.raises(ConfigError, match="graph.size is 4 but the plant has 5 nodes"):
+        parse_config({"graph": {"size": 4, "edges": [[0, 1], [1, 2], [2, 3]]}})
+    assert parse_config({**_one_node_plant(), "graph": {"size": 1, "edges": []}}) \
+        .build_graph().M == 1
+
+
+@pytest.mark.parametrize("command, raw, message", [
+    pytest.param("compare", _preset_signal(hold=-0.5),
+                 "error: plant.disturbances[0].hold must be null", id="hold"),
+    pytest.param("collect", _one_node_plant(),
+                 "error: graph.size is 5 but the plant has 1 nodes", id="graph-size"),
+])
+def test_cli_rejects_bad_values_before_any_work(tmp_path, capsys, command, raw, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "out").exists()
 
 

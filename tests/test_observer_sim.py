@@ -179,10 +179,14 @@ def test_export_files_and_determinism(tmp_path, bench_model, bench_graph, model_
     d1, d2 = tmp_path / "a", tmp_path / "b"
     export_run(res, d1)
     export_run(res, d2)
-    for name in ("trajectory.csv", "errors.csv", "summary.json"):
+    shapes = {"t": (101,), "x": (101, 4), "xhat": (101, 5, 4),
+              "error_norms": (101, 5), "spread": (101,)}
+    for name in [f"{field}.npy" for field in shapes] + ["summary.json"]:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-    header = (d1 / "trajectory.csv").read_text().splitlines()[0]
-    assert header.startswith("t,x1,x2,x3,x4,xhat1_1")
+    for field, shape in shapes.items():
+        saved = np.load(d1 / f"{field}.npy", allow_pickle=False)
+        assert saved.dtype == np.float64 and saved.shape == shape
+        assert saved.tobytes() == getattr(res, field).tobytes()
 
 
 def estimates_oracle(xi, model, gains):
