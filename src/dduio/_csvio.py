@@ -39,12 +39,10 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def read_csv(path, n_cols: int | None = None) -> np.ndarray:
+def read_csv(path, n_cols: int) -> np.ndarray:
+    """The data rows of a ``write_csv`` file as an (rows, n_cols) array."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    header = lines[0].split(",") if lines and lines[0] else []
-    if n_cols is None:
-        n_cols = len(header)
     data = []
     for line in lines[1:]:
         if n_cols == 0:

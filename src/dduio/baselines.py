@@ -16,7 +16,8 @@ from scipy.integrate import trapezoid
 from ._csvio import format_float, write_json
 from .datagen import NodeDataset, collect
 from .design_data import analyze_datasets, build_data_driven_gains, recover_output_map
-from .design_model import DuioGains, assemble_from_node_matrices, build_model_based_gains
+from .design_model import (DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN, DuioGains,
+                           assemble_from_node_matrices, build_model_based_gains)
 from .errors import DesignError, EmptyRunError, RankError
 from .linalg import numerical_rank, pinv
 from .network import SensorGraph
@@ -50,7 +51,8 @@ def identify_least_squares(ds: NodeDataset, B_u_known: np.ndarray,
 
 
 def build_identified_gains(datasets, granted_B_u, granted_E, graph: SensorGraph,
-                           decay: float = 0.5, gamma_margin: float = 0.1,
+                           decay: float = DEFAULT_DECAY,
+                           gamma_margin: float = DEFAULT_GAMMA_MARGIN,
                            gamma_override: float | None = None,
                            multiplier: float | None = None) -> DuioGains:
     """Observer gains from identified (A, B_m, C) plus granted (B_u, E)."""

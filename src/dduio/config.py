@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from .datagen import DEFAULT_SAMPLE_INTERVAL, DEFAULT_SUBSTEPS
+from .design_data import DEFAULT_RESIDUAL_RTOL
+from .design_model import DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN
 from .errors import ConfigError
+from .linalg import DEFAULT_RANK_MULTIPLIER
 from .network import GENERATORS, SensorGraph, from_edges
 from .plant import PlantModel
 from .signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
@@ -58,6 +62,33 @@ def _matrix(value, where: str) -> np.ndarray:
     return m
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Each kind of valid value, keyed by the wording of the error that rejects
+# any other value; NaN fails every comparison.
+_KINDS = {
+    "a positive integer": lambda v: _is_int(v) and v > 0,
+    "a finite number": lambda v: _is_number(v) and -math.inf < v < math.inf,
+    "a finite number > 0": lambda v: _is_number(v) and 0 < v < math.inf,
+    "a finite number >= 0": lambda v: _is_number(v) and 0 <= v < math.inf,
+    "null or a finite number > 0": lambda v: v is None or (_is_number(v) and 0 < v < math.inf),
+    "true or false": lambda v: isinstance(v, bool),
+    f"one of {list(_Z0_POLICIES)}": lambda v: v in _Z0_POLICIES,
+    f"one of {list(_GRANT_POLICIES)}": lambda v: v in _GRANT_POLICIES,
+}
+
+
+def _check(value, kind: str, where: str) -> None:
+    if not _KINDS[kind](value):
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SignalSpec:
     """Declarative form of one scalar signal channel."""
@@ -99,15 +130,13 @@ def _parse_signal(spec: dict, where: str) -> SignalSpec:
     if kind == "autonomous-linear" and isinstance(spec["initial"], dict):
         _check_keys(spec["initial"], ("uniform",), (), f"{where}.initial")
     for key in _NUMERIC_PARAMS:
-        if key in spec and not (_is_number(spec[key]) and math.isfinite(spec[key])):
-            raise ConfigError(f"{where}.{key} must be a finite number, got {spec[key]!r}")
+        if key in spec:
+            _check(spec[key], "a finite number", f"{where}.{key}")
     if kind == "piecewise-constant-random":
         if spec["low"] > spec["high"]:
             raise ConfigError(f"{where}: low {spec['low']!r} exceeds high {spec['high']!r}")
-        hold = spec.get("hold")
-        if hold is not None and not (_is_number(hold) and 0.0 < hold < math.inf):
-            raise ConfigError(f"{where}.hold must be null (one run.dt) or a positive "
-                              f"number, got {hold!r}")
+        # null holds the signal for one run.dt
+        _check(spec.get("hold"), "null or a finite number > 0", f"{where}.hold")
     return SignalSpec(kind=kind, params={k: v for k, v in spec.items() if k != "kind"})
 
 
@@ -179,10 +208,11 @@ def _parse_plant(section: dict) -> PlantSection:
     for k, node in enumerate(section["nodes"]):
         _check_keys(node, ("C", "known_input_indices"), ("unknown_scales",),
                     f"plant.nodes[{k}]")
+        known = tuple(node["known_input_indices"])
         scales = node.get("unknown_scales")
-        node_specs.append((_matrix(node["C"], f"plant.nodes[{k}].C"),
-                           tuple(node["known_input_indices"]),
-                           None if scales is None else np.asarray(scales, dtype=float)))
+        node_specs.append((_matrix(node["C"], f"plant.nodes[{k}].C"), known,
+                           np.ones(b.shape[1] - len(known)) if scales is None
+                           else np.asarray(scales, dtype=float)))
     inputs = tuple(_parse_signal(s, f"plant.inputs[{k}]")
                    for k, s in enumerate(section["inputs"]))
     dist = tuple(_parse_signal(s, f"plant.disturbances[{k}]")
@@ -193,12 +223,7 @@ def _parse_plant(section: dict) -> PlantSection:
     if len(dist) != e.shape[1]:
         raise ConfigError(f"plant: {e.shape[1]} disturbance channels need signals, "
                           f"got {len(dist)}")
-    fixed = []
-    for c, known, scales in node_specs:
-        if scales is None:
-            scales = np.ones(b.shape[1] - len(known))
-        fixed.append((c, known, scales))
-    return PlantSection(A=a, B=b, E_dist=e, node_specs=tuple(fixed),
+    return PlantSection(A=a, B=b, E_dist=e, node_specs=tuple(node_specs),
                         inputs=inputs, disturbances=dist)
 
 
@@ -215,25 +240,42 @@ class GraphSection:
         return from_edges(self.size, self.edges)
 
 
+def _check_edge(edge, size: int, where: str) -> tuple:
+    """An (i, j) or (i, j, weight) entry: distinct in-range nodes, positive weight."""
+    if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+        raise ConfigError(f"{where} must be [i, j] or [i, j, weight], got {edge!r}")
+    i, j = edge[:2]
+    if not all(_is_int(v) and 0 <= v < size for v in (i, j)) or i == j:
+        raise ConfigError(f"{where} needs two distinct node indices in [0, {size}), "
+                          f"got {edge!r}")
+    if len(edge) == 3:
+        _check(edge[2], "a finite number > 0", f"{where} weight")
+    return tuple(edge)
+
+
 def _parse_graph(section: dict) -> GraphSection:
     _require_keys(section, {"generator", "size", "edges", "weight"}, "graph")
+    size, weight = section.get("size", 5), section.get("weight", 1.0)
+    _check(size, "a positive integer", "graph.size")
+    _check(weight, "a finite number > 0", "graph.weight")
     if section.get("edges") is not None:
         if "size" not in section:
             raise ConfigError("graph: explicit edges need 'size'")
-        return GraphSection(generator=None, size=int(section["size"]),
-                            edges=tuple(tuple(e) for e in section["edges"]))
+        if not isinstance(section["edges"], list):
+            raise ConfigError(f"graph.edges must be a list, got {section['edges']!r}")
+        return GraphSection(generator=None, size=size, edges=tuple(
+            _check_edge(e, size, f"graph.edges[{k}]") for k, e in enumerate(section["edges"])))
     gen = section.get("generator") or "ring"
     if gen not in GENERATORS:
         raise ConfigError(f"graph: unknown generator {gen!r}; choose from {sorted(GENERATORS)}")
-    return GraphSection(generator=gen, size=int(section.get("size", 5)),
-                        edges=None, weight=float(section.get("weight", 1.0)))
+    return GraphSection(generator=gen, size=size, edges=None, weight=float(weight))
 
 
 @dataclass(frozen=True)
 class DataSection:
     N: int = 50
-    sample_interval: float = 0.1
-    substeps: int = 20
+    sample_interval: float = DEFAULT_SAMPLE_INTERVAL
+    substeps: int = DEFAULT_SUBSTEPS
     restarts: int = 1
     jitter: bool = False
     u_amplitude: float = 1.0
@@ -243,11 +285,11 @@ class DataSection:
 
 @dataclass(frozen=True)
 class DesignSection:
-    decay: float = 0.5
-    gamma_margin: float = 0.1
+    decay: float = DEFAULT_DECAY
+    gamma_margin: float = DEFAULT_GAMMA_MARGIN
     gamma_override: float | None = None
-    rank_multiplier: float = 1e3
-    residual_rtol: float = 1e-6
+    rank_multiplier: float = DEFAULT_RANK_MULTIPLIER
+    residual_rtol: float = DEFAULT_RESIDUAL_RTOL
     # The identification baseline is granted the unknown-input coupling
     # matrices; "plant" reads them from the plant section, "none" denies
     # the grant (the baseline then refuses to run).
@@ -284,28 +326,39 @@ def _parse_simple(section: dict, cls, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# The kind of every section value that would otherwise fail, or be
+# silently misread, deep inside a command.
+_RULES = {
+    "data": {"N": "a positive integer", "sample_interval": "a finite number > 0",
+             "substeps": "a positive integer", "jitter": "true or false",
+             "u_amplitude": "a finite number >= 0", "d_amplitude": "a finite number >= 0",
+             "noise_amplitude": "a finite number >= 0"},
+    "design": {"decay": "a finite number", "gamma_margin": "a finite number",
+               "gamma_override": "null or a finite number > 0",
+               "rank_multiplier": "a finite number > 0",
+               "residual_rtol": "a finite number > 0",
+               "grant_couplings": f"one of {list(_GRANT_POLICIES)}"},
+    "run": {"dt": "a finite number > 0", "z0": f"one of {list(_Z0_POLICIES)}",
+            "disturbance": "true or false"},
+    "compare": {"K": "a positive integer"},
+}
 
 
-def _validate(data: DataSection, design: DesignSection, run: RunSection,
-              compare: CompareSection) -> None:
+def _validate(sections: dict) -> None:
     """Reject values that would otherwise fail deep inside a command."""
-    if not (_is_number(run.dt) and 0.0 < run.dt < np.inf):
-        raise ConfigError(f"run.dt must be a positive number, got {run.dt!r}")
-    if not (_is_number(run.horizon) and run.dt <= run.horizon < np.inf):
+    for where, kinds in _RULES.items():
+        for name, kind in kinds.items():
+            _check(getattr(sections[where], name), kind, f"{where}.{name}")
+    data, run, compare = sections["data"], sections["run"], sections["compare"]
+    if not (_is_int(data.restarts) and 1 <= data.restarts <= data.N):
+        raise ConfigError(f"data.restarts must be an integer in [1, data.N={data.N}], "
+                          f"got {data.restarts!r}")
+    if not (_is_number(run.horizon) and run.dt <= run.horizon < math.inf):
         raise ConfigError(f"run.horizon must be a number of at least run.dt={run.dt!r}, "
                           f"got {run.horizon!r}")
-    if run.z0 not in _Z0_POLICIES:
-        raise ConfigError(f"run.z0 must be one of {list(_Z0_POLICIES)}, got {run.z0!r}")
-    if not (isinstance(data.N, int) and not isinstance(data.N, bool) and data.N > 0):
-        raise ConfigError(f"data.N must be a positive integer, got {data.N!r}")
     if not compare.methods or any(m not in DESIGN_METHODS for m in compare.methods):
         raise ConfigError(f"compare.methods must be a non-empty list drawn from "
                           f"{list(DESIGN_METHODS)}, got {list(compare.methods)}")
-    if design.grant_couplings not in _GRANT_POLICIES:
-        raise ConfigError(f"design.grant_couplings must be one of {list(_GRANT_POLICIES)}, "
-                          f"got {design.grant_couplings!r}")
 
 
 @dataclass(frozen=True)
@@ -329,10 +382,8 @@ class ExperimentConfig:
         return [spec.build(children[k], self.run.dt)
                 for k, spec in enumerate(self.plant.inputs)]
 
-    def build_disturbances(self, seed, active: bool | None = None) -> list:
-        if active is None:
-            active = self.run.disturbance
-        if not active:
+    def build_disturbances(self, seed) -> list:
+        if not self.run.disturbance:
             return [Zero() for _ in self.plant.disturbances]
         children = np.random.SeedSequence([int(seed), 2]).spawn(
             max(len(self.plant.disturbances), 1))
@@ -397,16 +448,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
                   "top level")
     plant = _parse_plant(raw.get("plant", {"preset": "two-mass-spring"}))
     graph = _parse_graph(raw.get("graph", {}))
-    data = _parse_simple(raw.get("data", {}), DataSection, "data")
-    design = _parse_simple(raw.get("design", {}), DesignSection, "design")
-    run = _parse_simple(raw.get("run", {}), RunSection, "run")
-    compare = _parse_simple(raw.get("compare", {}), CompareSection, "compare")
-    _validate(data, design, run, compare)
+    sections = {where: _parse_simple(raw.get(where, {}), cls, where)
+                for where, cls in (("data", DataSection), ("design", DesignSection),
+                                   ("run", RunSection), ("compare", CompareSection))}
+    _validate(sections)
     if graph.size != len(plant.node_specs):
         raise ConfigError(f"graph.size is {graph.size} but the plant has "
                           f"{len(plant.node_specs)} nodes; they must be equal")
     return ExperimentConfig(seed=int(raw.get("seed", 0)), plant=plant, graph=graph,
-                            data=data, design=design, run=run, compare=compare)
+                            **sections)
 
 
 def load_config(path: str) -> ExperimentConfig:

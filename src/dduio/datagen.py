@@ -21,6 +21,7 @@ from .signals import PiecewiseConstantRandom
 
 DEFAULT_SAMPLE_INTERVAL = 0.1
 DEFAULT_SUBSTEPS = 20
+MAX_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -134,21 +135,18 @@ def collect(model: PlantModel, i: int, N: int, *, seed: int,
             substeps: int = DEFAULT_SUBSTEPS, restarts: int = 1,
             jitter: bool = False, u_amplitude: float = 1.0,
             d_amplitude: float = 0.1, noise_amplitude: float = 0.0,
-            excitation=None, x0=None, max_retries: int = 8,
             rank_multiplier: float | None = None) -> NodeDataset:
     """Collect an offline dataset for node ``i`` from simulated trajectories.
 
     Samples come from ``restarts`` trajectory segments with fresh random
-    initial states; the default excitation holds independent uniform
-    values on every input and disturbance channel over each sampling
-    interval.  Retries with a fresh seed offset until the stacked
-    [U; W; X] matrix reaches full row rank.
+    initial states, uniform in [-1, 1]; the excitation holds independent
+    uniform values on every input and disturbance channel over each
+    sampling interval.  Up to MAX_ATTEMPTS attempts, each with fresh
+    draws, are made until the stacked [U; W; X] matrix reaches full row
+    rank.
 
     Parameters
     ----------
-    excitation : optional (inputs, disturbances) generator lists; when
-        given, retries reuse them verbatim.
-    x0 : optional fixed initial state; default draws uniform in [-1, 1].
     jitter : sample at random grid instants instead of the uniform grid.
     noise_amplitude : additive uniform output noise on Y and Ydot, for
         robustness experiments only.
@@ -167,23 +165,18 @@ def collect(model: PlantModel, i: int, N: int, *, seed: int,
     dt = sample_interval / substeps
     per_seg = [N // restarts + (1 if k < N % restarts else 0) for k in range(restarts)]
     last = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_ATTEMPTS):
         ss = np.random.SeedSequence([int(seed), int(i), attempt])
         children = ss.spawn(3 + model.n_u + model.n_d)
         rng_x0 = np.random.default_rng(children[0])
         rng_pick = np.random.default_rng(children[1])
         rng_noise = np.random.default_rng(children[2])
-        if excitation is not None:
-            inputs, dist = excitation
-        else:
-            inputs, dist = _default_excitation(model, sample_interval, u_amplitude,
-                                               d_amplitude, children[3:])
+        inputs, dist = _default_excitation(model, sample_interval, u_amplitude,
+                                           d_amplitude, children[3:])
         cols_u, cols_y, cols_yd, cols_x, cols_xd, cols_w, times = [], [], [], [], [], [], []
         for n_k in per_seg:
-            x_init = np.asarray(x0, dtype=float) if x0 is not None \
-                else rng_x0.uniform(-1.0, 1.0, model.n_x)
             grid = 2 * n_k * substeps if jitter else n_k * substeps
-            traj = simulate(model, x_init, inputs, dist,
+            traj = simulate(model, rng_x0.uniform(-1.0, 1.0, model.n_x), inputs, dist,
                             horizon=grid * dt, dt=dt)
             if jitter:
                 idx = np.sort(rng_pick.choice(grid + 1, size=n_k, replace=False))
@@ -211,7 +204,7 @@ def collect(model: PlantModel, i: int, N: int, *, seed: int,
             return ds
         last = ds
     raise ExcitationError(
-        f"node {i}: data remain rank-deficient after {max_retries} retries; "
+        f"node {i}: data remain rank-deficient after {MAX_ATTEMPTS} attempts; "
         f"deficient block: {_deficient_block(last, rank_multiplier)}")
 
 

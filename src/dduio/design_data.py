@@ -127,24 +127,6 @@ class DataDesignReport:
     residual: float | None
     r_inferred: int | None
 
-    def to_json_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-        return {
-            "node_index": self.node_index,
-            "solvable": self.solvable,
-            "rank_with_output_derivs": self.rank_with_output_derivs,
-            "rank_with_state_derivs": self.rank_with_state_derivs,
-            "detectable": self.detectable,
-            "pencil_points": None if self.pencil_points is None else
-                [[float(s.real), float(s.imag)] for s in self.pencil_points],
-            "T_u": arr(self.T_u), "T_y": arr(self.T_y), "T_x": arr(self.T_x),
-            "rank_Ty": self.rank_Ty,
-            "C_recovered": arr(self.C_recovered),
-            "residual": self.residual,
-            "r_inferred": self.r_inferred,
-        }
-
 
 def analyze_node(ds: NodeDataset, test_detectability: bool = False,
                  rtol: float = DEFAULT_RESIDUAL_RTOL,

@@ -77,33 +77,23 @@ def rank_condition(C: np.ndarray, B_p: np.ndarray, multiplier: float | None = No
             and numerical_rank(B_p, multiplier) == r)
 
 
-def decoupling_gain(C: np.ndarray, B_p: np.ndarray,
-                    free_param: np.ndarray | None = None) -> np.ndarray:
-    """Solve H C B_p = B_p; the particular solution is B_p (C B_p)^+.
-
-    An optional free parameter adds any multiple of the projector onto
-    the orthogonal complement of range(C B_p); every such H still
-    satisfies the decoupling equation.
-    """
+def decoupling_gain(C: np.ndarray, B_p: np.ndarray) -> np.ndarray:
+    """Solve H C B_p = B_p; the particular solution is B_p (C B_p)^+."""
     if not rank_condition(C, B_p):
         raise SolvabilityError(
             "rank(C B_p) < rank(B_p): no output feedthrough can cancel the unknown input")
-    cbp = C @ B_p
-    h = B_p @ pinv(cbp)
-    if free_param is not None:
-        free_param = np.asarray(free_param, dtype=float)
-        h = h + free_param @ (np.eye(C.shape[0]) - cbp @ pinv(cbp))
-    return h
+    return B_p @ pinv(C @ B_p)
 
 
-def check_detectability(model: PlantModel, i: int, tol: float = DETECT_TOL) -> bool:
+def check_detectability(model: PlantModel, i: int) -> bool:
     """Detectability of ((I - H C) A, C) with the particular H."""
     node = model.nodes[i]
-    if not rank_condition(node.C, node.B_p):
+    try:
+        h = decoupling_gain(node.C, node.B_p)
+    except SolvabilityError:
         return False
-    h = decoupling_gain(node.C, node.B_p)
     t = (np.eye(model.n_x) - h @ node.C) @ model.A
-    return pbh_detectable(t, node.C, tol)
+    return pbh_detectable(t, node.C, DETECT_TOL)
 
 
 def stabilizing_output_injection(T: np.ndarray, C: np.ndarray,
@@ -177,12 +167,12 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,
         l_blocks.append(l_i)
     followers = [e_blocks[i] for i in range(m_nodes) if i != leader]
 
+    bundle = build_laplacian(graph, drop=leader)
     if m_nodes == 1:
         gamma = 0.0
     elif gamma_override is not None:
         gamma = float(gamma_override)
     else:
-        bundle = build_laplacian(graph, drop=leader)
         bound = gamma_lower_bound(followers, bundle.lambda_min_reduced)
         gamma = (1.0 + gamma_margin) * bound if bound > 0 else max(gamma_margin, 1e-2)
     k_blocks = [np.zeros((n_x, n_x)) if i == leader else gamma * eye
@@ -191,11 +181,7 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,
     gains = DuioGains(E_obs=tuple(e_blocks), F=tuple(fs), L=tuple(l_blocks),
                       H=tuple(hs), K=tuple(k_blocks), gamma=gamma,
                       leader=leader, method=method)
-    if m_nodes > 1:
-        lap = build_laplacian(graph).laplacian
-        absc = spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, lap))
-    else:
-        absc = spectral_abscissa(e_blocks[0])
+    absc = spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, bundle.laplacian))
     if absc >= HURWITZ_TOL:
         raise NumericsError(
             f"coupled error dynamics not Hurwitz (abscissa {absc:.3e}); "
@@ -207,14 +193,14 @@ def assemble_from_node_matrices(node_mats, graph: SensorGraph, decay: float,
                                 gamma_margin: float, gamma_override: float | None,
                                 method: str) -> DuioGains:
     """Observer construction from per-node (A, B_m, B_p, C) matrices."""
-    n_x = node_mats[0][0].shape[0]
-    eye = np.eye(n_x)
-    for i, (_, _, b_p, c) in enumerate(node_mats):
-        if not rank_condition(c, b_p):
-            raise DesignError(f"node {i}: rank(C B_p) < rank(B_p), decoupling unsolvable")
+    eye = np.eye(node_mats[0][0].shape[0])
     hs, ts, fs, cs = [], [], [], []
-    for a, b_m, b_p, c in node_mats:
-        h = decoupling_gain(c, b_p)
+    for i, (a, b_m, b_p, c) in enumerate(node_mats):
+        try:
+            h = decoupling_gain(c, b_p)
+        except SolvabilityError:
+            raise DesignError(
+                f"node {i}: rank(C B_p) < rank(B_p), decoupling unsolvable") from None
         hs.append(h)
         ts.append((eye - h @ c) @ a)
         fs.append((eye - h @ c) @ b_m)
@@ -228,8 +214,6 @@ def build_model_based_gains(model: PlantModel, graph: SensorGraph,
                             gamma_margin: float = DEFAULT_GAMMA_MARGIN,
                             gamma_override: float | None = None) -> DuioGains:
     """Observer gains from the true plant matrices."""
-    if graph.M != model.M:
-        raise DesignError(f"graph has {graph.M} nodes, model has {model.M}")
     node_mats = [(model.A, node.B_m, node.B_p, node.C) for node in model.nodes]
     return assemble_from_node_matrices(node_mats, graph, decay, gamma_margin,
                                        gamma_override, method="model")

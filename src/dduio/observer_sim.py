@@ -14,7 +14,7 @@ import numpy as np
 from ._csvio import write_json
 from .design_model import DuioGains
 from .errors import DimensionError
-from .integrate import DIVERGENCE_LIMIT, DRIVE_ROWS, rk4_linear
+from .integrate import DRIVE_ROWS, rk4_linear
 from .linalg import block_diag, coupling_matrix, spectral_abscissa
 from .network import SensorGraph, build_laplacian
 from .plant import PlantModel
@@ -97,7 +97,7 @@ def _closed_loop(model: PlantModel, graph: SensorGraph, gains: DuioGains):
 
 def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
         inputs, disturbances, horizon: float, dt: float,
-        z0=None, divergence_limit: float = DIVERGENCE_LIMIT) -> RunResult:
+        z0=None) -> RunResult:
     """Integrate plant plus observer network and report estimation errors.
 
     Each node reads only its own known inputs, its own output, and its
@@ -120,8 +120,7 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
         raise DimensionError(
             f"need {g_cl.shape[1]} signal generators, got {len(gens)}")
     n_steps = int(round(horizon / dt))
-    xi = rk4_linear(a_cl, g_cl, gens, np.concatenate([x0, z0.ravel()]),
-                    n_steps, dt, divergence_limit)
+    xi = rk4_linear(a_cl, g_cl, gens, np.concatenate([x0, z0.ravel()]), n_steps, dt)
 
     t = np.arange(n_steps + 1) * dt
     x = xi[:, :n]
@@ -165,11 +164,7 @@ def _estimates(xi: np.ndarray, model: PlantModel, gains: DuioGains):
 
 def error_dynamics_matrix(gains: DuioGains, graph: SensorGraph) -> tuple[np.ndarray, float]:
     """The closed error matrix blockdiag(E_i) - blockdiag(K_i)(L kron I)."""
-    if gains.M == 1:
-        m = gains.E_obs[0]
-    else:
-        lap = build_laplacian(graph).laplacian
-        m = coupling_matrix(gains.E_obs, gains.K, lap)
+    m = coupling_matrix(gains.E_obs, gains.K, build_laplacian(graph).laplacian)
     return m, spectral_abscissa(m)
 
 

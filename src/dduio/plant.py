@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RankError
-from .integrate import DIVERGENCE_LIMIT, rk4_linear
+from .integrate import rk4_linear
 from .linalg import numerical_rank
 
 
@@ -84,8 +84,7 @@ class PlantModel:
         """Build a model from per-node (C, known_input_indices, unknown_scales).
 
         ``unknown_scales`` rescales the node's view of each unknown input
-        column of B (default all ones); disturbance columns are never
-        rescaled.
+        column of B; disturbance columns are never rescaled.
         """
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
@@ -94,19 +93,12 @@ class PlantModel:
             E_dist = E_dist.reshape(-1, 1)
         n_u = B.shape[1]
         nodes = []
-        for spec in node_specs:
-            if len(spec) == 2:
-                C, known = spec
-                scales = None
-            else:
-                C, known, scales = spec
+        for C, known, scales in node_specs:
             C = np.asarray(C, dtype=float)
             known = tuple(int(k) for k in known)
             if any(k < 0 or k >= n_u for k in known):
                 raise DimensionError(f"known input index out of range for n_u={n_u}")
             unknown = tuple(k for k in range(n_u) if k not in known)
-            if scales is None:
-                scales = np.ones(len(unknown))
             scales = np.asarray(scales, dtype=float)
             if scales.shape != (len(unknown),):
                 raise DimensionError("one unknown-input scale per unknown input channel")
@@ -145,8 +137,8 @@ class Trajectory:
     d: np.ndarray
 
 
-def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float, dt: float,
-             divergence_limit: float = DIVERGENCE_LIMIT) -> Trajectory:
+def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float,
+             dt: float) -> Trajectory:
     """Integrate the plant with classical fixed-step RK4.
 
     ``inputs`` holds one scalar generator per column of B and
@@ -168,7 +160,7 @@ def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float, dt: fl
     gens = list(inputs) + list(disturbances)
     g = np.hstack([model.B, model.E_dist])
     n_steps = int(round(horizon / dt))
-    x = rk4_linear(model.A, g, gens, x0, n_steps, dt, divergence_limit)
+    x = rk4_linear(model.A, g, gens, x0, n_steps, dt)
 
     t = np.arange(n_steps + 1) * dt
     u = np.column_stack([gen.sample(t) for gen in inputs]) if inputs else np.zeros((t.size, 0))

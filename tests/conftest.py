@@ -20,9 +20,12 @@ BENCH_GAMMA = 5.0
 
 
 def bench_signals(input_seed, dist_seed, dt_hold, active=True):
-    """The preset's online inputs and disturbances, the latter held for dt_hold."""
-    cfg = parse_config({"run": {"dt": dt_hold}})
-    return cfg.build_inputs(input_seed), cfg.build_disturbances(dist_seed, active)
+    """The preset's online inputs and disturbances, the latter held for dt_hold.
+
+    With ``active`` false the disturbances are zero (``run.disturbance``).
+    """
+    cfg = parse_config({"run": {"dt": dt_hold, "disturbance": active}})
+    return cfg.build_inputs(input_seed), cfg.build_disturbances(dist_seed)
 
 
 def online_sample(model, traj, i, k):
@@ -103,7 +106,8 @@ def single_node_model(A, B_m, B_p, C) -> PlantModel:
     B_p = np.asarray(B_p, dtype=float).reshape(A.shape[0], -1)
     B = np.hstack([B_m, B_p])
     known = tuple(range(B_m.shape[1]))
-    return PlantModel.assemble(A, B, np.zeros((A.shape[0], 0)), [(C, known)])
+    return PlantModel.assemble(A, B, np.zeros((A.shape[0], 0)),
+                               [(C, known, np.ones(B_p.shape[1]))])
 
 
 def random_node_system(rng: np.random.Generator, kind: str):

@@ -206,11 +206,77 @@ def test_graph_size_must_match_the_plant():
         .build_graph().M == 1
 
 
+@pytest.mark.parametrize("raw, message", [
+    pytest.param({"data": {"sample_interval": -0.1}}, r"data\.sample_interval must be",
+                 id="sample-interval-negative"),
+    pytest.param({"data": {"substeps": 0}}, r"data\.substeps must be", id="substeps-zero"),
+    pytest.param({"data": {"substeps": 2.5}}, r"data\.substeps must be", id="substeps-float"),
+    pytest.param({"data": {"restarts": 0}}, r"data\.restarts must be", id="restarts-zero"),
+    pytest.param({"data": {"N": 40, "restarts": 41}}, r"data\.restarts must be",
+                 id="restarts-above-N"),
+    pytest.param({"data": {"u_amplitude": -1}}, r"data\.u_amplitude must be",
+                 id="u-amplitude-negative"),
+    pytest.param({"data": {"d_amplitude": float("inf")}}, r"data\.d_amplitude must be",
+                 id="d-amplitude-inf"),
+    pytest.param({"data": {"noise_amplitude": "big"}}, r"data\.noise_amplitude must be",
+                 id="noise-amplitude-text"),
+    pytest.param({"data": {"jitter": "maybe"}}, r"data\.jitter must be", id="jitter-text"),
+    pytest.param({"design": {"decay": "x"}}, r"design\.decay must be", id="decay-text"),
+    pytest.param({"design": {"gamma_margin": float("nan")}}, r"design\.gamma_margin must be",
+                 id="gamma-margin-nan"),
+    pytest.param({"design": {"gamma_override": 0}}, r"design\.gamma_override must be",
+                 id="gamma-override-zero"),
+    pytest.param({"design": {"rank_multiplier": -1}}, r"design\.rank_multiplier must be",
+                 id="rank-multiplier-negative"),
+    pytest.param({"design": {"residual_rtol": 0}}, r"design\.residual_rtol must be",
+                 id="residual-rtol-zero"),
+    pytest.param({"run": {"disturbance": "no"}}, r"run\.disturbance must be",
+                 id="disturbance-text"),
+    pytest.param({"compare": {"K": 0}}, r"compare\.K must be", id="K-zero"),
+    pytest.param({"compare": {"K": 1.5}}, r"compare\.K must be", id="K-float"),
+    pytest.param({"graph": {"size": 5.9}}, r"graph\.size must be", id="graph-size-float"),
+    pytest.param({"graph": {"size": 0}}, r"graph\.size must be", id="graph-size-zero"),
+    pytest.param({"graph": {"weight": "x"}}, r"graph\.weight must be", id="graph-weight-text"),
+    pytest.param({"graph": {"weight": -1.0}}, r"graph\.weight must be",
+                 id="graph-weight-negative"),
+    pytest.param({"graph": {"size": 5, "edges": "ring"}}, r"graph\.edges must be a list",
+                 id="edges-text"),
+    pytest.param({"graph": {"size": 5, "edges": [[0, 7]]}},
+                 r"graph\.edges\[0\] needs two distinct node indices", id="edge-out-of-range"),
+    pytest.param({"graph": {"size": 5, "edges": [[0, 1], [2, 2]]}},
+                 r"graph\.edges\[1\] needs two distinct node indices", id="edge-self-loop"),
+    pytest.param({"graph": {"size": 5, "edges": [[0, 1.5]]}},
+                 r"graph\.edges\[0\] needs two distinct node indices", id="edge-float-node"),
+    pytest.param({"graph": {"size": 5, "edges": [[0]]}},
+                 r"graph\.edges\[0\] must be \[i, j\]", id="edge-too-short"),
+    pytest.param({"graph": {"size": 5, "edges": [[0, 1, 0.0]]}},
+                 r"graph\.edges\[0\] weight must be", id="edge-weight-zero"),
+])
+def test_bad_section_values_rejected_at_parse_time(raw, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
+
+
+def test_boundary_section_values_accepted():
+    cfg = parse_config({
+        "data": {"N": 40, "restarts": 40, "jitter": True, "u_amplitude": 0,
+                 "d_amplitude": 0.0, "noise_amplitude": 0.0},
+        "design": {"decay": 0.0, "gamma_margin": 0.0, "gamma_override": 2.5},
+        "run": {"disturbance": False},
+        "graph": {"size": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0, 2.5]]}})
+    assert cfg.data.restarts == 40 and cfg.design.gamma_override == 2.5
+    assert cfg.build_graph().adjacency[4, 0] == 2.5
+
+
 @pytest.mark.parametrize("command, raw, message", [
     pytest.param("compare", _preset_signal(hold=-0.5),
                  "error: plant.disturbances[0].hold must be null", id="hold"),
     pytest.param("collect", _one_node_plant(),
                  "error: graph.size is 5 but the plant has 1 nodes", id="graph-size"),
+    pytest.param("collect", {"data": {"substeps": 0}},
+                 "error: data.substeps must be a positive integer", id="substeps"),
+    pytest.param("collect", {"graph": {"size": 5, "edges": [[0, 7]]}},
+                 "error: graph.edges[0] needs two distinct node indices", id="graph-edge"),
 ])
 def test_cli_rejects_bad_values_before_any_work(tmp_path, capsys, command, raw, message):
     path = tmp_path / "cfg.yaml"

@@ -291,13 +291,6 @@ def test_design_path_never_reads_unknown_inputs(bench_datasets, bench_graph):
         check_excitation_rank(poisoned[0])
 
 
-def test_report_json_serializable(bench_datasets):
-    import json
-    report = analyze_node(bench_datasets[0].design_view(), test_detectability=True)
-    text = json.dumps(report.to_json_dict(), sort_keys=True)
-    assert "rank_Ty" in text
-
-
 def test_bounded_noise_smoke(bench_model, bench_graph):
     # With mildly noisy output data the design still succeeds once the
     # rank threshold is widened past the noise floor, and the closed loop

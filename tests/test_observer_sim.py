@@ -169,7 +169,7 @@ def test_divergence_and_dimension_errors(bench_model, bench_graph, model_gains):
         K=tuple(np.zeros((4, 4)) for _ in range(5)))
     with pytest.raises(DivergenceError):
         run(bench_model, bench_graph, unstable, np.ones(4), inputs, dist,
-            horizon=10.0, dt=1e-2, divergence_limit=1e6)
+            horizon=10.0, dt=1e-2)
 
 
 def test_export_files_and_determinism(tmp_path, bench_model, bench_graph, model_gains):

@@ -106,7 +106,7 @@ def test_benchmark_node1_matrices(bench_model):
 def test_fully_known_inputs_leave_empty_unknown_block():
     a = np.zeros((2, 2))
     b = np.array([[1.0], [0.5]])
-    model = PlantModel.assemble(a, b, np.zeros((2, 0)), [(np.eye(2), (0,))])
+    model = PlantModel.assemble(a, b, np.zeros((2, 0)), [(np.eye(2), (0,), ())])
     node = model.nodes[0]
     assert node.B_p.shape == (2, 0)
     assert np.array_equal(node.B_m, b)
@@ -117,7 +117,7 @@ def test_rank_deficient_unknown_columns_rejected():
     b = np.array([[1.0, 2.0], [1.0, 2.0]])  # unknown column parallel to E
     e = np.array([[1.0], [1.0]])
     with pytest.raises(RankError):
-        PlantModel.assemble(a, b, e, [(np.eye(2), (0,))])
+        PlantModel.assemble(a, b, e, [(np.eye(2), (0,), (1.0,))])
 
 
 def test_dimension_errors(bench_model):
@@ -129,12 +129,11 @@ def test_dimension_errors(bench_model):
                  horizon=1.0, dt=0.0)
     with pytest.raises(DimensionError):
         PlantModel.assemble(np.zeros((2, 3)), np.zeros((2, 1)),
-                            np.zeros((2, 0)), [(np.eye(2), (0,))])
+                            np.zeros((2, 0)), [(np.eye(2), (0,), ())])
 
 
 def test_divergence_reports_timestamp():
     model = two_state_model(np.array([[5.0, 0.0], [0.0, 5.0]]))
     with pytest.raises(DivergenceError) as err:
-        simulate(model, [1.0, 1.0], [Zero()], [], horizon=10.0, dt=1e-2,
-                 divergence_limit=1e3)
+        simulate(model, [1.0, 1.0], [Zero()], [], horizon=10.0, dt=1e-2)
     assert 0.0 < err.value.t < 10.0
