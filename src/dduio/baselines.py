@@ -1,6 +1,6 @@
 """Identification-based baseline, error metrics, and the comparison harness.
 
-The baseline is granted the unknown-input coupling matrices but not the
+The baseline is granted each node's unknown-input coupling B_p but not the
 unknown-input samples, so its least-squares identification absorbs the
 unknown-input term as unmodeled error; the comparison quantifies how
 much that costs against the model-based and data-driven designs.
@@ -27,19 +27,12 @@ from .plant import PlantModel
 METHOD_LABELS = {"model": "model-based", "data": "data-driven", "id": "identification-based"}
 
 
-def identify_least_squares(ds: NodeDataset, B_u_known: np.ndarray,
-                           E_known: np.ndarray,
-                           multiplier: float | None = None):
+def identify_least_squares(ds: NodeDataset, multiplier: float | None = None):
     """Least-squares fit of (A, B_m, C) ignoring the unknown input.
 
-    The granted coupling matrices are only dimension-checked here; the
-    regression solves Xdot ~ A X + B_m U, so any active unknown input
+    The regression solves Xdot ~ A X + B_m U, so any active unknown input
     biases the estimate.  Returns (A_hat, B_m_hat, C_hat).
     """
-    B_u_known = np.asarray(B_u_known, dtype=float)
-    E_known = np.asarray(E_known, dtype=float)
-    if B_u_known.shape[0] != ds.n_x or E_known.shape[0] != ds.n_x:
-        raise RankError("granted coupling matrices must have n_x rows")
     regressors = np.vstack([ds.X, ds.U])
     if numerical_rank(regressors, multiplier) < ds.n_x + ds.n_m:
         raise RankError("stacked [X; U] is row-rank deficient; identification is ill-posed")
@@ -50,20 +43,18 @@ def identify_least_squares(ds: NodeDataset, B_u_known: np.ndarray,
     return a_hat, b_m_hat, c_hat
 
 
-def build_identified_gains(datasets, granted_B_u, granted_E, graph: SensorGraph,
+def build_identified_gains(datasets, granted_B_p, graph: SensorGraph,
                            decay: float = DEFAULT_DECAY,
                            gamma_margin: float = DEFAULT_GAMMA_MARGIN,
                            gamma_override: float | None = None,
                            multiplier: float | None = None) -> DuioGains:
-    """Observer gains from identified (A, B_m, C) plus granted (B_u, E)."""
+    """Observer gains from identified (A, B_m, C) plus each node's granted B_p."""
     node_mats = []
-    for ds, b_u in zip(datasets, granted_B_u):
-        a_hat, b_m_hat, c_hat = identify_least_squares(ds, b_u, granted_E, multiplier)
-        b_p = np.hstack([np.asarray(b_u, dtype=float),
-                         np.asarray(granted_E, dtype=float)])
-        node_mats.append((a_hat, b_m_hat, b_p, c_hat))
+    for ds, b_p in zip(datasets, granted_B_p):
+        a_hat, b_m_hat, c_hat = identify_least_squares(ds, multiplier)
+        node_mats.append((a_hat, b_m_hat, np.asarray(b_p, dtype=float), c_hat))
     return assemble_from_node_matrices(node_mats, graph, decay, gamma_margin,
-                                       gamma_override, method="identified")
+                                       gamma_override, method="id")
 
 
 @dataclass(frozen=True)
@@ -106,34 +97,23 @@ def _derived_seed(*parts) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
-def _granted_couplings(model: PlantModel):
-    n_d = model.n_d
-    granted = [node.B_p[:, :node.r - n_d] for node in model.nodes]
-    return granted, model.E_dist
-
-
 def design_for_method(method: str, config, model: PlantModel, graph: SensorGraph,
                       datasets=None) -> DuioGains:
     """Dispatch one design method from a resolved configuration."""
     d = config.design
-    if method == "id" and d.grant_couplings != "plant":
-        raise DesignError("identification baseline needs the granted unknown-input "
-                          "couplings; set design.grant_couplings to 'plant'")
     kwargs = dict(decay=d.decay, gamma_margin=d.gamma_margin,
                   gamma_override=d.gamma_override)
     if method == "model":
         return build_model_based_gains(model, graph, **kwargs)
     if datasets is None:
         raise DesignError(f"method {method!r} needs offline datasets")
+    views = [ds.design_view() for ds in datasets]
     if method == "data":
-        views = [ds.design_view() for ds in datasets]
         reports, _ = analyze_datasets(views, rtol=d.residual_rtol,
                                       multiplier=d.rank_multiplier)
         return build_data_driven_gains(reports, graph, **kwargs)
     if method == "id":
-        granted_b_u, granted_e = _granted_couplings(model)
-        views = [ds.design_view() for ds in datasets]
-        return build_identified_gains(views, granted_b_u, granted_e, graph,
+        return build_identified_gains(views, [node.B_p for node in model.nodes], graph,
                                       multiplier=d.rank_multiplier, **kwargs)
     raise DesignError(f"unknown design method {method!r}")
 

@@ -33,7 +33,6 @@ _SIGNAL_KEYS = {
 # Signal parameters that must be finite numbers whenever they are given.
 _NUMERIC_PARAMS = ("amplitude", "frequency", "phase", "low", "high")
 DESIGN_METHODS = ("model", "data", "id")
-_GRANT_POLICIES = ("plant", "none")
 _Z0_POLICIES = ("zero", "matched")
 
 
@@ -74,13 +73,13 @@ def _is_int(value) -> bool:
 # any other value; NaN fails every comparison.
 _KINDS = {
     "a positive integer": lambda v: _is_int(v) and v > 0,
+    "an integer >= 0": lambda v: _is_int(v) and v >= 0,
     "a finite number": lambda v: _is_number(v) and -math.inf < v < math.inf,
     "a finite number > 0": lambda v: _is_number(v) and 0 < v < math.inf,
     "a finite number >= 0": lambda v: _is_number(v) and 0 <= v < math.inf,
     "null or a finite number > 0": lambda v: v is None or (_is_number(v) and 0 < v < math.inf),
     "true or false": lambda v: isinstance(v, bool),
     f"one of {list(_Z0_POLICIES)}": lambda v: v in _Z0_POLICIES,
-    f"one of {list(_GRANT_POLICIES)}": lambda v: v in _GRANT_POLICIES,
 }
 
 
@@ -118,6 +117,28 @@ class SignalSpec:
         return {"kind": self.kind, **self.params}
 
 
+def _check_range(value, where: str) -> None:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_KINDS["a finite number"], value)) and value[0] <= value[1]):
+        raise ConfigError(f"{where} must be two finite numbers lo <= hi, got {value!r}")
+
+
+def _check_autonomous(spec: dict, where: str) -> None:
+    """A square transition, with an initial state and a component that fit it."""
+    shape = np.atleast_2d(_matrix(spec["transition"], f"{where}.transition")).shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ConfigError(f"{where}.transition must be a square matrix, "
+                          f"got {spec['transition']!r}")
+    k, initial, component = shape[0], spec["initial"], spec.get("component", 0)
+    if isinstance(initial, dict):
+        _check_keys(initial, ("uniform",), (), f"{where}.initial")
+        _check_range(initial["uniform"], f"{where}.initial.uniform")
+    elif np.atleast_1d(_matrix(initial, f"{where}.initial")).shape != (k,):
+        raise ConfigError(f"{where}.initial must be {k} numbers, got {initial!r}")
+    if not (_is_int(component) and 0 <= component < k):
+        raise ConfigError(f"{where}.component must be an integer in [0, {k}), got {component!r}")
+
+
 def _parse_signal(spec: dict, where: str) -> SignalSpec:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: a signal needs a 'kind' field")
@@ -127,8 +148,8 @@ def _parse_signal(spec: dict, where: str) -> SignalSpec:
                           f"choose from {tuple(_SIGNAL_KEYS)}")
     required, optional = _SIGNAL_KEYS[kind]
     _check_keys(spec, ("kind", *required), optional, where)
-    if kind == "autonomous-linear" and isinstance(spec["initial"], dict):
-        _check_keys(spec["initial"], ("uniform",), (), f"{where}.initial")
+    if kind == "autonomous-linear":
+        _check_autonomous(spec, where)
     for key in _NUMERIC_PARAMS:
         if key in spec:
             _check(spec[key], "a finite number", f"{where}.{key}")
@@ -208,9 +229,14 @@ def _parse_plant(section: dict) -> PlantSection:
     for k, node in enumerate(section["nodes"]):
         _check_keys(node, ("C", "known_input_indices"), ("unknown_scales",),
                     f"plant.nodes[{k}]")
-        known = tuple(node["known_input_indices"])
+        known, n_u = node["known_input_indices"], b.shape[1]
+        if not (isinstance(known, (list, tuple))
+                and all(_is_int(j) and 0 <= j < n_u for j in known)
+                and len(set(known)) == len(known)):
+            raise ConfigError(f"plant.nodes[{k}].known_input_indices must be distinct "
+                              f"integers in [0, {n_u}), got {known!r}")
         scales = node.get("unknown_scales")
-        node_specs.append((_matrix(node["C"], f"plant.nodes[{k}].C"), known,
+        node_specs.append((_matrix(node["C"], f"plant.nodes[{k}].C"), tuple(known),
                            np.ones(b.shape[1] - len(known)) if scales is None
                            else np.asarray(scales, dtype=float)))
     inputs = tuple(_parse_signal(s, f"plant.inputs[{k}]")
@@ -290,10 +316,6 @@ class DesignSection:
     gamma_override: float | None = None
     rank_multiplier: float = DEFAULT_RANK_MULTIPLIER
     residual_rtol: float = DEFAULT_RESIDUAL_RTOL
-    # The identification baseline is granted the unknown-input coupling
-    # matrices; "plant" reads them from the plant section, "none" denies
-    # the grant (the baseline then refuses to run).
-    grant_couplings: str = "plant"
 
 
 @dataclass(frozen=True)
@@ -317,13 +339,12 @@ def _parse_simple(section: dict, cls, where: str):
     _require_keys(section, fields, where)
     kwargs = {}
     for key, value in section.items():
-        if key in ("methods", "x0", "x0_range"):
-            value = tuple(value) if value is not None else None
+        if key in ("methods", "x0", "x0_range") and not (key == "x0" and value is None):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{where}.{key} must be a list, got {value!r}")
+            value = tuple(value)
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return cls(**kwargs)
 
 
 # The kind of every section value that would otherwise fail, or be
@@ -336,8 +357,7 @@ _RULES = {
     "design": {"decay": "a finite number", "gamma_margin": "a finite number",
                "gamma_override": "null or a finite number > 0",
                "rank_multiplier": "a finite number > 0",
-               "residual_rtol": "a finite number > 0",
-               "grant_couplings": f"one of {list(_GRANT_POLICIES)}"},
+               "residual_rtol": "a finite number > 0"},
     "run": {"dt": "a finite number > 0", "z0": f"one of {list(_Z0_POLICIES)}",
             "disturbance": "true or false"},
     "compare": {"K": "a positive integer"},
@@ -356,6 +376,7 @@ def _validate(sections: dict) -> None:
     if not (_is_number(run.horizon) and run.dt <= run.horizon < math.inf):
         raise ConfigError(f"run.horizon must be a number of at least run.dt={run.dt!r}, "
                           f"got {run.horizon!r}")
+    _check_range(list(run.x0_range), "run.x0_range")
     if not compare.methods or any(m not in DESIGN_METHODS for m in compare.methods):
         raise ConfigError(f"compare.methods must be a non-empty list drawn from "
                           f"{list(DESIGN_METHODS)}, got {list(compare.methods)}")
@@ -400,11 +421,8 @@ class ExperimentConfig:
     def initial_observer_states(self, x0, model, gains) -> np.ndarray:
         if self.run.z0 == "zero":
             return np.zeros((model.M, model.n_x))
-        if self.run.z0 == "matched":
-            # z_i(0) = x0 - H_i y_i(0) makes the initial estimate exact.
-            return np.vstack([x0 - gains.H[i] @ (model.nodes[i].C @ x0)
-                              for i in range(model.M)])
-        raise ConfigError(f"unknown z0 policy {self.run.z0!r}")
+        # "matched": z_i(0) = x0 - H_i y_i(0) makes the initial estimate exact.
+        return np.vstack([x0 - gains.H[i] @ (model.nodes[i].C @ x0) for i in range(model.M)])
 
     def resolved_dict(self) -> dict:
         # Emitted in the explicit form (presets expanded) so the resolved
@@ -452,10 +470,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 for where, cls in (("data", DataSection), ("design", DesignSection),
                                    ("run", RunSection), ("compare", CompareSection))}
     _validate(sections)
+    x0, n_x = sections["run"].x0, plant.A.shape[0]
+    if x0 is not None and not (len(x0) == n_x and all(map(_KINDS["a finite number"], x0))):
+        raise ConfigError(f"run.x0 must be null or a list of {n_x} finite numbers, "
+                          f"got {list(x0)!r}")
+    _check(raw.get("seed", 0), "an integer >= 0", "seed")
     if graph.size != len(plant.node_specs):
         raise ConfigError(f"graph.size is {graph.size} but the plant has "
                           f"{len(plant.node_specs)} nodes; they must be equal")
-    return ExperimentConfig(seed=int(raw.get("seed", 0)), plant=plant, graph=graph,
+    return ExperimentConfig(seed=raw.get("seed", 0), plant=plant, graph=graph,
                             **sections)
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DesignError, NumericsError, SolvabilityError
-from .linalg import (coupling_matrix, numerical_rank, pbh_detectable, pinv,
-                     spectral_abscissa, symmetric_two_norm, block_diag)
+from .linalg import (numerical_rank, pbh_detectable, pinv, spectral_abscissa,
+                     symmetric_two_norm)
 from .network import SensorGraph, build_laplacian
 from .plant import PlantModel
 
@@ -32,7 +32,6 @@ class DuioGains:
     F: tuple[np.ndarray, ...]
     L: tuple[np.ndarray, ...]
     H: tuple[np.ndarray, ...]
-    K: tuple[np.ndarray, ...]
     gamma: float
     leader: int
     method: str = "model"
@@ -45,6 +44,19 @@ class DuioGains:
     def n_x(self) -> int:
         return self.E_obs[0].shape[0]
 
+    @property
+    def K(self) -> tuple[np.ndarray, ...]:
+        """Consensus gains, derived: zero for the leader, gamma I for every other node."""
+        eye = np.eye(self.n_x)
+        return tuple(np.zeros_like(eye) if i == self.leader else self.gamma * eye
+                     for i in range(self.M))
+
+    def consensus(self, laplacian: np.ndarray) -> np.ndarray:
+        """blockdiag(K_i)(L kron I) = gamma (P L kron I), P zeroing the leader's row."""
+        pl = self.gamma * laplacian
+        pl[self.leader] = 0.0
+        return np.kron(pl, np.eye(self.n_x))
+
     def to_json_dict(self) -> dict:
         return {
             "method": self.method,
@@ -52,19 +64,19 @@ class DuioGains:
             "leader": int(self.leader),
             "nodes": [
                 {"E": self.E_obs[i].tolist(), "F": self.F[i].tolist(),
-                 "L": self.L[i].tolist(), "H": self.H[i].tolist(),
-                 "K": self.K[i].tolist()}
+                 "L": self.L[i].tolist(), "H": self.H[i].tolist()}
                 for i in range(self.M)
             ],
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "DuioGains":
+        """Inverse of ``to_json_dict``; a ``K`` key of an older file is ignored."""
         nodes = d["nodes"]
         def grab(key):
             return tuple(np.asarray(n[key], dtype=float) for n in nodes)
         return DuioGains(E_obs=grab("E"), F=grab("F"), L=grab("L"),
-                         H=grab("H"), K=grab("K"), gamma=float(d["gamma"]),
+                         H=grab("H"), gamma=float(d["gamma"]),
                          leader=int(d["leader"]), method=d.get("method", "model"))
 
 
@@ -128,7 +140,7 @@ def gamma_lower_bound(follower_blocks, lambda_min_reduced: float) -> float:
     blocks = list(follower_blocks)
     if not blocks:
         return 0.0
-    e = block_diag(blocks)
+    e = scipy.linalg.block_diag(*blocks)
     return symmetric_two_norm(e + e.T) / (2.0 * lambda_min_reduced)
 
 
@@ -143,8 +155,6 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,
     injection; every other node gets the consensus coupling gain.
     """
     m_nodes = len(ts)
-    n_x = ts[0].shape[0]
-    eye = np.eye(n_x)
     if graph.M != m_nodes:
         raise DesignError(f"graph has {graph.M} nodes, design has {m_nodes}")
 
@@ -175,13 +185,11 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,
     else:
         bound = gamma_lower_bound(followers, bundle.lambda_min_reduced)
         gamma = (1.0 + gamma_margin) * bound if bound > 0 else max(gamma_margin, 1e-2)
-    k_blocks = [np.zeros((n_x, n_x)) if i == leader else gamma * eye
-                for i in range(m_nodes)]
 
     gains = DuioGains(E_obs=tuple(e_blocks), F=tuple(fs), L=tuple(l_blocks),
-                      H=tuple(hs), K=tuple(k_blocks), gamma=gamma,
-                      leader=leader, method=method)
-    absc = spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, bundle.laplacian))
+                      H=tuple(hs), gamma=gamma, leader=leader, method=method)
+    coupled = scipy.linalg.block_diag(*e_blocks) - gains.consensus(bundle.laplacian)
+    absc = spectral_abscissa(coupled)
     if absc >= HURWITZ_TOL:
         raise NumericsError(
             f"coupled error dynamics not Hurwitz (abscissa {absc:.3e}); "

@@ -6,7 +6,6 @@ helpers below so that a single SVD threshold policy applies everywhere.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 # Multiplier on the machine-precision rank threshold; exact-rank statements
 # in the underlying theory need an explicit floating-point policy.
@@ -83,17 +82,3 @@ def pbh_detectable(a: np.ndarray, c: np.ndarray, tol: float = 1e-8,
             if numerical_rank(pencil, multiplier) < n:
                 return False
     return True
-
-
-def block_diag(blocks) -> np.ndarray:
-    blocks = list(blocks)
-    if not blocks:
-        return np.zeros((0, 0))
-    return scipy.linalg.block_diag(*blocks)
-
-
-def coupling_matrix(e_blocks, k_blocks, laplacian: np.ndarray) -> np.ndarray:
-    """Assemble blockdiag(E_i) - blockdiag(K_i) (L kron I)."""
-    e_blocks = list(e_blocks)
-    n = e_blocks[0].shape[0]
-    return block_diag(e_blocks) - block_diag(k_blocks) @ np.kron(laplacian, np.eye(n))

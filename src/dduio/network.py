@@ -67,10 +67,10 @@ def build_laplacian(g: SensorGraph, drop: int = 0) -> LaplacianBundle:
 
 
 def ring(m: int, weight: float = 1.0) -> SensorGraph:
+    if m <= 2:
+        # the wrap-around edge would be a self-loop or a repeat of the one edge
+        return path(m, weight)
     a = np.zeros((m, m))
-    if m == 2:
-        a[0, 1] = a[1, 0] = weight
-        return SensorGraph(a)
     for i in range(m):
         j = (i + 1) % m
         a[i, j] = a[j, i] = weight
@@ -106,8 +106,6 @@ def from_edges(m: int, edges) -> SensorGraph:
         else:
             i, j, w = edge
         i, j = int(i), int(j)
-        if i == j:
-            raise GraphError(f"self-loop on node {i}")
         a[i, j] = a[j, i] = float(w)
     return SensorGraph(a)
 

@@ -10,12 +10,13 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from ._csvio import write_json
 from .design_model import DuioGains
 from .errors import DimensionError
 from .integrate import DRIVE_ROWS, rk4_linear
-from .linalg import block_diag, coupling_matrix, spectral_abscissa
+from .linalg import spectral_abscissa
 from .network import SensorGraph, build_laplacian
 from .plant import PlantModel
 
@@ -55,10 +56,12 @@ def _check_dimensions(model: PlantModel, graph: SensorGraph, gains: DuioGains) -
     if not (model.M == graph.M == gains.M):
         raise DimensionError(
             f"node counts differ: model {model.M}, graph {graph.M}, gains {gains.M}")
+    if not 0 <= gains.leader < gains.M:
+        raise DimensionError(f"leader {gains.leader} is not a node index below {gains.M}")
     n = model.n_x
     for i, node in enumerate(model.nodes):
-        if gains.E_obs[i].shape != (n, n) or gains.K[i].shape != (n, n):
-            raise DimensionError(f"node {i}: E/K must be {n}x{n}")
+        if gains.E_obs[i].shape != (n, n):
+            raise DimensionError(f"node {i}: E must be {n}x{n}")
         if gains.H[i].shape != (n, node.n_y) or gains.L[i].shape != (n, node.n_y):
             raise DimensionError(f"node {i}: H/L must be {n}x{node.n_y}")
         if gains.F[i].shape != (n, node.n_m):
@@ -70,11 +73,10 @@ def _closed_loop(model: PlantModel, graph: SensorGraph, gains: DuioGains):
     n, m_nodes = model.n_x, model.M
     lap = build_laplacian(graph).laplacian
     c_stack = np.vstack([node.C for node in model.nodes])
-    e_blk = block_diag(gains.E_obs)
-    l_blk = block_diag(gains.L)
-    h_blk = block_diag(gains.H)
-    k_blk = block_diag(gains.K)
-    consensus = -k_blk @ np.kron(lap, np.eye(n))
+    e_blk = block_diag(*gains.E_obs)
+    l_blk = block_diag(*gains.L)
+    h_blk = block_diag(*gains.H)
+    consensus = -gains.consensus(lap)
 
     dim = n * (1 + m_nodes)
     a_cl = np.zeros((dim, dim))
@@ -91,7 +93,7 @@ def _closed_loop(model: PlantModel, graph: SensorGraph, gains: DuioGains):
     g_cl = np.zeros((dim, model.n_u + model.n_d))
     g_cl[:n, :model.n_u] = model.B
     g_cl[:n, model.n_u:] = model.E_dist
-    g_cl[n:, :model.n_u] = block_diag(gains.F) @ select
+    g_cl[n:, :model.n_u] = block_diag(*gains.F) @ select
     return a_cl, g_cl
 
 
@@ -164,7 +166,7 @@ def _estimates(xi: np.ndarray, model: PlantModel, gains: DuioGains):
 
 def error_dynamics_matrix(gains: DuioGains, graph: SensorGraph) -> tuple[np.ndarray, float]:
     """The closed error matrix blockdiag(E_i) - blockdiag(K_i)(L kron I)."""
-    m = coupling_matrix(gains.E_obs, gains.K, build_laplacian(graph).laplacian)
+    m = block_diag(*gains.E_obs) - gains.consensus(build_laplacian(graph).laplacian)
     return m, spectral_abscissa(m)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dduio.config import parse_config
 from dduio.datagen import NodeDataset, collect
@@ -76,6 +77,14 @@ def simulate_error_dynamics(gains, graph, e0, horizon: float, dt: float):
     e = rk4_linear(m, np.zeros((m.shape[0], 0)), [], np.asarray(e0, dtype=float),
                    n_steps, dt)
     return np.arange(n_steps + 1) * dt, e
+
+
+def coupling_matrix(e_blocks, k_blocks, laplacian: np.ndarray) -> np.ndarray:
+    """Dense oracle of the coupled error matrix blockdiag(E_i) - blockdiag(K_i)(L kron I)."""
+    e_blocks = list(e_blocks)
+    n = e_blocks[0].shape[0]
+    return (scipy.linalg.block_diag(*e_blocks)
+            - scipy.linalg.block_diag(*k_blocks) @ np.kron(laplacian, np.eye(n)))
 
 
 def pointwise_dataset(A, B_m, B_p, C, N, seed, node_index=0) -> NodeDataset:

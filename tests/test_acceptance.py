@@ -17,13 +17,13 @@ from dduio.config import parse_config
 from dduio.datagen import check_compatibility
 from dduio.design_data import analyze_node, check_data_solvability
 from dduio.design_model import check_detectability, gamma_lower_bound, rank_condition
-from dduio.linalg import coupling_matrix, spectral_abscissa
+from dduio.linalg import spectral_abscissa
 from dduio.network import build_laplacian
 from dduio.observer_sim import run, verify_decoupling
 from dduio.plant import simulate
 from dduio.signals import Zero
 
-from conftest import (BENCH, BENCH_GAMMA, bench_signals, online_sample,
+from conftest import (BENCH, BENCH_GAMMA, bench_signals, coupling_matrix, online_sample,
                       pointwise_dataset, random_connected_graph,
                       random_node_system, single_node_model)
 

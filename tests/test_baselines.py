@@ -11,18 +11,16 @@ from dduio.config import parse_config
 from dduio.errors import DesignError, EmptyRunError, RankError
 from dduio.linalg import spectral_abscissa
 from dduio.network import build_laplacian
-from dduio.linalg import coupling_matrix
 from dduio.observer_sim import RunResult
 
-from conftest import BENCH_GAMMA, bench_signals, pointwise_dataset
+from conftest import BENCH_GAMMA, bench_signals, coupling_matrix, pointwise_dataset
 
 
 def test_identification_exact_without_unknown_inputs():
     a = np.array([[0.0, 1.0], [-3.0, -0.5]])
     b_m = np.array([[0.2], [1.0]])
     ds = pointwise_dataset(a, b_m, np.zeros((2, 0)), np.eye(2), N=25, seed=1)
-    a_hat, b_hat, c_hat = identify_least_squares(ds, np.zeros((2, 0)),
-                                                 np.zeros((2, 0)))
+    a_hat, b_hat, c_hat = identify_least_squares(ds)
     assert np.linalg.norm(a_hat - a) < 1e-9
     assert np.linalg.norm(b_hat - b_m) < 1e-9
     assert np.linalg.norm(c_hat - np.eye(2)) < 1e-9
@@ -30,8 +28,7 @@ def test_identification_exact_without_unknown_inputs():
 
 def test_identification_biased_by_active_unknown_inputs(bench_model, bench_datasets):
     node = bench_model.nodes[0]
-    a_hat, _, c_hat = identify_least_squares(
-        bench_datasets[0], node.B_p[:, :1], bench_model.E_dist)
+    a_hat, _, c_hat = identify_least_squares(bench_datasets[0])
     assert np.linalg.norm(a_hat - bench_model.A) > 0.1
     # the bias lies in the span of the unknown-input columns
     resid = a_hat - bench_model.A
@@ -52,8 +49,7 @@ def test_identification_matches_normal_equations_oracle():
     ds = dataclasses.replace(pointwise_dataset(a, b_m, np.zeros((n_x, 0)),
                                                np.eye(n_x), n_samples, seed=5),
                              X=x, U=u, Xdot=xdot, Y=x, Ydot=xdot)
-    a_hat, b_hat, _ = identify_least_squares(ds, np.zeros((n_x, 0)),
-                                             np.zeros((n_x, 0)))
+    a_hat, b_hat, _ = identify_least_squares(ds)
     big = np.vstack([x, u])
     theta = xdot @ big.T @ np.linalg.inv(big @ big.T)
     assert np.allclose(np.hstack([a_hat, b_hat]), theta, atol=1e-10)
@@ -64,15 +60,14 @@ def test_identification_rank_error():
                            np.eye(2), N=10, seed=6)
     broken = dataclasses.replace(ds, U=ds.X[:1, :].copy())
     with pytest.raises(RankError):
-        identify_least_squares(broken, np.zeros((2, 0)), np.zeros((2, 0)))
+        identify_least_squares(broken)
 
 
 def test_identified_gains_are_stable_on_benchmark(bench_model, bench_graph,
                                                   bench_datasets):
-    granted = [node.B_p[:, :node.r - bench_model.n_d] for node in bench_model.nodes]
-    gains = build_identified_gains(bench_datasets, granted, bench_model.E_dist,
+    gains = build_identified_gains(bench_datasets, [node.B_p for node in bench_model.nodes],
                                    bench_graph, gamma_override=BENCH_GAMMA)
-    assert gains.method == "identified"
+    assert gains.method == "id"
     lap = build_laplacian(bench_graph).laplacian
     assert spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, lap)) < 0
 
@@ -139,14 +134,6 @@ def test_monte_carlo_aggregation_identity(small_compare_config):
         assert s.mse == pytest.approx(s.per_experiment_mse.mean(), rel=1e-15)
         assert s.mae == pytest.approx(s.per_experiment_mae.mean(), rel=1e-15)
         assert s.experiments == 3
-
-
-def test_compare_refuses_id_without_granted_couplings():
-    cfg = parse_config({"run": {"horizon": 0.1, "dt": 1e-2},
-                        "compare": {"K": 1, "methods": ["id"]},
-                        "design": {"grant_couplings": "none"}})
-    with pytest.raises(DesignError, match="grant_couplings"):
-        monte_carlo_compare(cfg)
 
 
 def test_data_design_without_a_detectable_node_fails(monkeypatch, bench_graph,

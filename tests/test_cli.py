@@ -116,18 +116,21 @@ def test_design_gamma_override(tmp_path, fast_config_path, collected):
     assert json.loads(out.read_text())["gains"]["gamma"] == 5.0
 
 
-def test_design_without_data_or_grant(tmp_path, fast_config_path, collected):
+def test_design_without_data(tmp_path, fast_config_path):
     assert main(["design", "--config", fast_config_path, "--method", "data",
                  "--out", str(tmp_path / "g.json")]) == 5
-    cfg = dict(FAST_CONFIG)
-    cfg["design"] = {"grant_couplings": "none"}
-    path = tmp_path / "nogrant.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    assert main(["design", "--config", str(path), "--method", "id",
-                 "--data", collected, "--out", str(tmp_path / "g2.json")]) == 5
-    assert not (tmp_path / "g2.json").exists()
-    assert main(["compare", "--config", str(path), "--k", "1",
-                 "--out", str(tmp_path / "cmp")]) == 5
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_id_method_is_named_id_in_gains_and_summary(tmp_path, fast_config_path, collected):
+    gains = tmp_path / "id.json"
+    assert main(["design", "--config", fast_config_path, "--method", "id",
+                 "--data", collected, "--out", str(gains)]) == 0
+    assert json.loads(gains.read_text())["gains"]["method"] == "id"
+    out = tmp_path / "r"
+    assert main(["run", "--config", fast_config_path, "--gains", str(gains),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["method"] == "id"
 
 
 def test_design_deterministic(tmp_path, fast_config_path, collected):
@@ -175,6 +178,22 @@ def test_run_output_directory_holds_exactly_the_run_files(tmp_path, fast_config_
     assert main(["run", "--config", fast_config_path, "--gains", gains_path,
                  "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == sorted(RUN_FILES)
+
+
+def test_gains_file_has_no_k_and_ignores_an_old_one(tmp_path, fast_config_path, gains_path):
+    # K follows from gamma and leader, so a K key of an older file is ignored
+    payload = json.load(open(gains_path))
+    assert sorted(payload["gains"]) == ["gamma", "leader", "method", "nodes"]
+    assert all(sorted(node) == ["E", "F", "H", "L"] for node in payload["gains"]["nodes"])
+    rng = np.random.default_rng(3)
+    for node in payload["gains"]["nodes"]:
+        node["K"] = rng.normal(size=(4, 4)).tolist()
+    with_k = tmp_path / "with_k.json"
+    with_k.write_text(json.dumps(payload))
+    for gains, out in ((gains_path, "plain"), (with_k, "with_k")):
+        assert main(["run", "--config", fast_config_path, "--gains", str(gains),
+                     "--out", str(tmp_path / out)]) == 0
+    assert _tree_bytes(tmp_path / "plain") == _tree_bytes(tmp_path / "with_k")
 
 
 def test_run_dimension_mismatch(tmp_path, fast_config_path, gains_path):

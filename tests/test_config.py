@@ -185,6 +185,23 @@ def _preset_signal(section="disturbances", index=0, **params):
                  r"plant\.disturbances\[0\]\.hold must be null", id="hold-zero"),
     pytest.param(_preset_signal(hold="0.1"),
                  r"plant\.disturbances\[0\]\.hold must be null", id="hold-text"),
+    pytest.param(_preset_signal("inputs", 0, transition=[[1, 2]]),
+                 r"plant\.inputs\[0\]\.transition must be a square matrix",
+                 id="transition-not-square"),
+    pytest.param(_preset_signal("inputs", 0, transition=[[1, 2], [3]]),
+                 r"plant\.inputs\[0\]\.transition: not a numeric matrix",
+                 id="transition-ragged"),
+    pytest.param(_preset_signal("inputs", 0, initial=[1.0, 2.0]),
+                 r"plant\.inputs\[0\]\.initial must be 1 numbers", id="initial-length"),
+    pytest.param(_preset_signal("inputs", 0, initial={"uniform": [1.0]}),
+                 r"plant\.inputs\[0\]\.initial\.uniform must be two finite numbers",
+                 id="uniform-short"),
+    pytest.param(_preset_signal("inputs", 0, initial={"uniform": [1.0, 0.0]}),
+                 r"plant\.inputs\[0\]\.initial\.uniform must be two finite numbers lo <= hi",
+                 id="uniform-reversed"),
+    pytest.param(_preset_signal("inputs", 0, component=1),
+                 r"plant\.inputs\[0\]\.component must be an integer in \[0, 1\)",
+                 id="component-out-of-range"),
 ])
 def test_bad_signal_values_rejected_at_parse_time(raw, message):
     with pytest.raises(ConfigError, match=message):
@@ -204,6 +221,9 @@ def test_graph_size_must_match_the_plant():
         parse_config({"graph": {"size": 4, "edges": [[0, 1], [1, 2], [2, 3]]}})
     assert parse_config({**_one_node_plant(), "graph": {"size": 1, "edges": []}}) \
         .build_graph().M == 1
+    # the default ring generator on one node: no self-loop
+    assert np.array_equal(parse_config({**_one_node_plant(), "graph": {"size": 1}})
+                          .build_graph().adjacency, np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -251,6 +271,38 @@ def test_graph_size_must_match_the_plant():
                  r"graph\.edges\[0\] must be \[i, j\]", id="edge-too-short"),
     pytest.param({"graph": {"size": 5, "edges": [[0, 1, 0.0]]}},
                  r"graph\.edges\[0\] weight must be", id="edge-weight-zero"),
+    pytest.param({"compare": {"methods": 5}}, r"compare\.methods must be a list",
+                 id="methods-number"),
+    pytest.param({"compare": {"methods": None}}, r"compare\.methods must be a list",
+                 id="methods-null"),
+    pytest.param({"run": {"x0": 5}}, r"run\.x0 must be a list", id="x0-number"),
+    pytest.param({"run": {"x0": [1, 2]}},
+                 r"run\.x0 must be null or a list of 4 finite numbers", id="x0-short"),
+    pytest.param({"run": {"x0": [0, 0, 0, float("nan")]}},
+                 r"run\.x0 must be null or a list of 4 finite numbers", id="x0-nan"),
+    pytest.param({"run": {"x0_range": [1]}},
+                 r"run\.x0_range must be two finite numbers", id="x0-range-short"),
+    pytest.param({"run": {"x0_range": [1, -1]}},
+                 r"run\.x0_range must be two finite numbers lo <= hi", id="x0-range-reversed"),
+    pytest.param({"run": {"x0_range": [0, "1"]}},
+                 r"run\.x0_range must be two finite numbers", id="x0-range-text"),
+    pytest.param({"run": {"x0_range": None}}, r"run\.x0_range must be a list",
+                 id="x0-range-null"),
+    pytest.param({"seed": "abc"}, r"seed must be an integer >= 0", id="seed-text"),
+    pytest.param({"seed": 1.5}, r"seed must be an integer >= 0", id="seed-float"),
+    pytest.param({"seed": -1}, r"seed must be an integer >= 0", id="seed-negative"),
+    pytest.param(_one_node_plant(node={"C": [[1.0]], "known_input_indices": [0, 0]}),
+                 r"plant\.nodes\[0\]\.known_input_indices must be distinct integers "
+                 r"in \[0, 1\)", id="known-repeated"),
+    pytest.param(_one_node_plant(node={"C": [[1.0]], "known_input_indices": [3]}),
+                 r"plant\.nodes\[0\]\.known_input_indices must be distinct integers",
+                 id="known-out-of-range"),
+    pytest.param(_one_node_plant(node={"C": [[1.0]], "known_input_indices": [True]}),
+                 r"plant\.nodes\[0\]\.known_input_indices must be distinct integers",
+                 id="known-bool"),
+    pytest.param(_one_node_plant(node={"C": [[1.0]], "known_input_indices": 0}),
+                 r"plant\.nodes\[0\]\.known_input_indices must be distinct integers",
+                 id="known-not-a-list"),
 ])
 def test_bad_section_values_rejected_at_parse_time(raw, message):
     with pytest.raises(ConfigError, match=message):
@@ -259,13 +311,16 @@ def test_bad_section_values_rejected_at_parse_time(raw, message):
 
 def test_boundary_section_values_accepted():
     cfg = parse_config({
+        "seed": 0,
         "data": {"N": 40, "restarts": 40, "jitter": True, "u_amplitude": 0,
                  "d_amplitude": 0.0, "noise_amplitude": 0.0},
         "design": {"decay": 0.0, "gamma_margin": 0.0, "gamma_override": 2.5},
-        "run": {"disturbance": False},
+        "run": {"disturbance": False, "x0": [0, 0.5, -1, 2], "x0_range": [0.5, 0.5]},
         "graph": {"size": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0, 2.5]]}})
     assert cfg.data.restarts == 40 and cfg.design.gamma_override == 2.5
     assert cfg.build_graph().adjacency[4, 0] == 2.5
+    assert cfg.draw_x0(1).tolist() == [0, 0.5, -1, 2]
+    assert parse_config({"run": {"x0_range": [0.5, 0.5]}}).draw_x0(1).tolist() == [0.5] * 4
 
 
 @pytest.mark.parametrize("command, raw, message", [
@@ -277,6 +332,28 @@ def test_boundary_section_values_accepted():
                  "error: data.substeps must be a positive integer", id="substeps"),
     pytest.param("collect", {"graph": {"size": 5, "edges": [[0, 7]]}},
                  "error: graph.edges[0] needs two distinct node indices", id="graph-edge"),
+    pytest.param("compare", {"compare": {"methods": 5}},
+                 "error: compare.methods must be a list", id="methods"),
+    pytest.param("compare", {"run": {"x0": 5}}, "error: run.x0 must be a list", id="x0-number"),
+    pytest.param("compare", {"run": {"x0": [1, 2]}},
+                 "error: run.x0 must be null or a list of 4 finite numbers", id="x0-short"),
+    pytest.param("compare", {"run": {"x0_range": [1]}},
+                 "error: run.x0_range must be two finite numbers", id="x0-range"),
+    pytest.param("collect", {"seed": "abc"}, "error: seed must be an integer >= 0",
+                 id="seed"),
+    pytest.param("collect", {**_one_node_plant(node={"C": [[1.0]],
+                                                     "known_input_indices": [0, 0]}),
+                             "graph": {"size": 1}},
+                 "error: plant.nodes[0].known_input_indices must be distinct", id="known-repeated"),
+    pytest.param("collect", {**_one_node_plant(node={"C": [[1.0]], "known_input_indices": [3]}),
+                             "graph": {"size": 1}},
+                 "error: plant.nodes[0].known_input_indices must be distinct",
+                 id="known-out-of-range"),
+    pytest.param("compare", {**_one_node_plant(inputs=[{"kind": "autonomous-linear",
+                                                        "transition": [[1, 2]],
+                                                        "initial": [1.0]}]),
+                             "graph": {"size": 1}},
+                 "error: plant.inputs[0].transition must be a square matrix", id="transition"),
 ])
 def test_cli_rejects_bad_values_before_any_work(tmp_path, capsys, command, raw, message):
     path = tmp_path / "cfg.yaml"
@@ -330,10 +407,11 @@ def test_unknown_compare_method_rejected():
         parse_config({"compare": {"methods": ["bogus"]}})
 
 
-def test_unknown_grant_policy_rejected():
-    with pytest.raises(ConfigError, match="grant_couplings"):
-        parse_config({"design": {"grant_couplings": "maybe"}})
-    assert parse_config({"design": {"grant_couplings": "none"}}).design.grant_couplings == "none"
+def test_retired_grant_couplings_key_rejected():
+    # the id baseline always reads each node's B_p; the old knob is an unknown key
+    for value in ("plant", "none"):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['grant_couplings'\] in design"):
+            parse_config({"design": {"grant_couplings": value}})
 
 
 def test_unknown_z0_policy_rejected():

@@ -14,9 +14,8 @@ from dduio.design_model import check_detectability, decoupling_gain, rank_condit
 from dduio.errors import ConsistencyError, DesignError, RankError
 from dduio.linalg import numerical_rank, pbh_detectable, pinv, spectral_abscissa
 from dduio.network import build_laplacian
-from dduio.linalg import coupling_matrix
 
-from conftest import (BENCH_GAMMA, bench_signals, pointwise_dataset,
+from conftest import (BENCH_GAMMA, bench_signals, coupling_matrix, pointwise_dataset,
                       single_node_model)
 
 

@@ -8,12 +8,12 @@ from dduio.design_model import (build_model_based_gains, check_detectability,
                                 decoupling_gain, gamma_lower_bound, rank_condition,
                                 stabilizing_output_injection)
 from dduio.errors import DesignError, SolvabilityError
-from dduio.linalg import coupling_matrix, numerical_rank, spectral_abscissa
+from dduio.linalg import numerical_rank, spectral_abscissa
 from dduio.network import SensorGraph, build_laplacian, complete, ring
 from dduio.observer_sim import verify_decoupling
 from dduio.plant import PlantModel
 
-from conftest import BENCH, random_connected_graph, single_node_model
+from conftest import BENCH, coupling_matrix, random_connected_graph, single_node_model
 
 
 def test_solvability_full_state_output(bench_model):

@@ -9,6 +9,12 @@ from dduio.network import (LaplacianBundle, SensorGraph, build_laplacian, comple
 from conftest import random_connected_graph
 
 
+def test_ring_of_one_or_two_nodes_is_a_path():
+    assert ring(1).adjacency.tobytes() == np.zeros((1, 1)).tobytes()
+    assert np.array_equal(ring(2, 2.5).adjacency, [[0.0, 2.5], [2.5, 0.0]])
+    assert np.array_equal(ring(3).adjacency, complete(3).adjacency)
+
+
 def test_two_node_complete_graph():
     bundle = build_laplacian(complete(2))
     assert np.array_equal(bundle.laplacian, [[1.0, -1.0], [-1.0, 1.0]])

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from dduio.config import parse_config
-from dduio.design_model import build_model_based_gains
+from dduio.design_model import DuioGains, build_model_based_gains
 from dduio.errors import DimensionError, DivergenceError
 from dduio.integrate import DRIVE_ROWS, rk4_linear
 from dduio.linalg import spectral_abscissa
-from dduio.network import SensorGraph, complete
+from dduio.network import SensorGraph, build_laplacian, complete
 from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run, run,
                                 verify_decoupling)
+from dduio.plant import PlantModel
 from dduio.signals import Sinusoid, Zero
 
-from conftest import bench_signals, simulate_error_dynamics, single_node_model
+from conftest import (bench_signals, coupling_matrix, random_connected_graph,
+                      simulate_error_dynamics, single_node_model)
 
 
 def matched_z0(model, gains, x0):
@@ -26,8 +28,7 @@ def matched_z0(model, gains, x0):
 def test_zero_initial_error_is_invariant(bench_model, bench_graph, model_gains):
     # with exact decoupling the zero-error manifold is invariant even
     # under active unknown inputs and disturbances
-    gains = dataclasses.replace(
-        model_gains, K=tuple(np.zeros((4, 4)) for _ in range(5)))
+    gains = dataclasses.replace(model_gains, gamma=0.0)
     x0 = np.array([0.4, -0.7, 0.2, 0.9])
     inputs, dist = bench_signals(5, 6, 1e-3)
     res = run(bench_model, bench_graph, gains, x0, inputs, dist,
@@ -82,8 +83,7 @@ def test_error_matrix_shapes_and_cases(bench_graph, model_gains):
     m, absc = error_dynamics_matrix(model_gains, bench_graph)
     assert m.shape == (20, 20)
     assert absc < 0
-    decoupled = dataclasses.replace(
-        model_gains, K=tuple(np.zeros((4, 4)) for _ in range(5)))
+    decoupled = dataclasses.replace(model_gains, gamma=0.0)
     m0, _ = error_dynamics_matrix(decoupled, bench_graph)
     import scipy.linalg as sla
     assert np.allclose(m0, sla.block_diag(*model_gains.E_obs))
@@ -94,6 +94,31 @@ def test_error_matrix_shapes_and_cases(bench_graph, model_gains):
     m1, a1 = error_dynamics_matrix(g1, SensorGraph(np.zeros((1, 1))))
     assert np.allclose(m1, g1.E_obs[0])
     assert a1 == pytest.approx(spectral_abscissa(g1.E_obs[0]))
+
+
+def test_closed_loop_observer_block_is_the_error_matrix(bench_model, bench_graph,
+                                                        model_gains, data_gains):
+    # A_cl's observer-state block, the error matrix and the dense K-block
+    # oracle agree bit for bit, for any leader
+    cases = [(bench_model, bench_graph, model_gains), (bench_model, bench_graph, data_gains)]
+    rng = np.random.default_rng(29)
+    for leader in (0, 2, 4):
+        m, n = 5, int(rng.integers(1, 4))
+        model = PlantModel.assemble(rng.normal(size=(n, n)), rng.normal(size=(n, 1)),
+                                    np.zeros((n, 0)),
+                                    [(rng.normal(size=(n, n)), (0,), ()) for _ in range(m)])
+        blocks = [tuple(rng.normal(size=(n, cols)) for _ in range(m)) for cols in (n, 1, n, n)]
+        gains = DuioGains(*blocks, gamma=float(rng.uniform(0.5, 5.0)), leader=leader)
+        cases.append((model, random_connected_graph(rng, m), gains))
+    for model, graph, gains in cases:
+        n = model.n_x
+        k_blocks = [np.zeros((n, n)) if i == gains.leader else gains.gamma * np.eye(n)
+                    for i in range(gains.M)]
+        assert all(k.tobytes() == want.tobytes() for k, want in zip(gains.K, k_blocks))
+        a_cl, _ = _closed_loop(model, graph, gains)
+        err, _ = error_dynamics_matrix(gains, graph)
+        oracle = coupling_matrix(gains.E_obs, k_blocks, build_laplacian(graph).laplacian)
+        assert a_cl[n:, n:].tobytes() == err.tobytes() == oracle.tobytes()
 
 
 def test_decoupling_report(bench_model, model_gains, data_gains):
@@ -161,12 +186,16 @@ def test_divergence_and_dimension_errors(bench_model, bench_graph, model_gains):
     with pytest.raises(DimensionError):
         run(bench_model, bench_graph, dataclasses.replace(model_gains, H=bad_h),
             np.zeros(4), inputs, dist, horizon=1.0, dt=1e-3)
+    for leader in (-1, 5):
+        with pytest.raises(DimensionError, match="leader"):
+            run(bench_model, bench_graph, dataclasses.replace(model_gains, leader=leader),
+                np.zeros(4), inputs, dist, horizon=1.0, dt=1e-3)
     with pytest.raises(DimensionError):
         run(bench_model, complete(4), model_gains, np.zeros(4), inputs, dist,
             horizon=1.0, dt=1e-3)
     unstable = dataclasses.replace(
         model_gains, E_obs=tuple(e + 10.0 * np.eye(4) for e in model_gains.E_obs),
-        K=tuple(np.zeros((4, 4)) for _ in range(5)))
+        gamma=0.0)
     with pytest.raises(DivergenceError):
         run(bench_model, bench_graph, unstable, np.ones(4), inputs, dist,
             horizon=10.0, dt=1e-2)
