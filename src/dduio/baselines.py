@@ -66,6 +66,11 @@ class MethodMetrics:
     mse_per_node: np.ndarray
     mae_per_node: np.ndarray
 
+    def to_json_dict(self) -> dict:
+        return {"mse": self.mse, "mae": self.mae,
+                "mse_per_node": self.mse_per_node.tolist(),
+                "mae_per_node": self.mae_per_node.tolist()}
+
 
 def compute_mse_mae(result: RunResult) -> MethodMetrics:
     """Per-node (1/T) integrals of the squared and absolute error norms."""
@@ -130,8 +135,8 @@ def collect_all_nodes(config, model: PlantModel, seed: int):
             for i in range(model.M)]
 
 
-def monte_carlo_compare(config, K: int | None = None, master_seed: int | None = None,
-                        methods=None, artifacts_dir: str | None = None) -> list[MetricSummary]:
+def monte_carlo_compare(config, K: int, master_seed: int,
+                        artifacts_dir: str | None = None) -> list[MetricSummary]:
     """Seeded repeated comparison of the design methods on one plant.
 
     Every experiment draws a fresh initial state, fresh online signal
@@ -141,12 +146,7 @@ def monte_carlo_compare(config, K: int | None = None, master_seed: int | None = 
     When ``artifacts_dir`` is given, per-experiment metrics are written
     under it as k_###/metrics.json.
     """
-    if K is None:
-        K = config.compare.K
-    if master_seed is None:
-        master_seed = config.seed
-    if methods is None:
-        methods = config.compare.methods
+    methods = config.compare.methods
     model = config.build_model()
     graph = config.build_graph()
 
@@ -173,11 +173,7 @@ def monte_carlo_compare(config, K: int | None = None, master_seed: int | None = 
                          horizon=config.run.horizon, dt=config.run.dt, z0=z0)
             metrics = compute_mse_mae(result)
             per_method[method].append(metrics)
-            experiment_record["methods"][method] = {
-                "mse": metrics.mse, "mae": metrics.mae,
-                "mse_per_node": metrics.mse_per_node.tolist(),
-                "mae_per_node": metrics.mae_per_node.tolist(),
-            }
+            experiment_record["methods"][method] = metrics.to_json_dict()
         if artifacts_dir is not None:
             exp_dir = os.path.join(artifacts_dir, f"k_{k:03d}")
             os.makedirs(exp_dir, exist_ok=True)

@@ -22,8 +22,8 @@ from .config import (DESIGN_METHODS, ExperimentConfig, load_config, parse_config
 from .datagen import check_excitation_rank, load_dataset, save_dataset
 from .design_data import analyze_datasets, rank_spectra
 from .design_model import DuioGains
-from .errors import (ConfigError, ConsistencyError, DesignError, DimensionError,
-                     DuioError, ExcitationError, NumericsError, SolvabilityError)
+from .errors import (ConsistencyError, DesignError, DimensionError, DuioError,
+                     ExcitationError, NumericsError, SolvabilityError)
 from .observer_sim import error_dynamics_matrix, export_run, run, verify_decoupling
 
 
@@ -97,8 +97,7 @@ def cmd_design(args) -> int:
     if args.gamma is not None:
         cfg = dataclasses.replace(
             cfg, design=dataclasses.replace(cfg.design, gamma_override=args.gamma))
-    graph = cfg.build_graph()
-    model = cfg.build_model() if args.method in ("model", "id") else None
+    model, graph = cfg.build_model(), cfg.build_graph()
     datasets = None
     if args.method in ("data", "id"):
         if not args.data:
@@ -113,7 +112,7 @@ def cmd_design(args) -> int:
     _, abscissa = error_dynamics_matrix(gains, graph)
     verification = {"spectral_abscissa": abscissa, "gamma": gains.gamma,
                     "leader": gains.leader}
-    if args.method in ("model", "id") and model is not None:
+    if args.method in ("model", "id"):
         verification["decoupling"] = verify_decoupling(model, gains).to_json_dict()
     payload = {"gains": gains.to_json_dict(), "verification": verification,
                "resolved_config": cfg.resolved_dict()}
@@ -139,10 +138,7 @@ def cmd_run(args) -> int:
     metrics = compute_mse_mae(result)
     os.makedirs(args.out, exist_ok=True)
     export_run(result, args.out, extra_summary={
-        "mse": metrics.mse, "mae": metrics.mae,
-        "mse_per_node": metrics.mse_per_node.tolist(),
-        "mae_per_node": metrics.mae_per_node.tolist(),
-        "seed": seed, "method": gains.method})
+        **metrics.to_json_dict(), "seed": seed, "method": gains.method})
     write_resolved(cfg, os.path.join(args.out, "config.resolved.yaml"))
     print(f"final error norms: "
           + " ".join(f"{v:.3e}" for v in result.final_error_norms)
@@ -208,28 +204,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error family; the first matching entry wins.
+EXIT_CODES = (
+    (ExcitationError, 2),
+    (ConsistencyError, 3),
+    (OSError, 4),
+    ((DesignError, SolvabilityError, NumericsError), 5),
+    (DimensionError, 6),
+    (DuioError, 1),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ExcitationError as exc:
+    except (DuioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DesignError, SolvabilityError, NumericsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except (ConfigError, DuioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

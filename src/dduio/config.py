@@ -17,9 +17,9 @@ import yaml
 from .datagen import DEFAULT_SAMPLE_INTERVAL, DEFAULT_SUBSTEPS
 from .design_data import DEFAULT_RESIDUAL_RTOL
 from .design_model import DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN
-from .errors import ConfigError
+from .errors import ConfigError, ConnectivityError, DimensionError, RankError
 from .linalg import DEFAULT_RANK_MULTIPLIER
-from .network import GENERATORS, SensorGraph, from_edges
+from .network import GENERATORS, SensorGraph, build_laplacian, from_edges
 from .plant import PlantModel
 from .signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
 
@@ -193,20 +193,8 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class PlantSection:
-    A: np.ndarray
-    B: np.ndarray
-    E_dist: np.ndarray
-    node_specs: tuple
-    inputs: tuple[SignalSpec, ...]
-    disturbances: tuple[SignalSpec, ...]
-
-    def build_model(self) -> PlantModel:
-        return PlantModel.assemble(self.A, self.B, self.E_dist, list(self.node_specs))
-
-
-def _parse_plant(section: dict) -> PlantSection:
+def _parse_plant(section: dict) -> tuple:
+    """The plant model and its input and disturbance signal specs."""
     if isinstance(section, dict) and section.get("preset"):
         name = section["preset"]
         if name not in PRESETS:
@@ -218,39 +206,29 @@ def _parse_plant(section: dict) -> PlantSection:
         section = copy.deepcopy(PRESETS[name])
     _check_keys(section, ("A", "B", "E", "nodes", "inputs"), ("preset", "disturbances"),
                 "plant")
-    a = _matrix(section["A"], "plant.A")
-    b = _matrix(section["B"], "plant.B")
-    e = _matrix(section["E"], "plant.E")
-    if e.size == 0:
-        e = np.zeros((a.shape[0], 0))
-    elif e.ndim == 1:
-        e = e.reshape(-1, 1)
+    matrices = [_matrix(section[key], f"plant.{key}") for key in "ABE"]
     node_specs = []
     for k, node in enumerate(section["nodes"]):
-        _check_keys(node, ("C", "known_input_indices"), ("unknown_scales",),
-                    f"plant.nodes[{k}]")
-        known, n_u = node["known_input_indices"], b.shape[1]
-        if not (isinstance(known, (list, tuple))
-                and all(_is_int(j) and 0 <= j < n_u for j in known)
-                and len(set(known)) == len(known)):
-            raise ConfigError(f"plant.nodes[{k}].known_input_indices must be distinct "
-                              f"integers in [0, {n_u}), got {known!r}")
+        where = f"plant.nodes[{k}]"
+        _check_keys(node, ("C", "known_input_indices"), ("unknown_scales",), where)
         scales = node.get("unknown_scales")
-        node_specs.append((_matrix(node["C"], f"plant.nodes[{k}].C"), tuple(known),
-                           np.ones(b.shape[1] - len(known)) if scales is None
-                           else np.asarray(scales, dtype=float)))
+        node_specs.append((_matrix(node["C"], f"{where}.C"), node["known_input_indices"],
+                           None if scales is None else _matrix(scales, f"{where}.unknown_scales")))
+    try:
+        model = PlantModel.assemble(*matrices, node_specs)
+    except (DimensionError, RankError) as exc:
+        raise ConfigError(f"plant.{exc}") from exc
     inputs = tuple(_parse_signal(s, f"plant.inputs[{k}]")
                    for k, s in enumerate(section["inputs"]))
     dist = tuple(_parse_signal(s, f"plant.disturbances[{k}]")
                  for k, s in enumerate(section.get("disturbances", [])))
-    if len(inputs) != b.shape[1]:
-        raise ConfigError(f"plant: {b.shape[1]} input channels need {b.shape[1]} "
+    if len(inputs) != model.n_u:
+        raise ConfigError(f"plant: {model.n_u} input channels need {model.n_u} "
                           f"input signals, got {len(inputs)}")
-    if len(dist) != e.shape[1]:
-        raise ConfigError(f"plant: {e.shape[1]} disturbance channels need signals, "
+    if len(dist) != model.n_d:
+        raise ConfigError(f"plant: {model.n_d} disturbance channels need signals, "
                           f"got {len(dist)}")
-    return PlantSection(A=a, B=b, E_dist=e, node_specs=tuple(node_specs),
-                        inputs=inputs, disturbances=dist)
+    return model, inputs, dist
 
 
 @dataclass(frozen=True)
@@ -385,38 +363,44 @@ def _validate(sections: dict) -> None:
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
-    plant: PlantSection
+    model: PlantModel
+    inputs: tuple[SignalSpec, ...]
+    disturbances: tuple[SignalSpec, ...]
     graph: GraphSection
     data: DataSection
     design: DesignSection
     run: RunSection
     compare: CompareSection
 
+    def __post_init__(self):
+        # here, not in parse_config, so a seed replaced later is checked too
+        _check(self.seed, "an integer >= 0", "seed")
+
     def build_model(self) -> PlantModel:
-        return self.plant.build_model()
+        return self.model
 
     def build_graph(self) -> SensorGraph:
         return self.graph.build_graph()
 
     def build_inputs(self, seed) -> list:
-        children = np.random.SeedSequence([int(seed), 1]).spawn(len(self.plant.inputs))
+        children = np.random.SeedSequence([int(seed), 1]).spawn(len(self.inputs))
         return [spec.build(children[k], self.run.dt)
-                for k, spec in enumerate(self.plant.inputs)]
+                for k, spec in enumerate(self.inputs)]
 
     def build_disturbances(self, seed) -> list:
         if not self.run.disturbance:
-            return [Zero() for _ in self.plant.disturbances]
+            return [Zero() for _ in self.disturbances]
         children = np.random.SeedSequence([int(seed), 2]).spawn(
-            max(len(self.plant.disturbances), 1))
+            max(len(self.disturbances), 1))
         return [spec.build(children[k], self.run.dt)
-                for k, spec in enumerate(self.plant.disturbances)]
+                for k, spec in enumerate(self.disturbances)]
 
     def draw_x0(self, seed) -> np.ndarray:
         if self.run.x0 is not None:
             return np.asarray(self.run.x0, dtype=float)
         lo, hi = self.run.x0_range
-        n_x = self.plant.A.shape[0]
-        return np.random.default_rng(np.random.SeedSequence([int(seed), 3])).uniform(lo, hi, n_x)
+        return np.random.default_rng(np.random.SeedSequence([int(seed), 3])).uniform(
+            lo, hi, self.model.n_x)
 
     def initial_observer_states(self, x0, model, gains) -> np.ndarray:
         if self.run.z0 == "zero":
@@ -427,16 +411,16 @@ class ExperimentConfig:
     def resolved_dict(self) -> dict:
         # Emitted in the explicit form (presets expanded) so the resolved
         # file reloads through the same parser and reproduces the run.
+        m = self.model
         plant = {
             "preset": None,
-            "A": self.plant.A.tolist(),
-            "B": self.plant.B.tolist(),
-            "E": self.plant.E_dist.tolist(),
-            "nodes": [{"C": c.tolist(), "known_input_indices": list(known),
-                       "unknown_scales": np.asarray(scales).tolist()}
-                      for c, known, scales in self.plant.node_specs],
-            "inputs": [s.to_dict() for s in self.plant.inputs],
-            "disturbances": [s.to_dict() for s in self.plant.disturbances],
+            "A": m.A.tolist(),
+            "B": m.B.tolist(),
+            "E": m.E_dist.tolist(),
+            "nodes": [{"C": n.C.tolist(), "known_input_indices": list(n.known_input_indices),
+                       "unknown_scales": n.unknown_input_scales.tolist()} for n in m.nodes],
+            "inputs": [s.to_dict() for s in self.inputs],
+            "disturbances": [s.to_dict() for s in self.disturbances],
         }
         graph = {"generator": self.graph.generator, "size": self.graph.size,
                  "weight": self.graph.weight,
@@ -464,22 +448,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raw = {}
     _require_keys(raw, {"seed", "plant", "graph", "data", "design", "run", "compare"},
                   "top level")
-    plant = _parse_plant(raw.get("plant", {"preset": "two-mass-spring"}))
+    model, inputs, disturbances = _parse_plant(raw.get("plant", {"preset": "two-mass-spring"}))
     graph = _parse_graph(raw.get("graph", {}))
     sections = {where: _parse_simple(raw.get(where, {}), cls, where)
                 for where, cls in (("data", DataSection), ("design", DesignSection),
                                    ("run", RunSection), ("compare", CompareSection))}
     _validate(sections)
-    x0, n_x = sections["run"].x0, plant.A.shape[0]
+    x0, n_x = sections["run"].x0, model.n_x
     if x0 is not None and not (len(x0) == n_x and all(map(_KINDS["a finite number"], x0))):
         raise ConfigError(f"run.x0 must be null or a list of {n_x} finite numbers, "
                           f"got {list(x0)!r}")
-    _check(raw.get("seed", 0), "an integer >= 0", "seed")
-    if graph.size != len(plant.node_specs):
+    if graph.size != model.M:
         raise ConfigError(f"graph.size is {graph.size} but the plant has "
-                          f"{len(plant.node_specs)} nodes; they must be equal")
-    return ExperimentConfig(seed=raw.get("seed", 0), plant=plant, graph=graph,
-                            **sections)
+                          f"{model.M} nodes; they must be equal")
+    try:
+        build_laplacian(graph.build_graph())
+    except ConnectivityError as exc:
+        raise ConfigError(f"graph.edges: {exc}") from exc
+    return ExperimentConfig(seed=raw.get("seed", 0), model=model, inputs=inputs,
+                            disturbances=disturbances, graph=graph, **sections)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DesignError, NumericsError, SolvabilityError
+from .errors import DesignError, DuioError, NumericsError, SolvabilityError
 from .linalg import (numerical_rank, pbh_detectable, pinv, spectral_abscissa,
                      symmetric_two_norm)
 from .network import SensorGraph, build_laplacian
@@ -72,12 +72,14 @@ class DuioGains:
     @staticmethod
     def from_json_dict(d: dict) -> "DuioGains":
         """Inverse of ``to_json_dict``; a ``K`` key of an older file is ignored."""
-        nodes = d["nodes"]
         def grab(key):
-            return tuple(np.asarray(n[key], dtype=float) for n in nodes)
-        return DuioGains(E_obs=grab("E"), F=grab("F"), L=grab("L"),
-                         H=grab("H"), gamma=float(d["gamma"]),
-                         leader=int(d["leader"]), method=d.get("method", "model"))
+            return tuple(np.asarray(n[key], dtype=float) for n in d["nodes"])
+        try:
+            return DuioGains(E_obs=grab("E"), F=grab("F"), L=grab("L"),
+                             H=grab("H"), gamma=float(d["gamma"]),
+                             leader=int(d["leader"]), method=d.get("method", "model"))
+        except KeyError as exc:
+            raise DuioError(f"gains file is missing the key {exc.args[0]!r}") from exc
 
 
 def rank_condition(C: np.ndarray, B_p: np.ndarray, multiplier: float | None = None) -> bool:

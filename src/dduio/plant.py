@@ -49,19 +49,16 @@ class PlantModel:
     nodes: tuple[NodeView, ...]
 
     def __post_init__(self):
-        a, b, e = self.A, self.B, self.E_dist
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"A must be square, got {a.shape}")
-        n = a.shape[0]
-        if b.shape[0] != n or e.shape[0] != n:
-            raise DimensionError("B and E must have as many rows as A")
+        _check_plant(self.A, self.B, self.E_dist)
         if len(self.nodes) < 1:
-            raise DimensionError("at least one sensor node is required")
+            raise DimensionError("nodes must hold at least one sensor node")
+        n = self.n_x
         for i, node in enumerate(self.nodes):
-            if node.C.shape[1] != n or node.B_m.shape[0] != n or node.B_p.shape[0] != n:
-                raise DimensionError(f"node {i}: matrix row/column counts do not match n_x={n}")
+            _check_output_map(node.C, n, i)
+            if node.B_m.shape[0] != n or node.B_p.shape[0] != n:
+                raise DimensionError(f"nodes[{i}]: B_m and B_p must have n_x={n} rows")
             if node.r and numerical_rank(node.B_p) < node.r:
-                raise RankError(f"node {i}: B_p must have full column rank {node.r}")
+                raise RankError(f"nodes[{i}].B_p must have full column rank {node.r}")
 
     @property
     def n_x(self) -> int:
@@ -84,32 +81,53 @@ class PlantModel:
         """Build a model from per-node (C, known_input_indices, unknown_scales).
 
         ``unknown_scales`` rescales the node's view of each unknown input
-        column of B; disturbance columns are never rescaled.
+        column of B (None: all ones); disturbance columns are never
+        rescaled.  A 1-D ``E_dist`` is one disturbance column, an empty
+        one none.  Every shape is checked before anything is stacked.
         """
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
-        E_dist = np.asarray(E_dist, dtype=float)
-        if E_dist.ndim == 1:
+        A, B, E_dist = (np.asarray(m, dtype=float) for m in (A, B, E_dist))
+        if E_dist.size == 0:
+            E_dist = E_dist.reshape(A.shape[:1] + (0,))
+        elif E_dist.ndim == 1:
             E_dist = E_dist.reshape(-1, 1)
-        n_u = B.shape[1]
+        _check_plant(A, B, E_dist)
+        n_x, n_u = B.shape
         nodes = []
-        for C, known, scales in node_specs:
+        for i, (C, known, scales) in enumerate(node_specs):
             C = np.asarray(C, dtype=float)
+            _check_output_map(C, n_x, i)
+            if not (isinstance(known, (list, tuple))
+                    and all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                            and 0 <= k < n_u for k in known)
+                    and len(set(known)) == len(known)):
+                raise DimensionError(f"nodes[{i}].known_input_indices must be distinct "
+                                     f"integers in [0, {n_u}), got {known!r}")
             known = tuple(int(k) for k in known)
-            if any(k < 0 or k >= n_u for k in known):
-                raise DimensionError(f"known input index out of range for n_u={n_u}")
             unknown = tuple(k for k in range(n_u) if k not in known)
-            scales = np.asarray(scales, dtype=float)
-            if scales.shape != (len(unknown),):
-                raise DimensionError("one unknown-input scale per unknown input channel")
-            if np.any(scales == 0.0):
-                raise DimensionError("unknown-input scales must be nonzero")
-            B_m = B[:, known].reshape(A.shape[0], len(known))
-            B_u = B[:, unknown] * scales
-            nodes.append(NodeView(C=C, B_m=B_m, B_p=np.hstack([B_u, E_dist]),
-                                  known_input_indices=known,
+            scales = np.ones(len(unknown)) if scales is None else np.asarray(scales, dtype=float)
+            if scales.shape != (len(unknown),) or np.any(scales == 0.0):
+                raise DimensionError(f"nodes[{i}].unknown_scales must be {len(unknown)} "
+                                     f"nonzero numbers, got {scales.tolist()!r}")
+            B_p = np.hstack([B[:, unknown] * scales, E_dist])
+            nodes.append(NodeView(C=C, B_m=B[:, known], B_p=B_p, known_input_indices=known,
                                   unknown_input_scales=scales))
         return PlantModel(A=A, B=B, E_dist=E_dist, nodes=tuple(nodes))
+
+
+def _check_plant(A: np.ndarray, B: np.ndarray, E_dist: np.ndarray) -> None:
+    """A square; B and E matrices with one row per state."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionError(f"A must be a square matrix, got shape {A.shape}")
+    for name, m in (("B", B), ("E", E_dist)):
+        if m.ndim != 2 or m.shape[0] != A.shape[0]:
+            raise DimensionError(f"{name} must be a matrix with {A.shape[0]} rows, "
+                                 f"got shape {m.shape}")
+
+
+def _check_output_map(C: np.ndarray, n_x: int, i: int) -> None:
+    if C.ndim != 2 or C.shape[1] != n_x:
+        raise DimensionError(f"nodes[{i}].C must be a matrix with {n_x} columns, "
+                             f"got shape {C.shape}")
 
 
 def node_unknown_input(model: PlantModel, i: int, u: np.ndarray, d: np.ndarray) -> np.ndarray:

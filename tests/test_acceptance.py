@@ -7,6 +7,7 @@ import dataclasses
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -224,7 +225,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             for base, _, files in os.walk(root):
                 for f in files:
                     p = os.path.join(base, f)
-                    found[os.path.relpath(p, root)] = open(p, "rb").read()
+                    found[os.path.relpath(p, root)] = Path(p).read_bytes()
             return found
 
         trees = {}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def _tree_bytes(root):
     for base, _, files in os.walk(root):
         for f in files:
             p = os.path.join(base, f)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            out[os.path.relpath(p, root)] = Path(p).read_bytes()
     return out
 
 
@@ -156,9 +157,8 @@ def test_run_outputs_and_determinism(tmp_path, fast_config_path, gains_path):
                      "--out", d]) == 0
     for f in RUN_FILES:
         assert os.path.exists(os.path.join(d1, f))
-        assert open(os.path.join(d1, f), "rb").read() == \
-            open(os.path.join(d2, f), "rb").read()
-    summary = json.load(open(os.path.join(d1, "summary.json")))
+        assert Path(d1, f).read_bytes() == Path(d2, f).read_bytes()
+    summary = json.loads(Path(d1, "summary.json").read_text())
     assert "mse" in summary and "final_error_norms" in summary
     # horizon 2.0 at dt 2e-3: 1001 samples of the 4 states at 5 nodes
     shapes = {"t": (1001,), "x": (1001, 4), "xhat": (1001, 5, 4),
@@ -182,7 +182,7 @@ def test_run_output_directory_holds_exactly_the_run_files(tmp_path, fast_config_
 
 def test_gains_file_has_no_k_and_ignores_an_old_one(tmp_path, fast_config_path, gains_path):
     # K follows from gamma and leader, so a K key of an older file is ignored
-    payload = json.load(open(gains_path))
+    payload = json.loads(Path(gains_path).read_text())
     assert sorted(payload["gains"]) == ["gamma", "leader", "method", "nodes"]
     assert all(sorted(node) == ["E", "F", "H", "L"] for node in payload["gains"]["nodes"])
     rng = np.random.default_rng(3)
@@ -196,8 +196,21 @@ def test_gains_file_has_no_k_and_ignores_an_old_one(tmp_path, fast_config_path, 
     assert _tree_bytes(tmp_path / "plain") == _tree_bytes(tmp_path / "with_k")
 
 
+@pytest.mark.parametrize("drop", ["gamma", "L"])
+def test_run_names_a_missing_gains_key(tmp_path, capsys, fast_config_path, gains_path, drop):
+    payload = json.loads(Path(gains_path).read_text())
+    holder = payload["gains"] if drop in payload["gains"] else payload["gains"]["nodes"][2]
+    del holder[drop]
+    bad = tmp_path / "bad_gains.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["run", "--config", fast_config_path, "--gains", str(bad),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: gains file is missing the key {drop!r}\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_run_dimension_mismatch(tmp_path, fast_config_path, gains_path):
-    payload = json.load(open(gains_path))
+    payload = json.loads(Path(gains_path).read_text())
     payload["gains"]["nodes"] = payload["gains"]["nodes"][:4]
     bad = tmp_path / "bad_gains.json"
     bad.write_text(json.dumps(payload))
@@ -209,7 +222,7 @@ def test_compare_outputs(tmp_path, fast_config_path):
     out = str(tmp_path / "cmp")
     assert main(["compare", "--config", fast_config_path, "--out", out,
                  "--k", "2"]) == 0
-    table = open(os.path.join(out, "table1.csv")).read().splitlines()
+    table = Path(out, "table1.csv").read_text().splitlines()
     assert table[0] == "method,mse,mae"
     assert len(table) == 4
     assert os.path.exists(os.path.join(out, "table1.md"))

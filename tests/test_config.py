@@ -24,11 +24,11 @@ def test_defaults_expand_to_benchmark():
         [[1.0], [0.5], [0.33], [0.25], [0.2]]
     assert np.array_equal(model.nodes[2].C, [[0, 0, 1, 1], [0, 1, 0, 0],
                                              [1, 0, 1, 0], [0, 1, 1, 0]])
-    assert [s.to_dict() for s in cfg.plant.inputs] == [
+    assert [s.to_dict() for s in cfg.inputs] == [
         {"kind": "autonomous-linear", "transition": [[np.log(0.5)]],
          "initial": {"uniform": [0.0, 1.0]}},
         {"kind": "sinusoid", "amplitude": 0.2, "frequency": 0.2, "phase": 2.0}]
-    assert [s.to_dict() for s in cfg.plant.disturbances] == [
+    assert [s.to_dict() for s in cfg.disturbances] == [
         {"kind": "piecewise-constant-random", "low": -0.1, "high": 0.1, "hold": None}]
     inputs, (dist,) = cfg.build_inputs(0), cfg.build_disturbances(0)
     assert isinstance(inputs[0], AutonomousLinear) and isinstance(inputs[1], Sinusoid)
@@ -97,13 +97,12 @@ def test_resolved_config_contains_all_defaults(tmp_path):
     reloaded = load_config(path)
     assert reloaded.seed == 7
     for name in ("A", "B", "E_dist"):
-        assert np.array_equal(getattr(reloaded.plant, name), getattr(cfg.plant, name))
-    assert len(reloaded.plant.node_specs) == len(cfg.plant.node_specs) == 5
-    for (c_r, known_r, scales_r), (c, known, scales) in zip(reloaded.plant.node_specs,
-                                                            cfg.plant.node_specs):
-        assert np.array_equal(c_r, c)
-        assert known_r == known
-        assert np.array_equal(scales_r, scales)
+        assert np.array_equal(getattr(reloaded.model, name), getattr(cfg.model, name))
+    assert reloaded.model.M == cfg.model.M == 5
+    for node_r, node in zip(reloaded.model.nodes, cfg.model.nodes):
+        assert np.array_equal(node_r.C, node.C)
+        assert node_r.known_input_indices == node.known_input_indices
+        assert np.array_equal(node_r.unknown_input_scales, node.unknown_input_scales)
     assert reloaded.resolved_dict() == d
     ts = np.linspace(0.0, 5.0, 101)
     for got, want in ((reloaded.build_inputs(3), cfg.build_inputs(3)),
@@ -115,11 +114,11 @@ def test_resolved_config_contains_all_defaults(tmp_path):
 
 def test_preset_is_not_aliased_by_parsed_configs():
     a = parse_config({})
-    a.plant.inputs[0].params["initial"]["uniform"][1] = 9.0
-    a.plant.inputs[1].params["amplitude"] = 9.0
+    a.inputs[0].params["initial"]["uniform"][1] = 9.0
+    a.inputs[1].params["amplitude"] = 9.0
     b = parse_config({})
-    assert b.plant.inputs[0].params["initial"] == {"uniform": [0.0, 1.0]}
-    assert b.plant.inputs[1].params["amplitude"] == 0.2
+    assert b.inputs[0].params["initial"] == {"uniform": [0.0, 1.0]}
+    assert b.inputs[1].params["amplitude"] == 0.2
 
 
 def _one_node_plant(node=None, inputs=None):
@@ -354,13 +353,63 @@ def test_boundary_section_values_accepted():
                                                         "initial": [1.0]}]),
                              "graph": {"size": 1}},
                  "error: plant.inputs[0].transition must be a square matrix", id="transition"),
+    pytest.param("collect --seed -1", {}, "error: seed must be an integer >= 0, got -1",
+                 id="cli-seed-negative"),
+    pytest.param("collect", {"graph": {"size": 5, "edges": [[0, 1], [2, 3], [3, 4]]}},
+                 "error: graph.edges: graph is not connected", id="graph-disconnected"),
 ])
 def test_cli_rejects_bad_values_before_any_work(tmp_path, capsys, command, raw, message):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(raw))
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert main([*command.split(), "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "out").exists()
+
+
+def _preset_plant(**changes):
+    """The explicit preset plant with top-level matrices or node 0's fields replaced."""
+    raw = parse_config({}).resolved_dict()
+    for key, value in changes.items():
+        target = raw["plant"]["nodes"][0] if key in ("C", "unknown_scales") else raw["plant"]
+        target[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("raw, message", [
+    pytest.param(_preset_plant(A=[[0.0] * 3] * 4),
+                 r"plant\.A must be a square matrix, got shape \(4, 3\)", id="A-4x3"),
+    pytest.param(_preset_plant(A=1.0), r"plant\.A must be a square matrix, got shape \(\)",
+                 id="A-scalar"),
+    pytest.param(_preset_plant(B=[0.0, 1.3333, 0.0, 0.0]),
+                 r"plant\.B must be a matrix with 4 rows, got shape \(4,\)", id="B-1d"),
+    pytest.param(_preset_plant(E=[[0.1], [0.0]]),
+                 r"plant\.E must be a matrix with 4 rows, got shape \(2, 1\)", id="E-rows"),
+    pytest.param(_preset_plant(C=[1, 0, 1, 0]),
+                 r"plant\.nodes\[0\]\.C must be a matrix with 4 columns, got shape \(4,\)",
+                 id="C-1d"),
+    pytest.param(_preset_plant(C=[[1, 0, 1]] * 4),
+                 r"plant\.nodes\[0\]\.C must be a matrix with 4 columns, got shape \(4, 3\)",
+                 id="C-width"),
+    pytest.param(_preset_plant(unknown_scales=[1.0, 2.0]),
+                 r"plant\.nodes\[0\]\.unknown_scales must be 1 nonzero numbers, "
+                 r"got \[1\.0, 2\.0\]", id="scales-length"),
+    pytest.param(_preset_plant(unknown_scales=[0.0]),
+                 r"plant\.nodes\[0\]\.unknown_scales must be 1 nonzero numbers, got \[0\.0\]",
+                 id="scale-zero"),
+    pytest.param(_preset_plant(B=[[0.0, 0.0]] * 4),
+                 r"plant\.nodes\[0\]\.B_p must have full column rank 2", id="B_p-rank"),
+])
+def test_bad_plant_rejected_at_parse_time_by_every_command(tmp_path, capsys, raw, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    # check would exit 4 on the missing dataset directory had it read the data first
+    for argv in (["collect", "--out", str(out)], ["check", "--data", str(out)]):
+        assert main([*argv, "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: plant.")
+        assert not out.exists()
 
 
 def test_signal_builders_are_seed_deterministic():

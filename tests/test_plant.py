@@ -29,8 +29,8 @@ def test_double_integrator_analytic():
 
 
 # The preset's known-input decay and unknown-input sinusoid parameters.
-DECAY = BENCH.plant.inputs[0].params["transition"][0][0]
-SINUSOID = BENCH.plant.inputs[1].params
+DECAY = BENCH.inputs[0].params["transition"][0][0]
+SINUSOID = BENCH.inputs[1].params
 
 
 def _augmented_oracle(model, u0, t_end):
