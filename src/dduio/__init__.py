@@ -10,12 +10,12 @@ __version__ = "0.1.0"
 from .design_model import DuioGains, build_model_based_gains
 from .design_data import build_data_driven_gains
 from .datagen import NodeDataset, collect
-from .network import SensorGraph, build_laplacian
+from .network import SensorGraph
 from .observer_sim import RunResult, run
 from .plant import PlantModel, simulate
 
 __all__ = [
     "DuioGains", "NodeDataset", "PlantModel", "RunResult", "SensorGraph",
-    "build_data_driven_gains", "build_laplacian", "build_model_based_gains",
+    "build_data_driven_gains", "build_model_based_gains",
     "collect", "run", "simulate", "__version__",
 ]

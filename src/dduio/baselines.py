@@ -39,7 +39,7 @@ def identify_least_squares(ds: NodeDataset, multiplier: float | None = None):
     theta = ds.Xdot @ pinv(regressors, multiplier)
     a_hat = theta[:, :ds.n_x]
     b_m_hat = theta[:, ds.n_x:]
-    c_hat = recover_output_map(ds, multiplier)
+    c_hat, _ = recover_output_map(ds, multiplier)
     return a_hat, b_m_hat, c_hat
 
 

@@ -8,33 +8,49 @@ failure, 6 dimension mismatch, 1 anything else.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+
+import yaml
 
 from . import __version__
 from ._csvio import write_json
 from .baselines import (collect_all_nodes, design_for_method, monte_carlo_compare,
                         write_comparison_table, compute_mse_mae)
-from .config import (DESIGN_METHODS, ExperimentConfig, load_config, parse_config,
-                     write_resolved)
+from .config import DESIGN_METHODS, ExperimentConfig, parse_config, write_resolved
 from .datagen import check_excitation_rank, load_dataset, save_dataset
-from .design_data import analyze_datasets, rank_spectra
+from .design_data import analyze_datasets
 from .design_model import DuioGains
 from .errors import (ConsistencyError, DesignError, DimensionError, DuioError,
                      ExcitationError, NumericsError, SolvabilityError)
 from .observer_sim import error_dynamics_matrix, export_run, run, verify_decoupling
 
 
+# Each flag that overrides one config key: (flag, section or None, key).
+_OVERRIDES = (("seed", None, "seed"), ("gamma", "design", "gamma_override"),
+              ("k", "compare", "K"))
+
+
 def _get_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the override flags written in.
+
+    The flags go into the raw mapping, so each meets its key's parse rule.
+    """
+    raw = None
     if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = parse_config({})
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+        with open(args.config) as fh:
+            raw = yaml.safe_load(fh)
+    if raw is None:  # no file, or an empty one
+        raw = {}
+    for flag, section, key in _OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is None or not isinstance(raw, dict):
+            continue
+        holder = raw if section is None else raw.setdefault(section, {})
+        if isinstance(holder, dict):
+            holder[key] = value
+    return parse_config(raw)
 
 
 def _node_dirs(data_dir: str) -> list[str]:
@@ -78,7 +94,7 @@ def cmd_check(args) -> int:
         if not rep.solvable and first_failure is None:
             first_failure = f"node {rep.node_index} failed the solvability rank test"
         if args.explain:
-            for name, sv in rank_spectra(datasets[rep.node_index]).items():
+            for name, sv in rep.spectra.items():
                 print(f"  sv[{name}]: " + " ".join(f"{v:.3e}" for v in sv))
     if leader is None:
         if first_failure is None:
@@ -94,20 +110,12 @@ def cmd_check(args) -> int:
 
 def cmd_design(args) -> int:
     cfg = _get_config(args)
-    if args.gamma is not None:
-        cfg = dataclasses.replace(
-            cfg, design=dataclasses.replace(cfg.design, gamma_override=args.gamma))
     model, graph = cfg.build_model(), cfg.build_graph()
     datasets = None
     if args.method in ("data", "id"):
         if not args.data:
             raise DesignError(f"method {args.method!r} needs --data")
         datasets = [load_dataset(d) for d in _node_dirs(args.data)]
-        if args.explain:
-            for ds in datasets:
-                for name, sv in rank_spectra(ds).items():
-                    print(f"node {ds.node_index} sv[{name}]: "
-                          + " ".join(f"{v:.3e}" for v in sv))
     gains = design_for_method(args.method, cfg, model, graph, datasets)
     _, abscissa = error_dynamics_matrix(gains, graph)
     verification = {"spectral_abscissa": abscissa, "gamma": gains.gamma,
@@ -127,7 +135,13 @@ def cmd_run(args) -> int:
     model = cfg.build_model()
     graph = cfg.build_graph()
     with open(args.gains) as fh:
-        gains = DuioGains.from_json_dict(json.load(fh)["gains"])
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DuioError(f"gains file {args.gains} is not JSON: {exc}") from None
+    if not (isinstance(payload, dict) and isinstance(payload.get("gains"), dict)):
+        raise DuioError(f"gains file {args.gains} has no top-level 'gains' object")
+    gains = DuioGains.from_json_dict(payload["gains"])
     seed = cfg.seed
     x0 = cfg.draw_x0(seed)
     inputs = cfg.build_inputs(seed)
@@ -148,8 +162,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _get_config(args)
-    k = args.k if args.k is not None else cfg.compare.K
-    summaries = monte_carlo_compare(cfg, K=k, master_seed=cfg.seed,
+    summaries = monte_carlo_compare(cfg, K=cfg.compare.K, master_seed=cfg.seed,
                                     artifacts_dir=os.path.join(args.out, "experiments"))
     write_comparison_table(summaries, args.out)
     write_resolved(cfg, os.path.join(args.out, "config.resolved.yaml"))
@@ -187,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="datasets for the data/id methods")
     p.add_argument("--out", required=True, help="output gains JSON path")
     p.add_argument("--gamma", type=float, help="override the coupling gain")
-    p.add_argument("--explain", action="store_true")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("run", help="simulate the closed loop with given gains")

@@ -17,9 +17,9 @@ import yaml
 from .datagen import DEFAULT_SAMPLE_INTERVAL, DEFAULT_SUBSTEPS
 from .design_data import DEFAULT_RESIDUAL_RTOL
 from .design_model import DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN
-from .errors import ConfigError, ConnectivityError, DimensionError, RankError
+from .errors import ConfigError, DimensionError, GraphError, RankError
 from .linalg import DEFAULT_RANK_MULTIPLIER
-from .network import GENERATORS, SensorGraph, build_laplacian, from_edges
+from .network import GENERATORS, SensorGraph, from_edges
 from .plant import PlantModel
 from .signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
 
@@ -36,18 +36,15 @@ DESIGN_METHODS = ("model", "data", "id")
 _Z0_POLICIES = ("zero", "matched")
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
-                          f"allowed: {sorted(allowed)}")
-
-
 def _check_keys(section, required: tuple, optional: tuple, where: str) -> None:
     """Reject a non-mapping, unknown keys, and missing required keys."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping, got {section!r}")
-    _require_keys(section, {*required, *optional}, where)
+    allowed = {*required, *optional}
+    unknown = set(section) - allowed
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
+                          f"allowed: {sorted(allowed)}")
     missing = [k for k in required if k not in section]
     if missing:
         raise ConfigError(f"{where}: missing required key(s) {missing}")
@@ -231,19 +228,6 @@ def _parse_plant(section: dict) -> tuple:
     return model, inputs, dist
 
 
-@dataclass(frozen=True)
-class GraphSection:
-    generator: str | None
-    size: int
-    edges: tuple | None
-    weight: float = 1.0
-
-    def build_graph(self) -> SensorGraph:
-        if self.generator is not None:
-            return GENERATORS[self.generator](self.size, self.weight)
-        return from_edges(self.size, self.edges)
-
-
 def _check_edge(edge, size: int, where: str) -> tuple:
     """An (i, j) or (i, j, weight) entry: distinct in-range nodes, positive weight."""
     if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
@@ -257,22 +241,30 @@ def _check_edge(edge, size: int, where: str) -> tuple:
     return tuple(edge)
 
 
-def _parse_graph(section: dict) -> GraphSection:
-    _require_keys(section, {"generator", "size", "edges", "weight"}, "graph")
+def _parse_graph(section) -> SensorGraph:
+    """The sensor graph, from a generator or from explicit edges, never both."""
+    _check_keys(section, (), ("generator", "size", "edges", "weight"), "graph")
     size, weight = section.get("size", 5), section.get("weight", 1.0)
     _check(size, "a positive integer", "graph.size")
     _check(weight, "a finite number > 0", "graph.weight")
-    if section.get("edges") is not None:
-        if "size" not in section:
-            raise ConfigError("graph: explicit edges need 'size'")
-        if not isinstance(section["edges"], list):
-            raise ConfigError(f"graph.edges must be a list, got {section['edges']!r}")
-        return GraphSection(generator=None, size=size, edges=tuple(
-            _check_edge(e, size, f"graph.edges[{k}]") for k, e in enumerate(section["edges"])))
-    gen = section.get("generator") or "ring"
-    if gen not in GENERATORS:
-        raise ConfigError(f"graph: unknown generator {gen!r}; choose from {sorted(GENERATORS)}")
-    return GraphSection(generator=gen, size=size, edges=None, weight=float(weight))
+    edges = section.get("edges")
+    if edges is None:
+        gen = section.get("generator") or "ring"
+        if gen not in GENERATORS:
+            raise ConfigError(f"graph: unknown generator {gen!r}; choose from {sorted(GENERATORS)}")
+        return GENERATORS[gen](size, float(weight))
+    if "size" not in section:
+        raise ConfigError("graph: explicit edges need 'size'")
+    if section.get("generator") is not None:
+        raise ConfigError(f"graph: give 'generator' or 'edges', not both; "
+                          f"got generator {section['generator']!r}")
+    if not isinstance(edges, list):
+        raise ConfigError(f"graph.edges must be a list, got {edges!r}")
+    checked = [_check_edge(e, size, f"graph.edges[{k}]") for k, e in enumerate(edges)]
+    try:
+        return from_edges(size, checked, float(weight))
+    except GraphError as exc:
+        raise ConfigError(f"graph.edges: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -312,9 +304,8 @@ class CompareSection:
     methods: tuple[str, ...] = DESIGN_METHODS
 
 
-def _parse_simple(section: dict, cls, where: str):
-    fields = {f for f in cls.__dataclass_fields__}
-    _require_keys(section, fields, where)
+def _parse_simple(section, cls, where: str):
+    _check_keys(section, (), tuple(cls.__dataclass_fields__), where)
     kwargs = {}
     for key, value in section.items():
         if key in ("methods", "x0", "x0_range") and not (key == "x0" and value is None):
@@ -366,21 +357,17 @@ class ExperimentConfig:
     model: PlantModel
     inputs: tuple[SignalSpec, ...]
     disturbances: tuple[SignalSpec, ...]
-    graph: GraphSection
+    graph: SensorGraph
     data: DataSection
     design: DesignSection
     run: RunSection
     compare: CompareSection
 
-    def __post_init__(self):
-        # here, not in parse_config, so a seed replaced later is checked too
-        _check(self.seed, "an integer >= 0", "seed")
-
     def build_model(self) -> PlantModel:
         return self.model
 
     def build_graph(self) -> SensorGraph:
-        return self.graph.build_graph()
+        return self.graph
 
     def build_inputs(self, seed) -> list:
         children = np.random.SeedSequence([int(seed), 1]).spawn(len(self.inputs))
@@ -409,8 +396,9 @@ class ExperimentConfig:
         return np.vstack([x0 - gains.H[i] @ (model.nodes[i].C @ x0) for i in range(model.M)])
 
     def resolved_dict(self) -> dict:
-        # Emitted in the explicit form (presets expanded) so the resolved
-        # file reloads through the same parser and reproduces the run.
+        # Emitted in the explicit form (presets expanded, the graph as its
+        # weighted edges) so the resolved file reloads through the same
+        # parser and reproduces the run.
         m = self.model
         plant = {
             "preset": None,
@@ -422,10 +410,9 @@ class ExperimentConfig:
             "inputs": [s.to_dict() for s in self.inputs],
             "disturbances": [s.to_dict() for s in self.disturbances],
         }
-        graph = {"generator": self.graph.generator, "size": self.graph.size,
-                 "weight": self.graph.weight,
-                 "edges": None if self.graph.edges is None else
-                 [list(e) for e in self.graph.edges]}
+        a, size = self.graph.adjacency, self.graph.M
+        graph = {"size": size, "edges": [[i, j, float(a[i, j])] for i in range(size)
+                                         for j in range(i + 1, size) if a[i, j] != 0]}
         def section_dict(obj):
             out = {}
             for name in obj.__dataclass_fields__:
@@ -446,8 +433,10 @@ class ExperimentConfig:
 def parse_config(raw: dict) -> ExperimentConfig:
     if raw is None:
         raw = {}
-    _require_keys(raw, {"seed", "plant", "graph", "data", "design", "run", "compare"},
-                  "top level")
+    _check_keys(raw, (), ("seed", "plant", "graph", "data", "design", "run", "compare"),
+                "top level")
+    seed = raw.get("seed", 0)
+    _check(seed, "an integer >= 0", "seed")
     model, inputs, disturbances = _parse_plant(raw.get("plant", {"preset": "two-mass-spring"}))
     graph = _parse_graph(raw.get("graph", {}))
     sections = {where: _parse_simple(raw.get(where, {}), cls, where)
@@ -458,21 +447,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if x0 is not None and not (len(x0) == n_x and all(map(_KINDS["a finite number"], x0))):
         raise ConfigError(f"run.x0 must be null or a list of {n_x} finite numbers, "
                           f"got {list(x0)!r}")
-    if graph.size != model.M:
-        raise ConfigError(f"graph.size is {graph.size} but the plant has "
+    if graph.M != model.M:
+        raise ConfigError(f"graph.size is {graph.M} but the plant has "
                           f"{model.M} nodes; they must be equal")
-    try:
-        build_laplacian(graph.build_graph())
-    except ConnectivityError as exc:
-        raise ConfigError(f"graph.edges: {exc}") from exc
-    return ExperimentConfig(seed=raw.get("seed", 0), model=model, inputs=inputs,
+    return ExperimentConfig(seed=seed, model=model, inputs=inputs,
                             disturbances=disturbances, graph=graph, **sections)
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    return parse_config(raw)
 
 
 def write_resolved(config: ExperimentConfig, path: str) -> None:

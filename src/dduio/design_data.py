@@ -16,7 +16,8 @@ from .errors import ConsistencyError, DesignError, RankError
 from .datagen import NodeDataset
 from .design_model import (DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN, assemble_from_blocks,
                            decoupling_gain, DuioGains)
-from .linalg import numerical_rank, pbh_detectable, pinv, singular_values
+from .linalg import (numerical_rank, pbh_detectable, pinv, rank_from_singular_values,
+                     singular_values, spectrum_and_pinv)
 from .network import SensorGraph
 
 PENCIL_POINTS = 16
@@ -24,32 +25,43 @@ PENCIL_SEED = 20240917
 DEFAULT_RESIDUAL_RTOL = 1e-6
 
 
-def check_data_solvability(ds: NodeDataset,
-                           multiplier: float | None = None) -> tuple[bool, int, int]:
+def check_data_solvability(ds: NodeDataset, multiplier: float | None = None
+                           ) -> tuple[bool, int, int, dict[str, np.ndarray]]:
     """Data-side test of the decoupling solvability condition.
 
-    Returns (holds, rank of [U; Ydot; X], rank of [U; X; Xdot]); the two
-    ranks agree exactly when rank(C B_p) = rank(B_p) on the underlying
-    plant.
+    Returns (holds, rank of [U; Ydot; X], rank of [U; X; Xdot], the
+    singular values behind both ranks keyed "U;Ydot;X" and "U;X;Xdot");
+    the two ranks agree exactly when rank(C B_p) = rank(B_p) on the
+    underlying plant.
     """
-    lhs = numerical_rank(np.vstack([ds.U, ds.Ydot, ds.X]), multiplier)
-    rhs = numerical_rank(np.vstack([ds.U, ds.X, ds.Xdot]), multiplier)
-    return lhs == rhs, lhs, rhs
+    spectra, ranks = {}, []
+    for name, stack in (("U;Ydot;X", np.vstack([ds.U, ds.Ydot, ds.X])),
+                        ("U;X;Xdot", np.vstack([ds.U, ds.X, ds.Xdot]))):
+        spectra[name] = singular_values(stack)
+        ranks.append(rank_from_singular_values(spectra[name], stack.shape, multiplier))
+    lhs, rhs = ranks
+    return lhs == rhs, lhs, rhs, spectra
 
 
-def recover_output_map(ds: NodeDataset, multiplier: float | None = None) -> np.ndarray:
-    """C = Y X^+; requires the state data to have full row rank."""
-    if numerical_rank(ds.X, multiplier) < ds.n_x:
+def recover_output_map(ds: NodeDataset,
+                       multiplier: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """C = Y X^+ and the singular values of X, from one SVD of X.
+
+    Requires the state data to have full row rank.
+    """
+    sv, x_pinv = spectrum_and_pinv(ds.X, multiplier)
+    if rank_from_singular_values(sv, ds.X.shape, multiplier) < ds.n_x:
         raise RankError("state data X is row-rank deficient; cannot recover the output map")
-    return ds.Y @ pinv(ds.X, multiplier)
+    return ds.Y @ x_pinv, sv
 
 
-def solve_data_equation_structured(ds: NodeDataset, r_hat: int,
+def solve_data_equation_structured(ds: NodeDataset, r_hat: int, c_rec: np.ndarray,
                                    rtol: float = DEFAULT_RESIDUAL_RTOL,
                                    multiplier: float | None = None):
     """The solution of Xdot = [T_u T_y T_x] [U; Ydot; X] with rank(T_y) = r_hat.
 
-    ``r_hat`` is the unknown-input rank the solvability test inferred.
+    ``r_hat`` is the unknown-input rank the solvability test inferred and
+    ``c_rec`` the output map ``recover_output_map`` gave.
     The span of the unknown-input directions is recovered as the column
     space of Xdot projected onto the orthogonal complement of the rows
     of [U; X]; the output feedthrough built from that span annihilates
@@ -57,9 +69,8 @@ def solve_data_equation_structured(ds: NodeDataset, r_hat: int,
     least squares.  On noise-free data this member coincides with the
     blocks the true plant matrices would give.
 
-    Returns (T_u, T_y, T_x, C_recovered, residual).
+    Returns (T_u, T_y, T_x, residual).
     """
-    c_rec = recover_output_map(ds, multiplier)
     known = np.vstack([ds.U, ds.X])
     known_pinv = pinv(known, multiplier)
     if r_hat > 0:
@@ -77,7 +88,7 @@ def solve_data_equation_structured(ds: NodeDataset, r_hat: int,
     if residual > rtol * scale:
         raise ConsistencyError(
             f"structured data equation residual {residual:.3e} exceeds {rtol:.1e} x ||Xdot||")
-    return t_u, t_y, t_x, c_rec, residual
+    return t_u, t_y, t_x, residual
 
 
 def check_data_detectability(ds: NodeDataset, t_x: np.ndarray, c_rec: np.ndarray,
@@ -126,6 +137,7 @@ class DataDesignReport:
     C_recovered: np.ndarray | None
     residual: float | None
     r_inferred: int | None
+    spectra: dict[str, np.ndarray]  # singular values behind each rank decision
 
 
 def analyze_node(ds: NodeDataset, test_detectability: bool = False,
@@ -135,18 +147,22 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
 
     One pass: the unknown-input rank is read from the solvability test and
     the leader's detectability test works on the structured solve's blocks,
-    so no matrix is ranked or pseudo-inverted twice.
+    so no matrix is ranked or pseudo-inverted twice.  The report keeps the
+    singular values of the two solvability stacks and, for a solvable
+    node, of X.
     """
-    solvable, lhs, rhs = check_data_solvability(ds, multiplier)
+    solvable, lhs, rhs, spectra = check_data_solvability(ds, multiplier)
     if not solvable:
         return DataDesignReport(
             node_index=ds.node_index, solvable=False,
             rank_with_output_derivs=lhs, rank_with_state_derivs=rhs,
             detectable=None, pencil_points=None, T_u=None, T_y=None, T_x=None,
-            rank_Ty=None, C_recovered=None, residual=None, r_inferred=None)
+            rank_Ty=None, C_recovered=None, residual=None, r_inferred=None,
+            spectra=spectra)
     r_hat = max(rhs - ds.n_m - ds.n_x, 0)
-    t_u, t_y, t_x, c_rec, residual = solve_data_equation_structured(
-        ds, r_hat, rtol=rtol, multiplier=multiplier)
+    c_rec, spectra["X"] = recover_output_map(ds, multiplier)
+    t_u, t_y, t_x, residual = solve_data_equation_structured(
+        ds, r_hat, c_rec, rtol=rtol, multiplier=multiplier)
     detectable, points = (None, None)
     if test_detectability:
         detectable, points = check_data_detectability(ds, t_x, c_rec, r_hat, multiplier)
@@ -156,7 +172,7 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
         detectable=detectable, pencil_points=points,
         T_u=t_u, T_y=t_y, T_x=t_x,
         rank_Ty=numerical_rank(t_y, multiplier),
-        C_recovered=c_rec, residual=residual, r_inferred=r_hat)
+        C_recovered=c_rec, residual=residual, r_inferred=r_hat, spectra=spectra)
 
 
 def analyze_datasets(datasets, rtol: float = DEFAULT_RESIDUAL_RTOL,
@@ -203,11 +219,3 @@ def build_data_driven_gains(reports, graph: SensorGraph,
         graph=graph, decay=decay, gamma_margin=gamma_margin,
         gamma_override=gamma_override, method="data", leader=leader)
 
-
-def rank_spectra(ds: NodeDataset) -> dict[str, np.ndarray]:
-    """Singular-value spectra of every stacked matrix the rank tests use."""
-    return {
-        "U;Ydot;X": singular_values(np.vstack([ds.U, ds.Ydot, ds.X])),
-        "U;X;Xdot": singular_values(np.vstack([ds.U, ds.X, ds.Xdot])),
-        "X": singular_values(ds.X),
-    }

@@ -15,7 +15,7 @@ import scipy.linalg
 from .errors import DesignError, DuioError, NumericsError, SolvabilityError
 from .linalg import (numerical_rank, pbh_detectable, pinv, spectral_abscissa,
                      symmetric_two_norm)
-from .network import SensorGraph, build_laplacian
+from .network import SensorGraph
 from .plant import PlantModel
 
 HURWITZ_TOL = -1e-8
@@ -56,6 +56,10 @@ class DuioGains:
         pl = self.gamma * laplacian
         pl[self.leader] = 0.0
         return np.kron(pl, np.eye(self.n_x))
+
+    def error_matrix(self, laplacian: np.ndarray) -> np.ndarray:
+        """The coupled error matrix blockdiag(E_i) - gamma (P L kron I)."""
+        return scipy.linalg.block_diag(*self.E_obs) - self.consensus(laplacian)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,19 +183,17 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,
         l_blocks.append(l_i)
     followers = [e_blocks[i] for i in range(m_nodes) if i != leader]
 
-    bundle = build_laplacian(graph, drop=leader)
     if m_nodes == 1:
         gamma = 0.0
     elif gamma_override is not None:
         gamma = float(gamma_override)
     else:
-        bound = gamma_lower_bound(followers, bundle.lambda_min_reduced)
+        bound = gamma_lower_bound(followers, graph.lambda_min_reduced(leader))
         gamma = (1.0 + gamma_margin) * bound if bound > 0 else max(gamma_margin, 1e-2)
 
     gains = DuioGains(E_obs=tuple(e_blocks), F=tuple(fs), L=tuple(l_blocks),
                       H=tuple(hs), gamma=gamma, leader=leader, method=method)
-    coupled = scipy.linalg.block_diag(*e_blocks) - gains.consensus(bundle.laplacian)
-    absc = spectral_abscissa(coupled)
+    absc = spectral_abscissa(gains.error_matrix(graph.laplacian))
     if absc >= HURWITZ_TOL:
         raise NumericsError(
             f"coupled error dynamics not Hurwitz (abscissa {absc:.3e}); "

@@ -45,12 +45,25 @@ def numerical_rank(a: np.ndarray, multiplier: float | None = None) -> int:
 
 def pinv(a: np.ndarray, multiplier: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the shared threshold policy."""
+    return spectrum_and_pinv(a, multiplier)[1]
+
+
+def spectrum_and_pinv(a: np.ndarray,
+                      multiplier: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values of ``a`` and its pseudoinverse, from one SVD.
+
+    Singular values at or below ``rank_threshold`` are dropped, with the
+    cutoff and products of ``np.linalg.pinv``, so the pseudoinverse
+    equals ``np.linalg.pinv`` at that ``rcond`` bit for bit.
+    """
     a = np.atleast_2d(a)
     if a.size == 0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    if multiplier is None:
-        multiplier = DEFAULT_RANK_MULTIPLIER
-    return np.linalg.pinv(a, rcond=multiplier * max(a.shape) * _EPS)
+        return np.zeros(0), np.zeros((a.shape[1], a.shape[0]))
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    large = sv > rank_threshold(sv, a.shape, multiplier)
+    inverse = np.zeros_like(sv)
+    np.divide(1, sv, where=large, out=inverse)
+    return sv, vt.T @ (inverse[:, None] * u.T)
 
 
 def spectral_abscissa(a: np.ndarray) -> float:

@@ -1,7 +1,7 @@
-"""Communication graph, Laplacian algebra, and spectral certificates."""
+"""Communication graph, its Laplacian, and the reduced-Laplacian certificate."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,9 +12,14 @@ CONNECTIVITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SensorGraph:
-    """Undirected weighted graph given by its adjacency matrix."""
+    """Connected undirected weighted graph given by its adjacency matrix.
+
+    The Laplacian L = D - A is formed once, here; a graph whose second
+    smallest Laplacian eigenvalue is zero is not connected and is rejected.
+    """
 
     adjacency: np.ndarray
+    laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=float)
@@ -27,43 +32,25 @@ class SensorGraph:
             raise GraphError("adjacency weights must be nonnegative")
         if np.any(np.diag(a) != 0):
             raise GraphError("adjacency diagonal must be zero")
+        lap = np.diag(a.sum(axis=1)) - a
+        spectrum = np.linalg.eigvalsh(lap)
+        if a.shape[0] > 1 and spectrum[1] <= CONNECTIVITY_TOL:
+            raise ConnectivityError(
+                f"graph is not connected: second-smallest Laplacian eigenvalue {spectrum[1]:.3e}")
+        object.__setattr__(self, "laplacian", lap)
 
     @property
     def M(self) -> int:
         return self.adjacency.shape[0]
 
+    def lambda_min_reduced(self, drop: int) -> float:
+        """Smallest eigenvalue of L without node ``drop``'s row and column.
 
-@dataclass(frozen=True)
-class LaplacianBundle:
-    laplacian: np.ndarray
-    reduced: np.ndarray
-    lambda_min_reduced: float
-    spectrum: np.ndarray
-
-
-def reduced_laplacian(laplacian: np.ndarray, drop: int = 0) -> np.ndarray:
-    """Delete one node's row and column from the Laplacian."""
-    keep = [j for j in range(laplacian.shape[0]) if j != drop]
-    return laplacian[np.ix_(keep, keep)]
-
-
-def build_laplacian(g: SensorGraph, drop: int = 0) -> LaplacianBundle:
-    """Laplacian L = D - A with the connectivity certificate.
-
-    ``drop`` selects the node removed to form the reduced Laplacian
-    (the designated leader after any relabeling).
-    """
-    a = g.adjacency
-    degree = np.diag(a.sum(axis=1))
-    lap = degree - a
-    spectrum = np.linalg.eigvalsh(lap)
-    if g.M > 1 and spectrum[1] <= CONNECTIVITY_TOL:
-        raise ConnectivityError(
-            f"graph is not connected: second-smallest Laplacian eigenvalue {spectrum[1]:.3e}")
-    red = reduced_laplacian(lap, drop)
-    lam_min = float(np.linalg.eigvalsh(red)[0]) if red.size else float("inf")
-    return LaplacianBundle(laplacian=lap, reduced=red,
-                           lambda_min_reduced=lam_min, spectrum=spectrum)
+        Positive on a connected graph; ``drop`` is the designated leader.
+        """
+        keep = [j for j in range(self.M) if j != drop]
+        reduced = self.laplacian[np.ix_(keep, keep)]
+        return float(np.linalg.eigvalsh(reduced)[0]) if reduced.size else float("inf")
 
 
 def ring(m: int, weight: float = 1.0) -> SensorGraph:
@@ -96,17 +83,14 @@ def path(m: int, weight: float = 1.0) -> SensorGraph:
     return SensorGraph(a)
 
 
-def from_edges(m: int, edges) -> SensorGraph:
-    """Graph from an iterable of (i, j) or (i, j, weight) entries."""
+def from_edges(m: int, edges, weight: float = 1.0) -> SensorGraph:
+    """Graph from (i, j) entries of weight ``weight`` and (i, j, w) entries of weight w."""
     a = np.zeros((m, m))
     for edge in edges:
-        if len(edge) == 2:
-            i, j = edge
-            w = 1.0
-        else:
-            i, j, w = edge
+        i, j, w = (*edge, weight) if len(edge) == 2 else edge
         i, j = int(i), int(j)
         a[i, j] = a[j, i] = float(w)
     return SensorGraph(a)
+
 
 GENERATORS = {"ring": ring, "complete": complete, "star": star, "path": path}

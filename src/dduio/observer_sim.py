@@ -17,7 +17,7 @@ from .design_model import DuioGains
 from .errors import DimensionError
 from .integrate import DRIVE_ROWS, rk4_linear
 from .linalg import spectral_abscissa
-from .network import SensorGraph, build_laplacian
+from .network import SensorGraph
 from .plant import PlantModel
 
 
@@ -71,18 +71,15 @@ def _check_dimensions(model: PlantModel, graph: SensorGraph, gains: DuioGains) -
 def _closed_loop(model: PlantModel, graph: SensorGraph, gains: DuioGains):
     """Constant matrices (A_cl, G_cl) of the coupled plant-observer ODE."""
     n, m_nodes = model.n_x, model.M
-    lap = build_laplacian(graph).laplacian
     c_stack = np.vstack([node.C for node in model.nodes])
-    e_blk = block_diag(*gains.E_obs)
     l_blk = block_diag(*gains.L)
     h_blk = block_diag(*gains.H)
-    consensus = -gains.consensus(lap)
 
     dim = n * (1 + m_nodes)
     a_cl = np.zeros((dim, dim))
     a_cl[:n, :n] = model.A
-    a_cl[n:, :n] = l_blk @ c_stack + consensus @ h_blk @ c_stack
-    a_cl[n:, n:] = e_blk + consensus
+    a_cl[n:, :n] = l_blk @ c_stack - gains.consensus(graph.laplacian) @ h_blk @ c_stack
+    a_cl[n:, n:] = gains.error_matrix(graph.laplacian)
 
     select = np.zeros((sum(node.n_m for node in model.nodes), model.n_u))
     row = 0
@@ -165,8 +162,8 @@ def _estimates(xi: np.ndarray, model: PlantModel, gains: DuioGains):
 
 
 def error_dynamics_matrix(gains: DuioGains, graph: SensorGraph) -> tuple[np.ndarray, float]:
-    """The closed error matrix blockdiag(E_i) - blockdiag(K_i)(L kron I)."""
-    m = block_diag(*gains.E_obs) - gains.consensus(build_laplacian(graph).laplacian)
+    """The coupled error matrix ``gains.error_matrix`` on ``graph``, and its abscissa."""
+    m = gains.error_matrix(graph.laplacian)
     return m, spectral_abscissa(m)
 
 

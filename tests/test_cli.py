@@ -11,6 +11,7 @@ import yaml
 
 import dduio
 from dduio.cli import main
+from dduio.network import SensorGraph
 
 FAST_CONFIG = {
     "seed": 5,
@@ -77,6 +78,42 @@ def test_check_passes_and_explains(collected, capsys):
     assert main(["check", "--data", collected, "--explain"]) == 0
     out = capsys.readouterr().out
     assert "sv[" in out
+
+
+def test_check_explain_prints_the_spectra_its_tests_ranked(monkeypatch, capsys, collected):
+    # --explain prints the singular values the rank decisions were read
+    # from; it decomposes no matrix of its own
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    counts, outputs = [], []
+    for extra in ([], ["--explain"]):
+        calls.clear()
+        assert main(["check", "--data", collected, *extra]) == 0
+        counts.append(len(calls))
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert counts[0] == counts[1] > 0
+    names = [line.split(":")[0].strip() for line in outputs[1] if line.startswith("  sv[")]
+    assert names == ["sv[U;Ydot;X]", "sv[U;X;Xdot]", "sv[X]"] * 5
+    assert [line for line in outputs[1] if not line.startswith("  sv[")] == outputs[0]
+
+
+def test_each_command_builds_one_sensor_graph(monkeypatch, tmp_path, fast_config_path,
+                                              collected, gains_path):
+    # the graph, and with it the Laplacian, is built once, when the config is parsed
+    built = []
+    init = SensorGraph.__post_init__
+    monkeypatch.setattr(SensorGraph, "__post_init__", lambda self: built.append(1) or init(self))
+    for argv in (["collect", "--out", str(tmp_path / "d")],
+                 ["check", "--data", collected],
+                 ["design", "--method", "model", "--out", str(tmp_path / "m.json")],
+                 ["design", "--method", "data", "--data", collected,
+                  "--out", str(tmp_path / "d.json")],
+                 ["run", "--gains", gains_path, "--out", str(tmp_path / "r")],
+                 ["compare", "--k", "1", "--out", str(tmp_path / "c")]):
+        built.clear()
+        assert main([*argv, "--config", fast_config_path]) == 0
+        assert len(built) == 1, argv
 
 
 def test_check_missing_dir(tmp_path):
@@ -196,16 +233,24 @@ def test_gains_file_has_no_k_and_ignores_an_old_one(tmp_path, fast_config_path, 
     assert _tree_bytes(tmp_path / "plain") == _tree_bytes(tmp_path / "with_k")
 
 
-@pytest.mark.parametrize("drop", ["gamma", "L"])
+@pytest.mark.parametrize("drop", ["gamma", "L", "gains", "json"])
 def test_run_names_a_missing_gains_key(tmp_path, capsys, fast_config_path, gains_path, drop):
     payload = json.loads(Path(gains_path).read_text())
-    holder = payload["gains"] if drop in payload["gains"] else payload["gains"]["nodes"][2]
-    del holder[drop]
     bad = tmp_path / "bad_gains.json"
-    bad.write_text(json.dumps(payload))
+    if drop == "json":
+        bad.write_text("nope")
+        want = f"error: gains file {bad} is not JSON: Expecting value"
+    elif drop == "gains":
+        bad.write_text(json.dumps({"verification": payload["verification"]}))
+        want = f"error: gains file {bad} has no top-level 'gains' object\n"
+    else:
+        holder = payload["gains"] if drop in payload["gains"] else payload["gains"]["nodes"][2]
+        del holder[drop]
+        bad.write_text(json.dumps(payload))
+        want = f"error: gains file is missing the key {drop!r}\n"
     assert main(["run", "--config", fast_config_path, "--gains", str(bad),
                  "--out", str(tmp_path / "r")]) == 1
-    assert capsys.readouterr().err == f"error: gains file is missing the key {drop!r}\n"
+    assert capsys.readouterr().err.startswith(want)
     assert not (tmp_path / "r").exists()
 
 
@@ -221,13 +266,17 @@ def test_run_dimension_mismatch(tmp_path, fast_config_path, gains_path):
 def test_compare_outputs(tmp_path, fast_config_path):
     out = str(tmp_path / "cmp")
     assert main(["compare", "--config", fast_config_path, "--out", out,
-                 "--k", "2"]) == 0
+                 "--k", "3", "--seed", "6"]) == 0
+    # the resolved config records the overrides the run used
+    resolved = yaml.safe_load(Path(out, "config.resolved.yaml").read_text())
+    assert (resolved["compare"]["K"], resolved["seed"]) == (3, 6)
     table = Path(out, "table1.csv").read_text().splitlines()
     assert table[0] == "method,mse,mae"
     assert len(table) == 4
     assert os.path.exists(os.path.join(out, "table1.md"))
     assert os.path.exists(os.path.join(out, "experiments", "k_000", "metrics.json"))
     assert os.path.exists(os.path.join(out, "experiments", "k_001", "metrics.json"))
+    assert sorted(os.listdir(os.path.join(out, "experiments"))) == ["k_000", "k_001", "k_002"]
 
 
 def test_python_dash_m_runs_the_cli():

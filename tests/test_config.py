@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from dduio.cli import main
-from dduio.config import load_config, parse_config, write_resolved
+from dduio.config import parse_config, write_resolved
 from dduio.errors import ConfigError
 from dduio.signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid
 
@@ -94,7 +94,7 @@ def test_resolved_config_contains_all_defaults(tmp_path):
     assert d["run"]["dt"] == 1e-3
     path = tmp_path / "resolved.yaml"
     write_resolved(cfg, path)
-    reloaded = load_config(path)
+    reloaded = parse_config(yaml.safe_load(path.read_text()))
     assert reloaded.seed == 7
     for name in ("A", "B", "E_dist"):
         assert np.array_equal(getattr(reloaded.model, name), getattr(cfg.model, name))
@@ -213,6 +213,36 @@ def test_held_signal_keeps_an_explicit_hold():
     assert dist.hold == 0.25 and dist.sample(np.array([0.3])) == 0.1
 
 
+def test_graph_weight_applies_to_unweighted_edges():
+    cfg = parse_config({"graph": {"size": 5, "weight": 2.5,
+                                  "edges": [[0, 1], [1, 2, 0.5], [2, 3], [3, 4], [4, 0]]}})
+    a = cfg.build_graph().adjacency
+    assert a[0, 1] == a[2, 3] == a[3, 4] == a[0, 4] == 2.5 and a[1, 2] == 0.5
+    assert cfg.resolved_dict()["graph"] == {
+        "size": 5, "edges": [[0, 1, 2.5], [0, 4, 2.5], [1, 2, 0.5], [2, 3, 2.5], [3, 4, 2.5]]}
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param({"generator": "ring"}, id="ring"),
+    pytest.param({"generator": "star", "weight": 0.3}, id="star"),
+    pytest.param({"generator": "complete", "weight": 1 / 3}, id="complete"),
+    pytest.param({"generator": "path"}, id="path"),
+    pytest.param({"size": 5, "weight": 0.7,
+                  "edges": [[0, 1], [1, 2, 2 / 3], [2, 3, 1e-3], [3, 4], [4, 0, 5.0]]},
+                 id="weighted-edges"),
+])
+def test_resolved_graph_reloads_to_the_same_adjacency(tmp_path, graph):
+    cfg = parse_config({"graph": graph})
+    path = tmp_path / "resolved.yaml"
+    write_resolved(cfg, path)
+    raw = yaml.safe_load(path.read_text())
+    assert sorted(raw["graph"]) == ["edges", "size"]
+    reloaded = parse_config(raw)
+    assert reloaded.graph.adjacency.tobytes() == cfg.graph.adjacency.tobytes()
+    assert reloaded.graph.laplacian.tobytes() == cfg.graph.laplacian.tobytes()
+    assert reloaded.resolved_dict() == cfg.resolved_dict()
+
+
 def test_graph_size_must_match_the_plant():
     with pytest.raises(ConfigError, match="graph.size is 5 but the plant has 1 nodes"):
         parse_config(_one_node_plant())
@@ -288,6 +318,13 @@ def test_graph_size_must_match_the_plant():
     pytest.param({"run": {"x0_range": None}}, r"run\.x0_range must be a list",
                  id="x0-range-null"),
     pytest.param({"seed": "abc"}, r"seed must be an integer >= 0", id="seed-text"),
+    pytest.param({"design": 5}, r"^design: expected a mapping, got 5$", id="design-not-mapping"),
+    pytest.param({"graph": 3}, r"^graph: expected a mapping, got 3$", id="graph-not-mapping"),
+    pytest.param({"run": None}, r"^run: expected a mapping, got None$", id="run-null"),
+    pytest.param({"graph": {"generator": "star", "size": 5,
+                            "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}},
+                 r"graph: give 'generator' or 'edges', not both; got generator 'star'",
+                 id="generator-beside-edges"),
     pytest.param({"seed": 1.5}, r"seed must be an integer >= 0", id="seed-float"),
     pytest.param({"seed": -1}, r"seed must be an integer >= 0", id="seed-negative"),
     pytest.param(_one_node_plant(node={"C": [[1.0]], "known_input_indices": [0, 0]}),
@@ -355,8 +392,28 @@ def test_boundary_section_values_accepted():
                  "error: plant.inputs[0].transition must be a square matrix", id="transition"),
     pytest.param("collect --seed -1", {}, "error: seed must be an integer >= 0, got -1",
                  id="cli-seed-negative"),
+    pytest.param("collect --seed -1", None, "error: seed must be an integer >= 0, got -1",
+                 id="cli-seed-negative-empty-file"),
     pytest.param("collect", {"graph": {"size": 5, "edges": [[0, 1], [2, 3], [3, 4]]}},
                  "error: graph.edges: graph is not connected", id="graph-disconnected"),
+    # the command-line overrides meet the same rules as the keys they set
+    pytest.param("compare --k 0", {}, "error: compare.K must be a positive integer, got 0\n",
+                 id="cli-k-zero"),
+    pytest.param("compare --k -2", {}, "error: compare.K must be a positive integer, got -2\n",
+                 id="cli-k-negative"),
+    pytest.param("design --method model --gamma -1", {},
+                 "error: design.gamma_override must be null or a finite number > 0, got -1.0\n",
+                 id="cli-gamma-negative"),
+    pytest.param("design --method model --gamma nan", {},
+                 "error: design.gamma_override must be null or a finite number > 0, got nan\n",
+                 id="cli-gamma-nan"),
+    pytest.param("design --method model --gamma 2", {"design": 5},
+                 "error: design: expected a mapping, got 5\n", id="design-not-mapping"),
+    pytest.param("collect", {"graph": 3}, "error: graph: expected a mapping, got 3\n",
+                 id="graph-not-mapping"),
+    pytest.param("collect", {"graph": {"generator": "star", "size": 5,
+                                       "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}},
+                 "error: graph: give 'generator' or 'edges', not both", id="generator-beside-edges"),
 ])
 def test_cli_rejects_bad_values_before_any_work(tmp_path, capsys, command, raw, message):
     path = tmp_path / "cfg.yaml"

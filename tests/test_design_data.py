@@ -13,7 +13,6 @@ from dduio.design_data import (analyze_datasets, analyze_node, build_data_driven
 from dduio.design_model import check_detectability, decoupling_gain, rank_condition
 from dduio.errors import ConsistencyError, DesignError, RankError
 from dduio.linalg import numerical_rank, pbh_detectable, pinv, spectral_abscissa
-from dduio.network import build_laplacian
 
 from conftest import (BENCH_GAMMA, bench_signals, coupling_matrix, pointwise_dataset,
                       single_node_model)
@@ -40,16 +39,21 @@ def record_solve_calls(monkeypatch):
 
 def test_solvability_benchmark_nodes(bench_datasets):
     for ds in bench_datasets:
-        holds, lhs, rhs = check_data_solvability(ds)
+        holds, lhs, rhs, spectra = check_data_solvability(ds)
         assert holds
         assert lhs == rhs == 7
+        # the spectra returned are the ones the two ranks were read from
+        for name, stack in (("U;Ydot;X", np.vstack([ds.U, ds.Ydot, ds.X])),
+                            ("U;X;Xdot", np.vstack([ds.U, ds.X, ds.Xdot]))):
+            assert spectra[name].tobytes() == linalg.singular_values(stack).tobytes()
+        assert list(spectra) == ["U;Ydot;X", "U;X;Xdot"]
 
 
 def test_solvability_without_unknown_channels():
     a = np.array([[0.0, 1.0], [-2.0, -0.3]])
     ds = pointwise_dataset(a, [[0.0], [1.0]], np.zeros((2, 0)), np.eye(2),
                            N=20, seed=1)
-    holds, lhs, rhs = check_data_solvability(ds)
+    holds, lhs, rhs, _ = check_data_solvability(ds)
     assert holds and lhs == rhs == 3
     assert analyze_node(ds).r_inferred == 0
 
@@ -59,9 +63,11 @@ def test_solvability_fails_when_output_blind_to_unknown():
     a = np.array([[0.1, 0.4], [-0.6, 0.2]])
     ds = pointwise_dataset(a, np.zeros((2, 0)), [[1.0], [0.0]], [[0.0, 1.0]],
                            N=20, seed=2)
-    holds, lhs, rhs = check_data_solvability(ds)
+    holds, lhs, rhs, spectra = check_data_solvability(ds)
     assert not holds
     assert lhs < rhs
+    # an unsolvable node reports only the two spectra its test used
+    assert analyze_node(ds).spectra.keys() == spectra.keys() == {"U;Ydot;X", "U;X;Xdot"}
 
 
 def test_recover_output_map_identity_data():
@@ -74,12 +80,21 @@ def test_recover_output_map_identity_data():
         pointwise_dataset(np.zeros((n_x, n_x)), np.zeros((n_x, 0)),
                           np.zeros((n_x, 0)), c_true, N=n_x + n_extra, seed=4),
         X=x, Y=y)
-    assert np.allclose(recover_output_map(ds_like), c_true, atol=1e-10)
+    assert np.allclose(recover_output_map(ds_like)[0], c_true, atol=1e-10)
 
 
 def test_recover_output_map_benchmark_node3(bench_model, bench_datasets):
-    c = recover_output_map(bench_datasets[2])
+    ds = bench_datasets[2]
+    c, sv = recover_output_map(ds)
     assert np.linalg.norm(c - bench_model.nodes[2].C) < 1e-9
+    # one SVD gives the spectrum and a pseudoinverse equal to numpy's, bit for bit
+    assert np.allclose(sv, linalg.singular_values(ds.X), rtol=1e-13)
+    rcond = linalg.DEFAULT_RANK_MULTIPLIER * max(ds.X.shape) * np.finfo(float).eps
+    assert c.tobytes() == (ds.Y @ np.linalg.pinv(ds.X, rcond=rcond)).tobytes()
+    report = analyze_node(ds)
+    assert list(report.spectra) == ["U;Ydot;X", "U;X;Xdot", "X"]
+    assert report.spectra["X"].tobytes() == sv.tobytes()
+    assert report.C_recovered.tobytes() == c.tobytes()
 
 
 def test_recover_output_map_duplicate_columns(bench_datasets):
@@ -91,7 +106,7 @@ def test_recover_output_map_duplicate_columns(bench_datasets):
                                   Xdot=np.hstack([ds.Xdot, ds.Xdot]),
                                   W_validation=None,
                                   sample_times=np.tile(ds.sample_times, 2))
-    assert np.allclose(recover_output_map(doubled), recover_output_map(ds),
+    assert np.allclose(recover_output_map(doubled)[0], recover_output_map(ds)[0],
                        atol=1e-10)
 
 
@@ -131,7 +146,7 @@ def test_data_equation_inconsistent_data_raises(bench_datasets):
     ds = bench_datasets[0]
     broken = dataclasses.replace(ds, Ydot=np.zeros_like(ds.Ydot))
     with pytest.raises(ConsistencyError):
-        solve_data_equation_structured(broken, 2)
+        solve_data_equation_structured(broken, 2, recover_output_map(broken)[0])
 
 
 def test_structured_solution_matches_model_blocks(bench_model, bench_datasets):
@@ -227,7 +242,7 @@ def test_rank_tests_agree_with_model_conditions(kind):
         ds = pointwise_dataset(a, b_m, b_p, c,
                                N=b_m.shape[1] + b_p.shape[1] + a.shape[0] + 10,
                                seed=1000 + trial)
-        holds, _, _ = check_data_solvability(ds)
+        holds = check_data_solvability(ds)[0]
         assert holds == rank_condition(model.nodes[0].C, model.nodes[0].B_p)
         if holds:
             detectable = analyze_node(ds, test_detectability=True).detectable
@@ -242,9 +257,8 @@ def test_build_gains_matches_model_based(bench_graph, model_gains, data_gains):
         assert np.linalg.norm(data_gains.F[i] - model_gains.F[i]) < 1e-6
         assert np.linalg.norm(data_gains.L[i] - model_gains.L[i]) < 1e-6
         assert np.allclose(data_gains.K[i], model_gains.K[i])
-    lap = build_laplacian(bench_graph).laplacian
     assert spectral_abscissa(coupling_matrix(data_gains.E_obs, data_gains.K,
-                                             lap)) < 0
+                                             bench_graph.laplacian)) < 0
 
 
 def test_build_gains_preconditions(bench_datasets, bench_graph):
@@ -316,9 +330,9 @@ def test_leader_test_reuses_the_structured_solve(monkeypatch, kind):
     a, b_m, b_p, c = random_node_system(np.random.default_rng(31), kind)
     ds = pointwise_dataset(a, b_m, b_p, c, N=b_m.shape[1] + b_p.shape[1] + a.shape[0] + 10,
                            seed=77)
-    _, _, rhs = check_data_solvability(ds)
-    r_hat = rhs - ds.n_m - ds.n_x
-    _, _, t_x, c_rec, _ = solve_data_equation_structured(ds, r_hat)
+    r_hat = check_data_solvability(ds)[2] - ds.n_m - ds.n_x
+    c_rec, _ = recover_output_map(ds)
+    _, _, t_x, _ = solve_data_equation_structured(ds, r_hat, c_rec)
     detectable, points = check_data_detectability(ds, t_x, c_rec, r_hat, None)
     calls = record_solve_calls(monkeypatch)
     report = analyze_node(ds, test_detectability=True)
@@ -330,8 +344,9 @@ def test_leader_test_reuses_the_structured_solve(monkeypatch, kind):
 
 def test_analyze_node_ranks_and_inverts_each_matrix_once(monkeypatch, bench_datasets):
     # Every rank decision and pseudoinverse of one node's pass, the leader's
-    # detectability test included, is computed from its matrix exactly once.
-    seen = {"numerical_rank": [], "pinv": []}
+    # detectability test included, is computed from its matrix exactly once,
+    # and X is ranked and pseudo-inverted from one SVD.
+    seen = {"numerical_rank": [], "singular_values": [], "pinv": [], "spectrum_and_pinv": []}
     for name in seen:
         original = getattr(linalg, name)
 
@@ -345,8 +360,11 @@ def test_analyze_node_ranks_and_inverts_each_matrix_once(monkeypatch, bench_data
     report = analyze_node(bench_datasets[0].design_view(), test_detectability=True)
     assert report.solvable and report.detectable
     ds = bench_datasets[0]
-    ranked = {key[2] for key in seen["numerical_rank"]}
+    ranked = [key[2] for name in ("numerical_rank", "singular_values") for key in seen[name]]
     assert np.vstack([ds.U, ds.X, ds.Xdot]).tobytes() in ranked
+    assert len(set(ranked)) == len(ranked)
+    assert ds.X.tobytes() not in ranked
+    assert [key[2] for key in seen["spectrum_and_pinv"]].count(ds.X.tobytes()) == 1
     for name, matrices in seen.items():
         assert matrices
         assert len(set(matrices)) == len(matrices), f"a matrix passed through {name} twice"

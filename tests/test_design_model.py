@@ -9,7 +9,7 @@ from dduio.design_model import (build_model_based_gains, check_detectability,
                                 stabilizing_output_injection)
 from dduio.errors import DesignError, SolvabilityError
 from dduio.linalg import numerical_rank, spectral_abscissa
-from dduio.network import SensorGraph, build_laplacian, complete, ring
+from dduio.network import SensorGraph, complete, ring
 from dduio.observer_sim import verify_decoupling
 from dduio.plant import PlantModel
 
@@ -100,15 +100,14 @@ def test_zero_follower_blocks_still_need_positive_gamma():
                                 [(np.eye(2), (0,), ()) for _ in range(3)])
     gains = build_model_based_gains(model, ring(3))
     assert gains.gamma > 0
-    lap = build_laplacian(ring(3)).laplacian
-    assert spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, lap)) < 0
+    assert spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, ring(3).laplacian)) < 0
 
 
 def test_benchmark_gains_with_paper_gamma(bench_model, bench_graph, model_gains):
     assert model_gains.gamma == 5.0
     assert model_gains.leader == 0
-    lap = build_laplacian(bench_graph).laplacian
-    absc = spectral_abscissa(coupling_matrix(model_gains.E_obs, model_gains.K, lap))
+    absc = spectral_abscissa(coupling_matrix(model_gains.E_obs, model_gains.K,
+                                             bench_graph.laplacian))
     assert absc < 0
     report = verify_decoupling(bench_model, model_gains)
     assert report.max_residual < 1e-10
@@ -116,15 +115,15 @@ def test_benchmark_gains_with_paper_gamma(bench_model, bench_graph, model_gains)
 
 def test_default_gamma_exceeds_bound(bench_model, bench_graph):
     gains = build_model_based_gains(bench_model, bench_graph)
-    bundle = build_laplacian(bench_graph, drop=gains.leader)
+    lam = bench_graph.lambda_min_reduced(gains.leader)
     followers = [gains.E_obs[i] for i in range(gains.M) if i != gains.leader]
-    bound = gamma_lower_bound(followers, bundle.lambda_min_reduced)
+    bound = gamma_lower_bound(followers, lam)
     assert gains.gamma > bound
     # Lyapunov margin of the follower subsystem
     e = np.zeros((0, 0))
     import scipy.linalg as sla
     e = sla.block_diag(*followers)
-    assert np.linalg.norm(e + e.T, 2) - 2 * gains.gamma * bundle.lambda_min_reduced < 0
+    assert np.linalg.norm(e + e.T, 2) - 2 * gains.gamma * lam < 0
 
 
 def test_gamma_bound_scalar_value():
@@ -138,15 +137,14 @@ def test_coupling_hurwitz_above_bound_random_graphs():
         m = int(rng.integers(2, 7))
         n = int(rng.integers(1, 4))
         graph = random_connected_graph(rng, m)
-        bundle = build_laplacian(graph)
         followers = [rng.normal(size=(n, n)) for _ in range(m - 1)]
         leader_block = rng.normal(size=(n, n))
         leader_block -= (spectral_abscissa(leader_block) + 0.5) * np.eye(n)
-        gamma = 1.001 * gamma_lower_bound(followers, bundle.lambda_min_reduced)
+        gamma = 1.001 * gamma_lower_bound(followers, graph.lambda_min_reduced(0))
         gamma = max(gamma, 1e-3)
         e_blocks = [leader_block] + followers
         k_blocks = [np.zeros((n, n))] + [gamma * np.eye(n)] * (m - 1)
-        absc = spectral_abscissa(coupling_matrix(e_blocks, k_blocks, bundle.laplacian))
+        absc = spectral_abscissa(coupling_matrix(e_blocks, k_blocks, graph.laplacian))
         assert absc < 0
 
 
@@ -160,8 +158,7 @@ def test_leader_relabeling_skips_undetectable_node():
     assert gains.leader == 1
     assert np.allclose(gains.K[1], 0.0)
     assert np.allclose(gains.K[0], gains.gamma * np.eye(2))
-    lap = build_laplacian(complete(2)).laplacian
-    assert spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, lap)) < 0
+    assert spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, complete(2).laplacian)) < 0
 
 
 def test_design_errors_name_the_condition():
@@ -195,12 +192,13 @@ def test_gains_json_roundtrip(model_gains):
 
 def test_model_side_designs_rank_each_node_once(monkeypatch, bench_model, bench_graph,
                                                 bench_datasets):
-    calls = {"rank_condition": [], "build_laplacian": [], "assemble_from_blocks": []}
-    for name, log in calls.items():
-        def spy(*args, _log=log, _original=getattr(design_model, name), **kwargs):
+    calls = {"rank_condition": [], "assemble_from_blocks": [], "__post_init__": []}
+    for owner, name in ((design_model, "rank_condition"), (design_model, "assemble_from_blocks"),
+                        (SensorGraph, "__post_init__")):
+        def spy(*args, _log=calls[name], _original=getattr(owner, name), **kwargs):
             _log.append(args)
             return _original(*args, **kwargs)
-        monkeypatch.setattr(design_model, name, spy)
+        monkeypatch.setattr(owner, name, spy)
 
     for method in ("model", "id"):
         for log in calls.values():
@@ -212,4 +210,5 @@ def test_model_side_designs_rank_each_node_once(monkeypatch, bench_model, bench_
             if method == "model":
                 assert c is node.C
         assert len(calls["assemble_from_blocks"]) == 1, method
-        assert len(calls["build_laplacian"]) == 1, method
+        # the design reads the graph's Laplacian; it builds no graph of its own
+        assert calls["__post_init__"] == [], method

@@ -10,7 +10,7 @@ from dduio.design_model import DuioGains, build_model_based_gains
 from dduio.errors import DimensionError, DivergenceError
 from dduio.integrate import DRIVE_ROWS, rk4_linear
 from dduio.linalg import spectral_abscissa
-from dduio.network import SensorGraph, build_laplacian, complete
+from dduio.network import SensorGraph, complete
 from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run, run,
                                 verify_decoupling)
 from dduio.plant import PlantModel
@@ -117,7 +117,7 @@ def test_closed_loop_observer_block_is_the_error_matrix(bench_model, bench_graph
         assert all(k.tobytes() == want.tobytes() for k, want in zip(gains.K, k_blocks))
         a_cl, _ = _closed_loop(model, graph, gains)
         err, _ = error_dynamics_matrix(gains, graph)
-        oracle = coupling_matrix(gains.E_obs, k_blocks, build_laplacian(graph).laplacian)
+        oracle = coupling_matrix(gains.E_obs, k_blocks, graph.laplacian)
         assert a_cl[n:, n:].tobytes() == err.tobytes() == oracle.tobytes()
 
 
