@@ -248,23 +248,25 @@ def _parse_graph(section) -> SensorGraph:
     _check(size, "a positive integer", "graph.size")
     _check(weight, "a finite number > 0", "graph.weight")
     edges = section.get("edges")
-    if edges is None:
-        gen = section.get("generator") or "ring"
-        if gen not in GENERATORS:
-            raise ConfigError(f"graph: unknown generator {gen!r}; choose from {sorted(GENERATORS)}")
-        return GENERATORS[gen](size, float(weight))
-    if "size" not in section:
-        raise ConfigError("graph: explicit edges need 'size'")
-    if section.get("generator") is not None:
-        raise ConfigError(f"graph: give 'generator' or 'edges', not both; "
-                          f"got generator {section['generator']!r}")
-    if not isinstance(edges, list):
-        raise ConfigError(f"graph.edges must be a list, got {edges!r}")
-    checked = [_check_edge(e, size, f"graph.edges[{k}]") for k, e in enumerate(edges)]
     try:
+        if edges is None:
+            gen = section.get("generator") or "ring"
+            if gen not in GENERATORS:
+                raise ConfigError(f"graph: unknown generator {gen!r}; "
+                                  f"choose from {sorted(GENERATORS)}")
+            return GENERATORS[gen](size, float(weight))
+        if "size" not in section:
+            raise ConfigError("graph: explicit edges need 'size'")
+        if section.get("generator") is not None:
+            raise ConfigError(f"graph: give 'generator' or 'edges', not both; "
+                              f"got generator {section['generator']!r}")
+        if not isinstance(edges, list):
+            raise ConfigError(f"graph.edges must be a list, got {edges!r}")
+        checked = [_check_edge(e, size, f"graph.edges[{k}]") for k, e in enumerate(edges)]
         return from_edges(size, checked, float(weight))
     except GraphError as exc:
-        raise ConfigError(f"graph.edges: {exc}") from exc
+        where = "graph" if edges is None else "graph.edges"
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)

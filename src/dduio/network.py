@@ -83,7 +83,7 @@ def path(m: int, weight: float = 1.0) -> SensorGraph:
     return SensorGraph(a)
 
 
-def from_edges(m: int, edges, weight: float = 1.0) -> SensorGraph:
+def from_edges(m: int, edges, weight: float) -> SensorGraph:
     """Graph from (i, j) entries of weight ``weight`` and (i, j, w) entries of weight w."""
     a = np.zeros((m, m))
     for edge in edges:

@@ -288,6 +288,8 @@ def test_graph_size_must_match_the_plant():
     pytest.param({"graph": {"weight": "x"}}, r"graph\.weight must be", id="graph-weight-text"),
     pytest.param({"graph": {"weight": -1.0}}, r"graph\.weight must be",
                  id="graph-weight-negative"),
+    pytest.param({"graph": {"generator": "ring", "weight": 1e-10}},
+                 r"^graph: graph is not connected", id="generator-tiny-weight"),
     pytest.param({"graph": {"size": 5, "edges": "ring"}}, r"graph\.edges must be a list",
                  id="edges-text"),
     pytest.param({"graph": {"size": 5, "edges": [[0, 7]]}},

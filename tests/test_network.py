@@ -55,7 +55,7 @@ def test_disconnected_graph_rejected():
     with pytest.raises(ConnectivityError, match="not connected"):
         SensorGraph(adj)
     with pytest.raises(ConnectivityError):
-        from_edges(4, [(0, 1), (2, 3)])
+        from_edges(4, [(0, 1), (2, 3)], 1.0)
     with pytest.raises(ConnectivityError):
         SensorGraph(np.zeros((2, 2)))
     # one node needs no edge
@@ -82,13 +82,13 @@ def test_graph_invariants_rejected():
     with pytest.raises(GraphError):
         SensorGraph(np.array([[1.0, 1.0], [1.0, 0.0]]))  # self weight
     with pytest.raises(GraphError):
-        from_edges(3, [(1, 1)])
+        from_edges(3, [(1, 1)], 1.0)
 
 
 def test_from_edges_weights():
-    g = from_edges(3, [(0, 1), (1, 2, 0.5)], weight=2.0)
+    g = from_edges(3, [(0, 1), (1, 2, 0.5)], 2.0)
     assert np.array_equal(g.adjacency, [[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
-    assert np.array_equal(from_edges(2, [(0, 1)]).adjacency, complete(2).adjacency)
+    assert np.array_equal(from_edges(2, [(0, 1)], 1.0).adjacency, complete(2).adjacency)
 
 
 def test_row_sums_zero_and_reduced_definite_random_graphs():
