@@ -19,7 +19,7 @@ from .design_data import analyze_datasets, build_data_driven_gains, recover_outp
 from .design_model import (DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN, DuioGains,
                            assemble_from_node_matrices, build_model_based_gains)
 from .errors import DesignError, EmptyRunError, RankError
-from .linalg import numerical_rank, pinv
+from .linalg import rank_from_singular_values, spectrum_and_pinv
 from .network import SensorGraph
 from .observer_sim import RunResult, run
 from .plant import PlantModel
@@ -34,9 +34,10 @@ def identify_least_squares(ds: NodeDataset, multiplier: float | None = None):
     biases the estimate.  Returns (A_hat, B_m_hat, C_hat).
     """
     regressors = np.vstack([ds.X, ds.U])
-    if numerical_rank(regressors, multiplier) < ds.n_x + ds.n_m:
+    sv, regressors_pinv = spectrum_and_pinv(regressors, multiplier)
+    if rank_from_singular_values(sv, regressors.shape, multiplier) < ds.n_x + ds.n_m:
         raise RankError("stacked [X; U] is row-rank deficient; identification is ill-posed")
-    theta = ds.Xdot @ pinv(regressors, multiplier)
+    theta = ds.Xdot @ regressors_pinv
     a_hat = theta[:, :ds.n_x]
     b_m_hat = theta[:, ds.n_x:]
     c_hat, _ = recover_output_map(ds, multiplier)
@@ -90,12 +91,24 @@ class MetricSummary:
     method: str
     mse: float
     mae: float
-    mse_per_node: np.ndarray
-    mae_per_node: np.ndarray
     per_experiment_mse: np.ndarray
     per_experiment_mae: np.ndarray
     experiments: int
-    seed: int
+
+
+def run_experiment(config, model: PlantModel, graph: SensorGraph, gains: DuioGains,
+                   seed: int) -> tuple[RunResult, MethodMetrics]:
+    """One closed-loop run of ``gains`` on the online scenario drawn from ``seed``.
+
+    The initial state and the signals are pure functions of the seed, so
+    every method run with one seed meets the same scenario.
+    """
+    x0 = config.draw_x0(seed)
+    z0 = config.initial_observer_states(x0, model, gains)
+    result = run(model, graph, gains, x0, config.build_inputs(seed),
+                 config.build_disturbances(seed), horizon=config.run.horizon,
+                 dt=config.run.dt, z0=z0)
+    return result, compute_mse_mae(result)
 
 
 def _derived_seed(*parts) -> int:
@@ -159,19 +172,13 @@ def monte_carlo_compare(config, K: int, master_seed: int,
         datasets = None
         if any(m in methods for m in ("data", "id")):
             datasets = collect_all_nodes(config, model, exp_seed)
-        x0 = config.draw_x0(exp_seed)
-        inputs = config.build_inputs(exp_seed)
-        disturbances = config.build_disturbances(exp_seed)
         experiment_record = {"experiment": k, "seed": exp_seed, "methods": {}}
         for method in methods:
             if method == "model":
                 gains = model_gains
             else:
                 gains = design_for_method(method, config, model, graph, datasets)
-            z0 = config.initial_observer_states(x0, model, gains)
-            result = run(model, graph, gains, x0, inputs, disturbances,
-                         horizon=config.run.horizon, dt=config.run.dt, z0=z0)
-            metrics = compute_mse_mae(result)
+            _, metrics = run_experiment(config, model, graph, gains, exp_seed)
             per_method[method].append(metrics)
             experiment_record["methods"][method] = metrics.to_json_dict()
         if artifacts_dir is not None:
@@ -186,10 +193,7 @@ def monte_carlo_compare(config, K: int, master_seed: int,
         summaries.append(MetricSummary(
             method=method,
             mse=float(mse_k.mean()), mae=float(mae_k.mean()),
-            mse_per_node=np.mean([m.mse_per_node for m in runs], axis=0),
-            mae_per_node=np.mean([m.mae_per_node for m in runs], axis=0),
-            per_experiment_mse=mse_k, per_experiment_mae=mae_k,
-            experiments=K, seed=int(master_seed)))
+            per_experiment_mse=mse_k, per_experiment_mae=mae_k, experiments=K))
     return summaries
 
 

@@ -263,6 +263,12 @@ def _parse_graph(section) -> SensorGraph:
         if not isinstance(edges, list):
             raise ConfigError(f"graph.edges must be a list, got {edges!r}")
         checked = [_check_edge(e, size, f"graph.edges[{k}]") for k, e in enumerate(edges)]
+        first = {}
+        for k, e in enumerate(checked):
+            j = first.setdefault(frozenset(e[:2]), k)
+            if j != k:
+                raise ConfigError(f"graph.edges[{j}] and graph.edges[{k}] both join nodes "
+                                  f"{sorted(e[:2])}; list each edge once")
         return from_edges(size, checked, float(weight))
     except GraphError as exc:
         where = "graph" if edges is None else "graph.edges"

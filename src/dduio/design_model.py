@@ -13,8 +13,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DesignError, DuioError, NumericsError, SolvabilityError
-from .linalg import (numerical_rank, pbh_detectable, pinv, spectral_abscissa,
-                     symmetric_two_norm)
+from .linalg import (numerical_rank, pbh_detectable, rank_from_singular_values,
+                     spectral_abscissa, spectrum_and_pinv, symmetric_two_norm)
 from .network import SensorGraph
 from .plant import PlantModel
 
@@ -96,11 +96,18 @@ def rank_condition(C: np.ndarray, B_p: np.ndarray, multiplier: float | None = No
 
 
 def decoupling_gain(C: np.ndarray, B_p: np.ndarray) -> np.ndarray:
-    """Solve H C B_p = B_p; the particular solution is B_p (C B_p)^+."""
-    if not rank_condition(C, B_p):
+    """Solve H C B_p = B_p; the particular solution is B_p (C B_p)^+.
+
+    ``B_p`` has full column rank (the plant checks it at assembly; the data
+    side passes an orthonormal basis), so the solvability condition
+    rank(C B_p) = rank(B_p) is read from the SVD that gives (C B_p)^+.
+    """
+    cb = C @ B_p
+    sv, cb_pinv = spectrum_and_pinv(cb)
+    if rank_from_singular_values(sv, cb.shape) < B_p.shape[1]:
         raise SolvabilityError(
             "rank(C B_p) < rank(B_p): no output feedthrough can cancel the unknown input")
-    return B_p @ pinv(C @ B_p)
+    return B_p @ cb_pinv
 
 
 def check_detectability(model: PlantModel, i: int) -> bool:
@@ -121,14 +128,12 @@ def stabilizing_output_injection(T: np.ndarray, C: np.ndarray,
     Solved as the dual linear-quadratic problem: P solves the Riccati
     equation of the decay-shifted pair and M = P C^T.  When unobservable
     modes sit shallower than the requested decay the shift is relaxed,
-    since no injection can move them.
+    since no injection can move them.  The pair (T, C) must be detectable;
+    the caller has tested it (the leader search or the data-side test).
     """
     T = np.asarray(T, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = T.shape[0]
-    if not pbh_detectable(T, C):
-        raise DesignError("pair is not detectable: no stabilizing output injection exists")
-    eye = np.eye(n)
+    eye = np.eye(T.shape[0])
     for shift in (decay, decay / 2, decay / 4, 0.0):
         try:
             p = scipy.linalg.solve_continuous_are(
@@ -142,12 +147,12 @@ def stabilizing_output_injection(T: np.ndarray, C: np.ndarray,
 
 
 def gamma_lower_bound(follower_blocks, lambda_min_reduced: float) -> float:
-    """Coupling-gain bound: ||E~ + E~^T|| / (2 lambda_min(reduced Laplacian))."""
-    blocks = list(follower_blocks)
-    if not blocks:
-        return 0.0
-    e = scipy.linalg.block_diag(*blocks)
-    return symmetric_two_norm(e + e.T) / (2.0 * lambda_min_reduced)
+    """Coupling-gain bound: ||E~ + E~^T|| / (2 lambda_min(reduced Laplacian)).
+
+    E~ is block diagonal, so its norm is the largest of its blocks' norms.
+    """
+    norms = [symmetric_two_norm(e + e.T) for e in follower_blocks]
+    return max(norms, default=0.0) / (2.0 * lambda_min_reduced)
 
 
 def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,

@@ -43,22 +43,12 @@ class NodeView:
 
 @dataclass(frozen=True)
 class PlantModel:
+    """The plant and its node views; build it with ``assemble``, which checks both."""
+
     A: np.ndarray
     B: np.ndarray
     E_dist: np.ndarray
     nodes: tuple[NodeView, ...]
-
-    def __post_init__(self):
-        _check_plant(self.A, self.B, self.E_dist)
-        if len(self.nodes) < 1:
-            raise DimensionError("nodes must hold at least one sensor node")
-        n = self.n_x
-        for i, node in enumerate(self.nodes):
-            _check_output_map(node.C, n, i)
-            if node.B_m.shape[0] != n or node.B_p.shape[0] != n:
-                raise DimensionError(f"nodes[{i}]: B_m and B_p must have n_x={n} rows")
-            if node.r and numerical_rank(node.B_p) < node.r:
-                raise RankError(f"nodes[{i}].B_p must have full column rank {node.r}")
 
     @property
     def n_x(self) -> int:
@@ -83,19 +73,27 @@ class PlantModel:
         ``unknown_scales`` rescales the node's view of each unknown input
         column of B (None: all ones); disturbance columns are never
         rescaled.  A 1-D ``E_dist`` is one disturbance column, an empty
-        one none.  Every shape is checked before anything is stacked.
+        one none.  Every shape is checked before anything is stacked, and
+        every node's B_p must have full column rank.
         """
         A, B, E_dist = (np.asarray(m, dtype=float) for m in (A, B, E_dist))
         if E_dist.size == 0:
             E_dist = E_dist.reshape(A.shape[:1] + (0,))
         elif E_dist.ndim == 1:
             E_dist = E_dist.reshape(-1, 1)
-        _check_plant(A, B, E_dist)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise DimensionError(f"A must be a square matrix, got shape {A.shape}")
+        for name, m in (("B", B), ("E", E_dist)):
+            if m.ndim != 2 or m.shape[0] != A.shape[0]:
+                raise DimensionError(f"{name} must be a matrix with {A.shape[0]} rows, "
+                                     f"got shape {m.shape}")
         n_x, n_u = B.shape
         nodes = []
         for i, (C, known, scales) in enumerate(node_specs):
             C = np.asarray(C, dtype=float)
-            _check_output_map(C, n_x, i)
+            if C.ndim != 2 or C.shape[1] != n_x:
+                raise DimensionError(f"nodes[{i}].C must be a matrix with {n_x} columns, "
+                                     f"got shape {C.shape}")
             if not (isinstance(known, (list, tuple))
                     and all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                             and 0 <= k < n_u for k in known)
@@ -109,25 +107,13 @@ class PlantModel:
                 raise DimensionError(f"nodes[{i}].unknown_scales must be {len(unknown)} "
                                      f"nonzero numbers, got {scales.tolist()!r}")
             B_p = np.hstack([B[:, unknown] * scales, E_dist])
+            if B_p.shape[1] and numerical_rank(B_p) < B_p.shape[1]:
+                raise RankError(f"nodes[{i}].B_p must have full column rank {B_p.shape[1]}")
             nodes.append(NodeView(C=C, B_m=B[:, known], B_p=B_p, known_input_indices=known,
                                   unknown_input_scales=scales))
+        if not nodes:
+            raise DimensionError("nodes must hold at least one sensor node")
         return PlantModel(A=A, B=B, E_dist=E_dist, nodes=tuple(nodes))
-
-
-def _check_plant(A: np.ndarray, B: np.ndarray, E_dist: np.ndarray) -> None:
-    """A square; B and E matrices with one row per state."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"A must be a square matrix, got shape {A.shape}")
-    for name, m in (("B", B), ("E", E_dist)):
-        if m.ndim != 2 or m.shape[0] != A.shape[0]:
-            raise DimensionError(f"{name} must be a matrix with {A.shape[0]} rows, "
-                                 f"got shape {m.shape}")
-
-
-def _check_output_map(C: np.ndarray, n_x: int, i: int) -> None:
-    if C.ndim != 2 or C.shape[1] != n_x:
-        raise DimensionError(f"nodes[{i}].C must be a matrix with {n_x} columns, "
-                             f"got shape {C.shape}")
 
 
 def node_unknown_input(model: PlantModel, i: int, u: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Shared fixtures: the five-node benchmark and random test systems."""
 from __future__ import annotations
 
+import contextlib
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +22,36 @@ BENCH_SEED = 20240100
 BENCH = parse_config({})
 # The coupling gain the paper uses on its two-mass-spring example.
 BENCH_GAMMA = 5.0
+
+
+@contextlib.contextmanager
+def decomposition_spy():
+    """Record every ``np.linalg`` svd/eigvals/eigvalsh call made from dduio code.
+
+    Yields a list that gains one (shape, matrix bytes) key per call whose
+    immediate caller is a ``dduio`` module.  Decompositions made inside
+    numpy or scipy are not seen: scipy's Riccati argument check
+    (``_are_validate_args``) runs its own svd.
+    """
+    calls = []
+
+    def wrap(original):
+        def spy(a, *args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith("dduio."):
+                a = np.asarray(a)
+                calls.append((a.shape, a.tobytes()))
+            return original(a, *args, **kwargs)
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("svd", "eigvals", "eigvalsh"):
+            mp.setattr(np.linalg, name, wrap(getattr(np.linalg, name)))
+        yield calls
+
+
+def repeated(calls) -> dict:
+    """The keys of ``decomposition_spy`` that occur more than once, with their counts."""
+    return {key: n for key, n in Counter(calls).items() if n > 1}
 
 
 def bench_signals(input_seed, dist_seed, dt_hold, active=True):

@@ -11,7 +11,9 @@ import yaml
 
 import dduio
 from dduio.cli import main
-from dduio.network import SensorGraph
+from dduio.network import SensorGraph, ring
+
+from conftest import decomposition_spy, repeated
 
 FAST_CONFIG = {
     "seed": 5,
@@ -56,10 +58,13 @@ def test_collect_outputs(collected):
     assert os.path.exists(os.path.join(collected, "config.resolved.yaml"))
 
 
-def test_collect_byte_identical_rerun(tmp_path, fast_config_path, collected):
+def test_collect_byte_identical_rerun(tmp_path, capsys, fast_config_path, collected):
     again = str(tmp_path / "ds2")
     assert main(["collect", "--config", fast_config_path, "--out", again]) == 0
     assert _tree_bytes(collected) == _tree_bytes(again)
+    # [U; W; X] of the preset has n_m + r + n_x = 1 + 2 + 4 rows
+    assert capsys.readouterr().out.splitlines() == [
+        f"node {i}: N=50 rank 7/7 [ok]" for i in range(5)]
 
 
 def test_collect_insufficient_samples(tmp_path, fast_config_path):
@@ -114,6 +119,37 @@ def test_each_command_builds_one_sensor_graph(monkeypatch, tmp_path, fast_config
         built.clear()
         assert main([*argv, "--config", fast_config_path]) == 0
         assert len(built) == 1, argv
+
+
+def test_each_command_decomposes_each_matrix_once(tmp_path):
+    # the preset with a short run and the coupling gain from its bound
+    path = tmp_path / "preset.yaml"
+    path.write_text(yaml.safe_dump({"seed": 5, "run": {"horizon": 2.0, "dt": 2e-3}}))
+    data, gains = str(tmp_path / "d"), str(tmp_path / "model.json")
+    commands = {"collect": ["collect", "--out", data],
+                "check": ["check", "--data", data],
+                "run": ["run", "--gains", gains, "--out", str(tmp_path / "r")]}
+    for method in ("model", "data", "id"):
+        commands[f"design {method}"] = ["design", "--method", method, "--data", data,
+                                        "--out", str(tmp_path / f"{method}.json")]
+    for name in ("collect", "check", "design model", "design data", "design id", "run"):
+        with decomposition_spy() as calls:
+            assert main([*commands[name], "--config", str(path)]) == 0
+        assert calls, name
+        repeats = repeated(calls)
+        if name.startswith("design"):
+            # the verification recomputes the abscissa of the 5 x 4 coupled error matrix
+            assert [(shape, n) for (shape, _), n in repeats.items()] == [((20, 20), 2)], name
+        else:
+            assert repeats == {}, name
+    # compare repeats only what its methods share: the reduced Laplacian behind
+    # the bound and the X whose SVD both data and id read the output map from
+    with decomposition_spy() as calls:
+        assert main(["compare", "--k", "1", "--config", str(path),
+                     "--out", str(tmp_path / "c")]) == 0
+    assert {key[0] for key in repeated(calls)} == {(4, 4), (4, 50)}
+    assert ((4, 4), ring(5).laplacian[1:, 1:].tobytes()) in repeated(calls)
+    assert len(calls) <= 115
 
 
 def test_check_missing_dir(tmp_path):

@@ -327,6 +327,12 @@ def test_graph_size_must_match_the_plant():
                             "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}},
                  r"graph: give 'generator' or 'edges', not both; got generator 'star'",
                  id="generator-beside-edges"),
+    pytest.param({"graph": {"size": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [1, 0, 7.0]]}},
+                 r"^graph\.edges\[0\] and graph\.edges\[4\] both join nodes \[0, 1\]; "
+                 r"list each edge once$", id="edge-repeated-reversed"),
+    pytest.param({"graph": {"size": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [1, 2]]}},
+                 r"^graph\.edges\[1\] and graph\.edges\[4\] both join nodes \[1, 2\]",
+                 id="edge-repeated-exact"),
     pytest.param({"seed": 1.5}, r"seed must be an integer >= 0", id="seed-float"),
     pytest.param({"seed": -1}, r"seed must be an integer >= 0", id="seed-negative"),
     pytest.param(_one_node_plant(node={"C": [[1.0]], "known_input_indices": [0, 0]}),
@@ -416,6 +422,10 @@ def test_boundary_section_values_accepted():
     pytest.param("collect", {"graph": {"generator": "star", "size": 5,
                                        "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}},
                  "error: graph: give 'generator' or 'edges', not both", id="generator-beside-edges"),
+    pytest.param("collect", {"graph": {"size": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4],
+                                                           [1, 0, 7.0]]}},
+                 "error: graph.edges[0] and graph.edges[4] both join nodes [0, 1]; "
+                 "list each edge once\n", id="edge-repeated"),
 ])
 def test_cli_rejects_bad_values_before_any_work(tmp_path, capsys, command, raw, message):
     path = tmp_path / "cfg.yaml"

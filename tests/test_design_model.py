@@ -1,6 +1,7 @@
 """Model-based observer design: solvability, detectability, gain assembly."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dduio import design_model
 from dduio.baselines import design_for_method
@@ -13,7 +14,8 @@ from dduio.network import SensorGraph, complete, ring
 from dduio.observer_sim import verify_decoupling
 from dduio.plant import PlantModel
 
-from conftest import BENCH, coupling_matrix, random_connected_graph, single_node_model
+from conftest import (BENCH, coupling_matrix, decomposition_spy, random_connected_graph,
+                      single_node_model)
 
 
 def test_solvability_full_state_output(bench_model):
@@ -78,11 +80,6 @@ def test_output_injection_hurwitz_with_useless_output():
     assert spectral_abscissa(t - m @ np.zeros((1, 2))) < 0
 
 
-def test_output_injection_undetectable_raises():
-    with pytest.raises(DesignError):
-        stabilizing_output_injection(np.array([[1.0]]), np.array([[0.0]]), decay=0.5)
-
-
 def test_single_node_degenerate_network():
     model = single_node_model(np.array([[0.0, 1.0], [-1.0, 0.0]]),
                               np.array([[0.0], [1.0]]), np.zeros((2, 0)), np.eye(2))
@@ -129,6 +126,16 @@ def test_default_gamma_exceeds_bound(bench_model, bench_graph):
 def test_gamma_bound_scalar_value():
     bound = gamma_lower_bound([np.array([[0.5]])], 1.0)
     assert bound == pytest.approx(0.5)
+
+
+def test_gamma_bound_decomposes_one_block_at_a_time():
+    rng = np.random.default_rng(7)
+    followers = [rng.normal(size=(3, 3)) for _ in range(4)]
+    with decomposition_spy() as calls:
+        bound = gamma_lower_bound(followers, 0.5)
+    assert [shape for shape, _ in calls] == [(3, 3)] * 4
+    e = scipy.linalg.block_diag(*followers)
+    assert bound == pytest.approx(np.linalg.norm(e + e.T, 2) / (2 * 0.5), rel=1e-12)
 
 
 def test_coupling_hurwitz_above_bound_random_graphs():
@@ -192,8 +199,8 @@ def test_gains_json_roundtrip(model_gains):
 
 def test_model_side_designs_rank_each_node_once(monkeypatch, bench_model, bench_graph,
                                                 bench_datasets):
-    calls = {"rank_condition": [], "assemble_from_blocks": [], "__post_init__": []}
-    for owner, name in ((design_model, "rank_condition"), (design_model, "assemble_from_blocks"),
+    calls = {"decoupling_gain": [], "assemble_from_blocks": [], "__post_init__": []}
+    for owner, name in ((design_model, "decoupling_gain"), (design_model, "assemble_from_blocks"),
                         (SensorGraph, "__post_init__")):
         def spy(*args, _log=calls[name], _original=getattr(owner, name), **kwargs):
             _log.append(args)
@@ -204,8 +211,8 @@ def test_model_side_designs_rank_each_node_once(monkeypatch, bench_model, bench_
         for log in calls.values():
             log.clear()
         design_for_method(method, BENCH, bench_model, bench_graph, bench_datasets)
-        assert len(calls["rank_condition"]) == bench_model.M, method
-        for (c, b_p), node in zip(calls["rank_condition"], bench_model.nodes):
+        assert len(calls["decoupling_gain"]) == bench_model.M, method
+        for (c, b_p), node in zip(calls["decoupling_gain"], bench_model.nodes):
             assert np.array_equal(b_p, node.B_p), method
             if method == "model":
                 assert c is node.C
