@@ -7,15 +7,16 @@ simulation, and a seeded benchmark comparison harness.
 
 __version__ = "0.1.0"
 
-from .design_model import DuioGains, build_model_based_gains
+from .design_model import DesignSection, DuioGains, build_model_based_gains
 from .design_data import build_data_driven_gains
-from .datagen import NodeDataset, collect
+from .datagen import DataSection, NodeDataset, collect
 from .network import SensorGraph
 from .observer_sim import RunResult, run
 from .plant import PlantModel, simulate
 
 __all__ = [
-    "DuioGains", "NodeDataset", "PlantModel", "RunResult", "SensorGraph",
+    "DataSection", "DesignSection", "DuioGains", "NodeDataset", "PlantModel",
+    "RunResult", "SensorGraph",
     "build_data_driven_gains", "build_model_based_gains",
     "collect", "run", "simulate", "__version__",
 ]

@@ -16,8 +16,8 @@ from scipy.integrate import trapezoid
 from ._csvio import format_float, write_json
 from .datagen import NodeDataset, collect
 from .design_data import analyze_datasets, build_data_driven_gains, recover_output_map
-from .design_model import (DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN, DuioGains,
-                           assemble_from_node_matrices, build_model_based_gains)
+from .design_model import (DesignSection, DuioGains, assemble_from_node_matrices,
+                           build_model_based_gains)
 from .errors import DesignError, EmptyRunError, RankError
 from .linalg import rank_from_singular_values, spectrum_and_pinv
 from .network import SensorGraph
@@ -45,17 +45,13 @@ def identify_least_squares(ds: NodeDataset, multiplier: float | None = None):
 
 
 def build_identified_gains(datasets, granted_B_p, graph: SensorGraph,
-                           decay: float = DEFAULT_DECAY,
-                           gamma_margin: float = DEFAULT_GAMMA_MARGIN,
-                           gamma_override: float | None = None,
-                           multiplier: float | None = None) -> DuioGains:
+                           design: DesignSection = DesignSection()) -> DuioGains:
     """Observer gains from identified (A, B_m, C) plus each node's granted B_p."""
     node_mats = []
     for ds, b_p in zip(datasets, granted_B_p):
-        a_hat, b_m_hat, c_hat = identify_least_squares(ds, multiplier)
+        a_hat, b_m_hat, c_hat = identify_least_squares(ds, design.rank_multiplier)
         node_mats.append((a_hat, b_m_hat, np.asarray(b_p, dtype=float), c_hat))
-    return assemble_from_node_matrices(node_mats, graph, decay, gamma_margin,
-                                       gamma_override, method="id")
+    return assemble_from_node_matrices(node_mats, graph, design, method="id")
 
 
 @dataclass(frozen=True)
@@ -119,31 +115,23 @@ def design_for_method(method: str, config, model: PlantModel, graph: SensorGraph
                       datasets=None) -> DuioGains:
     """Dispatch one design method from a resolved configuration."""
     d = config.design
-    kwargs = dict(decay=d.decay, gamma_margin=d.gamma_margin,
-                  gamma_override=d.gamma_override)
     if method == "model":
-        return build_model_based_gains(model, graph, **kwargs)
+        return build_model_based_gains(model, graph, d)
     if datasets is None:
         raise DesignError(f"method {method!r} needs offline datasets")
     views = [ds.design_view() for ds in datasets]
     if method == "data":
         reports, _ = analyze_datasets(views, rtol=d.residual_rtol,
                                       multiplier=d.rank_multiplier)
-        return build_data_driven_gains(reports, graph, **kwargs)
+        return build_data_driven_gains(reports, graph, d)
     if method == "id":
-        return build_identified_gains(views, [node.B_p for node in model.nodes], graph,
-                                      multiplier=d.rank_multiplier, **kwargs)
+        return build_identified_gains(views, [node.B_p for node in model.nodes], graph, d)
     raise DesignError(f"unknown design method {method!r}")
 
 
 def collect_all_nodes(config, model: PlantModel, seed: int):
     """One offline dataset per node with per-node derived seeds."""
-    d = config.data
-    return [collect(model, i, d.N, seed=_derived_seed(seed, 10, i),
-                    sample_interval=d.sample_interval, substeps=d.substeps,
-                    restarts=d.restarts, jitter=d.jitter,
-                    u_amplitude=d.u_amplitude, d_amplitude=d.d_amplitude,
-                    noise_amplitude=d.noise_amplitude,
+    return [collect(model, i, config.data, seed=_derived_seed(seed, 10, i),
                     rank_multiplier=config.design.rank_multiplier)
             for i in range(model.M)]
 

@@ -53,13 +53,22 @@ def _get_config(args) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _node_dirs(data_dir: str) -> list[str]:
+def _load_datasets(data_dir: str) -> list:
+    """The node_<i> datasets under ``data_dir`` by index; the k-th must hold node k."""
     if not os.path.isdir(data_dir):
         raise FileNotFoundError(f"dataset directory not found: {data_dir}")
-    subdirs = sorted(d for d in os.listdir(data_dir) if d.startswith("node_"))
+    subdirs = sorted((d for d in os.listdir(data_dir)
+                      if d.startswith("node_") and d[5:].isdecimal()),
+                     key=lambda d: (int(d[5:]), d))
     if not subdirs:
         raise FileNotFoundError(f"no node_* dataset directories under {data_dir}")
-    return [os.path.join(data_dir, d) for d in subdirs]
+    paths = [os.path.join(data_dir, d) for d in subdirs]
+    datasets = [load_dataset(path) for path in paths]
+    for position, (path, ds) in enumerate(zip(paths, datasets)):
+        if ds.node_index != position:
+            raise DuioError(f"dataset {path} holds node {ds.node_index!r} "
+                            f"but is dataset {position} in node order")
+    return datasets
 
 
 def cmd_collect(args) -> int:
@@ -78,7 +87,7 @@ def cmd_collect(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = _get_config(args)
-    datasets = [load_dataset(d) for d in _node_dirs(args.data)]
+    datasets = _load_datasets(args.data)
     try:
         reports, leader = analyze_datasets(datasets, rtol=cfg.design.residual_rtol,
                                            multiplier=cfg.design.rank_multiplier)
@@ -115,7 +124,7 @@ def cmd_design(args) -> int:
     if args.method in ("data", "id"):
         if not args.data:
             raise DesignError(f"method {args.method!r} needs --data")
-        datasets = [load_dataset(d) for d in _node_dirs(args.data)]
+        datasets = _load_datasets(args.data)
     gains = design_for_method(args.method, cfg, model, graph, datasets)
     _, abscissa = error_dynamics_matrix(gains, graph)
     verification = {"spectral_abscissa": abscissa, "gamma": gains.gamma,

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .datagen import DEFAULT_SAMPLE_INTERVAL, DEFAULT_SUBSTEPS
-from .design_data import DEFAULT_RESIDUAL_RTOL
-from .design_model import DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN
+from .datagen import DataSection
+from .design_model import DesignSection
 from .errors import ConfigError, DimensionError, GraphError, RankError
-from .linalg import DEFAULT_RANK_MULTIPLIER
 from .network import GENERATORS, SensorGraph, from_edges
 from .plant import PlantModel
 from .signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
@@ -273,27 +271,6 @@ def _parse_graph(section) -> SensorGraph:
     except GraphError as exc:
         where = "graph" if edges is None else "graph.edges"
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class DataSection:
-    N: int = 50
-    sample_interval: float = DEFAULT_SAMPLE_INTERVAL
-    substeps: int = DEFAULT_SUBSTEPS
-    restarts: int = 1
-    jitter: bool = False
-    u_amplitude: float = 1.0
-    d_amplitude: float = 0.1
-    noise_amplitude: float = 0.0
-
-
-@dataclass(frozen=True)
-class DesignSection:
-    decay: float = DEFAULT_DECAY
-    gamma_margin: float = DEFAULT_GAMMA_MARGIN
-    gamma_override: float | None = None
-    rank_multiplier: float = DEFAULT_RANK_MULTIPLIER
-    residual_rtol: float = DEFAULT_RESIDUAL_RTOL
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,26 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._csvio import read_csv, write_csv, write_json
-from .errors import DimensionError, ExcitationError, OracleUnavailableError
+from .errors import DimensionError, DuioError, ExcitationError, OracleUnavailableError
 from .linalg import numerical_rank, rank_from_singular_values, singular_values
 from .plant import PlantModel, node_unknown_input, simulate
 from .signals import PiecewiseConstantRandom
 
-DEFAULT_SAMPLE_INTERVAL = 0.1
-DEFAULT_SUBSTEPS = 20
 MAX_ATTEMPTS = 8
+
+
+@dataclass(frozen=True)
+class DataSection:
+    """Offline collection settings, the configuration's ``data`` section."""
+
+    N: int = 50
+    sample_interval: float = 0.1
+    substeps: int = 20
+    restarts: int = 1
+    jitter: bool = False
+    u_amplitude: float = 1.0
+    d_amplitude: float = 0.1
+    noise_amplitude: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -112,11 +124,10 @@ def check_compatibility(ds: NodeDataset, sample, tol: float = 1e-8) -> tuple[boo
     return residual < tol, residual
 
 
-def _default_excitation(model: PlantModel, hold: float, u_amplitude: float,
-                        d_amplitude: float, seeds) -> tuple[list, list]:
-    inputs = [PiecewiseConstantRandom(-u_amplitude, u_amplitude, hold, seeds[k])
-              for k in range(model.n_u)]
-    dist = [PiecewiseConstantRandom(-d_amplitude, d_amplitude, hold, seeds[model.n_u + k])
+def _default_excitation(model: PlantModel, data: DataSection, seeds) -> tuple[list, list]:
+    hold, u_amp, d_amp = data.sample_interval, data.u_amplitude, data.d_amplitude
+    inputs = [PiecewiseConstantRandom(-u_amp, u_amp, hold, seeds[k]) for k in range(model.n_u)]
+    dist = [PiecewiseConstantRandom(-d_amp, d_amp, hold, seeds[model.n_u + k])
             for k in range(model.n_d)]
     return inputs, dist
 
@@ -130,27 +141,21 @@ def _deficient_block(ds: NodeDataset, multiplier) -> str:
     return "state rows X"
 
 
-def collect(model: PlantModel, i: int, N: int, *, seed: int,
-            sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
-            substeps: int = DEFAULT_SUBSTEPS, restarts: int = 1,
-            jitter: bool = False, u_amplitude: float = 1.0,
-            d_amplitude: float = 0.1, noise_amplitude: float = 0.0,
+def collect(model: PlantModel, i: int, data: DataSection, *, seed: int,
             rank_multiplier: float | None = None) -> NodeDataset:
-    """Collect an offline dataset for node ``i`` from simulated trajectories.
+    """Collect ``data.N`` offline samples for node ``i`` from simulated trajectories.
 
-    Samples come from ``restarts`` trajectory segments with fresh random
-    initial states, uniform in [-1, 1]; the excitation holds independent
-    uniform values on every input and disturbance channel over each
-    sampling interval.  Up to MAX_ATTEMPTS attempts, each with fresh
-    draws, are made until the stacked [U; W; X] matrix reaches full row
-    rank.
-
-    Parameters
-    ----------
-    jitter : sample at random grid instants instead of the uniform grid.
-    noise_amplitude : additive uniform output noise on Y and Ydot, for
-        robustness experiments only.
+    Samples come from ``data.restarts`` trajectory segments with fresh
+    random initial states, uniform in [-1, 1]; the excitation holds
+    independent uniform values, within ``data.u_amplitude`` and
+    ``data.d_amplitude``, on every input and disturbance channel over each
+    sampling interval.  With ``data.jitter`` the samples fall at random
+    grid instants instead of the uniform grid; ``data.noise_amplitude``
+    adds uniform output noise on Y and Ydot, for robustness experiments
+    only.  Up to MAX_ATTEMPTS attempts, each with fresh draws, are made
+    until the stacked [U; W; X] matrix reaches full row rank.
     """
+    N, restarts, substeps = data.N, data.restarts, data.substeps
     if not 0 <= i < model.M:
         raise IndexError(f"node index {i} out of range for M={model.M}")
     node = model.nodes[i]
@@ -162,7 +167,7 @@ def collect(model: PlantModel, i: int, N: int, *, seed: int,
     if restarts < 1 or restarts > N:
         raise DimensionError("restarts must be between 1 and N")
 
-    dt = sample_interval / substeps
+    dt = data.sample_interval / substeps
     per_seg = [N // restarts + (1 if k < N % restarts else 0) for k in range(restarts)]
     last = None
     for attempt in range(MAX_ATTEMPTS):
@@ -171,14 +176,13 @@ def collect(model: PlantModel, i: int, N: int, *, seed: int,
         rng_x0 = np.random.default_rng(children[0])
         rng_pick = np.random.default_rng(children[1])
         rng_noise = np.random.default_rng(children[2])
-        inputs, dist = _default_excitation(model, sample_interval, u_amplitude,
-                                           d_amplitude, children[3:])
+        inputs, dist = _default_excitation(model, data, children[3:])
         cols_u, cols_y, cols_yd, cols_x, cols_xd, cols_w, times = [], [], [], [], [], [], []
         for n_k in per_seg:
-            grid = 2 * n_k * substeps if jitter else n_k * substeps
+            grid = 2 * n_k * substeps if data.jitter else n_k * substeps
             traj = simulate(model, rng_x0.uniform(-1.0, 1.0, model.n_x), inputs, dist,
                             horizon=grid * dt, dt=dt)
-            if jitter:
+            if data.jitter:
                 idx = np.sort(rng_pick.choice(grid + 1, size=n_k, replace=False))
             else:
                 idx = np.arange(n_k) * substeps
@@ -192,9 +196,10 @@ def collect(model: PlantModel, i: int, N: int, *, seed: int,
             times.append(traj.t[idx])
         Y = np.vstack(cols_y).T
         Ydot = np.vstack(cols_yd).T
-        if noise_amplitude > 0:
-            Y = Y + rng_noise.uniform(-noise_amplitude, noise_amplitude, Y.shape)
-            Ydot = Ydot + rng_noise.uniform(-noise_amplitude, noise_amplitude, Ydot.shape)
+        noise = data.noise_amplitude
+        if noise > 0:
+            Y = Y + rng_noise.uniform(-noise, noise, Y.shape)
+            Ydot = Ydot + rng_noise.uniform(-noise, noise, Ydot.shape)
         ds = NodeDataset(U=np.vstack(cols_u).T, Y=Y, Ydot=Ydot,
                          X=np.vstack(cols_x).T, Xdot=np.vstack(cols_xd).T,
                          W_validation=np.vstack(cols_w).T,
@@ -226,14 +231,26 @@ def save_dataset(ds: NodeDataset, out_dir: str) -> None:
 
 
 def load_dataset(data_dir: str) -> NodeDataset:
-    with open(os.path.join(data_dir, "meta.json")) as fh:
-        meta = json.load(fh)
-    dims = {"U": meta["n_m"], "Y": meta["n_y"], "Ydot": meta["n_y"],
-            "X": meta["n_x"], "Xdot": meta["n_x"]}
-    arrays = {name: read_csv(os.path.join(data_dir, f"{name}.csv"), dims[name]).T
-              for name in _FILES}
-    times = read_csv(os.path.join(data_dir, "times.csv"), 1).ravel()
-    return NodeDataset(U=arrays["U"], Y=arrays["Y"], Ydot=arrays["Ydot"],
-                       X=arrays["X"], Xdot=arrays["Xdot"],
-                       sample_times=times, W_validation=None,
-                       node_index=meta["node_index"], seed=meta["seed"])
+    """Inverse of ``save_dataset``; a malformed file is a DuioError naming it."""
+    path = os.path.join(data_dir, "meta.json")
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+        dims = {"U": meta["n_m"], "Y": meta["n_y"], "Ydot": meta["n_y"],
+                "X": meta["n_x"], "Xdot": meta["n_x"], "times": 1}
+        node_index, seed = meta["node_index"], meta["seed"]
+        arrays = {}
+        for name in (*_FILES, "times"):
+            path = os.path.join(data_dir, f"{name}.csv")
+            arrays[name] = read_csv(path, dims[name]).T
+    except KeyError as exc:
+        raise DuioError(f"dataset file {path} is missing the key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DuioError(f"dataset file {path} is malformed: {exc}") from None
+    try:
+        return NodeDataset(U=arrays["U"], Y=arrays["Y"], Ydot=arrays["Ydot"],
+                           X=arrays["X"], Xdot=arrays["Xdot"],
+                           sample_times=arrays["times"].ravel(), W_validation=None,
+                           node_index=node_index, seed=seed)
+    except DimensionError as exc:
+        raise DimensionError(f"dataset {data_dir}: {exc}") from None

@@ -14,15 +14,13 @@ import numpy as np
 
 from .errors import ConsistencyError, DesignError, RankError
 from .datagen import NodeDataset
-from .design_model import (DEFAULT_DECAY, DEFAULT_GAMMA_MARGIN, assemble_from_blocks,
-                           decoupling_gain, DuioGains)
+from .design_model import DesignSection, DuioGains, assemble_from_blocks, decoupling_gain
 from .linalg import (numerical_rank, pbh_detectable, pinv, rank_from_singular_values,
                      singular_values, spectrum_and_pinv)
 from .network import SensorGraph
 
 PENCIL_POINTS = 16
 PENCIL_SEED = 20240917
-DEFAULT_RESIDUAL_RTOL = 1e-6
 
 
 def check_data_solvability(ds: NodeDataset, multiplier: float | None = None
@@ -56,7 +54,7 @@ def recover_output_map(ds: NodeDataset,
 
 
 def solve_data_equation_structured(ds: NodeDataset, r_hat: int, c_rec: np.ndarray,
-                                   rtol: float = DEFAULT_RESIDUAL_RTOL,
+                                   rtol: float = DesignSection.residual_rtol,
                                    multiplier: float | None = None):
     """The solution of Xdot = [T_u T_y T_x] [U; Ydot; X] with rank(T_y) = r_hat.
 
@@ -78,7 +76,7 @@ def solve_data_equation_structured(ds: NodeDataset, r_hat: int, c_rec: np.ndarra
         basis = np.linalg.svd(perp)[0][:, :r_hat]
     else:
         basis = np.zeros((ds.n_x, 0))
-    t_y = decoupling_gain(c_rec, basis)
+    t_y = decoupling_gain(c_rec, basis, multiplier)
     eye = np.eye(ds.n_x)
     t_ux = (eye - t_y @ c_rec) @ ds.Xdot @ known_pinv
     t_u, t_x = t_ux[:, :ds.n_m], t_ux[:, ds.n_m:]
@@ -141,7 +139,7 @@ class DataDesignReport:
 
 
 def analyze_node(ds: NodeDataset, test_detectability: bool = False,
-                 rtol: float = DEFAULT_RESIDUAL_RTOL,
+                 rtol: float = DesignSection.residual_rtol,
                  multiplier: float | None = None) -> DataDesignReport:
     """Run the rank tests and, when solvable, recover the observer blocks.
 
@@ -175,7 +173,7 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
         C_recovered=c_rec, residual=residual, r_inferred=r_hat, spectra=spectra)
 
 
-def analyze_datasets(datasets, rtol: float = DEFAULT_RESIDUAL_RTOL,
+def analyze_datasets(datasets, rtol: float = DesignSection.residual_rtol,
                      multiplier: float | None = None) -> tuple[list[DataDesignReport], int | None]:
     """Per-node reports plus the first node passing the detectability test."""
     reports = []
@@ -191,9 +189,7 @@ def analyze_datasets(datasets, rtol: float = DEFAULT_RESIDUAL_RTOL,
 
 
 def build_data_driven_gains(reports, graph: SensorGraph,
-                            decay: float = DEFAULT_DECAY,
-                            gamma_margin: float = DEFAULT_GAMMA_MARGIN,
-                            gamma_override: float | None = None) -> DuioGains:
+                            design: DesignSection = DesignSection()) -> DuioGains:
     """Observer gains from per-node data reports.
 
     Preconditions: every node solvable, some node detectable from data,
@@ -216,6 +212,5 @@ def build_data_driven_gains(reports, graph: SensorGraph,
     return assemble_from_blocks(
         ts=[rep.T_x for rep in reports], hs=[rep.T_y for rep in reports],
         fs=[rep.T_u for rep in reports], cs=[rep.C_recovered for rep in reports],
-        graph=graph, decay=decay, gamma_margin=gamma_margin,
-        gamma_override=gamma_override, method="data", leader=leader)
+        graph=graph, design=design, method="data", leader=leader)
 

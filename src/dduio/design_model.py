@@ -13,15 +13,28 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DesignError, DuioError, NumericsError, SolvabilityError
-from .linalg import (numerical_rank, pbh_detectable, rank_from_singular_values,
-                     spectral_abscissa, spectrum_and_pinv, symmetric_two_norm)
+from .linalg import (DEFAULT_RANK_MULTIPLIER, numerical_rank, pbh_detectable,
+                     rank_from_singular_values, spectral_abscissa, spectrum_and_pinv,
+                     symmetric_two_norm)
 from .network import SensorGraph
 from .plant import PlantModel
 
 HURWITZ_TOL = -1e-8
 DETECT_TOL = 1e-8
-DEFAULT_DECAY = 0.5
-DEFAULT_GAMMA_MARGIN = 0.1
+
+
+@dataclass(frozen=True)
+class DesignSection:
+    """Gain-design settings, the configuration's ``design`` section.
+
+    ``rank_multiplier`` scales the threshold of every rank decision of a design.
+    """
+
+    decay: float = 0.5
+    gamma_margin: float = 0.1
+    gamma_override: float | None = None
+    rank_multiplier: float = DEFAULT_RANK_MULTIPLIER
+    residual_rtol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,7 +108,8 @@ def rank_condition(C: np.ndarray, B_p: np.ndarray, multiplier: float | None = No
             and numerical_rank(B_p, multiplier) == r)
 
 
-def decoupling_gain(C: np.ndarray, B_p: np.ndarray) -> np.ndarray:
+def decoupling_gain(C: np.ndarray, B_p: np.ndarray,
+                    multiplier: float | None = None) -> np.ndarray:
     """Solve H C B_p = B_p; the particular solution is B_p (C B_p)^+.
 
     ``B_p`` has full column rank (the plant checks it at assembly; the data
@@ -103,8 +117,8 @@ def decoupling_gain(C: np.ndarray, B_p: np.ndarray) -> np.ndarray:
     rank(C B_p) = rank(B_p) is read from the SVD that gives (C B_p)^+.
     """
     cb = C @ B_p
-    sv, cb_pinv = spectrum_and_pinv(cb)
-    if rank_from_singular_values(sv, cb.shape) < B_p.shape[1]:
+    sv, cb_pinv = spectrum_and_pinv(cb, multiplier)
+    if rank_from_singular_values(sv, cb.shape, multiplier) < B_p.shape[1]:
         raise SolvabilityError(
             "rank(C B_p) < rank(B_p): no output feedthrough can cancel the unknown input")
     return B_p @ cb_pinv
@@ -121,8 +135,7 @@ def check_detectability(model: PlantModel, i: int) -> bool:
     return pbh_detectable(t, node.C, DETECT_TOL)
 
 
-def stabilizing_output_injection(T: np.ndarray, C: np.ndarray,
-                                 decay: float = DEFAULT_DECAY) -> np.ndarray:
+def stabilizing_output_injection(T: np.ndarray, C: np.ndarray, decay: float) -> np.ndarray:
     """Gain M with T - M C Hurwitz, targeting abscissa <= -decay.
 
     Solved as the dual linear-quadratic problem: P solves the Riccati
@@ -155,8 +168,7 @@ def gamma_lower_bound(follower_blocks, lambda_min_reduced: float) -> float:
     return max(norms, default=0.0) / (2.0 * lambda_min_reduced)
 
 
-def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,
-                         gamma_margin: float, gamma_override: float | None,
+def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSection,
                          method: str, leader: int | None = None) -> DuioGains:
     """Observer assembly shared by the model-based and data-driven paths.
 
@@ -170,12 +182,13 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,
         raise DesignError(f"graph has {graph.M} nodes, design has {m_nodes}")
 
     if leader is None:
-        leader = next((i for i in range(m_nodes) if pbh_detectable(ts[i], cs[i])), None)
+        leader = next((i for i in range(m_nodes) if pbh_detectable(
+            ts[i], cs[i], multiplier=design.rank_multiplier)), None)
     if leader is None:
         raise DesignError("no node has a detectable pair ((I - H C) A, C); "
                           "the leader-based construction does not apply")
 
-    m1 = stabilizing_output_injection(ts[leader], cs[leader], decay)
+    m1 = stabilizing_output_injection(ts[leader], cs[leader], design.decay)
     e_blocks, l_blocks = [], []
     for i in range(m_nodes):
         if i == leader:
@@ -190,11 +203,12 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,
 
     if m_nodes == 1:
         gamma = 0.0
-    elif gamma_override is not None:
-        gamma = float(gamma_override)
+    elif design.gamma_override is not None:
+        gamma = float(design.gamma_override)
     else:
         bound = gamma_lower_bound(followers, graph.lambda_min_reduced(leader))
-        gamma = (1.0 + gamma_margin) * bound if bound > 0 else max(gamma_margin, 1e-2)
+        margin = design.gamma_margin
+        gamma = (1.0 + margin) * bound if bound > 0 else max(margin, 1e-2)
 
     gains = DuioGains(E_obs=tuple(e_blocks), F=tuple(fs), L=tuple(l_blocks),
                       H=tuple(hs), gamma=gamma, leader=leader, method=method)
@@ -206,15 +220,14 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, decay: float,
     return gains
 
 
-def assemble_from_node_matrices(node_mats, graph: SensorGraph, decay: float,
-                                gamma_margin: float, gamma_override: float | None,
+def assemble_from_node_matrices(node_mats, graph: SensorGraph, design: DesignSection,
                                 method: str) -> DuioGains:
     """Observer construction from per-node (A, B_m, B_p, C) matrices."""
     eye = np.eye(node_mats[0][0].shape[0])
     hs, ts, fs, cs = [], [], [], []
     for i, (a, b_m, b_p, c) in enumerate(node_mats):
         try:
-            h = decoupling_gain(c, b_p)
+            h = decoupling_gain(c, b_p, design.rank_multiplier)
         except SolvabilityError:
             raise DesignError(
                 f"node {i}: rank(C B_p) < rank(B_p), decoupling unsolvable") from None
@@ -222,15 +235,11 @@ def assemble_from_node_matrices(node_mats, graph: SensorGraph, decay: float,
         ts.append((eye - h @ c) @ a)
         fs.append((eye - h @ c) @ b_m)
         cs.append(c)
-    return assemble_from_blocks(ts, hs, fs, cs, graph, decay, gamma_margin,
-                                gamma_override, method)
+    return assemble_from_blocks(ts, hs, fs, cs, graph, design, method)
 
 
 def build_model_based_gains(model: PlantModel, graph: SensorGraph,
-                            decay: float = DEFAULT_DECAY,
-                            gamma_margin: float = DEFAULT_GAMMA_MARGIN,
-                            gamma_override: float | None = None) -> DuioGains:
+                            design: DesignSection = DesignSection()) -> DuioGains:
     """Observer gains from the true plant matrices."""
     node_mats = [(model.A, node.B_m, node.B_p, node.C) for node in model.nodes]
-    return assemble_from_node_matrices(node_mats, graph, decay, gamma_margin,
-                                       gamma_override, method="model")
+    return assemble_from_node_matrices(node_mats, graph, design, method="model")

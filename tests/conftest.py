@@ -12,7 +12,7 @@ import scipy.linalg
 from dduio.config import parse_config
 from dduio.datagen import NodeDataset, collect
 from dduio.design_data import analyze_datasets, build_data_driven_gains
-from dduio.design_model import build_model_based_gains
+from dduio.design_model import DesignSection, build_model_based_gains
 from dduio.integrate import rk4_linear
 from dduio.observer_sim import error_dynamics_matrix
 from dduio.plant import PlantModel
@@ -82,14 +82,14 @@ def bench_graph():
 
 @pytest.fixture(scope="session")
 def bench_datasets(bench_model):
-    return [collect(bench_model, i, BENCH.data.N, seed=BENCH_SEED + i)
+    return [collect(bench_model, i, BENCH.data, seed=BENCH_SEED + i)
             for i in range(bench_model.M)]
 
 
 @pytest.fixture(scope="session")
 def model_gains(bench_model, bench_graph):
     return build_model_based_gains(bench_model, bench_graph,
-                                   gamma_override=BENCH_GAMMA)
+                                   DesignSection(gamma_override=BENCH_GAMMA))
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +97,7 @@ def data_gains(bench_datasets, bench_graph):
     reports, leader = analyze_datasets([ds.design_view() for ds in bench_datasets])
     assert leader is not None
     return build_data_driven_gains(reports, bench_graph,
-                                   gamma_override=BENCH_GAMMA)
+                                   DesignSection(gamma_override=BENCH_GAMMA))
 
 
 def simulate_error_dynamics(gains, graph, e0, horizon: float, dt: float):

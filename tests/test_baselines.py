@@ -8,6 +8,7 @@ from dduio.baselines import (build_identified_gains, compute_mse_mae,
                              identify_least_squares, monte_carlo_compare,
                              write_comparison_table)
 from dduio.config import parse_config
+from dduio.design_model import DesignSection
 from dduio.errors import DesignError, EmptyRunError, RankError
 from dduio.linalg import spectral_abscissa
 from dduio.observer_sim import RunResult
@@ -65,7 +66,7 @@ def test_identification_rank_error():
 def test_identified_gains_are_stable_on_benchmark(bench_model, bench_graph,
                                                   bench_datasets):
     gains = build_identified_gains(bench_datasets, [node.B_p for node in bench_model.nodes],
-                                   bench_graph, gamma_override=BENCH_GAMMA)
+                                   bench_graph, DesignSection(gamma_override=BENCH_GAMMA))
     assert gains.method == "id"
     assert spectral_abscissa(coupling_matrix(gains.E_obs, gains.K, bench_graph.laplacian)) < 0
 

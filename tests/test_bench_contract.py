@@ -1,0 +1,49 @@
+"""The library surface the benchmark under perfbench/ drives.
+
+The benchmark's own tests are slow and run apart from this suite, so a
+renamed function or a changed signature would otherwise pass here and
+break the benchmark.  This loads the benchmark's workload and tracer
+modules without editing them, checks that every traced name still
+exists, and runs one operation of each workload through its own check.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import dduio.cli  # noqa: F401  (loads every dduio module the tracer wraps)
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+tracer = _load("tracer")
+
+
+def test_every_traced_name_exists():
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert tr.absent == []
+    finally:
+        tr.uninstall()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_operation_of_each_workload_passes_its_check(tmp_path, name):
+    wl = workloads.WORKLOADS[name](1, str(tmp_path))
+    wl.setup()
+    wl.prepare_checks()
+    try:
+        key = wl.round_keys(0)[0]
+        assert wl.check(key, wl.op(key)) == []
+    finally:
+        if hasattr(wl, "close"):
+            wl.close()

@@ -1,6 +1,7 @@
 """Command-line pipeline: exit codes, file contracts, reproducibility."""
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -157,7 +158,6 @@ def test_check_missing_dir(tmp_path):
 
 
 def test_check_corrupted_derivatives(tmp_path, collected):
-    import shutil
     broken = tmp_path / "broken"
     shutil.copytree(collected, broken)
     # zero out one sample's output derivative
@@ -166,6 +166,102 @@ def test_check_corrupted_derivatives(tmp_path, collected):
     lines[2] = ",".join("0" for _ in lines[2].split(","))
     ydot.write_text("\n".join(lines) + "\n")
     assert main(["check", "--data", str(broken)]) == 3
+
+
+def test_datasets_load_in_node_order(tmp_path, capsys, fast_config_path, collected):
+    # node_8 .. node_12 sort as text as 10, 11, 12, 8, 9; by index they are nodes 0-4
+    renamed = Path(shutil.copytree(collected, tmp_path / "renamed"))
+    for k in range(5):
+        (renamed / f"node_{k:02d}").rename(renamed / f"node_{k + 8}")
+    outputs = []
+    for data in (collected, renamed):
+        for method in ("data", "id"):
+            out = tmp_path / f"{method}.json"
+            assert main(["design", "--config", fast_config_path, "--method", method,
+                         "--data", str(data), "--out", str(out)]) == 0
+            outputs.append(json.loads(out.read_text())["gains"])
+        assert main(["check", "--config", fast_config_path, "--data", str(data),
+                     "--explain"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[:3] == outputs[3:]
+
+
+@pytest.mark.parametrize("defect", ["gap", "duplicate"])
+def test_datasets_out_of_node_order_are_named(tmp_path, capsys, fast_config_path,
+                                              collected, defect):
+    data = Path(shutil.copytree(collected, tmp_path / "ds"))
+    if defect == "gap":
+        shutil.rmtree(data / "node_02")
+        culprit = data / "node_03"
+    else:
+        culprit = data / "node_1"
+        shutil.copytree(data / "node_01", culprit)
+    assert main(["check", "--config", fast_config_path, "--data", str(data)]) == 1
+    index = 3 if defect == "gap" else 1
+    assert capsys.readouterr().err == (f"error: dataset {culprit} holds node {index} "
+                                       f"but is dataset 2 in node order\n")
+
+
+@pytest.mark.parametrize("defect", ["meta-key", "meta-json", "short-row", "missing-row"])
+def test_malformed_dataset_is_named(tmp_path, capsys, fast_config_path, collected, defect):
+    data = Path(shutil.copytree(collected, tmp_path / "ds"))
+    node = data / "node_03"
+    code = 1
+    if defect == "meta-key":
+        meta = json.loads((node / "meta.json").read_text())
+        del meta["n_m"]
+        (node / "meta.json").write_text(json.dumps(meta))
+        want = f"dataset file {node / 'meta.json'} is missing the key 'n_m'\n"
+    elif defect == "meta-json":
+        (node / "meta.json").write_text("{not json")
+        want = f"dataset file {node / 'meta.json'} is malformed: Expecting property name"
+    elif defect == "short-row":
+        lines = (node / "X.csv").read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        (node / "X.csv").write_text("\n".join(lines) + "\n")
+        want = f"dataset file {node / 'X.csv'} is malformed: "
+    else:
+        # a file one sample short is a dimension mismatch, exit 6
+        lines = (node / "U.csv").read_text().splitlines()
+        (node / "U.csv").write_text("\n".join(lines[:-1]) + "\n")
+        code, want = 6, f"dataset {node}: U must have one column per sample (50)\n"
+    for argv in (["check", "--data", str(data)],
+                 ["design", "--method", "data", "--data", str(data),
+                  "--out", str(tmp_path / "g.json")]):
+        assert main([*argv, "--config", fast_config_path]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {want}"), err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("method, multiplier, code, message", [
+    # the first node whose decoupling condition fails at 5e13 is node 0
+    ("model", 5.0e13, 5, "node 0: rank(C B_p) < rank(B_p), decoupling unsolvable"),
+    ("id", 1.0e13, 1, "stacked [X; U] is row-rank deficient; identification is ill-posed"),
+], ids=["model", "id"])
+def test_rank_multiplier_reaches_each_design_path(tmp_path, capsys, collected, method,
+                                                  multiplier, code, message):
+    path = tmp_path / "strict.yaml"
+    path.write_text(yaml.safe_dump({"seed": 5, "design": {"rank_multiplier": multiplier}}))
+    out = tmp_path / "gains.json"
+    assert main(["design", "--config", str(path), "--method", method, "--data", collected,
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_rank_multiplier_below_the_crossover_keeps_the_model_gains(tmp_path):
+    payloads = []
+    for name, design in (("default", {}), ("loose", {"rank_multiplier": 1.0e13})):
+        path, out = tmp_path / f"{name}.yaml", tmp_path / f"{name}.json"
+        path.write_text(yaml.safe_dump({"seed": 5, "design": design}))
+        assert main(["design", "--config", str(path), "--method", "model",
+                     "--out", str(out)]) == 0
+        payloads.append(json.loads(out.read_text()))
+    assert payloads[0]["gains"] == payloads[1]["gains"]
+    assert payloads[0]["verification"] == payloads[1]["verification"]
+    assert payloads[1]["resolved_config"]["design"]["rank_multiplier"] == 1.0e13
 
 
 def test_design_methods_and_outputs(tmp_path, fast_config_path, collected):

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from dduio.datagen import (NodeDataset, check_compatibility, check_excitation_rank,
-                           collect, load_dataset, save_dataset)
+from dduio.datagen import (DataSection, NodeDataset, check_compatibility,
+                           check_excitation_rank, collect, load_dataset, save_dataset)
 from dduio.errors import ExcitationError, OracleUnavailableError
 from dduio.plant import simulate
 from dduio.signals import Zero
@@ -35,7 +35,7 @@ def test_generation_identities(bench_model, bench_datasets):
 
 def test_scalar_system_two_samples():
     model = single_node_model([[0.0]], [[1.0]], np.zeros((1, 0)), [[1.0]])
-    ds = collect(model, 0, 2, seed=11)
+    ds = collect(model, 0, DataSection(N=2), seed=11)
     assert ds.N == 2
     report = check_excitation_rank(ds)
     assert report.ok and report.rank == 2
@@ -44,13 +44,13 @@ def test_scalar_system_two_samples():
 def test_constant_excitation_fails(bench_model):
     # A zero disturbance leaves the W rows rank-deficient on every attempt.
     with pytest.raises(ExcitationError) as err:
-        collect(bench_model, 0, 50, seed=3, d_amplitude=0.0)
+        collect(bench_model, 0, DataSection(N=50, d_amplitude=0.0), seed=3)
     assert "W" in str(err.value)
 
 
 def test_sample_count_bound(bench_model):
     with pytest.raises(ExcitationError):
-        collect(bench_model, 0, 3, seed=1)
+        collect(bench_model, 0, DataSection(N=3), seed=1)
 
 
 def test_duplicate_columns_keep_rank(bench_datasets):
@@ -95,15 +95,15 @@ def test_compatibility_rejects_perturbed_plant(bench_model, bench_datasets):
 
 
 def test_restarts_and_jitter_modes(bench_model):
-    ds_r = collect(bench_model, 0, 20, seed=21, restarts=4)
+    ds_r = collect(bench_model, 0, DataSection(N=20, restarts=4), seed=21)
     assert ds_r.N == 20 and check_excitation_rank(ds_r).ok
-    ds_j = collect(bench_model, 0, 20, seed=22, jitter=True)
+    ds_j = collect(bench_model, 0, DataSection(N=20, jitter=True), seed=22)
     assert ds_j.N == 20 and check_excitation_rank(ds_j).ok
     assert not np.allclose(np.diff(ds_j.sample_times), ds_j.sample_times[1])
 
 
 def test_output_noise_flag(bench_model):
-    ds = collect(bench_model, 0, 50, seed=23, noise_amplitude=1e-3)
+    ds = collect(bench_model, 0, DataSection(N=50, noise_amplitude=1e-3), seed=23)
     node = bench_model.nodes[0]
     err = np.abs(ds.Y - node.C @ ds.X).max()
     assert 0 < err <= 1e-3
@@ -119,8 +119,8 @@ def test_rank_check_requires_ground_truth(bench_datasets):
 
 
 def test_collect_deterministic(bench_model):
-    a = collect(bench_model, 1, 30, seed=9)
-    b = collect(bench_model, 1, 30, seed=9)
+    a = collect(bench_model, 1, DataSection(N=30), seed=9)
+    b = collect(bench_model, 1, DataSection(N=30), seed=9)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.U, b.U)
     assert np.array_equal(a.W_validation, b.W_validation)
@@ -143,7 +143,7 @@ def test_roundtrip_bit_exact(tmp_path, bench_datasets):
 
 def test_empty_channel_serialization(tmp_path):
     model = single_node_model([[0.0]], [[1.0]], np.zeros((1, 0)), [[1.0]])
-    ds = collect(model, 0, 4, seed=2)
+    ds = collect(model, 0, DataSection(N=4), seed=2)
     save_dataset(ds, tmp_path / "scalar")
     loaded = load_dataset(tmp_path / "scalar")
     assert loaded.U.shape == (1, 4)

@@ -10,7 +10,8 @@ from dduio import linalg
 from dduio.design_data import (analyze_datasets, analyze_node, build_data_driven_gains,
                                check_data_detectability, check_data_solvability,
                                recover_output_map, solve_data_equation_structured)
-from dduio.design_model import check_detectability, decoupling_gain, rank_condition
+from dduio.design_model import (DesignSection, check_detectability, decoupling_gain,
+                                rank_condition)
 from dduio.errors import ConsistencyError, DesignError, RankError
 from dduio.linalg import numerical_rank, pbh_detectable, pinv, spectral_abscissa
 
@@ -296,7 +297,7 @@ def test_design_path_never_reads_unknown_inputs(bench_datasets, bench_graph):
     reports, leader = analyze_datasets(poisoned)
     assert leader == 0
     gains = build_data_driven_gains(reports, bench_graph,
-                                    gamma_override=BENCH_GAMMA)
+                                    DesignSection(gamma_override=BENCH_GAMMA))
     assert gains.method == "data"
     # sanity: the poison does trip when ground truth is actually used
     from dduio.datagen import check_excitation_rank
@@ -308,15 +309,15 @@ def test_bounded_noise_smoke(bench_model, bench_graph):
     # With mildly noisy output data the design still succeeds once the
     # rank threshold is widened past the noise floor, and the closed loop
     # stays stable with a bounded steady error.
-    from dduio.datagen import collect
+    from dduio.datagen import DataSection, collect
     from dduio.observer_sim import run, verify_decoupling
-    datasets = [collect(bench_model, i, 50, seed=500 + i, noise_amplitude=1e-5)
+    datasets = [collect(bench_model, i, DataSection(N=50, noise_amplitude=1e-5), seed=500 + i)
                 for i in range(5)]
     views = [ds.design_view() for ds in datasets]
     reports, leader = analyze_datasets(views, rtol=1e-2, multiplier=1e10)
     assert leader == 0
     gains = build_data_driven_gains(reports, bench_graph,
-                                    gamma_override=BENCH_GAMMA)
+                                    DesignSection(gamma_override=BENCH_GAMMA))
     assert verify_decoupling(bench_model, gains).max_residual < 1e-1
     inputs, dist = bench_signals(55, 56, 1e-3)
     res = run(bench_model, bench_graph, gains, np.array([0.2, -0.4, 0.3, 0.1]),

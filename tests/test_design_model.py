@@ -1,10 +1,13 @@
 """Model-based observer design: solvability, detectability, gain assembly."""
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from dduio import design_model
 from dduio.baselines import design_for_method
+from dduio.config import parse_config
 from dduio.design_model import (build_model_based_gains, check_detectability,
                                 decoupling_gain, gamma_lower_bound, rank_condition,
                                 stabilizing_output_injection)
@@ -25,6 +28,21 @@ def test_solvability_full_state_output(bench_model):
     assert rank_condition(node.C, node.B_p)
     for node in bench_model.nodes:
         assert rank_condition(node.C, node.B_p)
+
+
+def test_rank_multiplier_moves_the_preset_decoupling_crossover(bench_model):
+    # node 0's sigma_min / sigma_max of C B_p is 0.0373, so its condition fails
+    # once the threshold multiplier * 4 eps sigma_max passes it, near 4.2e13
+    node0 = bench_model.nodes[0]
+    assert rank_condition(node0.C, node0.B_p, 4.0e13)
+    assert not rank_condition(node0.C, node0.B_p, 4.4e13)
+    for multiplier, holds in ((5.0e13, [False, True, True, True, True]),
+                              (1.0e14, [False, False, False, False, True])):
+        assert [rank_condition(n.C, n.B_p, multiplier) for n in bench_model.nodes] == holds
+    # decoupling_gain makes the same decision under the same multiplier
+    decoupling_gain(node0.C, node0.B_p, 4.0e13)
+    with pytest.raises(SolvabilityError):
+        decoupling_gain(node0.C, node0.B_p, 4.4e13)
 
 
 def test_solvability_zero_output_map():
@@ -199,23 +217,33 @@ def test_gains_json_roundtrip(model_gains):
 
 def test_model_side_designs_rank_each_node_once(monkeypatch, bench_model, bench_graph,
                                                 bench_datasets):
-    calls = {"decoupling_gain": [], "assemble_from_blocks": [], "__post_init__": []}
-    for owner, name in ((design_model, "decoupling_gain"), (design_model, "assemble_from_blocks"),
+    calls = {"decoupling_gain": [], "pbh_detectable": [], "assemble_from_blocks": [],
+             "__post_init__": []}
+    for owner, name in ((design_model, "decoupling_gain"), (design_model, "pbh_detectable"),
+                        (design_model, "assemble_from_blocks"),
                         (SensorGraph, "__post_init__")):
         def spy(*args, _log=calls[name], _original=getattr(owner, name), **kwargs):
-            _log.append(args)
+            _log.append(inspect.signature(_original).bind(*args, **kwargs).arguments)
             return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, spy)
 
-    for method in ("model", "id"):
-        for log in calls.values():
-            log.clear()
-        design_for_method(method, BENCH, bench_model, bench_graph, bench_datasets)
-        assert len(calls["decoupling_gain"]) == bench_model.M, method
-        for (c, b_p), node in zip(calls["decoupling_gain"], bench_model.nodes):
-            assert np.array_equal(b_p, node.B_p), method
-            if method == "model":
-                assert c is node.C
-        assert len(calls["assemble_from_blocks"]) == 1, method
-        # the design reads the graph's Laplacian; it builds no graph of its own
-        assert calls["__post_init__"] == [], method
+    # the default multiplier and a non-default one the preset design still passes
+    for cfg in (BENCH, parse_config({"design": {"rank_multiplier": 1.0e4}})):
+        multiplier = cfg.design.rank_multiplier
+        for method in ("model", "id"):
+            for log in calls.values():
+                log.clear()
+            design_for_method(method, cfg, bench_model, bench_graph, bench_datasets)
+            assert len(calls["decoupling_gain"]) == bench_model.M, method
+            for call, node in zip(calls["decoupling_gain"], bench_model.nodes):
+                assert np.array_equal(call["B_p"], node.B_p), method
+                assert call["multiplier"] == multiplier, method
+                if method == "model":
+                    assert call["C"] is node.C
+            # the leader search ranks its PBH pencils under the same multiplier
+            assert calls["pbh_detectable"], method
+            assert all(call["multiplier"] == multiplier
+                       for call in calls["pbh_detectable"]), method
+            assert len(calls["assemble_from_blocks"]) == 1, method
+            # the design reads the graph's Laplacian; it builds no graph of its own
+            assert calls["__post_init__"] == [], method
