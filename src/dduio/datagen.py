@@ -230,12 +230,23 @@ def save_dataset(ds: NodeDataset, out_dir: str) -> None:
     write_json(os.path.join(out_dir, "meta.json"), meta)
 
 
+def _check_meta(meta) -> None:
+    """Every count and the node index are nonnegative integers; so is the seed, or null."""
+    for key in ("N", "n_m", "n_x", "n_y", "node_index", "seed"):
+        value = meta[key]
+        if key == "seed" and value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise TypeError(f"{key!r} must be a nonnegative integer, got {value!r}")
+
+
 def load_dataset(data_dir: str) -> NodeDataset:
     """Inverse of ``save_dataset``; a malformed file is a DuioError naming it."""
     path = os.path.join(data_dir, "meta.json")
     try:
         with open(path) as fh:
             meta = json.load(fh)
+        _check_meta(meta)
         dims = {"U": meta["n_m"], "Y": meta["n_y"], "Ydot": meta["n_y"],
                 "X": meta["n_x"], "Xdot": meta["n_x"], "times": 1}
         node_index, seed = meta["node_index"], meta["seed"]

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ import scipy.linalg
 from dduio.config import parse_config
 from dduio.datagen import NodeDataset, collect
 from dduio.design_data import analyze_datasets, build_data_driven_gains
-from dduio.design_model import DesignSection, build_model_based_gains
+from dduio.design_model import DesignSection, build_model_based_gains, gamma_lower_bound
 from dduio.integrate import rk4_linear
+from dduio.linalg import spectral_abscissa
 from dduio.observer_sim import error_dynamics_matrix
 from dduio.plant import PlantModel
 
@@ -22,6 +25,17 @@ BENCH_SEED = 20240100
 BENCH = parse_config({})
 # The coupling gain the paper uses on its two-mass-spring example.
 BENCH_GAMMA = 5.0
+
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_bench_module(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded without editing it."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @contextlib.contextmanager
@@ -212,3 +226,24 @@ def random_connected_graph(rng: np.random.Generator, m: int):
         if i != j:
             adj[i, j] = adj[j, i] = rng.uniform(0.2, 2.0)
     return SensorGraph(adj)
+
+
+def random_coupled_systems(seed: int, follower_scale: float, leader_shift: float,
+                           count: int = 20):
+    """Random coupled error systems with gamma just above the coupling-gain bound.
+
+    Yields (graph, E blocks with node 0 the leader, gamma): the leader
+    block has abscissa -``leader_shift``, each follower block is
+    ``follower_scale`` times a standard normal matrix, and gamma is 1.001
+    times the bound (at least 1e-3).
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 4))
+        graph = random_connected_graph(rng, m)
+        followers = [follower_scale * rng.normal(size=(n, n)) for _ in range(m - 1)]
+        leader = rng.normal(size=(n, n))
+        leader -= (spectral_abscissa(leader) + leader_shift) * np.eye(n)
+        gamma = max(1.001 * gamma_lower_bound(followers, graph.lambda_min_reduced(0)), 1e-3)
+        yield graph, [leader] + followers, gamma

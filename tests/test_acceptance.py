@@ -17,14 +17,14 @@ from dduio.cli import main
 from dduio.config import parse_config
 from dduio.datagen import check_compatibility
 from dduio.design_data import analyze_node, check_data_solvability
-from dduio.design_model import check_detectability, gamma_lower_bound, rank_condition
+from dduio.design_model import check_detectability, rank_condition
 from dduio.linalg import spectral_abscissa
 from dduio.observer_sim import run, verify_decoupling
 from dduio.plant import simulate
 from dduio.signals import Zero
 
 from conftest import (BENCH, BENCH_GAMMA, bench_signals, coupling_matrix, online_sample,
-                      pointwise_dataset, random_connected_graph,
+                      pointwise_dataset, random_connected_graph, random_coupled_systems,
                       random_node_system, single_node_model)
 
 
@@ -112,18 +112,9 @@ def test_criterion_4_gain_equivalence(model_gains, data_gains):
 def test_criterion_5_stability_above_gamma_bound(bench_model, bench_graph,
                                                  model_gains):
     with _Budget("5 coupled stability above the gain bound", 30.0):
-        rng = np.random.default_rng(5150)
-        for _ in range(20):
-            m = int(rng.integers(2, 7))
-            n = int(rng.integers(1, 4))
-            graph = random_connected_graph(rng, m)
-            followers = [3.0 * rng.normal(size=(n, n)) for _ in range(m - 1)]
-            leader = rng.normal(size=(n, n))
-            leader -= (spectral_abscissa(leader) + 0.3) * np.eye(n)
-            gamma = max(1.001 * gamma_lower_bound(followers,
-                                                  graph.lambda_min_reduced(0)), 1e-3)
-            e_blocks = [leader] + followers
-            k_blocks = [np.zeros((n, n))] + [gamma * np.eye(n)] * (m - 1)
+        for graph, e_blocks, gamma in random_coupled_systems(5150, 3.0, 0.3):
+            n = e_blocks[0].shape[0]
+            k_blocks = [np.zeros((n, n))] + [gamma * np.eye(n)] * (graph.M - 1)
             absc = spectral_abscissa(
                 coupling_matrix(e_blocks, k_blocks, graph.laplacian))
             assert absc < 0

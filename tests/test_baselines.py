@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from dduio.baselines import (build_identified_gains, compute_mse_mae,
                              identify_least_squares, monte_carlo_compare,
@@ -169,3 +170,18 @@ def test_quadrature_refinement(bench_model, bench_graph, model_gains):
                   horizon=20.0, dt=dt)
         values.append(compute_mse_mae(res).mse)
     assert abs(values[0] - values[1]) / values[1] < 0.005
+
+
+def test_metrics_equal_scipy_trapezoid_bit_for_bit(bench_model, bench_graph, model_gains):
+    from dduio.observer_sim import run
+    inputs, dist = bench_signals(17, 18, 1e-3)
+    res = run(bench_model, bench_graph, model_gains, np.array([0.5, -0.1, 0.7, -0.3]),
+              inputs, dist, horizon=5.0, dt=1e-3)
+    m = compute_mse_mae(res)
+    horizon = res.t[-1]
+    for got, integrand in ((m.mse_per_node, res.error_norms ** 2),
+                           (m.mae_per_node, res.error_norms)):
+        want = scipy.integrate.trapezoid(integrand, res.t, axis=0) / horizon
+        assert got.tobytes() == want.tobytes()
+    assert m.mse == float((scipy.integrate.trapezoid(res.error_norms ** 2, res.t, axis=0)
+                           / horizon).mean())

@@ -6,25 +6,14 @@ break the benchmark.  This loads the benchmark's workload and tracer
 modules without editing them, checks that every traced name still
 exists, and runs one operation of each workload through its own check.
 """
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 import dduio.cli  # noqa: F401  (loads every dduio module the tracer wraps)
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import load_bench_module
 
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH_DIR / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load("workloads")
-tracer = _load("tracer")
+workloads = load_bench_module("workloads")
+tracer = load_bench_module("tracer")
 
 
 def test_every_traced_name_exists():

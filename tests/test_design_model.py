@@ -8,17 +8,20 @@ import scipy.linalg
 from dduio import design_model
 from dduio.baselines import design_for_method
 from dduio.config import parse_config
-from dduio.design_model import (build_model_based_gains, check_detectability,
-                                decoupling_gain, gamma_lower_bound, rank_condition,
-                                stabilizing_output_injection)
-from dduio.errors import DesignError, SolvabilityError
+from dduio.design_model import (HURWITZ_TOL, DesignSection, assemble_from_blocks,
+                                build_model_based_gains, check_detectability,
+                                decoupling_gain, followers_certified, gamma_lower_bound,
+                                rank_condition, stabilizing_output_injection)
+from dduio.errors import DesignError, NumericsError, SolvabilityError
 from dduio.linalg import numerical_rank, spectral_abscissa
 from dduio.network import SensorGraph, complete, ring
 from dduio.observer_sim import verify_decoupling
 from dduio.plant import PlantModel
 
-from conftest import (BENCH, coupling_matrix, decomposition_spy, random_connected_graph,
-                      single_node_model)
+from conftest import (BENCH, BENCH_GAMMA, coupling_matrix, decomposition_spy,
+                      load_bench_module, random_coupled_systems, single_node_model)
+
+sweep_plant_config = load_bench_module("workloads").sweep_plant_config
 
 
 def test_solvability_full_state_output(bench_model):
@@ -157,20 +160,107 @@ def test_gamma_bound_decomposes_one_block_at_a_time():
 
 
 def test_coupling_hurwitz_above_bound_random_graphs():
-    rng = np.random.default_rng(314)
-    for _ in range(20):
-        m = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 4))
-        graph = random_connected_graph(rng, m)
-        followers = [rng.normal(size=(n, n)) for _ in range(m - 1)]
-        leader_block = rng.normal(size=(n, n))
-        leader_block -= (spectral_abscissa(leader_block) + 0.5) * np.eye(n)
-        gamma = 1.001 * gamma_lower_bound(followers, graph.lambda_min_reduced(0))
-        gamma = max(gamma, 1e-3)
-        e_blocks = [leader_block] + followers
-        k_blocks = [np.zeros((n, n))] + [gamma * np.eye(n)] * (m - 1)
+    for graph, e_blocks, gamma in random_coupled_systems(314, 1.0, 0.5):
+        n = e_blocks[0].shape[0]
+        k_blocks = [np.zeros((n, n))] + [gamma * np.eye(n)] * (graph.M - 1)
         absc = spectral_abscissa(coupling_matrix(e_blocks, k_blocks, graph.laplacian))
         assert absc < 0
+
+
+def _cholesky_spy(monkeypatch) -> list:
+    """Record the shape of every ``np.linalg.cholesky`` call."""
+    calls = []
+    original = np.linalg.cholesky
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return calls
+
+
+def test_certificate_implies_abscissa_below_tolerance():
+    # criterion 5's systems: gamma 1.001 x the bound, so every certificate holds
+    for graph, e_blocks, gamma in random_coupled_systems(5150, 3.0, 0.3):
+        assert followers_certified(e_blocks[1:], graph.reduced_laplacian(0), gamma)
+        n = e_blocks[0].shape[0]
+        k_blocks = [np.zeros((n, n))] + [gamma * np.eye(n)] * (graph.M - 1)
+        assert spectral_abscissa(coupling_matrix(e_blocks, k_blocks, graph.laplacian)) \
+            < HURWITZ_TOL
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_sweep_plant_is_certified_without_decomposing_the_coupled_matrix(index):
+    cfg = parse_config(sweep_plant_config(1, index))
+    model, graph = cfg.build_model(), cfg.build_graph()
+    with decomposition_spy() as calls:
+        gains = build_model_based_gains(model, graph, cfg.design)
+    size = gains.M * gains.n_x
+    assert all(shape != (size, size) for shape, _ in calls)
+    followers = [e for i, e in enumerate(gains.E_obs) if i != gains.leader]
+    assert followers_certified(followers, graph.reduced_laplacian(gains.leader), gains.gamma)
+    assert spectral_abscissa(gains.error_matrix(graph.laplacian)) < HURWITZ_TOL
+
+
+def test_gamma_below_the_bound_takes_the_eigvals_fallback(bench_model, bench_graph):
+    default = build_model_based_gains(bench_model, bench_graph)
+    followers = [e for i, e in enumerate(default.E_obs) if i != default.leader]
+    assert BENCH_GAMMA < gamma_lower_bound(followers,
+                                           bench_graph.lambda_min_reduced(default.leader))
+    assert not followers_certified(followers, bench_graph.reduced_laplacian(default.leader),
+                                   BENCH_GAMMA)
+    with decomposition_spy() as calls:
+        gains = build_model_based_gains(bench_model, bench_graph,
+                                        DesignSection(gamma_override=BENCH_GAMMA))
+    coupled = gains.error_matrix(bench_graph.laplacian)
+    assert (coupled.shape, coupled.tobytes()) in calls
+    assert spectral_abscissa(coupled) < HURWITZ_TOL
+    # gamma enters only the coupling: every block is the default design's
+    assert (gains.gamma, gains.leader) == (BENCH_GAMMA, default.leader)
+    for field in ("E_obs", "F", "L", "H"):
+        for a, b in zip(getattr(gains, field), getattr(default, field)):
+            assert np.array_equal(a, b), field
+
+
+def _scalar_pair(follower: float, gamma: float):
+    """Two scalar nodes on one edge: a stable leader and the given follower block."""
+    design = DesignSection(gamma_override=gamma)
+    return assemble_from_blocks([np.array([[-1.0]]), np.array([[follower]])],
+                                [np.zeros((1, 1))] * 2, [np.zeros((1, 0))] * 2,
+                                [np.eye(1)] * 2, complete(2), design, "model")
+
+
+def test_unstable_follower_with_a_small_gamma_is_refused():
+    with pytest.raises(NumericsError,
+                       match=r"coupled error dynamics not Hurwitz \(abscissa 5\.000e-01\)"):
+        _scalar_pair(1.0, 0.5)
+
+
+def test_certificate_keeps_the_hurwitz_tolerance(monkeypatch):
+    # the follower block is -gamma: -2e-8 is certified, -5e-9 lies above HURWITZ_TOL
+    calls = _cholesky_spy(monkeypatch)
+    assert _scalar_pair(0.0, 2e-8).gamma == 2e-8
+    assert len(calls) == 1
+    with pytest.raises(NumericsError, match=r"abscissa -5\.000e-09"):
+        _scalar_pair(0.0, 5e-9)
+
+
+def test_certificate_refuses_a_non_finite_block():
+    # numpy's Cholesky factors a NaN or an infinite diagonal without raising
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not followers_certified([np.array([[bad]])], np.eye(1), 1.0)
+
+
+def test_single_node_needs_no_follower_certificate(monkeypatch):
+    model = single_node_model(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                              np.array([[0.0], [1.0]]), np.zeros((2, 0)), np.eye(2))
+    calls = _cholesky_spy(monkeypatch)
+    with decomposition_spy() as decompositions:
+        gains = build_model_based_gains(model, SensorGraph(np.zeros((1, 1))))
+    assert calls == []
+    # the one coupled block is the leader's, decomposed once by its Riccati check
+    coupled = gains.error_matrix(np.zeros((1, 1)))
+    assert decompositions.count((coupled.shape, coupled.tobytes())) == 1
 
 
 def test_leader_relabeling_skips_undetectable_node():
