@@ -17,7 +17,7 @@ from .datagen import NodeDataset, collect
 from .design_data import analyze_datasets, build_data_driven_gains, recover_output_map
 from .design_model import (DesignSection, DuioGains, assemble_from_node_matrices,
                            build_model_based_gains)
-from .errors import DesignError, EmptyRunError, RankError
+from .errors import DesignError, DimensionError, EmptyRunError, RankError
 from .linalg import rank_from_singular_values, spectrum_and_pinv
 from .network import SensorGraph
 from .observer_sim import RunResult, run
@@ -119,6 +119,17 @@ def _derived_seed(*parts) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
+def _check_datasets_fit(datasets, model: PlantModel) -> None:
+    """One dataset per node of ``model``, each with its node's (n_x, n_m, n_y)."""
+    if len(datasets) != model.M:
+        raise DimensionError(f"{len(datasets)} datasets for a plant of {model.M} nodes")
+    for i, (ds, node) in enumerate(zip(datasets, model.nodes)):
+        have, want = (ds.n_x, ds.n_m, ds.n_y), (model.n_x, node.n_m, node.n_y)
+        if have != want:
+            raise DimensionError(f"node {i}: dataset (n_x, n_m, n_y) = {have}, "
+                                 f"configured plant {want}")
+
+
 def design_for_method(method: str, config, model: PlantModel, graph: SensorGraph,
                       datasets=None) -> DuioGains:
     """Dispatch one design method from a resolved configuration."""
@@ -133,6 +144,7 @@ def design_for_method(method: str, config, model: PlantModel, graph: SensorGraph
                                       multiplier=d.rank_multiplier)
         return build_data_driven_gains(reports, graph, d)
     if method == "id":
+        _check_datasets_fit(views, model)
         return build_identified_gains(views, [node.B_p for node in model.nodes], graph, d)
     raise DesignError(f"unknown design method {method!r}")
 

@@ -72,6 +72,7 @@ _KINDS = {
     "a finite number": lambda v: _is_number(v) and -math.inf < v < math.inf,
     "a finite number > 0": lambda v: _is_number(v) and 0 < v < math.inf,
     "a finite number >= 0": lambda v: _is_number(v) and 0 <= v < math.inf,
+    "a finite number > -1": lambda v: _is_number(v) and -1 < v < math.inf,
     "null or a finite number > 0": lambda v: v is None or (_is_number(v) and 0 < v < math.inf),
     "true or false": lambda v: isinstance(v, bool),
     f"one of {list(_Z0_POLICIES)}": lambda v: v in _Z0_POLICIES,
@@ -308,7 +309,7 @@ _RULES = {
              "substeps": "a positive integer", "jitter": "true or false",
              "u_amplitude": "a finite number >= 0", "d_amplitude": "a finite number >= 0",
              "noise_amplitude": "a finite number >= 0"},
-    "design": {"decay": "a finite number", "gamma_margin": "a finite number",
+    "design": {"decay": "a finite number", "gamma_margin": "a finite number > -1",
                "gamma_override": "null or a finite number > 0",
                "rank_multiplier": "a finite number > 0",
                "residual_rtol": "a finite number > 0"},
@@ -334,6 +335,11 @@ def _validate(sections: dict) -> None:
     if not compare.methods or any(m not in DESIGN_METHODS for m in compare.methods):
         raise ConfigError(f"compare.methods must be a non-empty list drawn from "
                           f"{list(DESIGN_METHODS)}, got {list(compare.methods)}")
+    for k, method in enumerate(compare.methods):
+        j = compare.methods.index(method)
+        if j != k:
+            raise ConfigError(f"compare.methods[{j}] and compare.methods[{k}] both name "
+                              f"{method!r}; list each method once")
 
 
 @dataclass(frozen=True)

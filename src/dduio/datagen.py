@@ -241,7 +241,10 @@ def _check_meta(meta) -> None:
 
 
 def load_dataset(data_dir: str) -> NodeDataset:
-    """Inverse of ``save_dataset``; a malformed file is a DuioError naming it."""
+    """Inverse of ``save_dataset``; a malformed file is a DuioError naming it.
+
+    Every entry must be finite: a NaN or infinity is malformed.
+    """
     path = os.path.join(data_dir, "meta.json")
     try:
         with open(path) as fh:
@@ -253,7 +256,12 @@ def load_dataset(data_dir: str) -> NodeDataset:
         arrays = {}
         for name in (*_FILES, "times"):
             path = os.path.join(data_dir, f"{name}.csv")
-            arrays[name] = read_csv(path, dims[name]).T
+            table = read_csv(path, dims[name])
+            bad = np.argwhere(~np.isfinite(table))
+            if bad.size:
+                r, c = bad[0]
+                raise ValueError(f"data row {r + 1}, column {c + 1} is {table[r, c]}")
+            arrays[name] = table.T
     except KeyError as exc:
         raise DuioError(f"dataset file {path} is missing the key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

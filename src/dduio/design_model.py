@@ -168,23 +168,6 @@ def gamma_lower_bound(follower_blocks, lambda_min_reduced: float) -> float:
     return max(norms, default=0.0) / (2.0 * lambda_min_reduced)
 
 
-def followers_certified(followers, reduced_laplacian: np.ndarray, gamma: float) -> bool:
-    """Whether F = blockdiag(E_f) - gamma (L_red kron I) has abscissa below HURWITZ_TOL.
-
-    Decided by one Cholesky factorization of -(F + F^T) - 2|HURWITZ_TOL| I,
-    which exists only if lambda_max((F + F^T) / 2) < HURWITZ_TOL.
-    """
-    n = followers[0].shape[0]
-    f = scipy.linalg.block_diag(*followers) - np.kron(gamma * reduced_laplacian, np.eye(n))
-    s = -(f + f.T)
-    s[np.diag_indices_from(s)] -= 2.0 * abs(HURWITZ_TOL)
-    try:
-        factor = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())  # numpy factors a NaN without raising
-
-
 def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSection,
                          method: str, leader: int | None = None) -> DuioGains:
     """Observer assembly shared by the model-based and data-driven paths.
@@ -195,19 +178,17 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
     injection; every other node gets the consensus coupling gain.
 
     The coupled error matrix is certified Hurwitz (abscissa below
-    HURWITZ_TOL) without decomposing it.  The leader's consensus row is
-    zero, so in leader-first order the matrix is block lower-triangular:
-    its spectrum is that of E_leader together with that of the follower
-    block F.  E_leader passed the abscissa test of
-    ``stabilizing_output_injection`` on these very floats.  For F, an
-    eigenvalue lam with unit eigenvector v has Re lam = v^* (F + F^T) v / 2
-    <= lambda_max((F + F^T) / 2), and by Weyl's inequality that bound is
-    below HURWITZ_TOL when -(F + F^T) - 2|HURWITZ_TOL| I is positive
-    definite, which one Cholesky factorization decides
-    (``followers_certified``).  With an undirected graph and gamma above
-    the bound, F + F^T = blockdiag(E_f + E_f^T) - 2 gamma (L_red kron I) is
-    negative definite, so the factorization succeeds.  Only when it fails
-    (a gamma override below the bound) is the whole matrix's abscissa taken.
+    HURWITZ_TOL) by the coupling-gain bound itself.  The leader's consensus
+    row is zero, so in leader-first order the matrix is block
+    lower-triangular with diagonal blocks E_leader, which passed the
+    abscissa test of ``stabilizing_output_injection`` on these very floats,
+    and F = blockdiag(E_f) - gamma (L_red kron I).  Every eigenvalue of F
+    has real part at most lambda_max((F + F^T) / 2).  The graph is
+    undirected, so L_red is symmetric, and by Weyl's inequality that is at
+    most max_f ||E_f + E_f^T|| / 2 - gamma lambda_min(L_red), which is
+    (bound - gamma) lambda_min(L_red).  Only when that number is not below
+    HURWITZ_TOL (a gamma near or below the bound) is the whole matrix's
+    abscissa taken.
     """
     m_nodes = len(ts)
     if graph.M != m_nodes:
@@ -233,19 +214,20 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
         l_blocks.append(l_i)
     followers = [e_blocks[i] for i in range(m_nodes) if i != leader]
 
-    if m_nodes == 1:
-        gamma = 0.0
-    elif design.gamma_override is not None:
-        gamma = float(design.gamma_override)
-    else:
-        bound = gamma_lower_bound(followers, graph.lambda_min_reduced(leader))
-        margin = design.gamma_margin
-        gamma = (1.0 + margin) * bound if bound > 0 else max(margin, 1e-2)
+    gamma, certified = 0.0, True
+    if m_nodes > 1:
+        lam = graph.lambda_min_reduced(leader)
+        bound = gamma_lower_bound(followers, lam)
+        if design.gamma_override is not None:
+            gamma = float(design.gamma_override)
+        else:
+            margin = design.gamma_margin
+            gamma = (1.0 + margin) * bound if bound > 0 else max(margin, 1e-2)
+        certified = (bound - gamma) * lam < HURWITZ_TOL  # False on a NaN bound
 
     gains = DuioGains(E_obs=tuple(e_blocks), F=tuple(fs), L=tuple(l_blocks),
                       H=tuple(hs), gamma=gamma, leader=leader, method=method)
-    if followers and not followers_certified(followers, graph.reduced_laplacian(leader),
-                                             gamma):
+    if not certified:
         absc = spectral_abscissa(gains.error_matrix(graph.laplacian))
         if absc >= HURWITZ_TOL:
             raise NumericsError(

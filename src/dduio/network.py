@@ -43,14 +43,10 @@ class SensorGraph:
     def M(self) -> int:
         return self.adjacency.shape[0]
 
-    def reduced_laplacian(self, drop: int) -> np.ndarray:
-        """L without node ``drop``'s row and column; ``drop`` is the designated leader."""
-        keep = [j for j in range(self.M) if j != drop]
-        return self.laplacian[np.ix_(keep, keep)]
-
     def lambda_min_reduced(self, drop: int) -> float:
-        """Smallest eigenvalue of ``reduced_laplacian(drop)``; positive on a connected graph."""
-        reduced = self.reduced_laplacian(drop)
+        """Smallest eigenvalue of L less leader ``drop``'s row and column; > 0 if connected."""
+        keep = [j for j in range(self.M) if j != drop]
+        reduced = self.laplacian[np.ix_(keep, keep)]
         return float(np.linalg.eigvalsh(reduced)[0]) if reduced.size else float("inf")
 
 

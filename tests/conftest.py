@@ -14,7 +14,8 @@ import scipy.linalg
 from dduio.config import parse_config
 from dduio.datagen import NodeDataset, collect
 from dduio.design_data import analyze_datasets, build_data_driven_gains
-from dduio.design_model import DesignSection, build_model_based_gains, gamma_lower_bound
+from dduio.design_model import (HURWITZ_TOL, DesignSection, build_model_based_gains,
+                                gamma_lower_bound)
 from dduio.integrate import rk4_linear
 from dduio.linalg import spectral_abscissa
 from dduio.observer_sim import error_dynamics_matrix
@@ -40,7 +41,7 @@ def load_bench_module(name: str):
 
 @contextlib.contextmanager
 def decomposition_spy():
-    """Record every ``np.linalg`` svd/eigvals/eigvalsh call made from dduio code.
+    """Record every ``np.linalg`` svd/eigvals/eigvalsh/cholesky call made from dduio code.
 
     Yields a list that gains one (shape, matrix bytes) key per call whose
     immediate caller is a ``dduio`` module.  Decompositions made inside
@@ -58,7 +59,7 @@ def decomposition_spy():
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("svd", "eigvals", "eigvalsh"):
+        for name in ("svd", "eigvals", "eigvalsh", "cholesky"):
             mp.setattr(np.linalg, name, wrap(getattr(np.linalg, name)))
         yield calls
 
@@ -133,6 +134,30 @@ def coupling_matrix(e_blocks, k_blocks, laplacian: np.ndarray) -> np.ndarray:
     n = e_blocks[0].shape[0]
     return (scipy.linalg.block_diag(*e_blocks)
             - scipy.linalg.block_diag(*k_blocks) @ np.kron(laplacian, np.eye(n)))
+
+
+def reduced_laplacian(graph, drop: int) -> np.ndarray:
+    """The graph's Laplacian without node ``drop``'s row and column."""
+    keep = [j for j in range(graph.M) if j != drop]
+    return graph.laplacian[np.ix_(keep, keep)]
+
+
+def followers_certified(followers, reduced: np.ndarray, gamma: float) -> bool:
+    """Dense oracle: whether F = blockdiag(E_f) - gamma (L_red kron I) is certified Hurwitz.
+
+    Decided by one Cholesky factorization of -(F + F^T) - 2|HURWITZ_TOL| I,
+    which exists only if lambda_max((F + F^T) / 2) < HURWITZ_TOL, so F's
+    abscissa is then below HURWITZ_TOL.
+    """
+    n = followers[0].shape[0]
+    f = scipy.linalg.block_diag(*followers) - np.kron(gamma * reduced, np.eye(n))
+    s = -(f + f.T)
+    s[np.diag_indices_from(s)] -= 2.0 * abs(HURWITZ_TOL)
+    try:
+        factor = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())  # numpy factors a NaN without raising
 
 
 def pointwise_dataset(A, B_m, B_p, C, N, seed, node_index=0) -> NodeDataset:

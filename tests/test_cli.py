@@ -1,4 +1,5 @@
 """Command-line pipeline: exit codes, file contracts, reproducibility."""
+import copy
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import yaml
 
 import dduio
 from dduio.cli import main
+from dduio.config import PRESETS
 from dduio.network import SensorGraph, ring
 
 from conftest import decomposition_spy, repeated
@@ -138,6 +140,8 @@ def test_each_command_decomposes_each_matrix_once(tmp_path):
             assert main([*commands[name], "--config", str(path)]) == 0
         assert calls, name
         assert repeated(calls) == {}, name
+        # the bound certifies the coupled dynamics: no 16 x 16 follower block is factored
+        assert all(shape != (16, 16) for shape, _ in calls), name
     # compare repeats only what its methods share: the reduced Laplacian behind
     # the bound and the X whose SVD both data and id read the output map from
     with decomposition_spy() as calls:
@@ -145,6 +149,7 @@ def test_each_command_decomposes_each_matrix_once(tmp_path):
                      "--out", str(tmp_path / "c")]) == 0
     assert {key[0] for key in repeated(calls)} == {(4, 4), (4, 50)}
     assert ((4, 4), ring(5).laplacian[1:, 1:].tobytes()) in repeated(calls)
+    # the spy sees Cholesky factorizations too, so a dense certificate would add three
     assert len(calls) <= 109
 
 
@@ -197,7 +202,8 @@ def test_datasets_out_of_node_order_are_named(tmp_path, capsys, fast_config_path
                                        f"but is dataset 2 in node order\n")
 
 
-@pytest.mark.parametrize("defect", ["meta-key", "meta-json", "short-row", "missing-row"])
+@pytest.mark.parametrize("defect", ["meta-key", "meta-json", "short-row", "missing-row",
+                                    "nan", "inf"])
 def test_malformed_dataset_is_named(tmp_path, capsys, fast_config_path, collected, defect):
     data = Path(shutil.copytree(collected, tmp_path / "ds"))
     node = data / "node_03"
@@ -215,14 +221,22 @@ def test_malformed_dataset_is_named(tmp_path, capsys, fast_config_path, collecte
         lines[5] = lines[5].rsplit(",", 1)[0]
         (node / "X.csv").write_text("\n".join(lines) + "\n")
         want = f"dataset file {node / 'X.csv'} is malformed: "
+    elif defect in ("nan", "inf"):
+        # a non-finite entry would otherwise stop the rank tests' SVD
+        lines = (node / "X.csv").read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[2] = defect
+        lines[5] = ",".join(fields)
+        (node / "X.csv").write_text("\n".join(lines) + "\n")
+        want = f"dataset file {node / 'X.csv'} is malformed: data row 5, column 3 is {defect}\n"
     else:
         # a file one sample short is a dimension mismatch, exit 6
         lines = (node / "U.csv").read_text().splitlines()
         (node / "U.csv").write_text("\n".join(lines[:-1]) + "\n")
         code, want = 6, f"dataset {node}: U must have one column per sample (50)\n"
     for argv in (["check", "--data", str(data)],
-                 ["design", "--method", "data", "--data", str(data),
-                  "--out", str(tmp_path / "g.json")]):
+                 *(["design", "--method", method, "--data", str(data),
+                    "--out", str(tmp_path / "g.json")] for method in ("data", "id"))):
         assert main([*argv, "--config", fast_config_path]) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error: {want}"), err
@@ -322,6 +336,44 @@ def test_id_method_is_named_id_in_gains_and_summary(tmp_path, fast_config_path, 
     assert main(["run", "--config", fast_config_path, "--gains", str(gains),
                  "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["method"] == "id"
+
+
+def _other_plant(kind: str) -> dict:
+    """The preset with one output per node dropped, or a three-state plant."""
+    plant = copy.deepcopy(PRESETS["two-mass-spring"])
+    if kind == "three-output":
+        for node in plant["nodes"]:
+            node["C"] = node["C"][:3]
+    else:
+        plant.update(A=[[0.0, 1.0, 0.0], [-2.0, -1.0, 1.0], [1.0, 0.0, -1.0]],
+                     B=[[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]], E=[[0.1], [0.0], [0.0]],
+                     nodes=[{"C": np.eye(3).tolist(), "known_input_indices": [0]}] * 5)
+    return plant
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("three-state", "node 0: dataset (n_x, n_m, n_y) = (3, 1, 3), configured plant (4, 1, 4)"),
+    ("three-output", "node 0: dataset (n_x, n_m, n_y) = (4, 1, 3), configured plant (4, 1, 4)"),
+    ("four-nodes", "4 datasets for a plant of 5 nodes")])
+def test_id_design_names_datasets_of_another_plant(tmp_path, capsys, fast_config_path,
+                                                   collected, kind, want):
+    data = tmp_path / "d"
+    if kind == "four-nodes":
+        shutil.copytree(collected, data)
+        shutil.rmtree(data / "node_04")
+    else:
+        other = tmp_path / "other.yaml"
+        other.write_text(yaml.safe_dump({**FAST_CONFIG, "plant": _other_plant(kind)}))
+        assert main(["collect", "--config", str(other), "--out", str(data)]) == 0
+    capsys.readouterr()
+    argv = ["design", "--config", fast_config_path, "--data", str(data),
+            "--out", str(tmp_path / "g.json")]
+    assert main([*argv, "--method", "id"]) == 6
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not (tmp_path / "g.json").exists()
+    if kind != "four-nodes":
+        # the data-driven design reads only the datasets, never the configured plant
+        assert main([*argv, "--method", "data"]) == 0
 
 
 def test_design_deterministic(tmp_path, fast_config_path, collected):

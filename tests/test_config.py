@@ -273,6 +273,11 @@ def test_graph_size_must_match_the_plant():
     pytest.param({"design": {"decay": "x"}}, r"design\.decay must be", id="decay-text"),
     pytest.param({"design": {"gamma_margin": float("nan")}}, r"design\.gamma_margin must be",
                  id="gamma-margin-nan"),
+    pytest.param({"design": {"gamma_margin": -1}},
+                 r"design\.gamma_margin must be a finite number > -1, got -1$",
+                 id="gamma-margin-minus-one"),
+    pytest.param({"design": {"gamma_margin": -2.0}}, r"design\.gamma_margin must be",
+                 id="gamma-margin-below-minus-one"),
     pytest.param({"design": {"gamma_override": 0}}, r"design\.gamma_override must be",
                  id="gamma-override-zero"),
     pytest.param({"design": {"rank_multiplier": -1}}, r"design\.rank_multiplier must be",
@@ -306,6 +311,12 @@ def test_graph_size_must_match_the_plant():
                  id="methods-number"),
     pytest.param({"compare": {"methods": None}}, r"compare\.methods must be a list",
                  id="methods-null"),
+    pytest.param({"compare": {"methods": ["model", "model"]}},
+                 r"^compare\.methods\[0\] and compare\.methods\[1\] both name 'model'; "
+                 r"list each method once$", id="methods-repeated"),
+    pytest.param({"compare": {"methods": ["data", "id", "model", "id"]}},
+                 r"^compare\.methods\[1\] and compare\.methods\[3\] both name 'id'",
+                 id="methods-repeated-apart"),
     pytest.param({"run": {"x0": 5}}, r"run\.x0 must be a list", id="x0-number"),
     pytest.param({"run": {"x0": [1, 2]}},
                  r"run\.x0 must be null or a list of 4 finite numbers", id="x0-short"),

@@ -1,5 +1,8 @@
 """Model-based observer design: solvability, detectability, gain assembly."""
+import functools
 import inspect
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +11,10 @@ import scipy.linalg
 from dduio import design_model
 from dduio.baselines import design_for_method
 from dduio.config import parse_config
-from dduio.design_model import (HURWITZ_TOL, DesignSection, assemble_from_blocks,
+from dduio.design_model import (HURWITZ_TOL, DesignSection, DuioGains, assemble_from_blocks,
                                 build_model_based_gains, check_detectability,
-                                decoupling_gain, followers_certified, gamma_lower_bound,
-                                rank_condition, stabilizing_output_injection)
+                                decoupling_gain, gamma_lower_bound, rank_condition,
+                                stabilizing_output_injection)
 from dduio.errors import DesignError, NumericsError, SolvabilityError
 from dduio.linalg import numerical_rank, spectral_abscissa
 from dduio.network import SensorGraph, complete, ring
@@ -19,7 +22,8 @@ from dduio.observer_sim import verify_decoupling
 from dduio.plant import PlantModel
 
 from conftest import (BENCH, BENCH_GAMMA, coupling_matrix, decomposition_spy,
-                      load_bench_module, random_coupled_systems, single_node_model)
+                      followers_certified, load_bench_module, random_coupled_systems,
+                      reduced_laplacian, single_node_model)
 
 sweep_plant_config = load_bench_module("workloads").sweep_plant_config
 
@@ -167,51 +171,117 @@ def test_coupling_hurwitz_above_bound_random_graphs():
         assert absc < 0
 
 
-def _cholesky_spy(monkeypatch) -> list:
-    """Record the shape of every ``np.linalg.cholesky`` call."""
+@pytest.fixture
+def fallbacks(monkeypatch) -> list:
+    """The gamma of every coupled matrix ``assemble_from_blocks`` builds for its fallback."""
     calls = []
-    original = np.linalg.cholesky
+    original = DuioGains.error_matrix
 
-    def spy(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    def spy(self, laplacian):
+        if sys._getframe(1).f_code is assemble_from_blocks.__code__:
+            calls.append(self.gamma)
+        return original(self, laplacian)
+    monkeypatch.setattr(DuioGains, "error_matrix", spy)
     return calls
 
 
 def test_certificate_implies_abscissa_below_tolerance():
-    # criterion 5's systems: gamma 1.001 x the bound, so every certificate holds
+    # criterion 5's systems: gamma 1.001 x the bound, so every oracle certificate holds
     for graph, e_blocks, gamma in random_coupled_systems(5150, 3.0, 0.3):
-        assert followers_certified(e_blocks[1:], graph.reduced_laplacian(0), gamma)
+        assert followers_certified(e_blocks[1:], reduced_laplacian(graph, 0), gamma)
         n = e_blocks[0].shape[0]
         k_blocks = [np.zeros((n, n))] + [gamma * np.eye(n)] * (graph.M - 1)
         assert spectral_abscissa(coupling_matrix(e_blocks, k_blocks, graph.laplacian)) \
             < HURWITZ_TOL
 
 
+def _assemble_error_blocks(e_blocks, graph, design):
+    """Assemble open error blocks with full-state outputs, node 0 the leader."""
+    n, m = e_blocks[0].shape[0], graph.M
+    return assemble_from_blocks(e_blocks, [np.zeros((n, n))] * m, [np.zeros((n, 0))] * m,
+                                [np.eye(n)] * m, graph, design, "model", leader=0)
+
+
+def _designs(systems: str):
+    """(graph, design function, design settings) of criterion 5's systems or a sweep plant."""
+    if systems == "criterion-5":
+        for graph, e_blocks, gamma in random_coupled_systems(5150, 3.0, 0.3):
+            yield (graph, functools.partial(_assemble_error_blocks, e_blocks, graph),
+                   DesignSection(gamma_override=gamma))
+    else:
+        cfg = parse_config(sweep_plant_config(1, int(systems.removeprefix("sweep-"))))
+        model, graph = cfg.build_model(), cfg.build_graph()
+        yield graph, functools.partial(build_model_based_gains, model, graph), cfg.design
+
+
+OVERRIDE_FACTORS = (0.5, 0.9, 1.0, 1.001, 1.1, 2.0)
+
+
+@pytest.mark.parametrize("systems", ["criterion-5", *(f"sweep-{k}" for k in range(5))])
+def test_bound_certificate_implies_the_cholesky_oracle(fallbacks, systems):
+    # each design at its own gamma and at gamma overrides on both sides of the bound
+    outcomes = []
+    for graph, design_with, design in _designs(systems):
+        base = design_with(design)
+        followers = [e for i, e in enumerate(base.E_obs) if i != base.leader]
+        bound = gamma_lower_bound(followers, graph.lambda_min_reduced(base.leader))
+        for gamma in (design.gamma_override or base.gamma,
+                      *(f * bound for f in OVERRIDE_FACTORS)):
+            before = len(fallbacks)
+            try:
+                gains = design_with(replace(design, gamma_override=gamma))
+            except NumericsError:
+                assert len(fallbacks) == before + 1
+                outcomes.append("refused")
+                continue
+            if len(fallbacks) > before:
+                outcomes.append("fallback")
+                continue
+            outcomes.append("bound")
+            assert followers_certified(followers, reduced_laplacian(graph, gains.leader), gamma)
+            assert spectral_abscissa(gains.error_matrix(graph.laplacian)) < HURWITZ_TOL
+    assert "bound" in outcomes and {"fallback", "refused"} & set(outcomes)
+
+
 @pytest.mark.parametrize("index", range(5))
-def test_sweep_plant_is_certified_without_decomposing_the_coupled_matrix(index):
+def test_sweep_plant_is_certified_without_decomposing_the_coupled_matrix(
+        monkeypatch, fallbacks, index):
     cfg = parse_config(sweep_plant_config(1, index))
     model, graph = cfg.build_model(), cfg.build_graph()
+    built = []
+
+    def record(original):
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            built.append(out.shape)
+            return out
+        return spy
+    monkeypatch.setattr(scipy.linalg, "block_diag", record(scipy.linalg.block_diag))
+    monkeypatch.setattr(np, "kron", record(np.kron))
     with decomposition_spy() as calls:
         gains = build_model_based_gains(model, graph, cfg.design)
-    size = gains.M * gains.n_x
-    assert all(shape != (size, size) for shape, _ in calls)
+    # nothing as large as the follower block is built, let alone decomposed
+    size = (gains.M - 1) * gains.n_x
+    assert calls and max(max(shape) for shape, _ in calls) < size
+    assert all(max(shape) < size for shape in built)
+    assert fallbacks == []
     followers = [e for i, e in enumerate(gains.E_obs) if i != gains.leader]
-    assert followers_certified(followers, graph.reduced_laplacian(gains.leader), gains.gamma)
+    assert followers_certified(followers, reduced_laplacian(graph, gains.leader), gains.gamma)
     assert spectral_abscissa(gains.error_matrix(graph.laplacian)) < HURWITZ_TOL
 
 
-def test_gamma_below_the_bound_takes_the_eigvals_fallback(bench_model, bench_graph):
+def test_gamma_below_the_bound_takes_the_eigvals_fallback(bench_model, bench_graph,
+                                                          fallbacks):
     default = build_model_based_gains(bench_model, bench_graph)
     followers = [e for i, e in enumerate(default.E_obs) if i != default.leader]
     assert BENCH_GAMMA < gamma_lower_bound(followers,
                                            bench_graph.lambda_min_reduced(default.leader))
-    assert not followers_certified(followers, bench_graph.reduced_laplacian(default.leader),
-                                   BENCH_GAMMA)
+    assert not followers_certified(
+        followers, reduced_laplacian(bench_graph, default.leader), BENCH_GAMMA)
     with decomposition_spy() as calls:
         gains = build_model_based_gains(bench_model, bench_graph,
                                         DesignSection(gamma_override=BENCH_GAMMA))
+    assert fallbacks == [BENCH_GAMMA]
     coupled = gains.error_matrix(bench_graph.laplacian)
     assert (coupled.shape, coupled.tobytes()) in calls
     assert spectral_abscissa(coupled) < HURWITZ_TOL
@@ -222,11 +292,14 @@ def test_gamma_below_the_bound_takes_the_eigvals_fallback(bench_model, bench_gra
             assert np.array_equal(a, b), field
 
 
-def _scalar_pair(follower: float, gamma: float):
-    """Two scalar nodes on one edge: a stable leader and the given follower block."""
+def _scalar_pair(follower: float, gamma: float, h: float = 0.0):
+    """Two scalar nodes on one edge: a stable leader and the given follower block.
+
+    ``h`` is both nodes' output feedthrough.
+    """
     design = DesignSection(gamma_override=gamma)
     return assemble_from_blocks([np.array([[-1.0]]), np.array([[follower]])],
-                                [np.zeros((1, 1))] * 2, [np.zeros((1, 0))] * 2,
+                                [np.array([[h]])] * 2, [np.zeros((1, 0))] * 2,
                                 [np.eye(1)] * 2, complete(2), design, "model")
 
 
@@ -236,28 +309,34 @@ def test_unstable_follower_with_a_small_gamma_is_refused():
         _scalar_pair(1.0, 0.5)
 
 
-def test_certificate_keeps_the_hurwitz_tolerance(monkeypatch):
+def test_certificate_keeps_the_hurwitz_tolerance(fallbacks):
     # the follower block is -gamma: -2e-8 is certified, -5e-9 lies above HURWITZ_TOL
-    calls = _cholesky_spy(monkeypatch)
-    assert _scalar_pair(0.0, 2e-8).gamma == 2e-8
-    assert len(calls) == 1
+    with decomposition_spy() as calls:
+        gains = _scalar_pair(0.0, 2e-8)
+    assert gains.gamma == 2e-8
+    assert fallbacks == []
+    coupled = gains.error_matrix(complete(2).laplacian)
+    assert (coupled.shape, coupled.tobytes()) not in calls
     with pytest.raises(NumericsError, match=r"abscissa -5\.000e-09"):
         _scalar_pair(0.0, 5e-9)
+    assert fallbacks == [5e-9]
 
 
 def test_certificate_refuses_a_non_finite_block():
-    # numpy's Cholesky factors a NaN or an infinite diagonal without raising
     for bad in (np.nan, np.inf, -np.inf):
+        # numpy's Cholesky factors a NaN or an infinite diagonal without raising
         assert not followers_certified([np.array([[bad]])], np.eye(1), 1.0)
+        # a unit feedthrough: a zero one times an infinity warns before the refusal
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            _scalar_pair(bad, 1.0, h=1.0)
 
 
-def test_single_node_needs_no_follower_certificate(monkeypatch):
+def test_single_node_needs_no_follower_certificate(fallbacks):
     model = single_node_model(np.array([[0.0, 1.0], [-1.0, 0.0]]),
                               np.array([[0.0], [1.0]]), np.zeros((2, 0)), np.eye(2))
-    calls = _cholesky_spy(monkeypatch)
     with decomposition_spy() as decompositions:
         gains = build_model_based_gains(model, SensorGraph(np.zeros((1, 1))))
-    assert calls == []
+    assert fallbacks == []
     # the one coupled block is the leader's, decomposed once by its Riccati check
     coupled = gains.error_matrix(np.zeros((1, 1)))
     assert decompositions.count((coupled.shape, coupled.tobytes())) == 1
