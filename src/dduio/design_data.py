@@ -15,12 +15,9 @@ import numpy as np
 from .errors import ConsistencyError, DesignError, RankError
 from .datagen import NodeDataset
 from .design_model import DesignSection, DuioGains, assemble_from_blocks, decoupling_gain
-from .linalg import (numerical_rank, pbh_detectable, pinv, rank_from_singular_values,
+from .linalg import (DETECT_TOL, numerical_rank, pinv, rank_from_singular_values,
                      singular_values, spectrum_and_pinv)
 from .network import SensorGraph
-
-PENCIL_POINTS = 16
-PENCIL_SEED = 20240917
 
 
 def check_data_solvability(ds: NodeDataset, multiplier: float | None = None
@@ -61,24 +58,22 @@ def solve_data_equation_structured(ds: NodeDataset, r_hat: int, c_rec: np.ndarra
     ``r_hat`` is the unknown-input rank the solvability test inferred and
     ``c_rec`` the output map ``recover_output_map`` gave.
     The span of the unknown-input directions is recovered as the column
-    space of Xdot projected onto the orthogonal complement of the rows
-    of [U; X]; the output feedthrough built from that span annihilates
-    the unknown input, and the remaining blocks follow from a full-rank
-    least squares.  On noise-free data this member coincides with the
-    blocks the true plant matrices would give.
+    space of what the least-squares fit of Xdot on [U; X] leaves
+    unexplained; the output feedthrough built from that span annihilates
+    the unknown input, and the remaining blocks are that fit with the
+    feedthrough's share removed.  On noise-free data this member
+    coincides with the blocks the true plant matrices would give.
 
     Returns (T_u, T_y, T_x, residual).
     """
     known = np.vstack([ds.U, ds.X])
-    known_pinv = pinv(known, multiplier)
+    fit = ds.Xdot @ pinv(known, multiplier)
     if r_hat > 0:
-        perp = ds.Xdot @ (np.eye(ds.N) - known_pinv @ known)
-        basis = np.linalg.svd(perp)[0][:, :r_hat]
+        basis = np.linalg.svd(ds.Xdot - fit @ known, full_matrices=False)[0][:, :r_hat]
     else:
         basis = np.zeros((ds.n_x, 0))
     t_y = decoupling_gain(c_rec, basis, multiplier)
-    eye = np.eye(ds.n_x)
-    t_ux = (eye - t_y @ c_rec) @ ds.Xdot @ known_pinv
+    t_ux = (np.eye(ds.n_x) - t_y @ c_rec) @ fit
     t_u, t_x = t_ux[:, :ds.n_m], t_ux[:, ds.n_m:]
     stack = np.vstack([ds.U, ds.Ydot, ds.X])
     residual = float(np.linalg.norm(ds.Xdot - np.hstack([t_u, t_y, t_x]) @ stack))
@@ -89,33 +84,28 @@ def solve_data_equation_structured(ds: NodeDataset, r_hat: int, c_rec: np.ndarra
     return t_u, t_y, t_x, residual
 
 
-def check_data_detectability(ds: NodeDataset, t_x: np.ndarray, c_rec: np.ndarray,
-                             r_hat: int, multiplier: float | None) -> tuple[bool, np.ndarray]:
+def check_data_detectability(ds: NodeDataset, t_x: np.ndarray, r_hat: int,
+                             multiplier: float | None) -> bool:
     """Data-side detectability test for a candidate leader node.
 
     The pencil [s X - Xdot; U; Y] must keep rank n_x + n_m + r over the
-    closed right half-plane.  The test is made finite by the PBH test on
-    the recovered pair at the eigenvalues of the recovered error matrix
-    (the only points where the rank can drop), cross-checked by direct
-    rank evaluation at randomly drawn points with Re(s) >= 0.
+    closed right half-plane.  On consistent data its rank drops only at
+    an invariant zero of (A, B_p, C), which is an unobservable eigenvalue
+    of the recovered error matrix ``t_x``; so the pencil is ranked once at
+    each eigenvalue of ``t_x`` with Re >= -DETECT_TOL, and nowhere else.
 
-    ``t_x`` and ``c_rec`` are the blocks of the structured solve of this
-    dataset and ``r_hat`` its inferred unknown-input rank.
+    ``t_x`` is the block of the structured solve of this dataset and
+    ``r_hat`` its inferred unknown-input rank.
     """
-    detectable = pbh_detectable(t_x, c_rec, multiplier=multiplier)
-    rng = np.random.default_rng(PENCIL_SEED)
-    points = (rng.uniform(0.0, 10.0, PENCIL_POINTS)
-              + 1j * rng.uniform(-10.0, 10.0, PENCIL_POINTS))
     want = ds.n_x + ds.n_m + r_hat
-    for s in points:
-        # row scaling keeps the rank and stops the top singular value from
-        # growing with |s|, which would otherwise inflate the threshold
-        pencil = np.vstack([(s * ds.X - ds.Xdot) / max(1.0, abs(s)),
-                            ds.U.astype(complex), ds.Y.astype(complex)])
-        if numerical_rank(pencil, multiplier) != want:
-            detectable = False
-            break
-    return detectable, points
+    for s in np.linalg.eigvals(t_x):
+        if s.real >= -DETECT_TOL:
+            # row scaling keeps the rank and stops the top singular value from
+            # growing with |s|, which would otherwise inflate the threshold
+            pencil = np.vstack([(s * ds.X - ds.Xdot) / max(1.0, abs(s)), ds.U, ds.Y])
+            if numerical_rank(pencil, multiplier) != want:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -126,16 +116,16 @@ class DataDesignReport:
     solvable: bool
     rank_with_output_derivs: int
     rank_with_state_derivs: int
-    detectable: bool | None
-    pencil_points: np.ndarray | None
-    T_u: np.ndarray | None
-    T_y: np.ndarray | None
-    T_x: np.ndarray | None
-    rank_Ty: int | None
-    C_recovered: np.ndarray | None
-    residual: float | None
-    r_inferred: int | None
     spectra: dict[str, np.ndarray]  # singular values behind each rank decision
+    # set only by the design of a solvable node; detectable only for a leader candidate
+    detectable: bool | None = None
+    T_u: np.ndarray | None = None
+    T_y: np.ndarray | None = None
+    T_x: np.ndarray | None = None
+    rank_Ty: int | None = None
+    C_recovered: np.ndarray | None = None
+    residual: float | None = None
+    r_inferred: int | None = None
 
 
 def analyze_node(ds: NodeDataset, test_detectability: bool = False,
@@ -153,22 +143,17 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
     if not solvable:
         return DataDesignReport(
             node_index=ds.node_index, solvable=False,
-            rank_with_output_derivs=lhs, rank_with_state_derivs=rhs,
-            detectable=None, pencil_points=None, T_u=None, T_y=None, T_x=None,
-            rank_Ty=None, C_recovered=None, residual=None, r_inferred=None,
-            spectra=spectra)
+            rank_with_output_derivs=lhs, rank_with_state_derivs=rhs, spectra=spectra)
     r_hat = max(rhs - ds.n_m - ds.n_x, 0)
     c_rec, spectra["X"] = recover_output_map(ds, multiplier)
     t_u, t_y, t_x, residual = solve_data_equation_structured(
         ds, r_hat, c_rec, rtol=rtol, multiplier=multiplier)
-    detectable, points = (None, None)
-    if test_detectability:
-        detectable, points = check_data_detectability(ds, t_x, c_rec, r_hat, multiplier)
+    detectable = (check_data_detectability(ds, t_x, r_hat, multiplier)
+                  if test_detectability else None)
     return DataDesignReport(
         node_index=ds.node_index, solvable=True,
         rank_with_output_derivs=lhs, rank_with_state_derivs=rhs,
-        detectable=detectable, pencil_points=points,
-        T_u=t_u, T_y=t_y, T_x=t_x,
+        detectable=detectable, T_u=t_u, T_y=t_y, T_x=t_x,
         rank_Ty=numerical_rank(t_y, multiplier),
         C_recovered=c_rec, residual=residual, r_inferred=r_hat, spectra=spectra)
 

@@ -20,7 +20,6 @@ from .network import SensorGraph
 from .plant import PlantModel
 
 HURWITZ_TOL = -1e-8
-DETECT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def check_detectability(model: PlantModel, i: int) -> bool:
     except SolvabilityError:
         return False
     t = (np.eye(model.n_x) - h @ node.C) @ model.A
-    return pbh_detectable(t, node.C, DETECT_TOL)
+    return pbh_detectable(t, node.C)
 
 
 def stabilizing_output_injection(T: np.ndarray, C: np.ndarray, decay: float) -> np.ndarray:
@@ -173,9 +172,10 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
     """Observer assembly shared by the model-based and data-driven paths.
 
     ``ts`` are the open error matrices, ``hs`` the output feedthroughs,
-    ``fs`` the input gains, ``cs`` the output maps.  The leader (first
-    node with a detectable pair, unless given) gets the Riccati output
-    injection; every other node gets the consensus coupling gain.
+    ``fs`` the input gains, ``cs`` the output maps; a non-finite entry in
+    any of them is refused up front.  The leader (first node with a
+    detectable pair, unless given) gets the Riccati output injection;
+    every other node gets the consensus coupling gain.
 
     The coupled error matrix is certified Hurwitz (abscissa below
     HURWITZ_TOL) by the coupling-gain bound itself.  The leader's consensus
@@ -193,6 +193,11 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
     m_nodes = len(ts)
     if graph.M != m_nodes:
         raise DesignError(f"graph has {graph.M} nodes, design has {m_nodes}")
+    for i, blocks in enumerate(zip(ts, hs, fs, cs)):
+        for name, block in zip(("error matrix", "output feedthrough", "input gain",
+                                "output map"), blocks):
+            if not np.all(np.isfinite(block)):
+                raise NumericsError(f"node {i}: the {name} has a non-finite entry")
 
     if leader is None:
         leader = next((i for i in range(m_nodes) if pbh_detectable(

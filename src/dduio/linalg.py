@@ -11,6 +11,10 @@ import numpy as np
 # in the underlying theory need an explicit floating-point policy.
 DEFAULT_RANK_MULTIPLIER = 1e3
 
+# Eigenvalues with real part at or above -DETECT_TOL count as not stable in
+# every detectability test, model-side and data-side.
+DETECT_TOL = 1e-8
+
 _EPS = np.finfo(float).eps
 
 
@@ -81,16 +85,15 @@ def symmetric_two_norm(a: np.ndarray) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def pbh_detectable(a: np.ndarray, c: np.ndarray, tol: float = 1e-8,
-                   multiplier: float | None = None) -> bool:
-    """PBH test: every eigenvalue of ``a`` with Re >= -tol must be observable.
+def pbh_detectable(a: np.ndarray, c: np.ndarray, multiplier: float | None = None) -> bool:
+    """PBH test: every eigenvalue of ``a`` with Re >= -DETECT_TOL must be observable.
 
     rank([lam*I - a; c]) = n at each such eigenvalue is equivalent to
     detectability of the pair (a, c).
     """
     n = a.shape[0]
     for lam in np.linalg.eigvals(a):
-        if lam.real >= -tol:
+        if lam.real >= -DETECT_TOL:
             pencil = np.vstack([lam * np.eye(n) - a, c.astype(complex)])
             if numerical_rank(pencil, multiplier) < n:
                 return False

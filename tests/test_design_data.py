@@ -4,19 +4,24 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dduio.design_data as design_data
 from dduio import linalg
+from dduio.baselines import collect_all_nodes
+from dduio.config import parse_config
 from dduio.design_data import (analyze_datasets, analyze_node, build_data_driven_gains,
                                check_data_detectability, check_data_solvability,
                                recover_output_map, solve_data_equation_structured)
 from dduio.design_model import (DesignSection, check_detectability, decoupling_gain,
                                 rank_condition)
 from dduio.errors import ConsistencyError, DesignError, RankError
-from dduio.linalg import numerical_rank, pbh_detectable, pinv, spectral_abscissa
+from dduio.linalg import DETECT_TOL, numerical_rank, pbh_detectable, pinv, spectral_abscissa
 
-from conftest import (BENCH_GAMMA, bench_signals, coupling_matrix, pointwise_dataset,
-                      single_node_model)
+from conftest import (BENCH_GAMMA, bench_signals, coupling_matrix, load_bench_module,
+                      pointwise_dataset, single_node_model)
+
+sweep_plant_config = load_bench_module("workloads").sweep_plant_config
 
 
 def min_norm_solution(ds):
@@ -203,12 +208,89 @@ def test_solution_family_membership_and_rank_preserving_members(bench_datasets):
         assert pbh_detectable(t_ux2[:, ds.n_m:], c_rec) == base_detectable
 
 
-def test_detectability_benchmark_leader(bench_datasets):
-    report = analyze_node(bench_datasets[0], test_detectability=True)
-    points = report.pencil_points
-    assert report.detectable
-    assert len(points) == 16
-    assert np.all(points.real >= 0)
+def test_detectability_benchmark_leader(bench_model, bench_datasets):
+    ds = bench_datasets[0]
+    report = analyze_node(ds, test_detectability=True)
+    assert report.detectable is True
+    assert check_data_detectability(ds, report.T_x, report.r_inferred, None) is True
+    assert check_detectability(bench_model, 0)
+
+
+def _hidden_mode_node(hidden):
+    """A node whose mode block ``hidden`` no output sees, next to a seen pair.
+
+    The seen pair carries one decodable unknown input, so the hidden modes
+    stay eigenvalues of the recovered error matrix and are its only
+    unobservable ones.
+    """
+    k = len(hidden)
+    a = scipy.linalg.block_diag([[0.3, 1.0], [-2.0, 0.1]], hidden)
+    b_m = np.ones((2 + k, 1))
+    b_p = np.zeros((2 + k, 1))
+    b_p[0, 0] = 1.0
+    c = np.hstack([np.eye(2), np.zeros((2, k))])
+    return a, b_m, b_p, c
+
+
+@pytest.mark.parametrize("hidden, detectable", [
+    ([[0.0]], False),
+    ([[0.0, 2.0], [-2.0, 0.0]], False),
+    ([[-DETECT_TOL / 2, 2.0], [-2.0, -DETECT_TOL / 2]], False),
+    ([[-0.5, 2.0], [-2.0, -0.5]], True),
+], ids=["zero", "pair-on-axis", "pair-inside-tolerance", "stable-pair"])
+def test_hidden_mode_on_the_axis_is_undetectable(hidden, detectable):
+    a, b_m, b_p, c = _hidden_mode_node(hidden)
+    ds = pointwise_dataset(a, b_m, b_p, c, N=20, seed=12)
+    report = analyze_node(ds, test_detectability=True)
+    assert report.r_inferred == 1
+    assert report.detectable is detectable
+    assert check_detectability(single_node_model(a, b_m, b_p, c), 0) is detectable
+
+
+def _record_pencils(monkeypatch):
+    ranked = []
+    rank = design_data.numerical_rank
+    monkeypatch.setattr(design_data, "numerical_rank",
+                        lambda a, *args: ranked.append(a) or rank(a, *args))
+    return ranked
+
+
+def test_leader_test_ranks_one_pencil_per_candidate_eigenvalue(monkeypatch, bench_datasets):
+    # a seen unstable pair, the zero mode the decoupling leaves and a stable
+    # hidden pair: three candidates; the preset leader has two zero modes
+    a = scipy.linalg.block_diag([[0.2, 2.0], [-2.0, 0.2]], [[-1.0]], [[-0.5, 2.0], [-2.0, -0.5]])
+    b_m, b_p = np.ones((5, 1)), np.eye(5)[:, [2]]
+    c = np.eye(5)[[0, 2]]
+    # a Hurwitz recovered error matrix leaves nothing to rank
+    hurwitz = pointwise_dataset([[-1.0, 0.5], [0.0, -2.0]], [[1.0], [1.0]], np.zeros((2, 0)),
+                                [[1.0, 0.0]], N=12, seed=14)
+    nodes = [pointwise_dataset(a, b_m, b_p, c, N=20, seed=13),
+             bench_datasets[0].design_view(), hurwitz]
+    for ds, count in zip(nodes, (3, 2, 0)):
+        report = analyze_node(ds)
+        candidates = [s for s in np.linalg.eigvals(report.T_x) if s.real >= -DETECT_TOL]
+        ranked = _record_pencils(monkeypatch)
+        assert check_data_detectability(ds, report.T_x, report.r_inferred, None) is True
+        assert len(ranked) == len(candidates) == count
+        for s, pencil in zip(candidates, ranked):
+            expect = np.vstack([(s * ds.X - ds.Xdot) / max(1.0, abs(s)), ds.U, ds.Y])
+            assert np.array_equal(pencil, expect)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_sweep_plant_data_verdicts_match_the_model(index):
+    cfg = parse_config(sweep_plant_config(1, index))
+    model = cfg.build_model()
+    design = cfg.design
+    views = [ds.design_view() for ds in collect_all_nodes(cfg, model, cfg.seed)]
+    for i, ds in enumerate(views):
+        report = analyze_node(ds, test_detectability=True, rtol=design.residual_rtol,
+                              multiplier=design.rank_multiplier)
+        assert report.solvable
+        assert report.detectable == check_detectability(model, i), i
+    leader = next(i for i in range(model.M) if check_detectability(model, i))
+    assert analyze_datasets(views, rtol=design.residual_rtol,
+                            multiplier=design.rank_multiplier)[1] == leader
 
 
 def test_detectability_scalar_unstable_blind():
@@ -334,13 +416,19 @@ def test_leader_test_reuses_the_structured_solve(monkeypatch, kind):
     r_hat = check_data_solvability(ds)[2] - ds.n_m - ds.n_x
     c_rec, _ = recover_output_map(ds)
     _, _, t_x, _ = solve_data_equation_structured(ds, r_hat, c_rec)
-    detectable, points = check_data_detectability(ds, t_x, c_rec, r_hat, None)
+    detectable = check_data_detectability(ds, t_x, r_hat, None)
     calls = record_solve_calls(monkeypatch)
+    tested = []
+    check = design_data.check_data_detectability
+    monkeypatch.setattr(design_data, "check_data_detectability",
+                        lambda ds, t_x, *args: tested.append(t_x) or check(ds, t_x, *args))
     report = analyze_node(ds, test_detectability=True)
     assert report.solvable and len(calls) == 1
-    assert report.detectable == detectable == check_detectability(
-        single_node_model(a, b_m, b_p, c), 0)
-    assert np.array_equal(report.pencil_points, points)
+    # the leader test ranks at the spectrum of the structured solve's own T_x
+    assert len(tested) == 1 and tested[0] is report.T_x
+    assert np.array_equal(report.T_x, t_x)
+    assert report.detectable is detectable
+    assert detectable == check_detectability(single_node_model(a, b_m, b_p, c), 0)
 
 
 def test_analyze_node_ranks_and_inverts_each_matrix_once(monkeypatch, bench_datasets):

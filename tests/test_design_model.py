@@ -2,6 +2,7 @@
 import functools
 import inspect
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -326,9 +327,25 @@ def test_certificate_refuses_a_non_finite_block():
     for bad in (np.nan, np.inf, -np.inf):
         # numpy's Cholesky factors a NaN or an infinite diagonal without raising
         assert not followers_certified([np.array([[bad]])], np.eye(1), 1.0)
-        # a unit feedthrough: a zero one times an infinity warns before the refusal
-        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-            _scalar_pair(bad, 1.0, h=1.0)
+        for h in (0.0, 1.0):
+            with pytest.raises(NumericsError, match="node 1: the error matrix"):
+                _scalar_pair(bad, 1.0, h=h)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_assembly_names_the_node_of_a_non_finite_block(bad):
+    # every block kind of the follower, refused before any arithmetic can warn
+    blocks = {"error matrix": [np.array([[-1.0]]), np.array([[-1.0]])],
+              "output feedthrough": [np.eye(1), np.eye(1)],
+              "input gain": [np.ones((1, 1)), np.ones((1, 1))],
+              "output map": [np.eye(1), np.eye(1)]}
+    for name in blocks:
+        poisoned = {k: [b.copy() for b in v] for k, v in blocks.items()}
+        poisoned[name][1][0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match=f"node 1: the {name} has a non-finite"):
+                assemble_from_blocks(*poisoned.values(), complete(2), DesignSection(), "model")
 
 
 def test_single_node_needs_no_follower_certificate(fallbacks):
