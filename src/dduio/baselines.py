@@ -14,11 +14,11 @@ import numpy as np
 
 from ._csvio import format_float, write_json
 from .datagen import NodeDataset, collect
-from .design_data import analyze_datasets, build_data_driven_gains, recover_output_map
+from .design_data import (analyze_datasets, build_data_driven_gains, recover_output_map,
+                          regress_on_known)
 from .design_model import (DesignSection, DuioGains, assemble_from_node_matrices,
                            build_model_based_gains)
 from .errors import DesignError, DimensionError, EmptyRunError, RankError
-from .linalg import rank_from_singular_values, spectrum_and_pinv
 from .network import SensorGraph
 from .observer_sim import RunResult, run
 from .plant import PlantModel
@@ -29,18 +29,13 @@ METHOD_LABELS = {"model": "model-based", "data": "data-driven", "id": "identific
 def identify_least_squares(ds: NodeDataset, multiplier: float | None = None):
     """Least-squares fit of (A, B_m, C) ignoring the unknown input.
 
-    The regression solves Xdot ~ A X + B_m U, so any active unknown input
-    biases the estimate.  Returns (A_hat, B_m_hat, C_hat).
+    The regression is the data design's fit of Xdot on [U; X], so any active
+    unknown input biases the estimate.  Returns (A_hat, B_m_hat, C_hat).
     """
-    regressors = np.vstack([ds.X, ds.U])
-    sv, regressors_pinv = spectrum_and_pinv(regressors, multiplier)
-    if rank_from_singular_values(sv, regressors.shape, multiplier) < ds.n_x + ds.n_m:
-        raise RankError("stacked [X; U] is row-rank deficient; identification is ill-posed")
-    theta = ds.Xdot @ regressors_pinv
-    a_hat = theta[:, :ds.n_x]
-    b_m_hat = theta[:, ds.n_x:]
-    c_hat, _ = recover_output_map(ds, multiplier)
-    return a_hat, b_m_hat, c_hat
+    theta, rank = regress_on_known(ds, multiplier)
+    if rank < ds.n_m + ds.n_x:
+        raise RankError("stacked [U; X] is row-rank deficient; identification is ill-posed")
+    return theta[:, ds.n_m:], theta[:, :ds.n_m], recover_output_map(ds, multiplier)[0]
 
 
 def build_identified_gains(datasets, granted_B_p, graph: SensorGraph,

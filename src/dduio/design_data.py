@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DesignError, RankError
 from .datagen import NodeDataset
-from .design_model import DesignSection, DuioGains, assemble_from_blocks, decoupling_gain
-from .linalg import (DETECT_TOL, numerical_rank, pinv, rank_from_singular_values,
-                     singular_values, spectrum_and_pinv)
+from .design_model import DesignSection, DuioGains, assemble_from_blocks, decouple_node
+from .linalg import (DETECT_TOL, numerical_rank, rank_from_singular_values, singular_values,
+                     spectrum_and_pinv)
 from .network import SensorGraph
 
 
@@ -50,6 +50,13 @@ def recover_output_map(ds: NodeDataset,
     return ds.Y @ x_pinv, sv
 
 
+def regress_on_known(ds: NodeDataset, multiplier: float | None = None) -> tuple[np.ndarray, int]:
+    """The least-squares fit Xdot [U; X]^+ (U's columns first) and rank([U; X]), from one SVD."""
+    known = np.vstack([ds.U, ds.X])
+    sv, known_pinv = spectrum_and_pinv(known, multiplier)
+    return ds.Xdot @ known_pinv, rank_from_singular_values(sv, known.shape, multiplier)
+
+
 def solve_data_equation_structured(ds: NodeDataset, r_hat: int, c_rec: np.ndarray,
                                    rtol: float = DesignSection.residual_rtol,
                                    multiplier: float | None = None):
@@ -59,22 +66,20 @@ def solve_data_equation_structured(ds: NodeDataset, r_hat: int, c_rec: np.ndarra
     ``c_rec`` the output map ``recover_output_map`` gave.
     The span of the unknown-input directions is recovered as the column
     space of what the least-squares fit of Xdot on [U; X] leaves
-    unexplained; the output feedthrough built from that span annihilates
-    the unknown input, and the remaining blocks are that fit with the
-    feedthrough's share removed.  On noise-free data this member
-    coincides with the blocks the true plant matrices would give.
+    unexplained; ``decouple_node`` turns that basis, for B_p, and the fit,
+    for (B_m, A), into T_y, which annihilates the unknown input, and T_u,
+    T_x.  On noise-free data this member coincides with the blocks the
+    true plant matrices would give.
 
     Returns (T_u, T_y, T_x, residual).
     """
-    known = np.vstack([ds.U, ds.X])
-    fit = ds.Xdot @ pinv(known, multiplier)
+    fit, _ = regress_on_known(ds, multiplier)
     if r_hat > 0:
-        basis = np.linalg.svd(ds.Xdot - fit @ known, full_matrices=False)[0][:, :r_hat]
+        unexplained = ds.Xdot - fit @ np.vstack([ds.U, ds.X])
+        basis = np.linalg.svd(unexplained, full_matrices=False)[0][:, :r_hat]
     else:
         basis = np.zeros((ds.n_x, 0))
-    t_y = decoupling_gain(c_rec, basis, multiplier)
-    t_ux = (np.eye(ds.n_x) - t_y @ c_rec) @ fit
-    t_u, t_x = t_ux[:, :ds.n_m], t_ux[:, ds.n_m:]
+    t_x, t_y, t_u = decouple_node(fit[:, ds.n_m:], fit[:, :ds.n_m], basis, c_rec, multiplier)
     stack = np.vstack([ds.U, ds.Ydot, ds.X])
     residual = float(np.linalg.norm(ds.Xdot - np.hstack([t_u, t_y, t_x]) @ stack))
     scale = max(np.linalg.norm(ds.Xdot), 1.0)
@@ -92,14 +97,15 @@ def check_data_detectability(ds: NodeDataset, t_x: np.ndarray, r_hat: int,
     closed right half-plane.  On consistent data its rank drops only at
     an invariant zero of (A, B_p, C), which is an unobservable eigenvalue
     of the recovered error matrix ``t_x``; so the pencil is ranked once at
-    each eigenvalue of ``t_x`` with Re >= -DETECT_TOL, and nowhere else.
+    each eigenvalue of ``t_x`` with Re >= -DETECT_TOL and Im >= 0, and
+    nowhere else: the data are real, so conj(s) gives the same rank.
 
     ``t_x`` is the block of the structured solve of this dataset and
     ``r_hat`` its inferred unknown-input rank.
     """
     want = ds.n_x + ds.n_m + r_hat
     for s in np.linalg.eigvals(t_x):
-        if s.real >= -DETECT_TOL:
+        if s.real >= -DETECT_TOL and s.imag >= 0:
             # row scaling keeps the rank and stops the top singular value from
             # growing with |s|, which would otherwise inflate the threshold
             pencil = np.vstack([(s * ds.X - ds.Xdot) / max(1.0, abs(s)), ds.U, ds.Y])
@@ -122,7 +128,6 @@ class DataDesignReport:
     T_u: np.ndarray | None = None
     T_y: np.ndarray | None = None
     T_x: np.ndarray | None = None
-    rank_Ty: int | None = None
     C_recovered: np.ndarray | None = None
     residual: float | None = None
     r_inferred: int | None = None
@@ -153,9 +158,8 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
     return DataDesignReport(
         node_index=ds.node_index, solvable=True,
         rank_with_output_derivs=lhs, rank_with_state_derivs=rhs,
-        detectable=detectable, T_u=t_u, T_y=t_y, T_x=t_x,
-        rank_Ty=numerical_rank(t_y, multiplier),
-        C_recovered=c_rec, residual=residual, r_inferred=r_hat, spectra=spectra)
+        detectable=detectable, T_u=t_u, T_y=t_y, T_x=t_x, C_recovered=c_rec,
+        residual=residual, r_inferred=r_hat, spectra=spectra)
 
 
 def analyze_datasets(datasets, rtol: float = DesignSection.residual_rtol,
@@ -177,9 +181,7 @@ def build_data_driven_gains(reports, graph: SensorGraph,
                             design: DesignSection = DesignSection()) -> DuioGains:
     """Observer gains from per-node data reports.
 
-    Preconditions: every node solvable, some node detectable from data,
-    and every recovered feedthrough with rank equal to the inferred
-    unknown-input rank.
+    Preconditions: every node solvable and some node detectable from data.
     """
     reports = list(reports)
     for rep in reports:
@@ -189,11 +191,6 @@ def build_data_driven_gains(reports, graph: SensorGraph,
     if leader is None:
         raise DesignError("no node passed the data detectability test; "
                           "cannot stabilize a leader")
-    for rep in reports:
-        if rep.rank_Ty != rep.r_inferred:
-            raise DesignError(
-                f"node {rep.node_index}: rank(T_y)={rep.rank_Ty} differs from the "
-                f"inferred unknown-input rank {rep.r_inferred}")
     return assemble_from_blocks(
         ts=[rep.T_x for rep in reports], hs=[rep.T_y for rep in reports],
         fs=[rep.T_u for rep in reports], cs=[rep.C_recovered for rep in reports],

@@ -87,15 +87,29 @@ class DuioGains:
 
     @staticmethod
     def from_json_dict(d: dict) -> "DuioGains":
-        """Inverse of ``to_json_dict``; a ``K`` key of an older file is ignored."""
-        def grab(key):
-            return tuple(np.asarray(n[key], dtype=float) for n in d["nodes"])
+        """Inverse of ``to_json_dict``, ignoring an older file's ``K``; a bad entry is named."""
+        def block(i, key, value):
+            try:
+                a = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                raise DuioError(f"gains file node {i} {key!r} is not a numeric matrix") from None
+            if not np.all(np.isfinite(a)):
+                raise DuioError(f"gains file node {i} {key!r} has a non-finite entry")
+            return a
         try:
-            return DuioGains(E_obs=grab("E"), F=grab("F"), L=grab("L"),
-                             H=grab("H"), gamma=float(d["gamma"]),
-                             leader=int(d["leader"]), method=d.get("method", "model"))
+            blocks = {key: tuple(block(i, key, n[key]) for i, n in enumerate(d["nodes"]))
+                      for key in "EFLH"}
+            gamma, leader = d["gamma"], d["leader"]
         except KeyError as exc:
             raise DuioError(f"gains file is missing the key {exc.args[0]!r}") from exc
+        except TypeError:
+            raise DuioError("gains file 'nodes' must be a list of objects") from None
+        if type(gamma) not in (int, float) or not np.isfinite(gamma):
+            raise DuioError(f"gains file 'gamma' must be a finite number, got {gamma!r}")
+        if type(leader) is not int:
+            raise DuioError(f"gains file 'leader' must be an integer, got {leader!r}")
+        return DuioGains(E_obs=blocks["E"], F=blocks["F"], L=blocks["L"], H=blocks["H"],
+                         gamma=float(gamma), leader=leader, method=d.get("method", "model"))
 
 
 def rank_condition(C: np.ndarray, B_p: np.ndarray, multiplier: float | None = None) -> bool:
@@ -241,22 +255,25 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
     return gains
 
 
+def decouple_node(a, b_m, b_p, c, multiplier: float | None = None):
+    """Every design's decoupling step: ((I - H C) A, H, (I - H C) B_m), H = B_p (C B_p)^+."""
+    h = decoupling_gain(c, b_p, multiplier)
+    proj = np.eye(a.shape[0]) - h @ c
+    return proj @ a, h, proj @ b_m
+
+
 def assemble_from_node_matrices(node_mats, graph: SensorGraph, design: DesignSection,
                                 method: str) -> DuioGains:
     """Observer construction from per-node (A, B_m, B_p, C) matrices."""
-    eye = np.eye(node_mats[0][0].shape[0])
-    hs, ts, fs, cs = [], [], [], []
+    blocks = []
     for i, (a, b_m, b_p, c) in enumerate(node_mats):
         try:
-            h = decoupling_gain(c, b_p, design.rank_multiplier)
+            blocks.append(decouple_node(a, b_m, b_p, c, design.rank_multiplier))
         except SolvabilityError:
             raise DesignError(
                 f"node {i}: rank(C B_p) < rank(B_p), decoupling unsolvable") from None
-        hs.append(h)
-        ts.append((eye - h @ c) @ a)
-        fs.append((eye - h @ c) @ b_m)
-        cs.append(c)
-    return assemble_from_blocks(ts, hs, fs, cs, graph, design, method)
+    ts, hs, fs = zip(*blocks)
+    return assemble_from_blocks(ts, hs, fs, [c for *_, c in node_mats], graph, design, method)
 
 
 def build_model_based_gains(model: PlantModel, graph: SensorGraph,

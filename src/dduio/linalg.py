@@ -47,11 +47,6 @@ def numerical_rank(a: np.ndarray, multiplier: float | None = None) -> int:
     return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), a.shape, multiplier)
 
 
-def pinv(a: np.ndarray, multiplier: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the shared threshold policy."""
-    return spectrum_and_pinv(a, multiplier)[1]
-
-
 def spectrum_and_pinv(a: np.ndarray,
                       multiplier: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The singular values of ``a`` and its pseudoinverse, from one SVD.
@@ -89,11 +84,12 @@ def pbh_detectable(a: np.ndarray, c: np.ndarray, multiplier: float | None = None
     """PBH test: every eigenvalue of ``a`` with Re >= -DETECT_TOL must be observable.
 
     rank([lam*I - a; c]) = n at each such eigenvalue is equivalent to
-    detectability of the pair (a, c).
+    detectability of the pair (a, c).  Both are real, so of a conjugate
+    pair only the member with Im >= 0 is ranked.
     """
     n = a.shape[0]
     for lam in np.linalg.eigvals(a):
-        if lam.real >= -DETECT_TOL:
+        if lam.real >= -DETECT_TOL and lam.imag >= 0:
             pencil = np.vstack([lam * np.eye(n) - a, c.astype(complex)])
             if numerical_rank(pencil, multiplier) < n:
                 return False

@@ -143,14 +143,17 @@ def test_each_command_decomposes_each_matrix_once(tmp_path):
         # the bound certifies the coupled dynamics: no 16 x 16 follower block is factored
         assert all(shape != (16, 16) for shape, _ in calls), name
     # compare repeats only what its methods share: the reduced Laplacian behind
-    # the bound and the X whose SVD both data and id read the output map from
+    # the bound, and the X and [U; X] whose SVDs give both data and id the
+    # output map and the regression of Xdot on [U; X]
     with decomposition_spy() as calls:
         assert main(["compare", "--k", "1", "--config", str(path),
                      "--out", str(tmp_path / "c")]) == 0
-    assert {key[0] for key in repeated(calls)} == {(4, 4), (4, 50)}
+    assert {key[0] for key in repeated(calls)} == {(4, 4), (4, 50), (5, 50)}
     assert ((4, 4), ring(5).laplacian[1:, 1:].tobytes()) in repeated(calls)
-    # the spy sees Cholesky factorizations too, so a dense certificate would add three
-    assert len(calls) <= 109
+    # 93 decompositions (71 SVDs) before data and id shared one regression and
+    # the leader tests ranked one pencil per conjugate pair; 87 (65 SVDs) since.
+    # The spy sees Cholesky factorizations too, so a dense certificate would add three.
+    assert len(calls) <= 87
 
 
 def test_check_missing_dir(tmp_path):
@@ -273,7 +276,7 @@ def test_meta_json_seed_may_be_null(tmp_path, fast_config_path, collected):
 @pytest.mark.parametrize("method, multiplier, code, message", [
     # the first node whose decoupling condition fails at 5e13 is node 0
     ("model", 5.0e13, 5, "node 0: rank(C B_p) < rank(B_p), decoupling unsolvable"),
-    ("id", 1.0e13, 1, "stacked [X; U] is row-rank deficient; identification is ill-posed"),
+    ("id", 1.0e13, 1, "stacked [U; X] is row-rank deficient; identification is ill-posed"),
 ], ids=["model", "id"])
 def test_rank_multiplier_reaches_each_design_path(tmp_path, capsys, collected, method,
                                                   multiplier, code, message):
@@ -438,7 +441,21 @@ def test_gains_file_has_no_k_and_ignores_an_old_one(tmp_path, fast_config_path, 
     assert _tree_bytes(tmp_path / "plain") == _tree_bytes(tmp_path / "with_k")
 
 
-@pytest.mark.parametrize("drop", ["gamma", "L", "gains", "json"])
+# A malformed value, set into the gains object (node 2's block for a node
+# key), and the message naming it.
+MALFORMED_GAINS = {
+    "ragged": ("E", [[1, 2], [3]], "node 2 'E' is not a numeric matrix"),
+    "text": ("H", [["a", "b"]], "node 2 'H' is not a numeric matrix"),
+    "nan-block": ("F", [[float("nan")]] * 4, "node 2 'F' has a non-finite entry"),
+    "nan-gamma": ("gamma", float("nan"), "'gamma' must be a finite number, got nan"),
+    "text-gamma": ("gamma", "5", "'gamma' must be a finite number, got '5'"),
+    "text-leader": ("leader", "first", "'leader' must be an integer, got 'first'"),
+    "float-leader": ("leader", 0.5, "'leader' must be an integer, got 0.5"),
+    "nodes": ("nodes", [1, 2], "'nodes' must be a list of objects"),
+}
+
+
+@pytest.mark.parametrize("drop", ["gamma", "L", "gains", "json", *MALFORMED_GAINS])
 def test_run_names_a_missing_gains_key(tmp_path, capsys, fast_config_path, gains_path, drop):
     payload = json.loads(Path(gains_path).read_text())
     bad = tmp_path / "bad_gains.json"
@@ -448,6 +465,12 @@ def test_run_names_a_missing_gains_key(tmp_path, capsys, fast_config_path, gains
     elif drop == "gains":
         bad.write_text(json.dumps({"verification": payload["verification"]}))
         want = f"error: gains file {bad} has no top-level 'gains' object\n"
+    elif drop in MALFORMED_GAINS:
+        key, value, message = MALFORMED_GAINS[drop]
+        holder = payload["gains"] if key in payload["gains"] else payload["gains"]["nodes"][2]
+        holder[key] = value
+        bad.write_text(json.dumps(payload))
+        want = f"error: gains file {message}\n"
     else:
         holder = payload["gains"] if drop in payload["gains"] else payload["gains"]["nodes"][2]
         del holder[drop]

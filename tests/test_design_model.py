@@ -395,6 +395,8 @@ def test_gains_json_roundtrip(model_gains):
     d = model_gains.to_json_dict()
     back = DuioGains.from_json_dict(d)
     assert back.gamma == model_gains.gamma
+    # an M = 1 design writes gamma 0
+    assert DuioGains.from_json_dict({**d, "gamma": 0.0}).gamma == 0.0
     assert back.leader == model_gains.leader
     for i in range(model_gains.M):
         assert np.array_equal(back.E_obs[i], model_gains.E_obs[i])
