@@ -20,7 +20,7 @@ from .design_model import (DesignSection, DuioGains, assemble_from_node_matrices
                            build_model_based_gains)
 from .errors import DesignError, DimensionError, EmptyRunError, RankError
 from .network import SensorGraph
-from .observer_sim import RunResult, run
+from .observer_sim import RunResult, run, run_scenario
 from .plant import PlantModel
 
 METHOD_LABELS = {"model": "model-based", "data": "data-driven", "id": "identification-based"}
@@ -63,22 +63,22 @@ class MethodMetrics:
                 "mae_per_node": self.mae_per_node.tolist()}
 
 
-def _trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Trapezoidal integral of each column of ``y`` over ``t``.
-
-    The products and the order of the sum are those of
-    ``scipy.integrate.trapezoid``, which this avoids importing.
-    """
-    return (np.diff(t)[:, None] * (y[1:] + y[:-1]) / 2.0).sum(0)
-
-
 def compute_mse_mae(result: RunResult) -> MethodMetrics:
-    """Per-node (1/T) integrals of the squared and absolute error norms."""
-    if result.t.size < 2:
+    """Per-node (1/T) integrals of the squared and absolute error norms.
+
+    Both are trapezoid integrals written as sums over the samples with one
+    weight vector, (t_{k+1} - t_{k-1}) / 2 from ``t`` (uneven grids
+    included), so no (time, node) temporary is made.
+    """
+    t, norms = result.t, result.error_norms
+    if t.size < 2:
         raise EmptyRunError("metrics need at least two samples")
-    horizon = float(result.t[-1])
-    mse_nodes = _trapezoid(result.error_norms ** 2, result.t) / horizon
-    mae_nodes = _trapezoid(result.error_norms, result.t) / horizon
+    weights = np.empty(t.size)
+    weights[0], weights[-1] = t[1] - t[0], t[-1] - t[-2]
+    weights[1:-1] = t[2:] - t[:-2]
+    weights *= 0.5 / t[-1]
+    mse_nodes = np.einsum("t,tm,tm->m", weights, norms, norms)
+    mae_nodes = weights @ norms
     return MethodMetrics(mse=float(mse_nodes.mean()), mae=float(mae_nodes.mean()),
                          mse_per_node=mse_nodes, mae_per_node=mae_nodes)
 
@@ -108,6 +108,22 @@ def run_experiment(config, model: PlantModel, graph: SensorGraph, gains: DuioGai
                  config.build_disturbances(seed), horizon=config.run.horizon,
                  dt=config.run.dt, z0=z0)
     return result, compute_mse_mae(result)
+
+
+def experiment_metrics(config, model: PlantModel, graph: SensorGraph, designs,
+                       seed: int):
+    """The metrics of each gains in ``designs`` on the scenario drawn from ``seed``.
+
+    One scenario pass: the plant and the signals are simulated once for all
+    designs, and each run is dropped once its metrics are taken.  Each
+    entry equals ``run_experiment``'s metrics to rounding.
+    """
+    x0 = config.draw_x0(seed)
+    runs = run_scenario(model, graph,
+                        [(g, config.initial_observer_states(x0, model, g)) for g in designs],
+                        x0, config.build_inputs(seed), config.build_disturbances(seed),
+                        horizon=config.run.horizon, dt=config.run.dt)
+    return list(map(compute_mse_mae, runs))
 
 
 def _derived_seed(*parts) -> int:
@@ -157,8 +173,9 @@ def monte_carlo_compare(config, K: int, master_seed: int,
 
     Every experiment draws a fresh initial state, fresh online signal
     realizations, and fresh offline datasets (for the data-driven and
-    identification methods), then runs all methods on the identical
-    online scenario.  Identical seeds reproduce identical summaries.
+    identification methods), designs every method, then runs them all in
+    one pass over the identical online scenario (``experiment_metrics``).
+    Identical seeds reproduce identical summaries.
     When ``artifacts_dir`` is given, per-experiment metrics are written
     under it as k_###/metrics.json.
     """
@@ -175,13 +192,12 @@ def monte_carlo_compare(config, K: int, master_seed: int,
         datasets = None
         if any(m in methods for m in ("data", "id")):
             datasets = collect_all_nodes(config, model, exp_seed)
+        designs = [model_gains if method == "model"
+                   else design_for_method(method, config, model, graph, datasets)
+                   for method in methods]
         experiment_record = {"experiment": k, "seed": exp_seed, "methods": {}}
-        for method in methods:
-            if method == "model":
-                gains = model_gains
-            else:
-                gains = design_for_method(method, config, model, graph, datasets)
-            _, metrics = run_experiment(config, model, graph, gains, exp_seed)
+        for method, metrics in zip(methods, experiment_metrics(config, model, graph,
+                                                               designs, exp_seed)):
             per_method[method].append(metrics)
             experiment_record["methods"][method] = metrics.to_json_dict()
         if artifacts_dir is not None:

@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .datagen import DataSection
-from .design_model import DesignSection
+from .design_model import DESIGN_METHODS, DesignSection
 from .errors import ConfigError, DimensionError, GraphError, RankError
 from .network import GENERATORS, SensorGraph, from_edges
 from .plant import PlantModel
@@ -30,7 +30,6 @@ _SIGNAL_KEYS = {
 }
 # Signal parameters that must be finite numbers whenever they are given.
 _NUMERIC_PARAMS = ("amplitude", "frequency", "phase", "low", "high")
-DESIGN_METHODS = ("model", "data", "id")
 _Z0_POLICIES = ("zero", "matched")
 
 

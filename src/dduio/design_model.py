@@ -20,6 +20,7 @@ from .network import SensorGraph
 from .plant import PlantModel
 
 HURWITZ_TOL = -1e-8
+DESIGN_METHODS = ("model", "data", "id")
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,12 @@ class DuioGains:
             raise DuioError(f"gains file 'gamma' must be a finite number, got {gamma!r}")
         if type(leader) is not int:
             raise DuioError(f"gains file 'leader' must be an integer, got {leader!r}")
+        method = d.get("method", "model")
+        if not (type(method) is str and method in DESIGN_METHODS):
+            raise DuioError(f"gains file 'method' must be one of {list(DESIGN_METHODS)}, "
+                            f"got {method!r}")
         return DuioGains(E_obs=blocks["E"], F=blocks["F"], L=blocks["L"], H=blocks["H"],
-                         gamma=float(gamma), leader=leader, method=d.get("method", "model"))
+                         gamma=float(gamma), leader=leader, method=method)
 
 
 def rank_condition(C: np.ndarray, B_p: np.ndarray, multiplier: float | None = None) -> bool:

@@ -6,6 +6,12 @@ with Phi and the W's polynomials in dt * a.  The integrator samples the
 forcing with vectorized ``sample`` calls at the three stage offsets and
 runs that recurrence in STRIDE-step blocks; the coarse recurrence over
 the blocks, with Phi**STRIDE, is solved the same way, level by level.
+
+When a is block lower triangular, [[a_xx, 0], [a_zx, a_zz]], so are Phi
+and every W, and the lower rows advance alone given the upper rows'
+trajectory: z+ = Phi_zz z + Phi_zx x + (W g)_z s.  ``rk4_lower_block``
+integrates only those rows, from forcing tabulated once on the half-step
+grid (``tabulate``).
 """
 from __future__ import annotations
 
@@ -31,19 +37,50 @@ def _propagator(a: np.ndarray, dt: float):
     return phi, (w0, wh, w1)
 
 
-def _accumulate_drives(out: np.ndarray, g: np.ndarray, weights, generators,
-                       n_steps: int, dt: float) -> None:
+def _accumulate_drives(out: np.ndarray, g: np.ndarray, weights, stage_rows,
+                       n_steps: int) -> None:
     """Add d_j = sum over stages of W g s(t_j + offset) into out[j + 1].
 
-    Works in blocks of DRIVE_ROWS steps, so no temporary grows with
-    n_steps and a run's peak memory stays that of its output array.
+    ``stage_rows(i, k)`` gives the forcing of steps i..k-1 at the stage
+    times t_j, t_j + dt/2 and t_j + dt, one array each.  Works in blocks of
+    DRIVE_ROWS steps, so no temporary grows with n_steps and a run's peak
+    memory stays that of its output array.
     """
-    stages = [(offset, (w @ g).T) for offset, w in zip((0.0, 0.5 * dt, dt), weights)]
+    gains = [(w @ g).T for w in weights]
     for i in range(0, n_steps, DRIVE_ROWS):
-        t = np.arange(i, min(i + DRIVE_ROWS, n_steps)) * dt
-        rows = out[1 + i:1 + i + t.size]
-        for offset, gain in stages:
-            rows += np.column_stack([gen.sample(t + offset) for gen in generators]) @ gain
+        k = min(i + DRIVE_ROWS, n_steps)
+        rows = out[1 + i:1 + k]
+        for samples, gain in zip(stage_rows(i, k), gains):
+            rows += samples @ gain
+
+
+def _sampled_rows(generators, dt: float):
+    """Stage rows sampled from ``generators`` block by block."""
+    def stage_rows(i, k):
+        t = np.arange(i, k) * dt
+        return [np.column_stack([gen.sample(t + offset) for gen in generators])
+                for offset in (0.0, 0.5 * dt, dt)]
+    return stage_rows
+
+
+def tabulate(generators, n_steps: int, dt: float) -> np.ndarray:
+    """Each generator sampled once on the half-step grid k * dt/2, one column each.
+
+    Row 2j holds s(t_j), row 2j + 1 s(t_j + dt/2): every stage time of
+    n_steps RK4 steps is a row.
+    """
+    t = np.arange(2 * n_steps + 1) * (0.5 * dt)
+    table = np.empty((t.size, len(generators)))
+    for column, gen in enumerate(generators):
+        table[:, column] = gen.sample(t)
+    return table
+
+
+def _tabulated_rows(table: np.ndarray):
+    """Stage rows sliced from a ``tabulate`` table."""
+    def stage_rows(i, k):
+        return [table[2 * i + s:2 * k + s:2] for s in range(3)]
+    return stage_rows
 
 
 def _recur(out: np.ndarray, phi: np.ndarray, n_steps: int) -> None:
@@ -83,6 +120,21 @@ def _recur(out: np.ndarray, phi: np.ndarray, n_steps: int) -> None:
         out[j + 1] += phi @ out[j]
 
 
+def _check_divergence(states: np.ndarray, dt: float, divergence_limit: float) -> None:
+    """Raise DivergenceError at the first row of ``states``, the states at t = dt,
+    2 dt, ..., with an entry whose magnitude reaches the limit (or is NaN)."""
+    # Flat max/min allocate nothing and fail the test on NaN; only a
+    # run that fails it pays for the row-wise search of the first row.
+    if states.size and not (states.max() < divergence_limit
+                            and -states.min() < divergence_limit):
+        magnitude = np.maximum(states.max(axis=1), -states.min(axis=1))
+        j = int(np.flatnonzero(~(magnitude < divergence_limit))[0])
+        m = magnitude[j]
+        t = j * dt + dt
+        raise DivergenceError(
+            f"state magnitude {m!r} exceeded {divergence_limit:g} at t={t:.6g}", t=t)
+
+
 def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
                n_steps: int, dt: float, divergence_limit: float = DIVERGENCE_LIMIT) -> np.ndarray:
     """Integrate x' = a x + g s(t) with s(t) stacked from ``generators``.
@@ -97,17 +149,33 @@ def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
     phi, weights = _propagator(np.asarray(a, dtype=float), dt)
     with np.errstate(over="ignore", invalid="ignore"):
         if g.size > 0 and len(generators) > 0:
-            _accumulate_drives(out, g, weights, generators, n_steps, dt)
+            _accumulate_drives(out, g, weights, _sampled_rows(generators, dt), n_steps)
         _recur(out, phi, n_steps)
-        states = out[1:]
-        # Flat max/min allocate nothing and fail the test on NaN; only a
-        # run that fails it pays for the row-wise search of the first row.
-        if states.size and not (states.max() < divergence_limit
-                                and -states.min() < divergence_limit):
-            magnitude = np.maximum(states.max(axis=1), -states.min(axis=1))
-            j = int(np.flatnonzero(~(magnitude < divergence_limit))[0])
-            m = magnitude[j]
-            t = j * dt + dt
-            raise DivergenceError(
-                f"state magnitude {m!r} exceeded {divergence_limit:g} at t={t:.6g}", t=t)
+        _check_divergence(out[1:], dt, divergence_limit)
+    return out
+
+
+def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper: np.ndarray,
+                    lower0: np.ndarray, dt: float,
+                    divergence_limit: float = DIVERGENCE_LIMIT) -> np.ndarray:
+    """The lower rows of ``rk4_linear`` for a block lower-triangular ``a``.
+
+    ``upper`` holds the first rows' states at every grid point, as
+    ``rk4_linear`` returns them, and ``table`` the forcing from
+    ``tabulate``.  Returns the remaining rows' states from ``lower0``;
+    they equal rk4_linear's to rounding, since one RK4 step of such a
+    system is block lower triangular too.
+    """
+    n_steps, k = upper.shape[0] - 1, upper.shape[1]
+    lower0 = np.asarray(lower0, dtype=float).reshape(-1)
+    out = np.empty((n_steps + 1, lower0.size))
+    out[0] = lower0
+    phi, weights = _propagator(np.asarray(a, dtype=float), dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(upper[:-1], phi[k:, :k].T, out=out[1:])
+        if g.size > 0 and table.shape[1] > 0:
+            _accumulate_drives(out, g, [w[k:] for w in weights], _tabulated_rows(table),
+                               n_steps)
+        _recur(out, np.ascontiguousarray(phi[k:, k:]), n_steps)
+        _check_divergence(out[1:], dt, divergence_limit)
     return out

@@ -1,8 +1,12 @@
-"""Coupled simulation of the plant and the observer network.
+"""Simulation of the plant and observer networks on one scenario.
 
-The plant and all M observers form one linear ODE; neighbor estimates
-enter the consensus term continuously (same-stage values inside the
-integrator), so the closed loop is integrated as a single system.
+The plant and M observers form one linear ODE; neighbor estimates enter
+the consensus term continuously (same-stage values inside the
+integrator).  The plant's rows hold no observer terms, so the closed-loop
+matrix is block lower triangular, and so is every RK4 step.  A scenario
+pass therefore integrates the first observer network together with the
+plant, then advances each later network's observer block alone from that
+plant trajectory.  ``run`` is the pass with one network.
 """
 from __future__ import annotations
 
@@ -15,10 +19,11 @@ from scipy.linalg import block_diag
 from ._csvio import write_json
 from .design_model import DuioGains
 from .errors import DimensionError
-from .integrate import DRIVE_ROWS, rk4_linear
+from .integrate import DRIVE_ROWS, rk4_linear, rk4_lower_block, tabulate
 from .linalg import spectral_abscissa
 from .network import SensorGraph
 from .plant import PlantModel
+from .signals import Tabulated
 
 
 @dataclass(frozen=True)
@@ -102,39 +107,68 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
     Each node reads only its own known inputs, its own output, and its
     neighbors' estimates.  ``z0`` defaults to zero observer states.
     """
-    _check_dimensions(model, graph, gains)
+    return next(run_scenario(model, graph, [(gains, z0)], x0, inputs, disturbances,
+                             horizon, dt))
+
+
+def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
+                 inputs, disturbances, horizon: float, dt: float):
+    """Yield one RunResult per (gains, z0) of ``observers``, all on one scenario.
+
+    Every network meets the same plant trajectory from ``x0`` under the same
+    signals.  The first is integrated together with the plant; each later
+    one advances only its observer block, z_{j+1} = Phi_zz z_j + Phi_zx x_j
+    + d_z,j, from that trajectory.  With more than one network the signals
+    are sampled once, on the half-step grid, and replayed.  The pass keeps
+    only the current network's states, so a caller that drops each result
+    holds one network's full-length arrays at a time.  A ``z0`` of None
+    means zero observer states.
+    """
     if dt <= 0 or horizon < dt:
         raise DimensionError("dt must be positive and horizon at least one step")
     n, m_nodes = model.n_x, model.M
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != n:
         raise DimensionError(f"x0 has length {x0.size}, expected {n}")
-    if z0 is None:
-        z0 = np.zeros((m_nodes, n))
-    z0 = np.asarray(z0, dtype=float).reshape(m_nodes, n)
-
-    a_cl, g_cl = _closed_loop(model, graph, gains)
+    starts = []
+    for gains, z0 in observers:
+        _check_dimensions(model, graph, gains)
+        z0 = np.zeros(m_nodes * n) if z0 is None else np.asarray(z0, dtype=float)
+        starts.append((gains, z0.reshape(m_nodes * n)))
     gens = list(inputs) + list(disturbances)
-    if len(gens) != g_cl.shape[1]:
+    if len(gens) != model.n_u + model.n_d:
         raise DimensionError(
-            f"need {g_cl.shape[1]} signal generators, got {len(gens)}")
+            f"need {model.n_u + model.n_d} signal generators, got {len(gens)}")
     n_steps = int(round(horizon / dt))
-    xi = rk4_linear(a_cl, g_cl, gens, np.concatenate([x0, z0.ravel()]), n_steps, dt)
-
     t = np.arange(n_steps + 1) * dt
-    x = xi[:, :n]
-    xhat, error_norms, spread = _estimates(xi, model, gains)
-    return RunResult(t=t, x=x, xhat=xhat, error_norms=error_norms, spread=spread)
+    if not starts:
+        return
+    if len(starts) > 1:
+        # The first network reads the table through rk4_linear's generators.
+        table = tabulate(gens, n_steps, dt)
+        gens = [Tabulated(column, 0.5 * dt) for column in table.T]
+
+    gains, z0 = starts[0]
+    a_cl, g_cl = _closed_loop(model, graph, gains)
+    x, z = np.hsplit(rk4_linear(a_cl, g_cl, gens, np.concatenate([x0, z0]), n_steps, dt), [n])
+    yield RunResult(t, x, *_estimates(x, z, model, gains))
+    # Keep the plant rows alone, so the first network's states can go.
+    del z
+    x = np.ascontiguousarray(x)
+    for gains, z0 in starts[1:]:
+        a_cl, g_cl = _closed_loop(model, graph, gains)
+        yield RunResult(t, x, *_estimates(x, rk4_lower_block(a_cl, g_cl, table, x, z0, dt),
+                                          model, gains))
 
 
-def _estimates(xi: np.ndarray, model: PlantModel, gains: DuioGains):
+def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains):
     """xhat_i = z_i + H_i C_i x, the error norms and the pairwise spread.
 
     Works on DRIVE_ROWS-row blocks transposed to (state, time), so every
     elementwise op runs along time and no temporary grows with the run.
     """
     n, m_nodes = model.n_x, model.M
-    rows = xi.shape[0]
+    rows = x.shape[0]
     # (node * state, state): node i's rows are H_i C_i
     out_map = np.vstack([h @ node.C for h, node in zip(gains.H, model.nodes)])
     xhat = np.empty((rows, m_nodes, n))
@@ -142,10 +176,9 @@ def _estimates(xi: np.ndarray, model: PlantModel, gains: DuioGains):
     spread = np.empty(rows)
     for r0 in range(0, rows, DRIVE_ROWS):
         r1 = min(r0 + DRIVE_ROWS, rows)
-        block = np.ascontiguousarray(xi[r0:r1].T)
-        x_blk = block[:n]
+        x_blk = np.ascontiguousarray(x[r0:r1].T)
         est = out_map @ x_blk
-        est += block[n:]
+        est += z[r0:r1].T
         xhat[r0:r1].reshape(r1 - r0, -1)[:] = est.T
         est = est.reshape(m_nodes, n, -1)
         err = est - x_blk

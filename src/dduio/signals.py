@@ -115,3 +115,25 @@ class PiecewiseConstantRandom(SignalGenerator):
             self._ensure(int(idx.max()))
         return self._values[idx]
 
+
+
+@dataclass(frozen=True)
+class Tabulated(SignalGenerator):
+    """A signal known only on the grid k * step, replayed from ``values[k]``.
+
+    Sampling a time off the grid, or before its start, raises ValueError
+    instead of guessing.
+    """
+
+    values: np.ndarray
+    step: float
+
+    def value(self, t: float) -> float:
+        return float(self.sample(np.array([t]))[0])
+
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        k = np.rint(ts / self.step)
+        if not ((np.abs(k * self.step - ts) <= 1e-6 * self.step) & (k >= 0)).all():
+            raise ValueError(f"tabulated signal sampled off its grid of step {self.step:g}")
+        return self.values[k.astype(np.intp)]

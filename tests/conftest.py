@@ -20,6 +20,7 @@ from dduio.integrate import rk4_linear
 from dduio.linalg import spectral_abscissa
 from dduio.observer_sim import error_dynamics_matrix
 from dduio.plant import PlantModel
+from dduio.signals import SignalGenerator
 
 BENCH_SEED = 20240100
 # The default configuration: the two-mass-spring preset on the five-ring.
@@ -67,6 +68,17 @@ def decomposition_spy():
 def repeated(calls) -> dict:
     """The keys of ``decomposition_spy`` that occur more than once, with their counts."""
     return {key: n for key, n in Counter(calls).items() if n > 1}
+
+
+class CountedSignal(SignalGenerator):
+    """A generator that counts its ``sample`` calls."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def sample(self, ts):
+        self.calls += 1
+        return self.gen.sample(ts)
 
 
 def bench_signals(input_seed, dist_seed, dt_hold, active=True):

@@ -1,21 +1,22 @@
 """Identification baseline, error metrics, and the comparison harness."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from dduio.baselines import (build_identified_gains, collect_all_nodes, compute_mse_mae,
-                             design_for_method, identify_least_squares, monte_carlo_compare,
-                             write_comparison_table)
-from dduio.config import parse_config
+                             design_for_method, experiment_metrics, identify_least_squares,
+                             monte_carlo_compare, run_experiment, write_comparison_table)
+from dduio.config import ExperimentConfig, parse_config
 from dduio.design_model import DesignSection
 from dduio.errors import DesignError, EmptyRunError, RankError
 from dduio.linalg import spectral_abscissa
 from dduio.observer_sim import RunResult
 
-from conftest import (BENCH_GAMMA, bench_signals, coupling_matrix, load_bench_module,
-                      pointwise_dataset)
+from conftest import (BENCH_GAMMA, CountedSignal, bench_signals, coupling_matrix,
+                      load_bench_module, pointwise_dataset)
 
 sweep_plant_config = load_bench_module("workloads").sweep_plant_config
 
@@ -164,6 +165,54 @@ def test_monte_carlo_aggregation_identity(small_compare_config):
         assert s.experiments == 3
 
 
+def test_experiment_metrics_match_one_run_per_design(small_compare_config):
+    cfg = small_compare_config
+    model, graph = cfg.build_model(), cfg.build_graph()
+    datasets = collect_all_nodes(cfg, model, 8)
+    designs = [design_for_method(m, cfg, model, graph, datasets) for m in cfg.compare.methods]
+    for got, gains in zip(experiment_metrics(cfg, model, graph, designs, 9), designs):
+        _, want = run_experiment(cfg, model, graph, gains, 9)
+        for stat in ("mse", "mae"):
+            assert getattr(got, stat) == pytest.approx(getattr(want, stat), rel=1e-13, abs=0)
+
+
+def test_experiment_pass_holds_one_design_at_a_time():
+    cfg = parse_config({})
+    model, graph = cfg.build_model(), cfg.build_graph()
+    datasets = collect_all_nodes(cfg, model, 4)
+    designs = [design_for_method(m, cfg, model, graph, datasets) for m in cfg.compare.methods]
+
+    def peak(gains_list):
+        experiment_metrics(cfg, model, graph, gains_list, 3)
+        tracemalloc.start()
+        try:
+            experiment_metrics(cfg, model, graph, gains_list, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the three-design pass adds only the signal table, not a second design's states
+    table = (2 * int(round(cfg.run.horizon / cfg.run.dt)) + 1) * (model.n_u + model.n_d) * 8
+    assert len(designs) == 3
+    assert peak(designs) - peak(designs[:1]) <= table + 2 ** 20
+
+
+def test_compare_samples_each_online_signal_once_per_experiment(monkeypatch,
+                                                                small_compare_config):
+    made = []
+    for name in ("build_inputs", "build_disturbances"):
+        def counted(self, seed, _build=getattr(ExperimentConfig, name)):
+            gens = [CountedSignal(g) for g in _build(self, seed)]
+            made.extend(gens)
+            return gens
+        monkeypatch.setattr(ExperimentConfig, name, counted)
+    assert len(small_compare_config.compare.methods) == 3
+    monte_carlo_compare(small_compare_config, K=2, master_seed=11)
+    model = small_compare_config.build_model()
+    assert len(made) == 2 * (model.n_u + model.n_d)
+    assert [g.calls for g in made] == [1] * len(made)
+
+
 def test_data_design_without_a_detectable_node_fails(monkeypatch, bench_graph,
                                                      bench_datasets):
     import dduio.baselines as baselines
@@ -200,16 +249,21 @@ def test_quadrature_refinement(bench_model, bench_graph, model_gains):
     assert abs(values[0] - values[1]) / values[1] < 0.005
 
 
-def test_metrics_equal_scipy_trapezoid_bit_for_bit(bench_model, bench_graph, model_gains):
+def test_metrics_match_scipy_trapezoid(bench_model, bench_graph, model_gains):
+    # 2001 samples: scipy's own sum drifts by up to ~8e-15 of the exact
+    # trapezoid at 5001, too close to the bound to say which side is off.
     from dduio.observer_sim import run
     inputs, dist = bench_signals(17, 18, 1e-3)
     res = run(bench_model, bench_graph, model_gains, np.array([0.5, -0.1, 0.7, -0.3]),
-              inputs, dist, horizon=5.0, dt=1e-3)
-    m = compute_mse_mae(res)
-    horizon = res.t[-1]
-    for got, integrand in ((m.mse_per_node, res.error_norms ** 2),
-                           (m.mae_per_node, res.error_norms)):
-        want = scipy.integrate.trapezoid(integrand, res.t, axis=0) / horizon
-        assert got.tobytes() == want.tobytes()
-    assert m.mse == float((scipy.integrate.trapezoid(res.error_norms ** 2, res.t, axis=0)
-                           / horizon).mean())
+              inputs, dist, horizon=2.0, dt=1e-3)
+    # the same samples on a grid of uneven steps between 0.2 and 1.8 ms
+    steps = np.random.default_rng(5).uniform(2e-4, 1.8e-3, res.t.size - 1)
+    uneven = dataclasses.replace(res, t=np.concatenate([[0.0], np.cumsum(steps)]))
+    for case in (res, uneven):
+        m = compute_mse_mae(case)
+        horizon = case.t[-1]
+        for got, integrand in ((m.mse_per_node, case.error_norms ** 2),
+                               (m.mae_per_node, case.error_norms)):
+            want = scipy.integrate.trapezoid(integrand, case.t, axis=0) / horizon
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert m.mse == pytest.approx(float(np.mean(m.mse_per_node)), rel=1e-15)

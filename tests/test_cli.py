@@ -452,6 +452,9 @@ MALFORMED_GAINS = {
     "text-leader": ("leader", "first", "'leader' must be an integer, got 'first'"),
     "float-leader": ("leader", 0.5, "'leader' must be an integer, got 0.5"),
     "nodes": ("nodes", [1, 2], "'nodes' must be a list of objects"),
+    "list-method": ("method", [1], "'method' must be one of ['model', 'data', 'id'], got [1]"),
+    "other-method": ("method", "kalman",
+                     "'method' must be one of ['model', 'data', 'id'], got 'kalman'"),
 }
 
 
@@ -482,6 +485,17 @@ def test_run_names_a_missing_gains_key(tmp_path, capsys, fast_config_path, gains
     # The decoder's own text follows the JSON message; every other message is the whole line.
     assert err.startswith(want) if drop == "json" else err == want
     assert not (tmp_path / "r").exists()
+
+
+def test_gains_without_a_method_run_as_model(tmp_path, fast_config_path, gains_path):
+    # files written before the method key existed stay readable
+    payload = json.loads(Path(gains_path).read_text())
+    del payload["gains"]["method"]
+    old = tmp_path / "old_gains.json"
+    old.write_text(json.dumps(payload))
+    assert main(["run", "--config", fast_config_path, "--gains", str(old),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert json.loads((tmp_path / "r" / "summary.json").read_text())["method"] == "model"
 
 
 def test_run_dimension_mismatch(tmp_path, fast_config_path, gains_path):

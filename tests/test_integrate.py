@@ -169,3 +169,39 @@ def test_non_finite_row_raises_at_the_oracle_time_without_warning(bad):
             integrate.rk4_linear(*args)
     assert err.value.t == ref.value.t == pytest.approx(3001 * dt)
     assert str(err.value).split(" at ")[1] == str(ref.value).split(" at ")[1]
+
+
+def _lower_triangular_system(rng, n_upper, n_lower):
+    """A random stable block lower-triangular (a, g) and forcing generators."""
+    dim = n_upper + n_lower
+    a = rng.normal(size=(dim, dim)) - 3.0 * np.eye(dim)
+    a[:n_upper, n_upper:] = 0.0
+    g = rng.normal(size=(dim, 2))
+    gens = [Sinusoid(1.0, 3.0, 0.2), PiecewiseConstantRandom(-1.0, 1.0, 0.07, 4)]
+    return a, g, gens
+
+
+@pytest.mark.parametrize("n_steps", [1, 15, 257, 2 * integrate.DRIVE_ROWS + 6])
+def test_lower_block_matches_the_full_system(n_steps):
+    rng = np.random.default_rng(n_steps)
+    a, g, gens = _lower_triangular_system(rng, 3, 5)
+    x0, dt = rng.normal(size=8), 0.01
+    full = integrate.rk4_linear(a, g, gens, x0, n_steps, dt)
+    table = integrate.tabulate(gens, n_steps, dt)
+    assert table.shape == (2 * n_steps + 1, 2)
+    lower = integrate.rk4_lower_block(a, g, table, full[:, :3], x0[3:], dt)
+    assert_agrees(lower, full[:, 3:])
+
+
+def test_lower_block_divergence_raises_at_the_full_system_time():
+    rng = np.random.default_rng(2)
+    a, g, gens = _lower_triangular_system(rng, 2, 3)
+    a[2:, 2:] += 4.0 * np.eye(3)
+    x0, dt, n_steps = rng.normal(size=5), 0.01, 4099
+    with pytest.raises(DivergenceError) as ref:
+        integrate.rk4_linear(a, g, gens, x0, n_steps, dt, 1e6)
+    upper = integrate.rk4_linear(a[:2, :2], g[:2], gens, x0[:2], n_steps, dt)
+    with pytest.raises(DivergenceError) as err:
+        integrate.rk4_lower_block(a, g, integrate.tabulate(gens, n_steps, dt), upper,
+                                  x0[2:], dt, 1e6)
+    assert err.value.t == ref.value.t

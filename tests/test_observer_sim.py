@@ -11,13 +11,16 @@ from dduio.errors import DimensionError, DivergenceError
 from dduio.integrate import DRIVE_ROWS, rk4_linear
 from dduio.linalg import spectral_abscissa
 from dduio.network import SensorGraph, complete
+from dduio.baselines import collect_all_nodes, compute_mse_mae, design_for_method
 from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run, run,
-                                verify_decoupling)
+                                run_scenario, verify_decoupling)
 from dduio.plant import PlantModel
 from dduio.signals import Sinusoid, Zero
 
-from conftest import (bench_signals, coupling_matrix, random_connected_graph,
-                      simulate_error_dynamics, single_node_model)
+from conftest import (CountedSignal, bench_signals, coupling_matrix, load_bench_module,
+                      random_connected_graph, simulate_error_dynamics, single_node_model)
+
+sweep_plant_config = load_bench_module("workloads").sweep_plant_config
 
 
 def matched_z0(model, gains, x0):
@@ -303,3 +306,101 @@ def test_run_allocates_no_full_length_temporary(preset):
     integrated = res.t.size * model.n_x * (1 + model.M) * 8
     returned = sum(a.nbytes for a in (res.t, res.xhat, res.error_norms, res.spread))
     assert peak - integrated - returned <= 4 * 2 ** 20
+
+
+def _preset_networks(preset):
+    """The preset's model, data and id gains, each from its matched z0."""
+    cfg, model, graph, _ = preset
+    datasets = collect_all_nodes(cfg, model, 4)
+    gains = [design_for_method(m, cfg, model, graph, datasets) for m in ("model", "data", "id")]
+    return cfg, model, graph, gains
+
+
+def _sweep_networks():
+    """A design-sweep plant (n_x 16, M 8) under active signals, and two gains."""
+    raw = sweep_plant_config(1, 0)
+    n_inputs = len(raw["plant"]["inputs"])
+    raw["plant"]["inputs"] = [{"kind": "sinusoid", "amplitude": 1.0, "frequency": 0.5 + k}
+                              for k in range(n_inputs)]
+    raw["plant"]["disturbances"] = [{"kind": "piecewise-constant-random", "low": -1.0,
+                                     "high": 1.0, "hold": 0.05}]
+    cfg = parse_config(raw)
+    model, graph = cfg.build_model(), cfg.build_graph()
+    gains = design_for_method("model", cfg, model, graph)
+    return cfg, model, graph, [gains, dataclasses.replace(gains, gamma=1.5 * gains.gamma)]
+
+
+def _assert_rel(new, old, rtol):
+    assert np.shape(new) == np.shape(old)
+    assert np.abs(np.asarray(new) - old).max() <= rtol * np.abs(old).max()
+
+
+@pytest.mark.parametrize("plant", ["preset", "sweep"])
+def test_scenario_pass_matches_separate_runs(preset, plant):
+    cfg, model, graph, networks = (_preset_networks(preset) if plant == "preset"
+                                   else _sweep_networks())
+    x0 = cfg.draw_x0(5)
+    starts = [(g, cfg.initial_observer_states(x0, model, g) + 0.1 * k)
+              for k, g in enumerate(networks)]
+    n_steps = 2 * DRIVE_ROWS + 6
+    horizon = n_steps * cfg.run.dt
+
+    def signals():
+        return cfg.build_inputs(5), cfg.build_disturbances(5)
+
+    passed = run_scenario(model, graph, starts, x0, *signals(), horizon, cfg.run.dt)
+    count = 0
+    for (gains, z0), res in zip(starts, passed):
+        alone = run(model, graph, gains, x0, *signals(), horizon, cfg.run.dt, z0=z0)
+        assert np.array_equal(res.t, alone.t)
+        for field in ("x", "xhat", "error_norms", "spread"):
+            _assert_rel(getattr(res, field), getattr(alone, field), 1e-13)
+        got, want = compute_mse_mae(res), compute_mse_mae(alone)
+        for stat in ("mse", "mae", "mse_per_node", "mae_per_node"):
+            _assert_rel(getattr(got, stat), getattr(want, stat), 1e-13)
+        count += 1
+    assert count == len(starts)
+
+
+def test_one_network_pass_is_run_bit_for_bit(preset):
+    cfg, model, graph, gains = preset
+    x0 = cfg.draw_x0(3)
+    z0 = cfg.initial_observer_states(x0, model, gains)
+    args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
+    results = list(run_scenario(model, graph, [(gains, z0)], x0, *args))
+    alone = run(model, graph, gains, x0, *args, z0=z0)
+    assert len(results) == 1
+    for field in ("t", "x", "xhat", "error_norms", "spread"):
+        assert getattr(results[0], field).tobytes() == getattr(alone, field).tobytes()
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_scenario_pass_diverges_where_the_network_alone_does(bench_model, bench_graph,
+                                                             model_gains, position):
+    unstable = dataclasses.replace(
+        model_gains, E_obs=tuple(e + 10.0 * np.eye(4) for e in model_gains.E_obs),
+        gamma=0.0)
+    networks = [(model_gains, None)] * 3
+    networks[position] = (unstable, None)
+    x0 = np.ones(4)
+    with pytest.raises(DivergenceError) as alone:
+        run(bench_model, bench_graph, unstable, x0, *bench_signals(5, 6, 1e-2),
+            horizon=10.0, dt=1e-2)
+    passed = run_scenario(bench_model, bench_graph, networks, x0, *bench_signals(5, 6, 1e-2),
+                          horizon=10.0, dt=1e-2)
+    for _ in range(position):
+        next(passed)
+    with pytest.raises(DivergenceError) as err:
+        next(passed)
+    assert err.value.t == alone.value.t
+
+
+def test_scenario_pass_samples_each_signal_once(preset):
+    cfg, model, graph, gains = preset
+    inputs = [CountedSignal(g) for g in cfg.build_inputs(3)]
+    dist = [CountedSignal(g) for g in cfg.build_disturbances(3)]
+    networks = [(gains, None), (dataclasses.replace(gains, gamma=2.0 * gains.gamma), None),
+                (gains, np.ones((model.M, model.n_x)))]
+    assert len(list(run_scenario(model, graph, networks, cfg.draw_x0(3), inputs, dist,
+                                 horizon=5.0, dt=cfg.run.dt))) == 3
+    assert [g.calls for g in inputs + dist] == [1] * len(inputs + dist)

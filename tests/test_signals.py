@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dduio.signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
+from dduio.signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Tabulated, Zero
 
 
 def pointwise_index(t, hold):
@@ -52,3 +52,18 @@ def test_sample_matches_value(gen):
     sampled = gen.sample(ts)
     pointwise = np.array([gen.value(float(t)) for t in ts])
     np.testing.assert_allclose(sampled, pointwise, rtol=1e-15, atol=0.0)
+
+
+def test_tabulated_replays_its_grid_and_refuses_other_times():
+    step = 5e-4
+    gen = Sinusoid(0.3, 2.1, 0.4)
+    table = Tabulated(gen.sample(np.arange(81) * step), step)
+    # RK4 stage times of step 2 * step, computed as the integrator does
+    t = np.arange(40) * (2 * step)
+    for offset in (0.0, step, 2 * step):
+        np.testing.assert_allclose(table.sample(t + offset), gen.sample(t + offset),
+                                   rtol=0, atol=1e-15)
+    assert table.value(0.01) == table.values[20]
+    for bad in ([0.3 * step], [-step], [-0.25 * step]):
+        with pytest.raises(ValueError, match="off its grid"):
+            table.sample(np.array(bad))
