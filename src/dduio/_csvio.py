@@ -10,8 +10,6 @@ import json
 
 import numpy as np
 
-from .integrate import DRIVE_ROWS
-
 
 FLOAT_FORMAT = "%.17g"
 
@@ -24,13 +22,11 @@ def write_csv(path, header: list[str], rows: np.ndarray) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.size and rows.shape[1] != len(header):
         raise ValueError(f"{path}: header has {len(header)} fields, rows have {rows.shape[1]}")
-    # one %-format per block of rows, each field exactly format_float's text
+    # one %-format for all rows, each field exactly format_float's text
     line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, len(rows), DRIVE_ROWS):
-            block = rows[i:i + DRIVE_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def write_json(path, payload) -> None:

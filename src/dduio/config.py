@@ -308,7 +308,7 @@ _RULES = {
              "substeps": "a positive integer", "jitter": "true or false",
              "u_amplitude": "a finite number >= 0", "d_amplitude": "a finite number >= 0",
              "noise_amplitude": "a finite number >= 0"},
-    "design": {"decay": "a finite number", "gamma_margin": "a finite number > -1",
+    "design": {"decay": "a finite number >= 0", "gamma_margin": "a finite number > -1",
                "gamma_override": "null or a finite number > 0",
                "rank_multiplier": "a finite number > 0",
                "residual_rtol": "a finite number > 0"},

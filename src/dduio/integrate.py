@@ -2,16 +2,16 @@
 
 For x' = a x + g s(t) with constant (a, g), one RK4 step is exactly the
 affine map x+ = Phi x + W0 g s(t) + Wh g s(t + dt/2) + W1 g s(t + dt),
-with Phi and the W's polynomials in dt * a.  The integrator samples the
-forcing with vectorized ``sample`` calls at the three stage offsets and
-runs that recurrence in STRIDE-step blocks; the coarse recurrence over
-the blocks, with Phi**STRIDE, is solved the same way, level by level.
+with Phi and the W's polynomials in dt * a.  Every stage time is a point
+m * dt/2 of the half-step grid, so the forcing is read as rows of that
+grid: sampled block by block with vectorized ``sample`` calls, or sliced
+from a table sampled once (``tabulate``).  The recurrence runs in
+STRIDE-step blocks; the coarse recurrence over the blocks, with
+Phi**STRIDE, is solved the same way, level by level.
 
 When a is block lower triangular, [[a_xx, 0], [a_zx, a_zz]], so are Phi
 and every W, and the lower rows advance alone given the upper rows'
-trajectory: z+ = Phi_zz z + Phi_zx x + (W g)_z s.  ``rk4_lower_block``
-integrates only those rows, from forcing tabulated once on the half-step
-grid (``tabulate``).
+trajectory: z+ = Phi_zz z + Phi_zx x + (W g)_z s (``rk4_lower_block``).
 """
 from __future__ import annotations
 
@@ -37,30 +37,32 @@ def _propagator(a: np.ndarray, dt: float):
     return phi, (w0, wh, w1)
 
 
-def _accumulate_drives(out: np.ndarray, g: np.ndarray, weights, stage_rows,
+def _accumulate_drives(out: np.ndarray, g: np.ndarray, weights, half_rows,
                        n_steps: int) -> None:
     """Add d_j = sum over stages of W g s(t_j + offset) into out[j + 1].
 
-    ``stage_rows(i, k)`` gives the forcing of steps i..k-1 at the stage
-    times t_j, t_j + dt/2 and t_j + dt, one array each.  Works in blocks of
-    DRIVE_ROWS steps, so no temporary grows with n_steps and a run's peak
-    memory stays that of its output array.
+    ``half_rows(i, k)`` gives the forcing at the half-step times m * dt/2,
+    2i <= m <= 2k, so step j's stages t_j, t_j + dt/2 and t_j + dt are its
+    rows 2j, 2j + 1 and 2j + 2.  Works in blocks of DRIVE_ROWS steps, so no
+    temporary grows with n_steps and a run's peak memory stays that of its
+    output array.
     """
     gains = [(w @ g).T for w in weights]
     for i in range(0, n_steps, DRIVE_ROWS):
         k = min(i + DRIVE_ROWS, n_steps)
         rows = out[1 + i:1 + k]
-        for samples, gain in zip(stage_rows(i, k), gains):
-            rows += samples @ gain
+        block = half_rows(i, k)
+        for s, gain in enumerate(gains):
+            rows += block[s:s + 2 * (k - i):2] @ gain
 
 
-def _sampled_rows(generators, dt: float):
-    """Stage rows sampled from ``generators`` block by block."""
-    def stage_rows(i, k):
-        t = np.arange(i, k) * dt
-        return [np.column_stack([gen.sample(t + offset) for gen in generators])
-                for offset in (0.0, 0.5 * dt, dt)]
-    return stage_rows
+def _half_step_samples(generators, m0: int, m1: int, dt: float) -> np.ndarray:
+    """Each generator sampled at m * dt/2 for m0 <= m < m1, one column each."""
+    t = np.arange(m0, m1) * (0.5 * dt)
+    table = np.empty((t.size, len(generators)))
+    for column, gen in enumerate(generators):
+        table[:, column] = gen.sample(t)
+    return table
 
 
 def tabulate(generators, n_steps: int, dt: float) -> np.ndarray:
@@ -69,18 +71,7 @@ def tabulate(generators, n_steps: int, dt: float) -> np.ndarray:
     Row 2j holds s(t_j), row 2j + 1 s(t_j + dt/2): every stage time of
     n_steps RK4 steps is a row.
     """
-    t = np.arange(2 * n_steps + 1) * (0.5 * dt)
-    table = np.empty((t.size, len(generators)))
-    for column, gen in enumerate(generators):
-        table[:, column] = gen.sample(t)
-    return table
-
-
-def _tabulated_rows(table: np.ndarray):
-    """Stage rows sliced from a ``tabulate`` table."""
-    def stage_rows(i, k):
-        return [table[2 * i + s:2 * k + s:2] for s in range(3)]
-    return stage_rows
+    return _half_step_samples(generators, 0, 2 * n_steps + 1, dt)
 
 
 def _recur(out: np.ndarray, phi: np.ndarray, n_steps: int) -> None:
@@ -135,6 +126,27 @@ def _check_divergence(states: np.ndarray, dt: float, divergence_limit: float) ->
             f"state magnitude {m!r} exceeded {divergence_limit:g} at t={t:.6g}", t=t)
 
 
+def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float, divergence_limit: float):
+    """States from ``x0`` of the rows of x' = a x + g s(t) below ``upper``'s.
+
+    ``upper`` holds the first rows' states at every grid point (None: no
+    such rows); ``half_rows`` is ``_accumulate_drives``' source (None: no forcing).
+    """
+    k = 0 if upper is None else upper.shape[1]
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    out = np.zeros((n_steps + 1, x0.size))
+    out[0] = x0
+    phi, weights = _propagator(np.asarray(a, dtype=float), dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k:
+            np.matmul(upper[:-1], phi[k:, :k].T, out=out[1:])
+        if half_rows is not None:
+            _accumulate_drives(out, g, [w[k:] for w in weights], half_rows, n_steps)
+        _recur(out, np.ascontiguousarray(phi[k:, k:]), n_steps)
+        _check_divergence(out[1:], dt, divergence_limit)
+    return out
+
+
 def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
                n_steps: int, dt: float, divergence_limit: float = DIVERGENCE_LIMIT) -> np.ndarray:
     """Integrate x' = a x + g s(t) with s(t) stacked from ``generators``.
@@ -143,16 +155,11 @@ def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
     evaluated at the stage times (t, t + dt/2, t + dt), so smooth signals
     retain the full fourth-order accuracy of the method.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    out = np.zeros((n_steps + 1, x0.size))
-    out[0] = x0
-    phi, weights = _propagator(np.asarray(a, dtype=float), dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if g.size > 0 and len(generators) > 0:
-            _accumulate_drives(out, g, weights, _sampled_rows(generators, dt), n_steps)
-        _recur(out, phi, n_steps)
-        _check_divergence(out[1:], dt, divergence_limit)
-    return out
+    def half_rows(i, k):
+        return _half_step_samples(generators, 2 * i, 2 * k + 1, dt)
+    forced = g.size > 0 and len(generators) > 0
+    return _integrate(a, g, half_rows if forced else None, None, x0, n_steps, dt,
+                      divergence_limit)
 
 
 def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper: np.ndarray,
@@ -166,16 +173,8 @@ def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper: np.n
     they equal rk4_linear's to rounding, since one RK4 step of such a
     system is block lower triangular too.
     """
-    n_steps, k = upper.shape[0] - 1, upper.shape[1]
-    lower0 = np.asarray(lower0, dtype=float).reshape(-1)
-    out = np.empty((n_steps + 1, lower0.size))
-    out[0] = lower0
-    phi, weights = _propagator(np.asarray(a, dtype=float), dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(upper[:-1], phi[k:, :k].T, out=out[1:])
-        if g.size > 0 and table.shape[1] > 0:
-            _accumulate_drives(out, g, [w[k:] for w in weights], _tabulated_rows(table),
-                               n_steps)
-        _recur(out, np.ascontiguousarray(phi[k:, k:]), n_steps)
-        _check_divergence(out[1:], dt, divergence_limit)
-    return out
+    def half_rows(i, k):
+        return table[2 * i:2 * k + 1]
+    forced = g.size > 0 and table.shape[1] > 0
+    return _integrate(a, g, half_rows if forced else None, upper, lower0,
+                      upper.shape[0] - 1, dt, divergence_limit)

@@ -118,11 +118,12 @@ def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
     Every network meets the same plant trajectory from ``x0`` under the same
     signals.  The first is integrated together with the plant; each later
     one advances only its observer block, z_{j+1} = Phi_zz z_j + Phi_zx x_j
-    + d_z,j, from that trajectory.  With more than one network the signals
-    are sampled once, on the half-step grid, and replayed.  The pass keeps
-    only the current network's states, so a caller that drops each result
-    holds one network's full-length arrays at a time.  A ``z0`` of None
-    means zero observer states.
+    + d_z,j, from that trajectory.  The forcing is read on RK4's half-step
+    grid, sampled block by block for one network and tabulated once for
+    several, so the first network's result is ``run``'s bit for bit.  The
+    pass keeps only the current network's states, so a caller that drops
+    each result holds one network's full-length arrays at a time.  A
+    ``z0`` of None means zero observer states.
     """
     if dt <= 0 or horizon < dt:
         raise DimensionError("dt must be positive and horizon at least one step")

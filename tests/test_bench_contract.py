@@ -9,6 +9,7 @@ exists, and runs one operation of each workload through its own check.
 import pytest
 
 import dduio.cli  # noqa: F401  (loads every dduio module the tracer wraps)
+import dduio.observer_sim
 
 from conftest import load_bench_module
 
@@ -36,3 +37,23 @@ def test_one_operation_of_each_workload_passes_its_check(tmp_path, name):
     finally:
         if hasattr(wl, "close"):
             wl.close()
+
+
+def test_mc_compare_integrates_through_sampled_generators(tmp_path, monkeypatch):
+    # the benchmark's reference tests swap observer_sim.rk4_linear for
+    # integrators that call ``sample`` on each generator they are given
+    seen = []
+    real = dduio.observer_sim.rk4_linear
+
+    def spy(a, g, generators, *args, **kwargs):
+        seen.append(list(generators))
+        return real(a, g, generators, *args, **kwargs)
+
+    monkeypatch.setattr(dduio.observer_sim, "rk4_linear", spy)
+    wl = workloads.WORKLOADS["mc-compare"](1, str(tmp_path))
+    wl.setup()
+    wl.prepare_checks()
+    key = wl.round_keys(0)[0]
+    assert wl.check(key, wl.op(key)) == []
+    assert seen
+    assert all(callable(getattr(gen, "sample", None)) for gens in seen for gen in gens)

@@ -271,6 +271,8 @@ def test_graph_size_must_match_the_plant():
                  id="noise-amplitude-text"),
     pytest.param({"data": {"jitter": "maybe"}}, r"data\.jitter must be", id="jitter-text"),
     pytest.param({"design": {"decay": "x"}}, r"design\.decay must be", id="decay-text"),
+    pytest.param({"design": {"decay": -100}},
+                 r"design\.decay must be a finite number >= 0, got -100$", id="decay-negative"),
     pytest.param({"design": {"gamma_margin": float("nan")}}, r"design\.gamma_margin must be",
                  id="gamma-margin-nan"),
     pytest.param({"design": {"gamma_margin": -1}},

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from dduio._csvio import format_float, read_csv, write_csv
-from dduio.integrate import DRIVE_ROWS
 
 
 def write_csv_per_value(path, header, rows):
@@ -25,7 +24,7 @@ CASES = {
     "no_columns": np.zeros((3, 0)),
     "no_rows": np.zeros((0, 3)),
     "empty_vector": np.zeros(0),
-    "blocks": np.random.default_rng(4).normal(size=(2 * DRIVE_ROWS + 3, 3)) * 1e3,
+    "blocks": np.random.default_rng(4).normal(size=(4099, 3)) * 1e3,
 }
 
 

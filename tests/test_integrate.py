@@ -171,6 +171,29 @@ def test_non_finite_row_raises_at_the_oracle_time_without_warning(bad):
     assert str(err.value).split(" at ")[1] == str(ref.value).split(" at ")[1]
 
 
+class Recorder:
+    """sin(t), recording every time it is sampled at."""
+
+    def __init__(self):
+        self.times = []
+
+    def sample(self, t):
+        self.times.append(np.array(t, dtype=float))
+        return np.sin(t)
+
+
+def test_forcing_is_sampled_on_the_half_step_grid_only():
+    n_steps, dt = 2 * integrate.DRIVE_ROWS + 6, 0.01
+    gens = [Recorder(), Recorder()]
+    integrate.rk4_linear(-np.eye(2), np.eye(2), gens, np.ones(2), n_steps, dt)
+    grid = np.arange(2 * n_steps + 1) * (0.5 * dt)
+    blocks = -(-n_steps // integrate.DRIVE_ROWS)
+    for gen in gens:
+        times = np.concatenate(gen.times)
+        assert times.size <= 2 * n_steps + blocks
+        assert np.array_equal(np.unique(times), grid)
+
+
 def _lower_triangular_system(rng, n_upper, n_lower):
     """A random stable block lower-triangular (a, g) and forcing generators."""
     dim = n_upper + n_lower

@@ -374,6 +374,20 @@ def test_one_network_pass_is_run_bit_for_bit(preset):
         assert getattr(results[0], field).tobytes() == getattr(alone, field).tobytes()
 
 
+def test_first_network_of_a_shared_pass_is_run_bit_for_bit(preset):
+    # the pass tabulates the signals for two networks, run samples them
+    # block by block; both read the same half-step times
+    cfg, model, graph, gains = preset
+    x0 = cfg.draw_x0(3)
+    z0 = cfg.initial_observer_states(x0, model, gains)
+    args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
+    second = dataclasses.replace(gains, gamma=1.5 * gains.gamma)
+    first = next(run_scenario(model, graph, [(gains, z0), (second, z0)], x0, *args))
+    alone = run(model, graph, gains, x0, *args, z0=z0)
+    for field in ("x", "xhat", "error_norms", "spread"):
+        assert getattr(first, field).tobytes() == getattr(alone, field).tobytes(), field
+
+
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_scenario_pass_diverges_where_the_network_alone_does(bench_model, bench_graph,
                                                              model_gains, position):
