@@ -21,10 +21,10 @@ from .baselines import (collect_all_nodes, design_for_method, monte_carlo_compar
 from .config import DESIGN_METHODS, ExperimentConfig, parse_config, write_resolved
 from .datagen import load_dataset, save_dataset
 from .design_data import analyze_datasets
-from .design_model import DuioGains
+from .design_model import DuioGains, coupled_abscissa
 from .errors import (ConsistencyError, DesignError, DimensionError, DuioError,
                      ExcitationError, NumericsError, SolvabilityError)
-from .observer_sim import error_dynamics_matrix, export_run, verify_decoupling
+from .observer_sim import export_run, verify_decoupling
 
 
 # Each flag that overrides one config key: (flag, section or None, key).
@@ -126,9 +126,11 @@ def cmd_design(args) -> int:
             raise DesignError(f"method {args.method!r} needs --data")
         datasets = _load_datasets(args.data)
     gains = design_for_method(args.method, cfg, model, graph, datasets)
-    _, abscissa = error_dynamics_matrix(gains, graph)
-    verification = {"spectral_abscissa": abscissa, "gamma": gains.gamma,
-                    "leader": gains.leader}
+    spectrum = coupled_abscissa(gains, graph)
+    abscissa = spectrum.abscissa
+    verification = {"spectral_abscissa": abscissa, "abscissa_block": spectrum.block,
+                    "gamma": gains.gamma, "coupling_bound": spectrum.bound,
+                    "follower_ceiling": spectrum.ceiling, "leader": gains.leader}
     if args.method in ("model", "id"):
         verification["decoupling"] = verify_decoupling(model, gains).to_json_dict()
     payload = {"gains": gains.to_json_dict(), "verification": verification,

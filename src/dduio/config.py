@@ -444,6 +444,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
                             disturbances=disturbances, graph=graph, **sections)
 
 
+# libyaml's emitter where PyYAML was built with it; its output is safe_dump's
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def write_resolved(config: ExperimentConfig, path: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        yaml.safe_dump(config.resolved_dict(), fh, sort_keys=True)
+        yaml.dump(config.resolved_dict(), fh, Dumper=_DUMPER, sort_keys=True)

@@ -7,7 +7,8 @@ other node is stabilized through the consensus coupling gain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +49,9 @@ class DuioGains:
     gamma: float
     leader: int
     method: str = "model"
+    # (abscissa of the leader's E, max_f ||E_f + E_f^T||), see ``block_facts``
+    _block_facts: tuple[float, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def M(self) -> int:
@@ -73,6 +77,27 @@ class DuioGains:
     def error_matrix(self, laplacian: np.ndarray) -> np.ndarray:
         """The coupled error matrix blockdiag(E_i) - gamma (P L kron I)."""
         return scipy.linalg.block_diag(*self.E_obs) - self.consensus(laplacian)
+
+    def followers(self) -> list[np.ndarray]:
+        """The follower blocks E_f, in node order."""
+        return [e for i, e in enumerate(self.E_obs) if i != self.leader]
+
+    def follower_matrix(self, laplacian: np.ndarray) -> np.ndarray:
+        """F = blockdiag(E_f) - gamma (L_red kron I), the followers' block of ``error_matrix``."""
+        keep = [j for j in range(self.M) if j != self.leader]
+        return (scipy.linalg.block_diag(*self.followers())
+                - np.kron(self.gamma * laplacian[np.ix_(keep, keep)], np.eye(self.n_x)))
+
+    def block_facts(self) -> tuple[float, float]:
+        """The abscissa of the leader's E and max_f ||E_f + E_f^T||.
+
+        Neither depends on gamma or the graph.  ``assemble_from_blocks`` sets
+        them from its own computations; other gains compute them on first use.
+        """
+        if self._block_facts is None:
+            object.__setattr__(self, "_block_facts", (
+                spectral_abscissa(self.E_obs[self.leader]), follower_norm(self.followers())))
+        return self._block_facts
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,8 +178,9 @@ def check_detectability(model: PlantModel, i: int) -> bool:
     return pbh_detectable(t, node.C)
 
 
-def stabilizing_output_injection(T: np.ndarray, C: np.ndarray, decay: float) -> np.ndarray:
-    """Gain M with T - M C Hurwitz, targeting abscissa <= -decay.
+def stabilizing_output_injection(T: np.ndarray, C: np.ndarray,
+                                 decay: float) -> tuple[np.ndarray, float]:
+    """Gain M with T - M C Hurwitz, targeting abscissa <= -decay, and that abscissa.
 
     Solved as the dual linear-quadratic problem: P solves the Riccati
     equation of the decay-shifted pair and M = P C^T.  When unobservable
@@ -172,18 +198,67 @@ def stabilizing_output_injection(T: np.ndarray, C: np.ndarray, decay: float) -> 
         except (np.linalg.LinAlgError, ValueError):
             continue
         m = p @ C.T
-        if spectral_abscissa(T - m @ C) < min(HURWITZ_TOL, -shift + 1e-9):
-            return m
+        absc = spectral_abscissa(T - m @ C)
+        if absc < min(HURWITZ_TOL, -shift + 1e-9):
+            return m, absc
     raise NumericsError("Riccati solve failed to produce a stabilizing injection gain")
 
 
-def gamma_lower_bound(follower_blocks, lambda_min_reduced: float) -> float:
-    """Coupling-gain bound: ||E~ + E~^T|| / (2 lambda_min(reduced Laplacian)).
+def follower_norm(follower_blocks) -> float:
+    """||E~ + E~^T||; E~ is block diagonal, so the largest of its blocks' norms."""
+    return max((symmetric_two_norm(e + e.T) for e in follower_blocks), default=0.0)
 
-    E~ is block diagonal, so its norm is the largest of its blocks' norms.
+
+def gamma_lower_bound(norm: float, lambda_min_reduced: float) -> float:
+    """Coupling-gain bound ||E~ + E~^T|| / (2 lambda_min(reduced Laplacian)).
+
+    ``norm`` is ``follower_norm`` of the follower blocks.
     """
-    norms = [symmetric_two_norm(e + e.T) for e in follower_blocks]
-    return max(norms, default=0.0) / (2.0 * lambda_min_reduced)
+    return norm / (2.0 * lambda_min_reduced)
+
+
+class CoupledAbscissa(NamedTuple):
+    """The coupled error matrix's abscissa, the block that set it, and its certificate.
+
+    ``bound`` is the coupling-gain bound and ``ceiling`` = (bound - gamma)
+    lambda_min(L_red), the Weyl ceiling on the followers' real parts; both
+    are None for one node.
+    """
+
+    abscissa: float
+    block: str
+    bound: float | None
+    ceiling: float | None
+
+
+def coupled_abscissa(gains: DuioGains, graph: SensorGraph) -> CoupledAbscissa:
+    """The abscissa of ``gains.error_matrix(graph.laplacian)``, read from its blocks.
+
+    The leader's consensus row is zero, so in leader-first order the
+    matrix is block lower-triangular with diagonal blocks E_leader and
+    F = blockdiag(E_f) - gamma (L_red kron I): its spectrum is
+    eig(E_leader) and eig(F).  Every eigenvalue of F has real part at most
+    lambda_max((F + F^T) / 2).  The graph is undirected, so L_red is
+    symmetric, and by Weyl's inequality that is at most
+    max_f ||E_f + E_f^T|| / 2 - gamma lambda_min(L_red), which is
+    (bound - gamma) lambda_min(L_red), the ceiling.  When the ceiling lies
+    below abscissa(E_leader) by more than |HURWITZ_TOL|, that abscissa is
+    the answer; otherwise F alone is decomposed.
+    """
+    if graph.M != gains.M:
+        raise DesignError(f"graph has {graph.M} nodes, gains have {gains.M}")
+    leader_absc, norm = gains.block_facts()
+    if gains.M == 1:
+        return CoupledAbscissa(leader_absc, "leader", None, None)
+    lam = graph.lambda_min_reduced(gains.leader)
+    bound = gamma_lower_bound(norm, lam)
+    ceiling = (bound - gains.gamma) * lam
+    if ceiling < leader_absc - abs(HURWITZ_TOL):
+        return CoupledAbscissa(leader_absc, "leader", bound, ceiling)
+    follower_absc = spectral_abscissa(gains.follower_matrix(graph.laplacian))
+    if follower_absc > leader_absc:
+        return CoupledAbscissa(follower_absc, "followers", bound, ceiling)
+    return CoupledAbscissa(leader_absc, "leader", bound, ceiling)
 
 
 def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSection,
@@ -197,17 +272,12 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
     every other node gets the consensus coupling gain.
 
     The coupled error matrix is certified Hurwitz (abscissa below
-    HURWITZ_TOL) by the coupling-gain bound itself.  The leader's consensus
-    row is zero, so in leader-first order the matrix is block
-    lower-triangular with diagonal blocks E_leader, which passed the
+    HURWITZ_TOL) by the coupling-gain bound itself: E_leader passed the
     abscissa test of ``stabilizing_output_injection`` on these very floats,
-    and F = blockdiag(E_f) - gamma (L_red kron I).  Every eigenvalue of F
-    has real part at most lambda_max((F + F^T) / 2).  The graph is
-    undirected, so L_red is symmetric, and by Weyl's inequality that is at
-    most max_f ||E_f + E_f^T|| / 2 - gamma lambda_min(L_red), which is
-    (bound - gamma) lambda_min(L_red).  Only when that number is not below
-    HURWITZ_TOL (a gamma near or below the bound) is the whole matrix's
-    abscissa taken.
+    and the followers' ceiling (bound - gamma) lambda_min(L_red) of
+    ``coupled_abscissa`` is below HURWITZ_TOL.  Only when it is not (a
+    gamma near or below the bound) is F decomposed, by ``coupled_abscissa``.
+    Both facts behind the ceiling go on the gains, for its later calls.
     """
     m_nodes = len(ts)
     if graph.M != m_nodes:
@@ -225,7 +295,7 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
         raise DesignError("no node has a detectable pair ((I - H C) A, C); "
                           "the leader-based construction does not apply")
 
-    m1 = stabilizing_output_injection(ts[leader], cs[leader], design.decay)
+    m1, leader_absc = stabilizing_output_injection(ts[leader], cs[leader], design.decay)
     e_blocks, l_blocks = [], []
     for i in range(m_nodes):
         if i == leader:
@@ -236,12 +306,12 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
             l_i = e_i @ hs[i]
         e_blocks.append(e_i)
         l_blocks.append(l_i)
-    followers = [e_blocks[i] for i in range(m_nodes) if i != leader]
+    norm = follower_norm(e_blocks[i] for i in range(m_nodes) if i != leader)
 
     gamma, certified = 0.0, True
     if m_nodes > 1:
         lam = graph.lambda_min_reduced(leader)
-        bound = gamma_lower_bound(followers, lam)
+        bound = gamma_lower_bound(norm, lam)
         if design.gamma_override is not None:
             gamma = float(design.gamma_override)
         else:
@@ -251,8 +321,9 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
 
     gains = DuioGains(E_obs=tuple(e_blocks), F=tuple(fs), L=tuple(l_blocks),
                       H=tuple(hs), gamma=gamma, leader=leader, method=method)
+    object.__setattr__(gains, "_block_facts", (leader_absc, norm))
     if not certified:
-        absc = spectral_abscissa(gains.error_matrix(graph.laplacian))
+        absc = coupled_abscissa(gains, graph).abscissa
         if absc >= HURWITZ_TOL:
             raise NumericsError(
                 f"coupled error dynamics not Hurwitz (abscissa {absc:.3e}); "

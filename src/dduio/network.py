@@ -20,6 +20,7 @@ class SensorGraph:
 
     adjacency: np.ndarray
     laplacian: np.ndarray = field(init=False, repr=False, compare=False)
+    _lambda_min: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=float)
@@ -38,16 +39,23 @@ class SensorGraph:
             raise ConnectivityError(
                 f"graph is not connected: second-smallest Laplacian eigenvalue {spectrum[1]:.3e}")
         object.__setattr__(self, "laplacian", lap)
+        object.__setattr__(self, "_lambda_min", {})
 
     @property
     def M(self) -> int:
         return self.adjacency.shape[0]
 
     def lambda_min_reduced(self, drop: int) -> float:
-        """Smallest eigenvalue of L less leader ``drop``'s row and column; > 0 if connected."""
-        keep = [j for j in range(self.M) if j != drop]
-        reduced = self.laplacian[np.ix_(keep, keep)]
-        return float(np.linalg.eigvalsh(reduced)[0]) if reduced.size else float("inf")
+        """Smallest eigenvalue of L less leader ``drop``'s row and column; > 0 if connected.
+
+        Taken once per leader and kept, so every design on this graph shares it.
+        """
+        if drop not in self._lambda_min:
+            keep = [j for j in range(self.M) if j != drop]
+            reduced = self.laplacian[np.ix_(keep, keep)]
+            self._lambda_min[drop] = (float(np.linalg.eigvalsh(reduced)[0]) if reduced.size
+                                      else float("inf"))
+        return self._lambda_min[drop]
 
 
 def ring(m: int, weight: float = 1.0) -> SensorGraph:

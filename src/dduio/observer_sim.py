@@ -17,10 +17,9 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from ._csvio import write_json
-from .design_model import DuioGains
+from .design_model import DuioGains, coupled_abscissa
 from .errors import DimensionError
 from .integrate import DRIVE_ROWS, rk4_linear, rk4_lower_block, tabulate
-from .linalg import spectral_abscissa
 from .network import SensorGraph
 from .plant import PlantModel
 from .signals import Tabulated
@@ -196,9 +195,12 @@ def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains
 
 
 def error_dynamics_matrix(gains: DuioGains, graph: SensorGraph) -> tuple[np.ndarray, float]:
-    """The coupled error matrix ``gains.error_matrix`` on ``graph``, and its abscissa."""
-    m = gains.error_matrix(graph.laplacian)
-    return m, spectral_abscissa(m)
+    """The coupled error matrix ``gains.error_matrix`` on ``graph``, and its abscissa.
+
+    The abscissa is read from the matrix's leader and follower blocks
+    (``coupled_abscissa``); the matrix itself is not decomposed.
+    """
+    return gains.error_matrix(graph.laplacian), coupled_abscissa(gains, graph).abscissa
 
 
 @dataclass(frozen=True)

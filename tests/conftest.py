@@ -15,7 +15,7 @@ from dduio.config import parse_config
 from dduio.datagen import NodeDataset, collect
 from dduio.design_data import analyze_datasets, build_data_driven_gains
 from dduio.design_model import (HURWITZ_TOL, DesignSection, build_model_based_gains,
-                                gamma_lower_bound)
+                                follower_norm, gamma_lower_bound)
 from dduio.integrate import rk4_linear
 from dduio.linalg import spectral_abscissa
 from dduio.observer_sim import error_dynamics_matrix
@@ -40,28 +40,38 @@ def load_bench_module(name: str):
     return module
 
 
+class DecompositionCalls(list):
+    """(shape, matrix bytes) keys of recorded decompositions, with each one's kind."""
+
+    def __init__(self):
+        super().__init__()
+        self.kinds = []
+
+
 @contextlib.contextmanager
 def decomposition_spy():
     """Record every ``np.linalg`` svd/eigvals/eigvalsh/cholesky call made from dduio code.
 
     Yields a list that gains one (shape, matrix bytes) key per call whose
-    immediate caller is a ``dduio`` module.  Decompositions made inside
-    numpy or scipy are not seen: scipy's Riccati argument check
-    (``_are_validate_args``) runs its own svd.
+    immediate caller is a ``dduio`` module, and whose ``kinds`` name each
+    call's function.  Decompositions made inside numpy or scipy are not
+    seen: scipy's Riccati argument check (``_are_validate_args``) runs its
+    own svd.
     """
-    calls = []
+    calls = DecompositionCalls()
 
-    def wrap(original):
+    def wrap(name, original):
         def spy(a, *args, **kwargs):
             if sys._getframe(1).f_globals.get("__name__", "").startswith("dduio."):
                 a = np.asarray(a)
                 calls.append((a.shape, a.tobytes()))
+                calls.kinds.append(name)
             return original(a, *args, **kwargs)
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
         for name in ("svd", "eigvals", "eigvalsh", "cholesky"):
-            mp.setattr(np.linalg, name, wrap(getattr(np.linalg, name)))
+            mp.setattr(np.linalg, name, wrap(name, getattr(np.linalg, name)))
         yield calls
 
 
@@ -282,5 +292,6 @@ def random_coupled_systems(seed: int, follower_scale: float, leader_shift: float
         followers = [follower_scale * rng.normal(size=(n, n)) for _ in range(m - 1)]
         leader = rng.normal(size=(n, n))
         leader -= (spectral_abscissa(leader) + leader_shift) * np.eye(n)
-        gamma = max(1.001 * gamma_lower_bound(followers, graph.lambda_min_reduced(0)), 1e-3)
+        gamma = max(1.001 * gamma_lower_bound(follower_norm(followers),
+                                              graph.lambda_min_reduced(0)), 1e-3)
         yield graph, [leader] + followers, gamma

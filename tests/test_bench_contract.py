@@ -6,12 +6,14 @@ break the benchmark.  This loads the benchmark's workload and tracer
 modules without editing them, checks that every traced name still
 exists, and runs one operation of each workload through its own check.
 """
+import dataclasses
+
 import pytest
 
 import dduio.cli  # noqa: F401  (loads every dduio module the tracer wraps)
 import dduio.observer_sim
 
-from conftest import load_bench_module
+from conftest import decomposition_spy, load_bench_module
 
 workloads = load_bench_module("workloads")
 tracer = load_bench_module("tracer")
@@ -57,3 +59,25 @@ def test_mc_compare_integrates_through_sampled_generators(tmp_path, monkeypatch)
     assert wl.check(key, wl.op(key)) == []
     assert seen
     assert all(callable(getattr(gen, "sample", None)) for gens in seen for gen in gens)
+
+
+def test_design_sweep_factors_nothing_above_one_node_block(tmp_path):
+    # the largest plant, n_x 32 on 12 nodes: the coupled matrix is 384 x 384
+    wl = workloads.WORKLOADS["design-sweep"](1, str(tmp_path))
+    wl.setup()
+    wl.prepare_checks()
+    key = len(wl.plants) - 1
+    _, model, graph, _ = wl.plants[key]
+    with decomposition_spy() as calls:
+        output = wl.op(key)
+    assert wl.check(key, output) == []
+    # only the SVDs of the data stacks are larger than the n_x x n_x leader block
+    assert calls.kinds.count("eigvals") > 0
+    assert all(max(shape) <= model.n_x
+               for (shape, _), kind in zip(calls, calls.kinds) if kind != "svd")
+    # the abscissa alone, on the designed gains and on a copy that recomputes its facts
+    for gains in (output["gains"]["data"], dataclasses.replace(output["gains"]["data"])):
+        with decomposition_spy() as calls:
+            _, abscissa = dduio.observer_sim.error_dynamics_matrix(gains, graph)
+        assert abscissa == output["abscissa"]
+        assert all(max(shape) <= model.n_x for shape, _ in calls)

@@ -13,10 +13,11 @@ import yaml
 
 import dduio
 from dduio.cli import main
-from dduio.config import PRESETS
+from dduio.config import PRESETS, parse_config
+from dduio.design_model import DuioGains
 from dduio.network import SensorGraph, ring
 
-from conftest import decomposition_spy, repeated
+from conftest import decomposition_spy, load_bench_module, repeated
 
 FAST_CONFIG = {
     "seed": 5,
@@ -140,20 +141,26 @@ def test_each_command_decomposes_each_matrix_once(tmp_path):
             assert main([*commands[name], "--config", str(path)]) == 0
         assert calls, name
         assert repeated(calls) == {}, name
-        # the bound certifies the coupled dynamics: no 16 x 16 follower block is factored
-        assert all(shape != (16, 16) for shape, _ in calls), name
-    # compare repeats only what its methods share: the reduced Laplacian behind
-    # the bound, and the X and [U; X] whose SVDs give both data and id the
-    # output map and the regression of Xdot on [U; X]
+        # the coupled 20 x 20 matrix is never factored; the bound certifies the
+        # design, and design's abscissa factors the 16 x 16 follower block F once
+        # (its ceiling lies above the leader's abscissa), by eigvals alone
+        assert all(shape != (20, 20) for shape, _ in calls), name
+        follower = [kind for (shape, _), kind in zip(calls, calls.kinds) if shape == (16, 16)]
+        assert follower == (["eigvals"] if name.startswith("design") else []), name
+    # compare repeats only what its methods share: the X and [U; X] whose SVDs
+    # give both data and id the output map and the regression of Xdot on [U; X];
+    # the graph keeps the reduced Laplacian's lambda_min for every method
     with decomposition_spy() as calls:
         assert main(["compare", "--k", "1", "--config", str(path),
                      "--out", str(tmp_path / "c")]) == 0
-    assert {key[0] for key in repeated(calls)} == {(4, 4), (4, 50), (5, 50)}
-    assert ((4, 4), ring(5).laplacian[1:, 1:].tobytes()) in repeated(calls)
+    assert {key[0] for key in repeated(calls)} == {(4, 50), (5, 50)}
+    assert ((4, 4), ring(5).laplacian[1:, 1:].tobytes()) in calls
+    assert ((4, 4), ring(5).laplacian[1:, 1:].tobytes()) not in repeated(calls)
     # 93 decompositions (71 SVDs) before data and id shared one regression and
-    # the leader tests ranked one pencil per conjugate pair; 87 (65 SVDs) since.
-    # The spy sees Cholesky factorizations too, so a dense certificate would add three.
-    assert len(calls) <= 87
+    # the leader tests ranked one pencil per conjugate pair; 87 (65 SVDs) until
+    # the graph kept lambda_min, 85 since.  The spy sees Cholesky factorizations
+    # too, so a dense certificate would add three.
+    assert len(calls) <= 85
 
 
 def test_check_missing_dir(tmp_path):
@@ -315,6 +322,54 @@ def test_design_methods_and_outputs(tmp_path, fast_config_path, collected):
         assert len(payload["gains"]["nodes"]) == 5
         if method in ("model", "id"):
             assert "decoupling" in payload["verification"]
+
+
+def _sweep_config(nodes: int | None = None) -> dict:
+    """The design sweep's first plant of seed 1, cut to its first ``nodes`` nodes."""
+    raw = load_bench_module("workloads").sweep_plant_config(1, 0)
+    if nodes is not None:
+        raw["plant"]["nodes"] = raw["plant"]["nodes"][:nodes]
+        raw["graph"] = {"size": nodes, "edges": []}
+    return raw
+
+
+@pytest.mark.parametrize("case", ["preset", "preset-gamma-4", "sweep", "one-node"])
+def test_design_reports_what_set_the_abscissa(tmp_path, case):
+    raw = {"seed": 5} if case.startswith("preset") else _sweep_config(
+        1 if case == "one-node" else None)
+    path, out = tmp_path / "cfg.yaml", tmp_path / "gains.json"
+    path.write_text(yaml.safe_dump(raw))
+    argv = ["design", "--config", str(path), "--method", "model", "--out", str(out)]
+    assert main(argv + (["--gamma", "4"] if case == "preset-gamma-4" else [])) == 0
+    report = json.loads(out.read_text())["verification"]
+    gains = DuioGains.from_json_dict(json.loads(out.read_text())["gains"])
+    leader = float(np.max(np.linalg.eigvals(gains.E_obs[gains.leader]).real))
+    if case == "one-node":
+        assert report["coupling_bound"] is None and report["follower_ceiling"] is None
+        assert report["abscissa_block"] == "leader"
+        assert report["spectral_abscissa"] == pytest.approx(leader, abs=1e-12)
+        return
+    bound, ceiling = report["coupling_bound"], report["follower_ceiling"]
+    lam = parse_config(raw).graph.lambda_min_reduced(gains.leader)
+    assert ceiling == pytest.approx((bound - report["gamma"]) * lam, rel=1e-12)
+    if case == "preset-gamma-4":
+        # below the bound (12.07): the followers' abscissa -1.53 tops the leader's -1.76
+        assert report["gamma"] == 4.0 < bound
+        assert report["abscissa_block"] == "followers"
+        assert leader < report["spectral_abscissa"] < 0
+        return
+    # the design's own gamma is 1.1 x the bound, reported beside it
+    assert report["gamma"] == pytest.approx(1.1 * bound, rel=1e-12)
+    assert report["abscissa_block"] == "leader"
+    assert report["spectral_abscissa"] == pytest.approx(leader, abs=1e-12)
+    if case == "preset":
+        # the ceiling -0.461 lies above the leader's -1.761, so F is factored:
+        # its abscissa, -5.07, is below the leader's
+        assert ceiling == pytest.approx(-0.461, abs=1e-3)
+        assert report["spectral_abscissa"] == pytest.approx(-1.761, abs=1e-3)
+    else:
+        # the ceiling alone puts the followers below the leader
+        assert ceiling < report["spectral_abscissa"] - 1e-8
 
 
 def test_design_gamma_override(tmp_path, fast_config_path, collected):

@@ -8,6 +8,8 @@ from dduio.config import parse_config, write_resolved
 from dduio.errors import ConfigError
 from dduio.signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid
 
+from conftest import load_bench_module
+
 
 def test_defaults_expand_to_benchmark():
     cfg = parse_config({})
@@ -220,6 +222,16 @@ def test_graph_weight_applies_to_unweighted_edges():
     assert a[0, 1] == a[2, 3] == a[3, 4] == a[0, 4] == 2.5 and a[1, 2] == 0.5
     assert cfg.resolved_dict()["graph"] == {
         "size": 5, "edges": [[0, 1, 2.5], [0, 4, 2.5], [1, 2, 0.5], [2, 3, 2.5], [3, 4, 2.5]]}
+
+
+@pytest.mark.parametrize("raw", [{}, "sweep"], ids=["preset", "sweep-plant"])
+def test_resolved_config_is_safe_dump_byte_for_byte(tmp_path, raw):
+    if raw == "sweep":
+        raw = load_bench_module("workloads").sweep_plant_config(1, 2)
+    cfg = parse_config(raw)
+    path = tmp_path / "config.resolved.yaml"
+    write_resolved(cfg, path)
+    assert path.read_bytes() == yaml.safe_dump(cfg.resolved_dict(), sort_keys=True).encode()
 
 
 @pytest.mark.parametrize("graph", [

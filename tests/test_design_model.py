@@ -10,12 +10,12 @@ import pytest
 import scipy.linalg
 
 from dduio import design_model
-from dduio.baselines import design_for_method
+from dduio.baselines import collect_all_nodes, design_for_method
 from dduio.config import parse_config
 from dduio.design_model import (HURWITZ_TOL, DesignSection, DuioGains, assemble_from_blocks,
-                                build_model_based_gains, check_detectability,
-                                decoupling_gain, gamma_lower_bound, rank_condition,
-                                stabilizing_output_injection)
+                                build_model_based_gains, check_detectability, coupled_abscissa,
+                                decoupling_gain, follower_norm, gamma_lower_bound,
+                                rank_condition, stabilizing_output_injection)
 from dduio.errors import DesignError, NumericsError, SolvabilityError
 from dduio.linalg import numerical_rank, spectral_abscissa
 from dduio.network import SensorGraph, complete, ring
@@ -87,7 +87,8 @@ def test_detectability_cases(bench_model):
 
 
 def test_output_injection_scalar_pole_shift():
-    m = stabilizing_output_injection(np.array([[1.0]]), np.array([[1.0]]), decay=1.0)
+    m, absc = stabilizing_output_injection(np.array([[1.0]]), np.array([[1.0]]), decay=1.0)
+    assert absc == 1.0 - m[0, 0]
     assert m[0, 0] > 2.0
     assert 1.0 - m[0, 0] <= -1.0
 
@@ -96,13 +97,13 @@ def test_output_injection_benchmark_leader(bench_model):
     node = bench_model.nodes[0]
     h = decoupling_gain(node.C, node.B_p)
     t = (np.eye(4) - h @ node.C) @ bench_model.A
-    m1 = stabilizing_output_injection(t, node.C, decay=0.5)
-    assert spectral_abscissa(t - m1 @ node.C) < -0.5
+    m1, absc = stabilizing_output_injection(t, node.C, decay=0.5)
+    assert spectral_abscissa(t - m1 @ node.C) == absc < -0.5
 
 
 def test_output_injection_hurwitz_with_useless_output():
     t = np.diag([-2.0, -3.0])
-    m = stabilizing_output_injection(t, np.zeros((1, 2)), decay=1.0)
+    m, _ = stabilizing_output_injection(t, np.zeros((1, 2)), decay=1.0)
     assert spectral_abscissa(t - m @ np.zeros((1, 2))) < 0
 
 
@@ -140,7 +141,7 @@ def test_default_gamma_exceeds_bound(bench_model, bench_graph):
     gains = build_model_based_gains(bench_model, bench_graph)
     lam = bench_graph.lambda_min_reduced(gains.leader)
     followers = [gains.E_obs[i] for i in range(gains.M) if i != gains.leader]
-    bound = gamma_lower_bound(followers, lam)
+    bound = gamma_lower_bound(follower_norm(followers), lam)
     assert gains.gamma > bound
     # Lyapunov margin of the follower subsystem
     e = np.zeros((0, 0))
@@ -150,7 +151,7 @@ def test_default_gamma_exceeds_bound(bench_model, bench_graph):
 
 
 def test_gamma_bound_scalar_value():
-    bound = gamma_lower_bound([np.array([[0.5]])], 1.0)
+    bound = gamma_lower_bound(follower_norm([np.array([[0.5]])]), 1.0)
     assert bound == pytest.approx(0.5)
 
 
@@ -158,7 +159,7 @@ def test_gamma_bound_decomposes_one_block_at_a_time():
     rng = np.random.default_rng(7)
     followers = [rng.normal(size=(3, 3)) for _ in range(4)]
     with decomposition_spy() as calls:
-        bound = gamma_lower_bound(followers, 0.5)
+        bound = gamma_lower_bound(follower_norm(followers), 0.5)
     assert [shape for shape, _ in calls] == [(3, 3)] * 4
     e = scipy.linalg.block_diag(*followers)
     assert bound == pytest.approx(np.linalg.norm(e + e.T, 2) / (2 * 0.5), rel=1e-12)
@@ -174,15 +175,19 @@ def test_coupling_hurwitz_above_bound_random_graphs():
 
 @pytest.fixture
 def fallbacks(monkeypatch) -> list:
-    """The gamma of every coupled matrix ``assemble_from_blocks`` builds for its fallback."""
+    """The gamma of every follower block F that ``assemble_from_blocks``' fallback builds.
+
+    The fallback is ``coupled_abscissa`` called from ``assemble_from_blocks``.
+    """
     calls = []
-    original = DuioGains.error_matrix
+    original = DuioGains.follower_matrix
 
     def spy(self, laplacian):
-        if sys._getframe(1).f_code is assemble_from_blocks.__code__:
+        if (sys._getframe(1).f_code is design_model.coupled_abscissa.__code__
+                and sys._getframe(2).f_code is assemble_from_blocks.__code__):
             calls.append(self.gamma)
         return original(self, laplacian)
-    monkeypatch.setattr(DuioGains, "error_matrix", spy)
+    monkeypatch.setattr(DuioGains, "follower_matrix", spy)
     return calls
 
 
@@ -225,7 +230,8 @@ def test_bound_certificate_implies_the_cholesky_oracle(fallbacks, systems):
     for graph, design_with, design in _designs(systems):
         base = design_with(design)
         followers = [e for i, e in enumerate(base.E_obs) if i != base.leader]
-        bound = gamma_lower_bound(followers, graph.lambda_min_reduced(base.leader))
+        bound = gamma_lower_bound(follower_norm(followers),
+                                  graph.lambda_min_reduced(base.leader))
         for gamma in (design.gamma_override or base.gamma,
                       *(f * bound for f in OVERRIDE_FACTORS)):
             before = len(fallbacks)
@@ -275,7 +281,7 @@ def test_gamma_below_the_bound_takes_the_eigvals_fallback(bench_model, bench_gra
                                                           fallbacks):
     default = build_model_based_gains(bench_model, bench_graph)
     followers = [e for i, e in enumerate(default.E_obs) if i != default.leader]
-    assert BENCH_GAMMA < gamma_lower_bound(followers,
+    assert BENCH_GAMMA < gamma_lower_bound(follower_norm(followers),
                                            bench_graph.lambda_min_reduced(default.leader))
     assert not followers_certified(
         followers, reduced_laplacian(bench_graph, default.leader), BENCH_GAMMA)
@@ -283,8 +289,11 @@ def test_gamma_below_the_bound_takes_the_eigvals_fallback(bench_model, bench_gra
         gains = build_model_based_gains(bench_model, bench_graph,
                                         DesignSection(gamma_override=BENCH_GAMMA))
     assert fallbacks == [BENCH_GAMMA]
+    # the fallback factors the follower block F, never the coupled matrix
     coupled = gains.error_matrix(bench_graph.laplacian)
-    assert (coupled.shape, coupled.tobytes()) in calls
+    follower = gains.follower_matrix(bench_graph.laplacian)
+    assert (follower.shape, follower.tobytes()) in calls
+    assert all(shape != coupled.shape for shape, _ in calls)
     assert spectral_abscissa(coupled) < HURWITZ_TOL
     # gamma enters only the coupling: every block is the default design's
     assert (gains.gamma, gains.leader) == (BENCH_GAMMA, default.leader)
@@ -435,3 +444,71 @@ def test_model_side_designs_rank_each_node_once(monkeypatch, bench_model, bench_
             assert len(calls["assemble_from_blocks"]) == 1, method
             # the design reads the graph's Laplacian; it builds no graph of its own
             assert calls["__post_init__"] == [], method
+
+
+def _oracle_designs(systems: str, bench_model, bench_graph, bench_datasets):
+    """(graph, gains) of criterion 5's systems, the sweep plants or the preset."""
+    if systems == "criterion-5":
+        for graph, e_blocks, gamma in random_coupled_systems(5150, 3.0, 0.3):
+            design = DesignSection(gamma_override=gamma)
+            yield graph, _assemble_error_blocks(e_blocks, graph, design)
+            # the last node leads, with gamma from its own bound
+            n, m = e_blocks[0].shape[0], graph.M
+            yield graph, assemble_from_blocks(
+                e_blocks, [np.zeros((n, n))] * m, [np.zeros((n, 0))] * m,
+                [np.eye(n)] * m, graph, DesignSection(), "model", leader=m - 1)
+    elif systems == "one-node":
+        model = single_node_model(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                  np.array([[0.0], [1.0]]), np.zeros((2, 0)), np.eye(2))
+        graph = SensorGraph(np.zeros((1, 1)))
+        yield graph, build_model_based_gains(model, graph)
+    elif systems == "preset":
+        for design in (BENCH.design, DesignSection(gamma_override=BENCH_GAMMA)):
+            cfg = replace(BENCH, design=design)
+            for method in ("model", "data", "id"):
+                yield bench_graph, design_for_method(method, cfg, bench_model, bench_graph,
+                                                     bench_datasets)
+    else:
+        # seed s's plant of the s-th size, so the dense oracle stays small
+        seed = int(systems.removeprefix("sweep-seed-"))
+        cfg = parse_config(sweep_plant_config(seed, seed - 1))
+        model, graph = cfg.build_model(), cfg.build_graph()
+        datasets = collect_all_nodes(cfg, model, cfg.seed)
+        for method in ("model", "data", "id"):
+            yield graph, design_for_method(method, cfg, model, graph, datasets)
+
+
+@pytest.mark.parametrize("systems", ["criterion-5", "one-node", "preset",
+                                     *(f"sweep-seed-{s}" for s in (1, 2, 3))])
+def test_coupled_abscissa_matches_the_dense_spectrum(systems, bench_model, bench_graph,
+                                                     bench_datasets):
+    factored = []
+    for graph, designed in _oracle_designs(systems, bench_model, bench_graph,
+                                           bench_datasets):
+        cases = [designed, replace(designed)]
+        if designed.M > 1:
+            # half the bound: the ceiling is positive, so F is factored
+            bound = coupled_abscissa(designed, graph).bound
+            cases.append(replace(designed, gamma=0.5 * bound))
+        for gains in cases:
+            with decomposition_spy() as calls:
+                result = coupled_abscissa(gains, graph)
+            dense = spectral_abscissa(gains.error_matrix(graph.laplacian))
+            assert abs(result.abscissa - dense) <= 1e-9 * max(1.0, abs(dense))
+            leader_absc = spectral_abscissa(gains.E_obs[gains.leader])
+            if result.block == "leader":
+                assert result.abscissa == leader_absc
+            else:
+                assert result.abscissa > leader_absc
+            # nothing larger than one node's block is factored, save F itself
+            n_x = gains.n_x
+            f_shape = ((gains.M - 1) * n_x,) * 2
+            assert all(max(shape) <= n_x or shape == f_shape for shape, _ in calls)
+            factored.append(f_shape in [shape for shape, _ in calls])
+        # the design's own facts are the ones recomputed by a copy
+        assert coupled_abscissa(replace(designed), graph) == coupled_abscissa(designed, graph)
+    # each branch is taken: the sweep designs' ceilings alone settle the abscissa
+    if systems != "one-node":
+        assert True in factored
+    if systems.startswith("sweep"):
+        assert False in factored

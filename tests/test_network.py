@@ -5,7 +5,7 @@ import pytest
 from dduio.errors import ConnectivityError, GraphError
 from dduio.network import SensorGraph, complete, from_edges, path, ring, star
 
-from conftest import random_connected_graph
+from conftest import decomposition_spy, random_connected_graph
 
 
 def reduced(laplacian, drop):
@@ -123,3 +123,13 @@ def test_reduced_drop_index():
     assert g.lambda_min_reduced(2) == pytest.approx(
         np.linalg.eigvalsh(reduced(g.laplacian, 2))[0], rel=1e-14)
     assert 0 < g.lambda_min_reduced(2) < g.lambda_min_reduced(0)
+
+
+def test_lambda_min_reduced_is_taken_once_per_leader():
+    g = random_connected_graph(np.random.default_rng(11), 6)
+    with decomposition_spy() as calls:
+        first = [g.lambda_min_reduced(drop) for drop in (0, 3, 0, 3, 3)]
+    assert first == [g.lambda_min_reduced(0), g.lambda_min_reduced(3)] * 2 \
+        + [g.lambda_min_reduced(3)]
+    assert [shape for shape, _ in calls] == [(5, 5), (5, 5)]
+    assert first[0] == float(np.linalg.eigvalsh(reduced(g.laplacian, 0))[0])
