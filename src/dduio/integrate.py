@@ -123,7 +123,7 @@ def _check_divergence(states: np.ndarray, dt: float, divergence_limit: float) ->
         m = magnitude[j]
         t = j * dt + dt
         raise DivergenceError(
-            f"state magnitude {m!r} exceeded {divergence_limit:g} at t={t:.6g}", t=t)
+            f"state magnitude {float(m)!r} exceeded {divergence_limit:g} at t={t:.6g}", t=t)
 
 
 def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float, divergence_limit: float):

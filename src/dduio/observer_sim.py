@@ -4,12 +4,13 @@ The plant and M observers form one linear ODE; neighbor estimates enter
 the consensus term continuously (same-stage values inside the
 integrator).  The plant's rows hold no observer terms, so the closed-loop
 matrix is block lower triangular, and so is every RK4 step.  A scenario
-pass therefore integrates the first observer network together with the
-plant, then advances each later network's observer block alone from that
-plant trajectory.  ``run`` is the pass with one network.
+pass therefore integrates the plant alone, as ``plant.simulate`` does,
+then advances every observer network's block from that plant trajectory.
+``run`` is the pass with one network.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -114,18 +115,17 @@ def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
                  inputs, disturbances, horizon: float, dt: float):
     """Yield one RunResult per (gains, z0) of ``observers``, all on one scenario.
 
-    Every network meets the same plant trajectory from ``x0`` under the same
-    signals.  The first is integrated together with the plant; each later
-    one advances only its observer block, z_{j+1} = Phi_zz z_j + Phi_zx x_j
-    + d_z,j, from that trajectory.  The forcing is read on RK4's half-step
-    grid, sampled block by block for one network and tabulated once for
-    several, so the first network's result is ``run``'s bit for bit.  The
-    pass keeps only the current network's states, so a caller that drops
-    each result holds one network's full-length arrays at a time.  A
-    ``z0`` of None means zero observer states.
+    The signals are tabulated once on RK4's half-step grid, and the plant is
+    integrated once from ``x0``, by the call ``plant.simulate`` makes.  Every
+    network then advances only its observer block, z_{j+1} = Phi_zz z_j +
+    Phi_zx x_j + d_z,j, from that trajectory, so each result is ``run``'s
+    bit for bit.  The pass keeps only the current network's states, so a
+    caller that drops each result holds one network's full-length arrays at
+    a time.  A ``z0`` of None means zero observer states.
     """
-    if dt <= 0 or horizon < dt:
-        raise DimensionError("dt must be positive and horizon at least one step")
+    if not (0 < dt <= horizon < math.inf):
+        raise DimensionError(f"need 0 < dt <= horizon < inf, got dt={dt:g}, "
+                             f"horizon={horizon:g}")
     n, m_nodes = model.n_x, model.M
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != n:
@@ -134,28 +134,21 @@ def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
     for gains, z0 in observers:
         _check_dimensions(model, graph, gains)
         z0 = np.zeros(m_nodes * n) if z0 is None else np.asarray(z0, dtype=float)
+        if z0.size != m_nodes * n:
+            raise DimensionError(f"z0 has {z0.size} entries, expected M*n_x = {m_nodes * n}")
         starts.append((gains, z0.reshape(m_nodes * n)))
     gens = list(inputs) + list(disturbances)
     if len(gens) != model.n_u + model.n_d:
         raise DimensionError(
             f"need {model.n_u + model.n_d} signal generators, got {len(gens)}")
-    n_steps = int(round(horizon / dt))
-    t = np.arange(n_steps + 1) * dt
     if not starts:
         return
-    if len(starts) > 1:
-        # The first network reads the table through rk4_linear's generators.
-        table = tabulate(gens, n_steps, dt)
-        gens = [Tabulated(column, 0.5 * dt) for column in table.T]
-
-    gains, z0 = starts[0]
-    a_cl, g_cl = _closed_loop(model, graph, gains)
-    x, z = np.hsplit(rk4_linear(a_cl, g_cl, gens, np.concatenate([x0, z0]), n_steps, dt), [n])
-    yield RunResult(t, x, *_estimates(x, z, model, gains))
-    # Keep the plant rows alone, so the first network's states can go.
-    del z
-    x = np.ascontiguousarray(x)
-    for gains, z0 in starts[1:]:
+    n_steps = int(round(horizon / dt))
+    t = np.arange(n_steps + 1) * dt
+    table = tabulate(gens, n_steps, dt)
+    x = rk4_linear(model.A, np.hstack([model.B, model.E_dist]),
+                   [Tabulated(column, 0.5 * dt) for column in table.T], x0, n_steps, dt)
+    for gains, z0 in starts:
         a_cl, g_cl = _closed_loop(model, graph, gains)
         yield RunResult(t, x, *_estimates(x, rk4_lower_block(a_cl, g_cl, table, x, z0, dt),
                                           model, gains))
@@ -164,14 +157,15 @@ def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
 def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains):
     """xhat_i = z_i + H_i C_i x, the error norms and the pairwise spread.
 
-    Works on DRIVE_ROWS-row blocks transposed to (state, time), so every
-    elementwise op runs along time and no temporary grows with the run.
+    Writes xhat over ``z``, which the caller hands over, and returns it as
+    (time, node, state).  Works on DRIVE_ROWS-row blocks transposed to
+    (state, time), so every elementwise op runs along time and no
+    temporary grows with the run.
     """
     n, m_nodes = model.n_x, model.M
     rows = x.shape[0]
     # (node * state, state): node i's rows are H_i C_i
     out_map = np.vstack([h @ node.C for h, node in zip(gains.H, model.nodes)])
-    xhat = np.empty((rows, m_nodes, n))
     error_norms = np.empty((rows, m_nodes))
     spread = np.empty(rows)
     for r0 in range(0, rows, DRIVE_ROWS):
@@ -179,11 +173,8 @@ def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains
         x_blk = np.ascontiguousarray(x[r0:r1].T)
         est = out_map @ x_blk
         est += z[r0:r1].T
-        xhat[r0:r1].reshape(r1 - r0, -1)[:] = est.T
+        z[r0:r1] = est.T
         est = est.reshape(m_nodes, n, -1)
-        err = est - x_blk
-        err *= err
-        error_norms[r0:r1] = np.sqrt(err.sum(axis=1)).T
         # squared distances from node i to every later node, maximized
         far = np.zeros(r1 - r0)
         for i in range(m_nodes - 1):
@@ -191,7 +182,11 @@ def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains
             diff *= diff
             np.maximum(far, diff.sum(axis=1).max(axis=0), out=far)
         np.sqrt(far, out=spread[r0:r1])
-    return xhat, error_norms, spread
+        # the block's estimates are stored, so est becomes the squared errors
+        est -= x_blk
+        est *= est
+        error_norms[r0:r1] = np.sqrt(est.sum(axis=1)).T
+    return z.reshape(rows, m_nodes, n), error_norms, spread
 
 
 def error_dynamics_matrix(gains: DuioGains, graph: SensorGraph) -> tuple[np.ndarray, float]:

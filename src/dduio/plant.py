@@ -9,6 +9,7 @@ consistent with the global trajectory.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,10 +150,9 @@ def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float,
     ``disturbances`` one per column of E.  Sample instants are j * dt
     for j = 0 .. round(horizon / dt).
     """
-    if dt <= 0:
-        raise DimensionError("dt must be positive")
-    if horizon < dt:
-        raise DimensionError("horizon must be at least one step")
+    if not (0 < dt <= horizon < math.inf):
+        raise DimensionError(f"need 0 < dt <= horizon < inf, got dt={dt:g}, "
+                             f"horizon={horizon:g}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.n_x:
         raise DimensionError(f"x0 has length {x0.size}, expected {model.n_x}")

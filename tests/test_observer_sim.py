@@ -14,7 +14,7 @@ from dduio.network import SensorGraph, complete
 from dduio.baselines import collect_all_nodes, compute_mse_mae, design_for_method
 from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run, run,
                                 run_scenario, verify_decoupling)
-from dduio.plant import PlantModel
+from dduio.plant import PlantModel, simulate
 from dduio.signals import Sinusoid, Zero
 
 from conftest import (CountedSignal, bench_signals, coupling_matrix, load_bench_module,
@@ -204,6 +204,38 @@ def test_divergence_and_dimension_errors(bench_model, bench_graph, model_gains):
             horizon=10.0, dt=1e-2)
 
 
+def test_run_names_the_observer_state_size_it_expects(bench_model, bench_graph, model_gains):
+    with pytest.raises(DimensionError, match=r"z0 has 7 entries, expected M\*n_x = 20"):
+        run(bench_model, bench_graph, model_gains, np.zeros(4), *bench_signals(5, 6, 1e-3),
+            horizon=1.0, dt=1e-3, z0=np.zeros(7))
+
+
+@pytest.mark.parametrize("horizon, dt", [(1.0, np.nan), (np.nan, 1e-3), (np.inf, 1e-3)])
+def test_run_refuses_nan_and_infinite_times(bench_model, bench_graph, model_gains,
+                                            horizon, dt):
+    with pytest.raises(DimensionError, match="0 < dt <= horizon < inf"):
+        run(bench_model, bench_graph, model_gains, np.zeros(4), *bench_signals(5, 6, 1e-3),
+            horizon=horizon, dt=dt)
+
+
+def test_divergent_plant_raises_at_the_time_simulate_does(bench_model, bench_graph,
+                                                          model_gains):
+    unstable = dataclasses.replace(bench_model, A=bench_model.A + 10.0 * np.eye(4))
+    x0 = np.ones(4)
+    with pytest.raises(DivergenceError) as plant:
+        simulate(unstable, x0, *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
+    with pytest.raises(DivergenceError) as alone:
+        run(unstable, bench_graph, model_gains, x0, *bench_signals(5, 6, 1e-2),
+            horizon=10.0, dt=1e-2)
+    passed = run_scenario(unstable, bench_graph, [(model_gains, None)] * 2, x0,
+                          *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
+    with pytest.raises(DivergenceError) as shared:
+        next(passed)
+    assert 0.0 < plant.value.t < 10.0
+    assert alone.value.t == shared.value.t == plant.value.t
+    assert str(alone.value) == str(shared.value) == str(plant.value)
+
+
 def test_export_files_and_determinism(tmp_path, bench_model, bench_graph, model_gains):
     inputs, dist = bench_signals(5, 6, 1e-3)
     res = run(bench_model, bench_graph, model_gains, np.array([0.1, 0.2, 0.3, 0.4]),
@@ -240,12 +272,14 @@ def estimates_oracle(xi, model, gains):
 
 def assert_run_matches_oracle(model, graph, gains, x0, z0, signals, n_steps, dt):
     res = run(model, graph, gains, x0, *signals(), horizon=n_steps * dt, dt=dt, z0=z0)
+    assert np.array_equal(res.t, np.arange(n_steps + 1) * dt)
+    assert res.x.tobytes() == simulate(model, x0, *signals(), n_steps * dt, dt).x.tobytes()
+    # the plant and the network integrated as one system
     a_cl, g_cl = _closed_loop(model, graph, gains)
     inputs, dist = signals()
     xi = rk4_linear(a_cl, g_cl, list(inputs) + list(dist),
                     np.concatenate([x0, z0.ravel()]), n_steps, dt)
-    assert np.array_equal(res.t, np.arange(n_steps + 1) * dt)
-    assert np.array_equal(res.x, xi[:, :model.n_x])
+    _assert_rel(res.x, xi[:, :model.n_x], 1e-14)
     for new, old in zip((res.xhat, res.error_norms, res.spread),
                         estimates_oracle(xi, model, gains)):
         assert new.shape == old.shape
@@ -291,10 +325,11 @@ def test_single_node_run_matches_oracle_with_zero_spread():
 def test_run_allocates_no_full_length_temporary(preset):
     cfg, model, graph, gains = preset
     x0 = cfg.draw_x0(3)
+    # built once, so the values the held disturbance draws are not counted
+    signals = cfg.build_inputs(3), cfg.build_disturbances(3)
 
     def one_run():
-        return run(model, graph, gains, x0, cfg.build_inputs(3),
-                   cfg.build_disturbances(3), horizon=cfg.run.horizon, dt=cfg.run.dt)
+        return run(model, graph, gains, x0, *signals, horizon=cfg.run.horizon, dt=cfg.run.dt)
 
     one_run()
     tracemalloc.start()
@@ -303,9 +338,11 @@ def test_run_allocates_no_full_length_temporary(preset):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    integrated = res.t.size * model.n_x * (1 + model.M) * 8
-    returned = sum(a.nbytes for a in (res.t, res.xhat, res.error_norms, res.spread))
-    assert peak - integrated - returned <= 4 * 2 ** 20
+    # xhat is written over the observer states z
+    integrated = res.x.nbytes + res.xhat.nbytes
+    returned = sum(a.nbytes for a in (res.t, res.error_norms, res.spread))
+    table = (2 * res.t.size - 1) * (model.n_u + model.n_d) * 8
+    assert peak - integrated - returned <= table + 2 ** 20
 
 
 def _preset_networks(preset):
@@ -337,6 +374,8 @@ def _assert_rel(new, old, rtol):
 
 @pytest.mark.parametrize("plant", ["preset", "sweep"])
 def test_scenario_pass_matches_separate_runs(preset, plant):
+    # every network of a pass, and the network of a one-network pass, is
+    # its own run bit for bit
     cfg, model, graph, networks = (_preset_networks(preset) if plant == "preset"
                                    else _sweep_networks())
     x0 = cfg.draw_x0(5)
@@ -348,44 +387,19 @@ def test_scenario_pass_matches_separate_runs(preset, plant):
     def signals():
         return cfg.build_inputs(5), cfg.build_disturbances(5)
 
-    passed = run_scenario(model, graph, starts, x0, *signals(), horizon, cfg.run.dt)
-    count = 0
-    for (gains, z0), res in zip(starts, passed):
-        alone = run(model, graph, gains, x0, *signals(), horizon, cfg.run.dt, z0=z0)
-        assert np.array_equal(res.t, alone.t)
-        for field in ("x", "xhat", "error_norms", "spread"):
-            _assert_rel(getattr(res, field), getattr(alone, field), 1e-13)
-        got, want = compute_mse_mae(res), compute_mse_mae(alone)
-        for stat in ("mse", "mae", "mse_per_node", "mae_per_node"):
-            _assert_rel(getattr(got, stat), getattr(want, stat), 1e-13)
-        count += 1
-    assert count == len(starts)
-
-
-def test_one_network_pass_is_run_bit_for_bit(preset):
-    cfg, model, graph, gains = preset
-    x0 = cfg.draw_x0(3)
-    z0 = cfg.initial_observer_states(x0, model, gains)
-    args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
-    results = list(run_scenario(model, graph, [(gains, z0)], x0, *args))
-    alone = run(model, graph, gains, x0, *args, z0=z0)
-    assert len(results) == 1
-    for field in ("t", "x", "xhat", "error_norms", "spread"):
-        assert getattr(results[0], field).tobytes() == getattr(alone, field).tobytes()
-
-
-def test_first_network_of_a_shared_pass_is_run_bit_for_bit(preset):
-    # the pass tabulates the signals for two networks, run samples them
-    # block by block; both read the same half-step times
-    cfg, model, graph, gains = preset
-    x0 = cfg.draw_x0(3)
-    z0 = cfg.initial_observer_states(x0, model, gains)
-    args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
-    second = dataclasses.replace(gains, gamma=1.5 * gains.gamma)
-    first = next(run_scenario(model, graph, [(gains, z0), (second, z0)], x0, *args))
-    alone = run(model, graph, gains, x0, *args, z0=z0)
-    for field in ("x", "xhat", "error_norms", "spread"):
-        assert getattr(first, field).tobytes() == getattr(alone, field).tobytes(), field
+    for pass_starts in (starts, starts[:1]):
+        passed = run_scenario(model, graph, pass_starts, x0, *signals(), horizon, cfg.run.dt)
+        count = 0
+        for (gains, z0), res in zip(pass_starts, passed):
+            alone = run(model, graph, gains, x0, *signals(), horizon, cfg.run.dt, z0=z0)
+            for field in ("t", "x", "xhat", "error_norms", "spread"):
+                assert getattr(res, field).tobytes() == getattr(alone, field).tobytes(), field
+            got, want = compute_mse_mae(res), compute_mse_mae(alone)
+            for stat in ("mse", "mae", "mse_per_node", "mae_per_node"):
+                assert np.array_equal(getattr(got, stat), getattr(want, stat)), stat
+            count += 1
+        assert count == len(pass_starts)
+        assert next(passed, None) is None
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])

@@ -132,6 +132,12 @@ def test_dimension_errors(bench_model):
                             np.zeros((2, 0)), [(np.eye(2), (0,), ())])
 
 
+@pytest.mark.parametrize("horizon, dt", [(1.0, np.nan), (np.nan, 1e-2), (np.inf, 1e-2)])
+def test_simulate_refuses_nan_and_infinite_times(bench_model, horizon, dt):
+    with pytest.raises(DimensionError, match="0 < dt <= horizon < inf"):
+        simulate(bench_model, np.zeros(4), bench_inputs(0.1), [Zero()], horizon=horizon, dt=dt)
+
+
 def test_divergence_reports_timestamp():
     model = two_state_model(np.array([[5.0, 0.0], [0.0, 5.0]]))
     with pytest.raises(DivergenceError) as err:
