@@ -374,8 +374,7 @@ def _assert_rel(new, old, rtol):
 
 @pytest.mark.parametrize("plant", ["preset", "sweep"])
 def test_scenario_pass_matches_separate_runs(preset, plant):
-    # every network of a pass, and the network of a one-network pass, is
-    # its own run bit for bit
+    # every network of a pass is its own run bit for bit
     cfg, model, graph, networks = (_preset_networks(preset) if plant == "preset"
                                    else _sweep_networks())
     x0 = cfg.draw_x0(5)
@@ -387,19 +386,44 @@ def test_scenario_pass_matches_separate_runs(preset, plant):
     def signals():
         return cfg.build_inputs(5), cfg.build_disturbances(5)
 
-    for pass_starts in (starts, starts[:1]):
-        passed = run_scenario(model, graph, pass_starts, x0, *signals(), horizon, cfg.run.dt)
-        count = 0
-        for (gains, z0), res in zip(pass_starts, passed):
-            alone = run(model, graph, gains, x0, *signals(), horizon, cfg.run.dt, z0=z0)
-            for field in ("t", "x", "xhat", "error_norms", "spread"):
-                assert getattr(res, field).tobytes() == getattr(alone, field).tobytes(), field
-            got, want = compute_mse_mae(res), compute_mse_mae(alone)
-            for stat in ("mse", "mae", "mse_per_node", "mae_per_node"):
-                assert np.array_equal(getattr(got, stat), getattr(want, stat)), stat
-            count += 1
-        assert count == len(pass_starts)
-        assert next(passed, None) is None
+    passed = run_scenario(model, graph, starts, x0, *signals(), horizon, cfg.run.dt)
+    count = 0
+    for (gains, z0), res in zip(starts, passed):
+        alone = run(model, graph, gains, x0, *signals(), horizon, cfg.run.dt, z0=z0)
+        for field in ("t", "x", "xhat", "error_norms", "spread"):
+            assert getattr(res, field).tobytes() == getattr(alone, field).tobytes(), field
+        got, want = compute_mse_mae(res), compute_mse_mae(alone)
+        for stat in ("mse", "mae", "mse_per_node", "mae_per_node"):
+            assert np.array_equal(getattr(got, stat), getattr(want, stat)), stat
+        count += 1
+    assert count == len(starts)
+    assert next(passed, None) is None
+
+
+def test_one_network_pass_is_run_bit_for_bit(preset):
+    cfg, model, graph, gains = preset
+    x0 = cfg.draw_x0(3)
+    z0 = cfg.initial_observer_states(x0, model, gains)
+    args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
+    results = list(run_scenario(model, graph, [(gains, z0)], x0, *args))
+    alone = run(model, graph, gains, x0, *args, z0=z0)
+    assert len(results) == 1
+    for field in ("t", "x", "xhat", "error_norms", "spread"):
+        assert getattr(results[0], field).tobytes() == getattr(alone, field).tobytes()
+
+
+def test_first_network_of_a_shared_pass_is_run_bit_for_bit(preset):
+    # the pass advances a second network beside the first; the first must
+    # not see it
+    cfg, model, graph, gains = preset
+    x0 = cfg.draw_x0(3)
+    z0 = cfg.initial_observer_states(x0, model, gains)
+    args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
+    second = dataclasses.replace(gains, gamma=1.5 * gains.gamma)
+    first = next(run_scenario(model, graph, [(gains, z0), (second, z0)], x0, *args))
+    alone = run(model, graph, gains, x0, *args, z0=z0)
+    for field in ("x", "xhat", "error_norms", "spread"):
+        assert getattr(first, field).tobytes() == getattr(alone, field).tobytes(), field
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
