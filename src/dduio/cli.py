@@ -130,6 +130,7 @@ def cmd_design(args) -> int:
     abscissa = spectrum.abscissa
     verification = {"spectral_abscissa": abscissa, "abscissa_block": spectrum.block,
                     "gamma": gains.gamma, "coupling_bound": spectrum.bound,
+                    "decay_shift": gains.decay_shift,
                     "follower_ceiling": spectrum.ceiling, "leader": gains.leader}
     if args.method in ("model", "id"):
         verification["decoupling"] = verify_decoupling(model, gains).to_json_dict()

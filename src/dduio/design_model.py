@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DesignError, DuioError, NumericsError, SolvabilityError
-from .linalg import (DEFAULT_RANK_MULTIPLIER, numerical_rank, pbh_detectable,
-                     rank_from_singular_values, spectral_abscissa, spectrum_and_pinv,
-                     symmetric_two_norm)
+from .linalg import (DEFAULT_RANK_MULTIPLIER, block_diag, numerical_rank, pbh_detectable,
+                     rank_from_singular_values, solve_care, spectral_abscissa,
+                     spectrum_and_pinv, symmetric_two_norm)
 from .network import SensorGraph
 from .plant import PlantModel
 
@@ -49,6 +48,8 @@ class DuioGains:
     gamma: float
     leader: int
     method: str = "model"
+    # the Riccati shift of the leader's injection; None for gains read from a file
+    decay_shift: float | None = field(default=None, compare=False)
     # (abscissa of the leader's E, max_f ||E_f + E_f^T||), see ``block_facts``
     _block_facts: tuple[float, float] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -76,7 +77,7 @@ class DuioGains:
 
     def error_matrix(self, laplacian: np.ndarray) -> np.ndarray:
         """The coupled error matrix blockdiag(E_i) - gamma (P L kron I)."""
-        return scipy.linalg.block_diag(*self.E_obs) - self.consensus(laplacian)
+        return block_diag(*self.E_obs) - self.consensus(laplacian)
 
     def followers(self) -> list[np.ndarray]:
         """The follower blocks E_f, in node order."""
@@ -85,7 +86,7 @@ class DuioGains:
     def follower_matrix(self, laplacian: np.ndarray) -> np.ndarray:
         """F = blockdiag(E_f) - gamma (L_red kron I), the followers' block of ``error_matrix``."""
         keep = [j for j in range(self.M) if j != self.leader]
-        return (scipy.linalg.block_diag(*self.followers())
+        return (block_diag(*self.followers())
                 - np.kron(self.gamma * laplacian[np.ix_(keep, keep)], np.eye(self.n_x)))
 
     def block_facts(self) -> tuple[float, float]:
@@ -178,29 +179,37 @@ def check_detectability(model: PlantModel, i: int) -> bool:
     return pbh_detectable(t, node.C)
 
 
-def stabilizing_output_injection(T: np.ndarray, C: np.ndarray,
-                                 decay: float) -> tuple[np.ndarray, float]:
-    """Gain M with T - M C Hurwitz, targeting abscissa <= -decay, and that abscissa.
+class Injection(NamedTuple):
+    """A leader's output injection gain, the abscissa it gives, and the Riccati shift used."""
+
+    gain: np.ndarray
+    abscissa: float
+    shift: float
+
+
+def stabilizing_output_injection(T: np.ndarray, C: np.ndarray, decay: float) -> Injection:
+    """Gain M with T - M C Hurwitz, targeting abscissa <= -decay.
 
     Solved as the dual linear-quadratic problem: P solves the Riccati
     equation of the decay-shifted pair and M = P C^T.  When unobservable
-    modes sit shallower than the requested decay the shift is relaxed,
-    since no injection can move them.  The pair (T, C) must be detectable;
-    the caller has tested it (the leader search or the data-side test).
+    modes sit shallower than the requested decay the shift is relaxed
+    (decay, decay/2, decay/4, then 0), since no injection can move them;
+    the shift accepted is returned with the gain.  The pair (T, C) must be
+    detectable; the caller has tested it (the leader search or the
+    data-side test).
     """
     T = np.asarray(T, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     eye = np.eye(T.shape[0])
     for shift in (decay, decay / 2, decay / 4, 0.0):
         try:
-            p = scipy.linalg.solve_continuous_are(
-                (T + shift * eye).T, C.T, eye, np.eye(C.shape[0]))
-        except (np.linalg.LinAlgError, ValueError):
+            p = solve_care((T + shift * eye).T, C.T)
+        except np.linalg.LinAlgError:
             continue
         m = p @ C.T
         absc = spectral_abscissa(T - m @ C)
         if absc < min(HURWITZ_TOL, -shift + 1e-9):
-            return m, absc
+            return Injection(m, absc, shift)
     raise NumericsError("Riccati solve failed to produce a stabilizing injection gain")
 
 
@@ -295,7 +304,7 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
         raise DesignError("no node has a detectable pair ((I - H C) A, C); "
                           "the leader-based construction does not apply")
 
-    m1, leader_absc = stabilizing_output_injection(ts[leader], cs[leader], design.decay)
+    m1, leader_absc, shift = stabilizing_output_injection(ts[leader], cs[leader], design.decay)
     e_blocks, l_blocks = [], []
     for i in range(m_nodes):
         if i == leader:
@@ -320,7 +329,8 @@ def assemble_from_blocks(ts, hs, fs, cs, graph: SensorGraph, design: DesignSecti
         certified = (bound - gamma) * lam < HURWITZ_TOL  # False on a NaN bound
 
     gains = DuioGains(E_obs=tuple(e_blocks), F=tuple(fs), L=tuple(l_blocks),
-                      H=tuple(hs), gamma=gamma, leader=leader, method=method)
+                      H=tuple(hs), gamma=gamma, leader=leader, method=method,
+                      decay_shift=shift)
     object.__setattr__(gains, "_block_facts", (leader_absc, norm))
     if not certified:
         absc = coupled_abscissa(gains, graph).abscissa

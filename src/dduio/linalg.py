@@ -80,6 +80,39 @@ def symmetric_two_norm(a: np.ndarray) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """The block-diagonal matrix of the 2-D ``blocks``, in order."""
+    rows, cols = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=np.result_type(float, *blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def solve_care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stabilizing solution X of a^T X + X a - X b b^T X + I = 0.
+
+    Potter's method: the Hamiltonian [[a, -b b^T], [-I, -a^T]] has n
+    eigenvalues in the open left half-plane exactly when the solution
+    exists, and their eigenvectors [U1; U2] give X = U2 U1^{-1}.  Raises
+    ``np.linalg.LinAlgError`` when the stable count is not n or U1 is
+    singular to working precision (an unobservable mode on the imaginary
+    axis or in the right half-plane).
+    """
+    n = a.shape[0]
+    w, v = np.linalg.eig(np.block([[a, -b @ b.T], [-np.eye(n), -a.T]]))
+    stable = w.real < 0
+    if np.count_nonzero(stable) != n:
+        raise np.linalg.LinAlgError("the Hamiltonian has no n-dimensional stable subspace")
+    u1, u2 = v[:n, stable], v[n:, stable]
+    if np.linalg.cond(u1) * _EPS >= 1.0:
+        raise np.linalg.LinAlgError("the stable subspace is not a graph over the state")
+    x = np.linalg.solve(u1.T, u2.T).T.real
+    return (x + x.T) / 2
+
+
 def pbh_detectable(a: np.ndarray, c: np.ndarray, multiplier: float | None = None) -> bool:
     """PBH test: every eigenvalue of ``a`` with Re >= -DETECT_TOL must be observable.
 

@@ -15,12 +15,12 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from ._csvio import write_json
 from .design_model import DuioGains, coupled_abscissa
 from .errors import DimensionError
 from .integrate import DRIVE_ROWS, rk4_linear, rk4_lower_block, tabulate
+from .linalg import block_diag
 from .network import SensorGraph
 from .plant import PlantModel
 from .signals import Tabulated

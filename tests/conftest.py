@@ -55,8 +55,7 @@ def decomposition_spy():
     Yields a list that gains one (shape, matrix bytes) key per call whose
     immediate caller is a ``dduio`` module, and whose ``kinds`` name each
     call's function.  Decompositions made inside numpy or scipy are not
-    seen: scipy's Riccati argument check (``_are_validate_args``) runs its
-    own svd.
+    seen: ``np.linalg.cond`` in ``linalg.solve_care`` runs its own svd.
     """
     calls = DecompositionCalls()
 

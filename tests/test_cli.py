@@ -324,6 +324,26 @@ def test_design_methods_and_outputs(tmp_path, fast_config_path, collected):
             assert "decoupling" in payload["verification"]
 
 
+# Node 0's decoupled pair is (diag(-0.2, 0), [0 1]): the mode at -0.2 is
+# unobservable, so a Riccati shift above 0.2 can have no stabilizing solution.
+SHALLOW_PLANT = {
+    "plant": {"A": [[-0.2, 0.0], [0.0, 1.0]], "B": [[1.0], [1.0]], "E": [[0.0], [1.0]],
+              "nodes": [{"C": [[0.0, 1.0]], "known_input_indices": [0]}] * 2,
+              "inputs": [{"kind": "zero"}], "disturbances": [{"kind": "zero"}]},
+    "graph": {"size": 2, "edges": [[0, 1]]},
+}
+
+
+@pytest.mark.parametrize("case, shift", [("preset", 0.5), ("shallow", 0.125)])
+def test_design_reports_the_riccati_shift_it_used(tmp_path, case, shift):
+    path, out = tmp_path / "cfg.yaml", tmp_path / "gains.json"
+    path.write_text(yaml.safe_dump({"seed": 5} if case == "preset" else SHALLOW_PLANT))
+    assert main(["design", "--config", str(path), "--method", "model", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["verification"]
+    assert report["decay_shift"] == shift
+    assert report["spectral_abscissa"] < -shift
+
+
 def _sweep_config(nodes: int | None = None) -> dict:
     """The design sweep's first plant of seed 1, cut to its first ``nodes`` nodes."""
     raw = load_bench_module("workloads").sweep_plant_config(1, 0)
@@ -592,8 +612,23 @@ def test_python_dash_m_runs_the_cli():
     assert _python("-m", "dduio", "--version").stdout.strip() == dduio.__version__
 
 
-def test_cli_import_leaves_out_the_slow_scipy_subpackages():
-    # scipy.integrate alone pulls in scipy.optimize and scipy.special
-    slow = ("scipy.integrate", "scipy.optimize", "scipy.special")
-    proc = _python("-c", f"import sys, dduio.cli; print([m for m in {slow!r} if m in sys.modules])")
-    assert proc.stdout.strip() == "[]"
+NO_SCIPY_PIPELINE = """
+import json, sys
+import dduio.cli
+cfg, out = sys.argv[1:]
+ds, gains = out + "/ds", out + "/gains.json"
+codes = [dduio.cli.main(argv) for argv in (
+    ["collect", "--config", cfg, "--out", ds],
+    ["check", "--config", cfg, "--data", ds],
+    ["design", "--config", cfg, "--method", "data", "--data", ds, "--out", gains],
+    ["run", "--config", cfg, "--gains", gains, "--out", out + "/run"],
+    ["compare", "--config", cfg, "--out", out + "/compare", "--k", "1"])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_no_command_path_loads_scipy(tmp_path, fast_config_path):
+    proc = _python("-c", NO_SCIPY_PIPELINE, fast_config_path, str(tmp_path))
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 0]
+    assert loaded == []

@@ -87,7 +87,9 @@ def test_detectability_cases(bench_model):
 
 
 def test_output_injection_scalar_pole_shift():
-    m, absc = stabilizing_output_injection(np.array([[1.0]]), np.array([[1.0]]), decay=1.0)
+    m, absc, shift = stabilizing_output_injection(np.array([[1.0]]), np.array([[1.0]]),
+                                                  decay=1.0)
+    assert shift == 1.0
     assert absc == 1.0 - m[0, 0]
     assert m[0, 0] > 2.0
     assert 1.0 - m[0, 0] <= -1.0
@@ -97,14 +99,65 @@ def test_output_injection_benchmark_leader(bench_model):
     node = bench_model.nodes[0]
     h = decoupling_gain(node.C, node.B_p)
     t = (np.eye(4) - h @ node.C) @ bench_model.A
-    m1, absc = stabilizing_output_injection(t, node.C, decay=0.5)
+    m1, absc, shift = stabilizing_output_injection(t, node.C, decay=0.5)
     assert spectral_abscissa(t - m1 @ node.C) == absc < -0.5
+    assert shift == 0.5
 
 
 def test_output_injection_hurwitz_with_useless_output():
     t = np.diag([-2.0, -3.0])
-    m, _ = stabilizing_output_injection(t, np.zeros((1, 2)), decay=1.0)
+    m, _, shift = stabilizing_output_injection(t, np.zeros((1, 2)), decay=1.0)
     assert spectral_abscissa(t - m @ np.zeros((1, 2))) < 0
+    assert shift == 1.0
+
+
+def test_output_injection_relaxes_the_shift_past_a_shallow_unobservable_mode():
+    # the mode at -0.2 is unobservable: shifts 0.5 and 0.25 make it unstable
+    t = np.diag([-0.2, 0.0])
+    m, absc, shift = stabilizing_output_injection(t, np.array([[0.0, 1.0]]), decay=0.5)
+    assert shift == 0.125
+    assert absc == -0.2 == spectral_abscissa(t - m @ np.array([[0.0, 1.0]]))
+
+
+def _scipy_care(a, b):
+    """The Riccati solve as the shift loop made it with scipy, ValueError included."""
+    try:
+        return scipy.linalg.solve_continuous_are(a, b, np.eye(a.shape[0]), np.eye(b.shape[1]))
+    except ValueError as exc:
+        raise np.linalg.LinAlgError(str(exc)) from None
+
+
+def _injection_outcome(t, c):
+    try:
+        return stabilizing_output_injection(t, c, decay=0.5)
+    except NumericsError:
+        return None
+
+
+@pytest.mark.parametrize("pair", ["(s-1)^14", "unstable-unobservable", "shallow-unobservable",
+                                  "preset", "sweep-4"])
+def test_output_injection_ends_as_the_scipy_solve_does(monkeypatch, pair):
+    if pair == "(s-1)^14":
+        t, c = scipy.linalg.companion(np.poly([1.0] * 14)), np.eye(14)[:1]
+    elif pair == "unstable-unobservable":
+        t, c = np.diag([1.0, -1.0]), np.array([[0.0, 1.0]])
+    elif pair == "shallow-unobservable":
+        t, c = np.diag([-0.2, 0.0]), np.array([[0.0, 1.0]])
+    else:
+        cfg = parse_config({} if pair == "preset" else sweep_plant_config(1, 4))
+        model = cfg.build_model()
+        gains = build_model_based_gains(model, cfg.build_graph(), cfg.design)
+        node = model.nodes[gains.leader]
+        t, c = (np.eye(model.n_x) - gains.H[gains.leader] @ node.C) @ model.A, node.C
+    got = _injection_outcome(t, c)
+    monkeypatch.setattr(design_model, "solve_care", _scipy_care)
+    want = _injection_outcome(t, c)
+    if want is None:
+        assert got is None
+        return
+    assert got.shift == want.shift
+    assert np.allclose(got.gain, want.gain, rtol=1e-8, atol=1e-10 * np.abs(want.gain).max())
+    assert got.abscissa == pytest.approx(want.abscissa, rel=1e-8)
 
 
 def test_single_node_degenerate_network():
@@ -263,7 +316,7 @@ def test_sweep_plant_is_certified_without_decomposing_the_coupled_matrix(
             built.append(out.shape)
             return out
         return spy
-    monkeypatch.setattr(scipy.linalg, "block_diag", record(scipy.linalg.block_diag))
+    monkeypatch.setattr(design_model, "block_diag", record(design_model.block_diag))
     monkeypatch.setattr(np, "kron", record(np.kron))
     with decomposition_spy() as calls:
         gains = build_model_based_gains(model, graph, cfg.design)
@@ -274,7 +327,10 @@ def test_sweep_plant_is_certified_without_decomposing_the_coupled_matrix(
     assert fallbacks == []
     followers = [e for i, e in enumerate(gains.E_obs) if i != gains.leader]
     assert followers_certified(followers, reduced_laplacian(graph, gains.leader), gains.gamma)
+    # the spies see the blocks that building the coupled matrix does make
+    before = len(built)
     assert spectral_abscissa(gains.error_matrix(graph.laplacian)) < HURWITZ_TOL
+    assert built[before:].count((gains.M * gains.n_x,) * 2) == 2
 
 
 def test_gamma_below_the_bound_takes_the_eigvals_fallback(bench_model, bench_graph,

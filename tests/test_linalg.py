@@ -1,0 +1,111 @@
+"""The numpy Riccati solve and block-diagonal helper, against scipy as the oracle."""
+import numpy as np
+import pytest
+import scipy.linalg
+
+from dduio.config import parse_config
+from dduio.design_model import decouple_node
+from dduio.linalg import block_diag, pbh_detectable, solve_care
+
+from conftest import load_bench_module
+
+sweep_plant_config = load_bench_module("workloads").sweep_plant_config
+
+SHIFTS = (0.5, 0.0)
+
+
+def scipy_care(a, b):
+    return scipy.linalg.solve_continuous_are(a, b, np.eye(a.shape[0]), np.eye(b.shape[1]))
+
+
+def relative_residual(a, b, x):
+    r = a.T @ x + x @ a - x @ b @ b.T @ x + np.eye(a.shape[0])
+    return np.linalg.norm(r) / max(1.0, np.linalg.norm(x))
+
+
+def relative_gap(x, want):
+    return np.linalg.norm(x - want) / np.linalg.norm(want)
+
+
+def leader_pair(raw):
+    """(T, C) of the first node with a detectable pair, as the model-side design picks it."""
+    cfg = parse_config(raw)
+    model = cfg.build_model()
+    for node in model.nodes:
+        t, _, _ = decouple_node(model.A, node.B_m, node.B_p, node.C)
+        if pbh_detectable(t, node.C):
+            return t, node.C
+    raise AssertionError("no detectable node")
+
+
+def unit_row(n, k):
+    c = np.zeros((1, n))
+    c[0, k] = 1.0
+    return c
+
+
+def companion(root, n):
+    return scipy.linalg.companion(np.poly([root] * n))
+
+
+OSCILLATOR = np.array([[0.0, 1.0], [-4.0, 0.0]])
+# Observable pairs whose Hamiltonians are close to defective or have repeated eigenvalues.
+STRESS = {
+    **{f"(s+1)^{n}": (companion(-1.0, n), unit_row(n, 0)) for n in (4, 8, 12)},
+    **{f"s^{n}": (companion(0.0, n), unit_row(n, n - 1)) for n in (4, 8, 12)},
+    **{f"jordan-{n}": (np.eye(n, k=1), unit_row(n, 0)) for n in (4, 8, 12)},
+    "twin-oscillators": (block_diag(OSCILLATOR, OSCILLATOR), np.eye(4)[[0, 2]]),
+}
+# The chains grow ill-conditioned with their order: the condition number of X
+# reaches 6e8 at order 8 and 8e13 at order 12 (shifted (s+1)^n), where the two
+# solvers differ by 6e-9 and 3e-6.
+STRESS_RTOL = {4: 1e-12, 8: 1e-7, 12: 1e-4}
+
+
+@pytest.mark.parametrize("plant", ["preset"] + [f"sweep-{i}" for i in range(5)])
+@pytest.mark.parametrize("shift", SHIFTS)
+def test_solve_care_matches_scipy_on_the_design_leaders(plant, shift):
+    raw = {} if plant == "preset" else sweep_plant_config(1, int(plant.removeprefix("sweep-")))
+    t, c = leader_pair(raw)
+    a, b = (t + shift * np.eye(t.shape[0])).T, c.T
+    x, want = solve_care(a, b), scipy_care(a, b)
+    assert relative_gap(x, want) < 1e-9
+    assert np.array_equal(x, x.T)
+    assert relative_residual(a, b, x) < 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(STRESS))
+@pytest.mark.parametrize("shift", SHIFTS)
+def test_solve_care_matches_scipy_on_stress_pairs(name, shift):
+    t, c = STRESS[name]
+    a, b = (t + shift * np.eye(t.shape[0])).T, c.T
+    x, want = solve_care(a, b), scipy_care(a, b)
+    assert relative_gap(x, want) < STRESS_RTOL[t.shape[0]]
+    assert np.max(np.linalg.eigvals(a - b @ b.T @ x).real) < 0
+
+
+ROTATION = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))[0]
+
+
+@pytest.mark.parametrize("case", ["unstable-unobservable", "unstable-unobservable-rotated",
+                                  "marginal-unobservable"])
+def test_solve_care_raises_without_a_stabilizing_solution(case):
+    # b reaches only the second state, so the first state's mode (1 or 0) cannot move
+    a = np.zeros((2, 2)) if case.startswith("marginal") else np.diag([1.0, -1.0])
+    b = np.array([[0.0], [1.0]])
+    if case.endswith("rotated"):
+        # U1 is then singular only to working precision (condition number 1e16)
+        a, b = ROTATION.T @ a @ ROTATION, ROTATION.T @ b
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy_care(a, b)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_care(a, b)
+
+
+def test_block_diag_matches_scipy():
+    rng = np.random.default_rng(3)
+    blocks = [rng.normal(size=shape) for shape in ((2, 3), (1, 1), (3, 2), (4, 4))]
+    out = block_diag(*blocks)
+    assert out.dtype == float
+    assert np.array_equal(out, scipy.linalg.block_diag(*blocks))
+    assert np.array_equal(block_diag(np.eye(2, dtype=int)), np.eye(2))
