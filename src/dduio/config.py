@@ -16,7 +16,7 @@ import yaml
 
 from .datagen import DataSection
 from .design_model import DESIGN_METHODS, DesignSection
-from .errors import ConfigError, DimensionError, GraphError, RankError
+from .errors import ConfigError, DimensionError, GraphError, NumericsError, RankError
 from .network import GENERATORS, SensorGraph, from_edges
 from .plant import PlantModel
 from .signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
@@ -119,11 +119,21 @@ def _check_range(value, where: str) -> None:
 
 
 def _check_autonomous(spec: dict, where: str) -> None:
-    """A square transition, with an initial state and a component that fit it."""
-    shape = np.atleast_2d(_matrix(spec["transition"], f"{where}.transition")).shape
+    """A square, finite, diagonalizable transition, with an initial state and a component
+    that fit it."""
+    transition = np.atleast_2d(_matrix(spec["transition"], f"{where}.transition"))
+    shape = transition.shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ConfigError(f"{where}.transition must be a square matrix, "
                           f"got {spec['transition']!r}")
+    if not np.isfinite(transition).all():
+        raise ConfigError(f"{where}.transition must be finite, got {spec['transition']!r}")
+    # AutonomousLinear evaluates through the eigenvectors, which a defective
+    # transition does not have: the modes it would use are wrong
+    cond = np.linalg.cond(np.linalg.eig(transition)[1])
+    if not cond < 1.0 / math.sqrt(np.finfo(float).eps):
+        raise ConfigError(f"{where}.transition must be diagonalizable, but its eigenvector "
+                          f"matrix has condition number {cond:.3g}")
     k, initial, component = shape[0], spec["initial"], spec.get("component", 0)
     if isinstance(initial, dict):
         _check_keys(initial, ("uniform",), (), f"{where}.initial")
@@ -211,7 +221,7 @@ def _parse_plant(section: dict) -> tuple:
                            None if scales is None else _matrix(scales, f"{where}.unknown_scales")))
     try:
         model = PlantModel.assemble(*matrices, node_specs)
-    except (DimensionError, RankError) as exc:
+    except (DimensionError, NumericsError, RankError) as exc:
         raise ConfigError(f"plant.{exc}") from exc
     inputs = tuple(_parse_signal(s, f"plant.inputs[{k}]")
                    for k, s in enumerate(section["inputs"]))

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ConsistencyError, DesignError, RankError
 from .datagen import NodeDataset
 from .design_model import DesignSection, DuioGains, assemble_from_blocks, decouple_node
-from .linalg import (DETECT_TOL, numerical_rank, rank_from_singular_values, singular_values,
-                     spectrum_and_pinv)
+from .linalg import (detectability_candidates, numerical_rank, rank_from_singular_values,
+                     singular_values, spectrum_and_pinv)
 from .network import SensorGraph
 
 
@@ -97,20 +97,18 @@ def check_data_detectability(ds: NodeDataset, t_x: np.ndarray, r_hat: int,
     closed right half-plane.  On consistent data its rank drops only at
     an invariant zero of (A, B_p, C), which is an unobservable eigenvalue
     of the recovered error matrix ``t_x``; so the pencil is ranked once at
-    each eigenvalue of ``t_x`` with Re >= -DETECT_TOL and Im >= 0, and
-    nowhere else: the data are real, so conj(s) gives the same rank.
+    each of ``t_x``'s ``detectability_candidates``, and nowhere else.
 
     ``t_x`` is the block of the structured solve of this dataset and
     ``r_hat`` its inferred unknown-input rank.
     """
     want = ds.n_x + ds.n_m + r_hat
-    for s in np.linalg.eigvals(t_x):
-        if s.real >= -DETECT_TOL and s.imag >= 0:
-            # row scaling keeps the rank and stops the top singular value from
-            # growing with |s|, which would otherwise inflate the threshold
-            pencil = np.vstack([(s * ds.X - ds.Xdot) / max(1.0, abs(s)), ds.U, ds.Y])
-            if numerical_rank(pencil, multiplier) != want:
-                return False
+    for s in detectability_candidates(t_x):
+        # row scaling keeps the rank and stops the top singular value from
+        # growing with |s|, which would otherwise inflate the threshold
+        pencil = np.vstack([(s * ds.X - ds.Xdot) / max(1.0, abs(s)), ds.U, ds.Y])
+        if numerical_rank(pencil, multiplier) != want:
+            return False
     return True
 
 

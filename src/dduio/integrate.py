@@ -130,7 +130,8 @@ def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float, divergence_l
     """States from ``x0`` of the rows of x' = a x + g s(t) below ``upper``'s.
 
     ``upper`` holds the first rows' states at every grid point (None: no
-    such rows); ``half_rows`` is ``_accumulate_drives``' source (None: no forcing).
+    such rows); ``half_rows`` is ``_accumulate_drives``' source, read only
+    when ``g`` has a column.
     """
     k = 0 if upper is None else upper.shape[1]
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -140,7 +141,7 @@ def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float, divergence_l
     with np.errstate(over="ignore", invalid="ignore"):
         if k:
             np.matmul(upper[:-1], phi[k:, :k].T, out=out[1:])
-        if half_rows is not None:
+        if g.size:
             _accumulate_drives(out, g, [w[k:] for w in weights], half_rows, n_steps)
         _recur(out, np.ascontiguousarray(phi[k:, k:]), n_steps)
         _check_divergence(out[1:], dt, divergence_limit)
@@ -157,9 +158,7 @@ def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
     """
     def half_rows(i, k):
         return _half_step_samples(generators, 2 * i, 2 * k + 1, dt)
-    forced = g.size > 0 and len(generators) > 0
-    return _integrate(a, g, half_rows if forced else None, None, x0, n_steps, dt,
-                      divergence_limit)
+    return _integrate(a, g, half_rows, None, x0, n_steps, dt, divergence_limit)
 
 
 def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper: np.ndarray,
@@ -175,6 +174,5 @@ def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper: np.n
     """
     def half_rows(i, k):
         return table[2 * i:2 * k + 1]
-    forced = g.size > 0 and table.shape[1] > 0
-    return _integrate(a, g, half_rows if forced else None, upper, lower0,
-                      upper.shape[0] - 1, dt, divergence_limit)
+    return _integrate(a, g, half_rows, upper, lower0, upper.shape[0] - 1, dt,
+                      divergence_limit)

@@ -113,17 +113,20 @@ def solve_care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (x + x.T) / 2
 
 
-def pbh_detectable(a: np.ndarray, c: np.ndarray, multiplier: float | None = None) -> bool:
-    """PBH test: every eigenvalue of ``a`` with Re >= -DETECT_TOL must be observable.
+def detectability_candidates(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of real ``a`` a detectability test ranks: Re >= -DETECT_TOL,
+    and of a conjugate pair only the member with Im >= 0 (a real pencil has the
+    same rank at both)."""
+    lam = np.linalg.eigvals(a)
+    return lam[(lam.real >= -DETECT_TOL) & (lam.imag >= 0)]
 
-    rank([lam*I - a; c]) = n at each such eigenvalue is equivalent to
-    detectability of the pair (a, c).  Both are real, so of a conjugate
-    pair only the member with Im >= 0 is ranked.
-    """
+
+def pbh_detectable(a: np.ndarray, c: np.ndarray, multiplier: float | None = None) -> bool:
+    """PBH test: (a, c) is detectable exactly when rank([lam*I - a; c]) = n at
+    every ``detectability_candidates`` eigenvalue lam of ``a``."""
     n = a.shape[0]
-    for lam in np.linalg.eigvals(a):
-        if lam.real >= -DETECT_TOL and lam.imag >= 0:
-            pencil = np.vstack([lam * np.eye(n) - a, c.astype(complex)])
-            if numerical_rank(pencil, multiplier) < n:
-                return False
+    for lam in detectability_candidates(a):
+        pencil = np.vstack([lam * np.eye(n) - a, c.astype(complex)])
+        if numerical_rank(pencil, multiplier) < n:
+            return False
     return True

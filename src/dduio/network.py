@@ -1,6 +1,7 @@
 """Communication graph, its Laplacian, and the reduced-Laplacian certificate."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,33 +60,20 @@ class SensorGraph:
 
 
 def ring(m: int, weight: float = 1.0) -> SensorGraph:
-    if m <= 2:
-        # the wrap-around edge would be a self-loop or a repeat of the one edge
-        return path(m, weight)
-    a = np.zeros((m, m))
-    for i in range(m):
-        j = (i + 1) % m
-        a[i, j] = a[j, i] = weight
-    return SensorGraph(a)
+    # below three nodes the wrap-around edge would be a self-loop or a repeat
+    return from_edges(m, [(i, (i + 1) % m) for i in range(m if m > 2 else m - 1)], weight)
 
 
 def complete(m: int, weight: float = 1.0) -> SensorGraph:
-    a = weight * (np.ones((m, m)) - np.eye(m))
-    return SensorGraph(a)
+    return from_edges(m, itertools.combinations(range(m), 2), weight)
 
 
 def star(m: int, weight: float = 1.0) -> SensorGraph:
-    a = np.zeros((m, m))
-    a[0, 1:] = weight
-    a[1:, 0] = weight
-    return SensorGraph(a)
+    return from_edges(m, [(0, j) for j in range(1, m)], weight)
 
 
 def path(m: int, weight: float = 1.0) -> SensorGraph:
-    a = np.zeros((m, m))
-    for i in range(m - 1):
-        a[i, i + 1] = a[i + 1, i] = weight
-    return SensorGraph(a)
+    return from_edges(m, [(i, i + 1) for i in range(m - 1)], weight)
 
 
 def from_edges(m: int, edges, weight: float) -> SensorGraph:

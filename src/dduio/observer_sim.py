@@ -10,7 +10,6 @@ then advances every observer network's block from that plant trajectory.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .errors import DimensionError
 from .integrate import DRIVE_ROWS, rk4_linear, rk4_lower_block, tabulate
 from .linalg import block_diag
 from .network import SensorGraph
-from .plant import PlantModel
+from .plant import PlantModel, check_scenario
 from .signals import Tabulated
 
 
@@ -86,16 +85,10 @@ def _closed_loop(model: PlantModel, graph: SensorGraph, gains: DuioGains):
     a_cl[n:, :n] = l_blk @ c_stack - gains.consensus(graph.laplacian) @ h_blk @ c_stack
     a_cl[n:, n:] = gains.error_matrix(graph.laplacian)
 
-    select = np.zeros((sum(node.n_m for node in model.nodes), model.n_u))
-    row = 0
-    for node in model.nodes:
-        for k in node.known_input_indices:
-            select[row, k] = 1.0
-            row += 1
     g_cl = np.zeros((dim, model.n_u + model.n_d))
-    g_cl[:n, :model.n_u] = model.B
-    g_cl[:n, model.n_u:] = model.E_dist
-    g_cl[n:, :model.n_u] = block_diag(*gains.F) @ select
+    g_cl[:n] = np.hstack([model.B, model.E_dist])
+    for i, node in enumerate(model.nodes):
+        g_cl[n * (1 + i):n * (2 + i), list(node.known_input_indices)] = gains.F[i]
     return a_cl, g_cl
 
 
@@ -115,21 +108,17 @@ def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
                  inputs, disturbances, horizon: float, dt: float):
     """Yield one RunResult per (gains, z0) of ``observers``, all on one scenario.
 
-    The signals are tabulated once on RK4's half-step grid, and the plant is
-    integrated once from ``x0``, by the call ``plant.simulate`` makes.  Every
+    The scenario is checked by ``plant.check_scenario``.  The signals are
+    tabulated once on RK4's half-step grid, and the plant is integrated
+    once from ``x0``, by the call ``plant.simulate`` makes.  Every
     network then advances only its observer block, z_{j+1} = Phi_zz z_j +
     Phi_zx x_j + d_z,j, from that trajectory, so each result is ``run``'s
     bit for bit.  The pass keeps only the current network's states, so a
     caller that drops each result holds one network's full-length arrays at
     a time.  A ``z0`` of None means zero observer states.
     """
-    if not (0 < dt <= horizon < math.inf):
-        raise DimensionError(f"need 0 < dt <= horizon < inf, got dt={dt:g}, "
-                             f"horizon={horizon:g}")
+    x0, gens, n_steps = check_scenario(model, x0, inputs, disturbances, horizon, dt)
     n, m_nodes = model.n_x, model.M
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != n:
-        raise DimensionError(f"x0 has length {x0.size}, expected {n}")
     starts = []
     for gains, z0 in observers:
         _check_dimensions(model, graph, gains)
@@ -137,13 +126,8 @@ def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
         if z0.size != m_nodes * n:
             raise DimensionError(f"z0 has {z0.size} entries, expected M*n_x = {m_nodes * n}")
         starts.append((gains, z0.reshape(m_nodes * n)))
-    gens = list(inputs) + list(disturbances)
-    if len(gens) != model.n_u + model.n_d:
-        raise DimensionError(
-            f"need {model.n_u + model.n_d} signal generators, got {len(gens)}")
     if not starts:
         return
-    n_steps = int(round(horizon / dt))
     t = np.arange(n_steps + 1) * dt
     table = tabulate(gens, n_steps, dt)
     x = rk4_linear(model.A, np.hstack([model.B, model.E_dist]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, RankError
+from .errors import DimensionError, NumericsError, RankError
 from .integrate import rk4_linear
 from .linalg import numerical_rank
 
@@ -74,8 +74,8 @@ class PlantModel:
         ``unknown_scales`` rescales the node's view of each unknown input
         column of B (None: all ones); disturbance columns are never
         rescaled.  A 1-D ``E_dist`` is one disturbance column, an empty
-        one none.  Every shape is checked before anything is stacked, and
-        every node's B_p must have full column rank.
+        one none.  Every shape is checked before anything is stacked, every
+        entry must be finite, and every node's B_p must have full column rank.
         """
         A, B, E_dist = (np.asarray(m, dtype=float) for m in (A, B, E_dist))
         if E_dist.size == 0:
@@ -88,6 +88,8 @@ class PlantModel:
             if m.ndim != 2 or m.shape[0] != A.shape[0]:
                 raise DimensionError(f"{name} must be a matrix with {A.shape[0]} rows, "
                                      f"got shape {m.shape}")
+        for name, m in (("A", A), ("B", B), ("E", E_dist)):
+            _require_finite(m, name)
         n_x, n_u = B.shape
         nodes = []
         for i, (C, known, scales) in enumerate(node_specs):
@@ -95,6 +97,7 @@ class PlantModel:
             if C.ndim != 2 or C.shape[1] != n_x:
                 raise DimensionError(f"nodes[{i}].C must be a matrix with {n_x} columns, "
                                      f"got shape {C.shape}")
+            _require_finite(C, f"nodes[{i}].C")
             if not (isinstance(known, (list, tuple))
                     and all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                             and 0 <= k < n_u for k in known)
@@ -107,6 +110,7 @@ class PlantModel:
             if scales.shape != (len(unknown),) or np.any(scales == 0.0):
                 raise DimensionError(f"nodes[{i}].unknown_scales must be {len(unknown)} "
                                      f"nonzero numbers, got {scales.tolist()!r}")
+            _require_finite(scales, f"nodes[{i}].unknown_scales")
             B_p = np.hstack([B[:, unknown] * scales, E_dist])
             if B_p.shape[1] and numerical_rank(B_p) < B_p.shape[1]:
                 raise RankError(f"nodes[{i}].B_p must have full column rank {B_p.shape[1]}")
@@ -115,6 +119,11 @@ class PlantModel:
         if not nodes:
             raise DimensionError("nodes must hold at least one sensor node")
         return PlantModel(A=A, B=B, E_dist=E_dist, nodes=tuple(nodes))
+
+
+def _require_finite(m: np.ndarray, name: str) -> None:
+    if not np.isfinite(m).all():
+        raise NumericsError(f"{name} has a non-finite entry")
 
 
 def node_unknown_input(model: PlantModel, i: int, u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -142,14 +151,12 @@ class Trajectory:
     d: np.ndarray
 
 
-def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float,
-             dt: float) -> Trajectory:
-    """Integrate the plant with classical fixed-step RK4.
-
-    ``inputs`` holds one scalar generator per column of B and
-    ``disturbances`` one per column of E.  Sample instants are j * dt
-    for j = 0 .. round(horizon / dt).
-    """
+def check_scenario(model: PlantModel, x0, inputs, disturbances, horizon: float,
+                   dt: float) -> tuple[np.ndarray, list, int]:
+    """Refuse a scenario unless 0 < dt <= horizon < inf, ``x0`` has n_x entries,
+    ``inputs`` one generator per column of B and ``disturbances`` one per
+    column of E.  Returns x0 flat, the generators stacked inputs first, and
+    the step count round(horizon / dt)."""
     if not (0 < dt <= horizon < math.inf):
         raise DimensionError(f"need 0 < dt <= horizon < inf, got dt={dt:g}, "
                              f"horizon={horizon:g}")
@@ -160,11 +167,17 @@ def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float,
         raise DimensionError(f"need {model.n_u} input generators, got {len(inputs)}")
     if len(disturbances) != model.n_d:
         raise DimensionError(f"need {model.n_d} disturbance generators, got {len(disturbances)}")
+    return x0, list(inputs) + list(disturbances), int(round(horizon / dt))
 
-    gens = list(inputs) + list(disturbances)
-    g = np.hstack([model.B, model.E_dist])
-    n_steps = int(round(horizon / dt))
-    x = rk4_linear(model.A, g, gens, x0, n_steps, dt)
+
+def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float,
+             dt: float) -> Trajectory:
+    """Integrate the plant with classical fixed-step RK4 after ``check_scenario``.
+
+    Sample instants are j * dt for j = 0 .. round(horizon / dt).
+    """
+    x0, gens, n_steps = check_scenario(model, x0, inputs, disturbances, horizon, dt)
+    x = rk4_linear(model.A, np.hstack([model.B, model.E_dist]), gens, x0, n_steps, dt)
 
     t = np.arange(n_steps + 1) * dt
     u = np.column_stack([gen.sample(t) for gen in inputs]) if inputs else np.zeros((t.size, 0))

@@ -1,4 +1,6 @@
 """Configuration schema: validation, defaults, preset expansion."""
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -504,6 +506,48 @@ def test_bad_plant_rejected_at_parse_time_by_every_command(tmp_path, capsys, raw
         assert main([*argv, "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: plant.")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key, where", [
+    ("A", "plant.A"), ("B", "plant.B"), ("E", "plant.E"), ("C", "plant.nodes[0].C"),
+    ("unknown_scales", "plant.nodes[0].unknown_scales")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_plant_entry_rejected_at_parse_time(tmp_path, capsys, key, where, bad):
+    raw = _preset_plant()
+    matrix = (raw["plant"]["nodes"][0] if key in ("C", "unknown_scales") else raw["plant"])[key]
+    (matrix[-1] if isinstance(matrix[-1], list) else matrix)[-1] = float(bad)
+    message = f"{where} has a non-finite entry"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(raw)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    for argv in (["collect", "--out", str(out)], ["check", "--data", str(out)],
+                 ["design", "--method", "model", "--out", str(out)]):
+        assert main([*argv, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("transition, message", [
+    # evaluated through its eigenvectors, [[0, 1], [0, 0]] from [1, 1] would
+    # read 0 at t = 1 (true value 2) and [[-1, 1], [0, -1]] 0.25 (true 2/e)
+    ([[0, 1], [0, 0]], "must be diagonalizable, but its eigenvector matrix has condition number"),
+    ([[-1, 1], [0, -1]], "must be diagonalizable, but its eigenvector matrix has condition number"),
+    ([[0, 1], [np.nan, 0]], "must be finite")])
+def test_defective_transition_rejected_at_parse_time(transition, message):
+    raw = _preset_signal(section="inputs", kind="autonomous-linear", transition=transition,
+                         initial=[1.0, 1.0])
+    with pytest.raises(ConfigError, match=re.escape(f"plant.inputs[0].transition {message}")):
+        parse_config(raw)
+
+
+def test_rotation_transition_and_the_preset_parse():
+    raw = _preset_signal(section="inputs", kind="autonomous-linear",
+                         transition=[[0, 1], [-1, 0]], initial=[1.0, 1.0])
+    signal = parse_config(raw).build_inputs(0)[0]
+    assert np.allclose(signal.sample(np.array([0.0, np.pi / 2])), [1.0, 1.0])
+    assert isinstance(parse_config({}).build_inputs(0)[0], AutonomousLinear)
 
 
 def test_signal_builders_are_seed_deterministic():

@@ -218,6 +218,22 @@ def test_run_refuses_nan_and_infinite_times(bench_model, bench_graph, model_gain
             horizon=horizon, dt=dt)
 
 
+def test_run_refuses_inputs_standing_in_for_disturbances(bench_model, bench_graph,
+                                                         model_gains):
+    # three input generators and no disturbance one: the total matches n_u + n_d,
+    # the split does not, and every scenario path refuses it as simulate does
+    inputs, dist = bench_signals(5, 6, 1e-3)
+    args = (np.zeros(4), [*inputs, *dist], [])
+    message = "need 2 input generators, got 3"
+    with pytest.raises(DimensionError, match=message):
+        simulate(bench_model, *args, horizon=1.0, dt=1e-3)
+    with pytest.raises(DimensionError, match=message):
+        run(bench_model, bench_graph, model_gains, *args, horizon=1.0, dt=1e-3)
+    with pytest.raises(DimensionError, match=message):
+        next(run_scenario(bench_model, bench_graph, [(model_gains, None)] * 2, *args,
+                          horizon=1.0, dt=1e-3))
+
+
 def test_divergent_plant_raises_at_the_time_simulate_does(bench_model, bench_graph,
                                                           model_gains):
     unstable = dataclasses.replace(bench_model, A=bench_model.A + 10.0 * np.eye(4))
