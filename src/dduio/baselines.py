@@ -20,7 +20,7 @@ from .design_model import (DesignSection, DuioGains, assemble_from_node_matrices
                            build_model_based_gains)
 from .errors import DesignError, DimensionError, EmptyRunError, RankError
 from .network import SensorGraph
-from .observer_sim import RunResult, run, run_scenario
+from .observer_sim import RunResult, run_scenario
 from .plant import PlantModel
 
 METHOD_LABELS = {"model": "model-based", "data": "data-driven", "id": "identification-based"}
@@ -95,35 +95,19 @@ class MetricSummary:
     experiments: int
 
 
-def run_experiment(config, model: PlantModel, graph: SensorGraph, gains: DuioGains,
-                   seed: int) -> tuple[RunResult, MethodMetrics]:
-    """One closed-loop run of ``gains`` on the online scenario drawn from ``seed``.
+def run_experiment(config, model: PlantModel, graph: SensorGraph, designs, seed: int):
+    """An iterator of one RunResult per gains in ``designs``, all on ``seed``'s scenario.
 
     The initial state and the signals are pure functions of the seed, so
-    every method run with one seed meets the same scenario.
+    every design meets the same scenario, simulated once (``run_scenario``).
+    A caller that drops each result before taking the next holds one
+    network's arrays at a time.
     """
     x0 = config.draw_x0(seed)
-    z0 = config.initial_observer_states(x0, model, gains)
-    result = run(model, graph, gains, x0, config.build_inputs(seed),
-                 config.build_disturbances(seed), horizon=config.run.horizon,
-                 dt=config.run.dt, z0=z0)
-    return result, compute_mse_mae(result)
-
-
-def experiment_metrics(config, model: PlantModel, graph: SensorGraph, designs,
-                       seed: int):
-    """The metrics of each gains in ``designs`` on the scenario drawn from ``seed``.
-
-    One scenario pass: the plant and the signals are simulated once for all
-    designs, and each run is dropped once its metrics are taken.  Each
-    entry equals ``run_experiment``'s metrics to rounding.
-    """
-    x0 = config.draw_x0(seed)
-    runs = run_scenario(model, graph,
+    return run_scenario(model, graph,
                         [(g, config.initial_observer_states(x0, model, g)) for g in designs],
                         x0, config.build_inputs(seed), config.build_disturbances(seed),
                         horizon=config.run.horizon, dt=config.run.dt)
-    return list(map(compute_mse_mae, runs))
 
 
 def _derived_seed(*parts) -> int:
@@ -174,7 +158,7 @@ def monte_carlo_compare(config, K: int, master_seed: int,
     Every experiment draws a fresh initial state, fresh online signal
     realizations, and fresh offline datasets (for the data-driven and
     identification methods), designs every method, then runs them all in
-    one pass over the identical online scenario (``experiment_metrics``).
+    one pass over the identical online scenario (``run_experiment``).
     Identical seeds reproduce identical summaries.
     When ``artifacts_dir`` is given, per-experiment metrics are written
     under it as k_###/metrics.json.
@@ -196,8 +180,10 @@ def monte_carlo_compare(config, K: int, master_seed: int,
                    else design_for_method(method, config, model, graph, datasets)
                    for method in methods]
         experiment_record = {"experiment": k, "seed": exp_seed, "methods": {}}
-        for method, metrics in zip(methods, experiment_metrics(config, model, graph,
-                                                               designs, exp_seed)):
+        # map, not a loop over the results: no result stays bound while the
+        # next network is integrated
+        runs = run_experiment(config, model, graph, designs, exp_seed)
+        for method, metrics in zip(methods, map(compute_mse_mae, runs)):
             per_method[method].append(metrics)
             experiment_record["methods"][method] = metrics.to_json_dict()
         if artifacts_dir is not None:

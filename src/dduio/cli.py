@@ -16,8 +16,8 @@ import yaml
 
 from . import __version__
 from ._csvio import write_json
-from .baselines import (collect_all_nodes, design_for_method, monte_carlo_compare,
-                        run_experiment, write_comparison_table)
+from .baselines import (collect_all_nodes, compute_mse_mae, design_for_method,
+                        monte_carlo_compare, run_experiment, write_comparison_table)
 from .config import DESIGN_METHODS, ExperimentConfig, parse_config, write_resolved
 from .datagen import load_dataset, save_dataset
 from .design_data import analyze_datasets
@@ -154,7 +154,8 @@ def cmd_run(args) -> int:
     if not (isinstance(payload, dict) and isinstance(payload.get("gains"), dict)):
         raise DuioError(f"gains file {args.gains} has no top-level 'gains' object")
     gains = DuioGains.from_json_dict(payload["gains"])
-    result, metrics = run_experiment(cfg, model, graph, gains, cfg.seed)
+    (result,) = run_experiment(cfg, model, graph, [gains], cfg.seed)
+    metrics = compute_mse_mae(result)
     os.makedirs(args.out, exist_ok=True)
     export_run(result, args.out, extra_summary={
         **metrics.to_json_dict(), "seed": cfg.seed, "method": gains.method})

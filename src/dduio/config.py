@@ -369,18 +369,17 @@ class ExperimentConfig:
     def build_graph(self) -> SensorGraph:
         return self.graph
 
+    def _build_signals(self, specs, stream: int, seed) -> list:
+        children = np.random.SeedSequence([int(seed), stream]).spawn(len(specs))
+        return [spec.build(child, self.run.dt) for spec, child in zip(specs, children)]
+
     def build_inputs(self, seed) -> list:
-        children = np.random.SeedSequence([int(seed), 1]).spawn(len(self.inputs))
-        return [spec.build(children[k], self.run.dt)
-                for k, spec in enumerate(self.inputs)]
+        return self._build_signals(self.inputs, 1, seed)
 
     def build_disturbances(self, seed) -> list:
         if not self.run.disturbance:
             return [Zero() for _ in self.disturbances]
-        children = np.random.SeedSequence([int(seed), 2]).spawn(
-            max(len(self.disturbances), 1))
-        return [spec.build(children[k], self.run.dt)
-                for k, spec in enumerate(self.disturbances)]
+        return self._build_signals(self.disturbances, 2, seed)
 
     def draw_x0(self, seed) -> np.ndarray:
         if self.run.x0 is not None:

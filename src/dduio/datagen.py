@@ -177,7 +177,7 @@ def collect(model: PlantModel, i: int, data: DataSection, *, seed: int,
         rng_pick = np.random.default_rng(children[1])
         rng_noise = np.random.default_rng(children[2])
         inputs, dist = _default_excitation(model, data, children[3:])
-        cols_u, cols_y, cols_yd, cols_x, cols_xd, cols_w, times = [], [], [], [], [], [], []
+        picks = []
         for n_k in per_seg:
             grid = 2 * n_k * substeps if data.jitter else n_k * substeps
             traj = simulate(model, rng_x0.uniform(-1.0, 1.0, model.n_x), inputs, dist,
@@ -186,25 +186,18 @@ def collect(model: PlantModel, i: int, data: DataSection, *, seed: int,
                 idx = np.sort(rng_pick.choice(grid + 1, size=n_k, replace=False))
             else:
                 idx = np.arange(n_k) * substeps
-            x, xdot, u = traj.x[idx], traj.xdot[idx], traj.u[idx]
-            cols_u.append(u[:, list(node.known_input_indices)])
-            cols_y.append(x @ node.C.T)
-            cols_yd.append(xdot @ node.C.T)
-            cols_x.append(x)
-            cols_xd.append(xdot)
-            cols_w.append(node_unknown_input(model, i, u, traj.d[idx]))
-            times.append(traj.t[idx])
-        Y = np.vstack(cols_y).T
-        Ydot = np.vstack(cols_yd).T
+            picks.append((traj.t[idx], traj.x[idx], traj.xdot[idx], traj.u[idx], traj.d[idx]))
+        t, x, xdot, u, d = (np.concatenate(rows) for rows in zip(*picks))
+        Y = (x @ node.C.T).T
+        Ydot = (xdot @ node.C.T).T
         noise = data.noise_amplitude
         if noise > 0:
             Y = Y + rng_noise.uniform(-noise, noise, Y.shape)
             Ydot = Ydot + rng_noise.uniform(-noise, noise, Ydot.shape)
-        ds = NodeDataset(U=np.vstack(cols_u).T, Y=Y, Ydot=Ydot,
-                         X=np.vstack(cols_x).T, Xdot=np.vstack(cols_xd).T,
-                         W_validation=np.vstack(cols_w).T,
-                         sample_times=np.concatenate(times),
-                         node_index=i, seed=int(seed))
+        ds = NodeDataset(U=u[:, list(node.known_input_indices)].T, Y=Y, Ydot=Ydot,
+                         X=x.T, Xdot=xdot.T,
+                         W_validation=node_unknown_input(model, i, u, d).T,
+                         sample_times=t, node_index=i, seed=int(seed))
         if check_excitation_rank(ds, rank_multiplier).ok:
             return ds
         last = ds

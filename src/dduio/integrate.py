@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DimensionError, DivergenceError
 
 DIVERGENCE_LIMIT = 1e12
 STRIDE = 16
@@ -126,6 +126,12 @@ def _check_divergence(states: np.ndarray, dt: float, divergence_limit: float) ->
             f"state magnitude {float(m)!r} exceeded {divergence_limit:g} at t={t:.6g}", t=t)
 
 
+def _check_forcing(g: np.ndarray, count: int) -> None:
+    """One forcing signal per column of ``g``."""
+    if g.shape[1] != count:
+        raise DimensionError(f"{count} forcing signals for the {g.shape[1]} columns of g")
+
+
 def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float, divergence_limit: float):
     """States from ``x0`` of the rows of x' = a x + g s(t) below ``upper``'s.
 
@@ -156,6 +162,8 @@ def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
     evaluated at the stage times (t, t + dt/2, t + dt), so smooth signals
     retain the full fourth-order accuracy of the method.
     """
+    _check_forcing(g, len(generators))
+
     def half_rows(i, k):
         return _half_step_samples(generators, 2 * i, 2 * k + 1, dt)
     return _integrate(a, g, half_rows, None, x0, n_steps, dt, divergence_limit)
@@ -172,6 +180,8 @@ def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper: np.n
     they equal rk4_linear's to rounding, since one RK4 step of such a
     system is block lower triangular too.
     """
+    _check_forcing(g, table.shape[1])
+
     def half_rows(i, k):
         return table[2 * i:2 * k + 1]
     return _integrate(a, g, half_rows, upper, lower0, upper.shape[0] - 1, dt,

@@ -28,6 +28,8 @@ class SensorGraph:
         object.__setattr__(self, "adjacency", a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise GraphError(f"adjacency must be square, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise GraphError("adjacency weights must be finite")
         if not np.allclose(a, a.T, atol=1e-12):
             raise GraphError("adjacency must be symmetric (undirected graph)")
         if np.any(a < 0):

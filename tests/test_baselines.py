@@ -7,13 +7,13 @@ import pytest
 import scipy.integrate
 
 from dduio.baselines import (build_identified_gains, collect_all_nodes, compute_mse_mae,
-                             design_for_method, experiment_metrics, identify_least_squares,
-                             monte_carlo_compare, run_experiment, write_comparison_table)
+                             design_for_method, identify_least_squares, monte_carlo_compare,
+                             run_experiment, write_comparison_table)
 from dduio.config import ExperimentConfig, parse_config
 from dduio.design_model import DesignSection
 from dduio.errors import DesignError, EmptyRunError, RankError
 from dduio.linalg import spectral_abscissa
-from dduio.observer_sim import RunResult
+from dduio.observer_sim import RunResult, run
 
 from conftest import (BENCH_GAMMA, CountedSignal, bench_signals, coupling_matrix,
                       load_bench_module, pointwise_dataset)
@@ -170,10 +170,27 @@ def test_experiment_metrics_match_one_run_per_design(small_compare_config):
     model, graph = cfg.build_model(), cfg.build_graph()
     datasets = collect_all_nodes(cfg, model, 8)
     designs = [design_for_method(m, cfg, model, graph, datasets) for m in cfg.compare.methods]
-    for got, gains in zip(experiment_metrics(cfg, model, graph, designs, 9), designs):
-        _, want = run_experiment(cfg, model, graph, gains, 9)
-        for stat in ("mse", "mae"):
-            assert getattr(got, stat) == pytest.approx(getattr(want, stat), rel=1e-13, abs=0)
+    x0 = cfg.draw_x0(9)
+    pass_metrics = map(compute_mse_mae, run_experiment(cfg, model, graph, designs, 9))
+    for got, gains in zip(pass_metrics, designs):
+        want = compute_mse_mae(run(model, graph, gains, x0, cfg.build_inputs(9),
+                                   cfg.build_disturbances(9), horizon=cfg.run.horizon,
+                                   dt=cfg.run.dt,
+                                   z0=cfg.initial_observer_states(x0, model, gains)))
+        assert (got.mse, got.mae) == (want.mse, want.mae)
+        assert np.array_equal(got.mse_per_node, want.mse_per_node)
+        assert np.array_equal(got.mae_per_node, want.mae_per_node)
+
+
+def _peak_bytes(call) -> int:
+    """tracemalloc's peak over ``call()``, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_experiment_pass_holds_one_design_at_a_time():
@@ -183,18 +200,26 @@ def test_experiment_pass_holds_one_design_at_a_time():
     designs = [design_for_method(m, cfg, model, graph, datasets) for m in cfg.compare.methods]
 
     def peak(gains_list):
-        experiment_metrics(cfg, model, graph, gains_list, 3)
-        tracemalloc.start()
-        try:
-            experiment_metrics(cfg, model, graph, gains_list, 3)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _peak_bytes(lambda: list(map(compute_mse_mae,
+                                            run_experiment(cfg, model, graph, gains_list, 3))))
 
     # every pass tabulates the signals and integrates the plant once, and
     # holds one design's states at a time
     assert len(designs) == 3
     assert peak(designs) - peak(designs[:1]) <= 2 ** 20
+
+
+def test_compare_holds_one_run_at_a_time():
+    three = parse_config({})
+    one = parse_config({"compare": {"methods": ["model"]}})
+    assert len(three.compare.methods) == 3
+
+    def peak(cfg):
+        return _peak_bytes(lambda: monte_carlo_compare(cfg, K=1, master_seed=3))
+
+    # scoring a run keeps nothing of it, so the next network's integration
+    # starts with one run's arrays freed
+    assert peak(three) - peak(one) <= 2 ** 20
 
 
 def test_compare_samples_each_online_signal_once_per_experiment(monkeypatch,

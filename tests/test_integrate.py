@@ -8,9 +8,9 @@ import pytest
 from dduio import integrate
 from dduio.config import parse_config
 from dduio.design_model import build_model_based_gains
-from dduio.errors import DivergenceError
+from dduio.errors import DimensionError, DivergenceError
 from dduio.observer_sim import _closed_loop, error_dynamics_matrix
-from dduio.signals import PiecewiseConstantRandom, Sinusoid
+from dduio.signals import PiecewiseConstantRandom, Sinusoid, Zero
 
 from conftest import simulate_error_dynamics
 
@@ -233,3 +233,18 @@ def test_lower_block_divergence_raises_at_the_full_system_time():
         integrate.rk4_lower_block(a, g, integrate.tabulate(gens, n_steps, dt), upper,
                                   x0[2:], dt, 1e6)
     assert err.value.t == ref.value.t
+
+
+@pytest.mark.parametrize("gens", [[Zero()], []])
+def test_generator_count_must_match_the_columns_of_g(gens):
+    with pytest.raises(DimensionError, match=f"^{len(gens)} forcing signals for the 2 "):
+        integrate.rk4_linear(-np.eye(2), np.ones((2, 2)), gens, np.ones(2), 3, 0.1)
+
+
+def test_lower_block_table_width_must_match_the_columns_of_g():
+    rng = np.random.default_rng(3)
+    a, g, gens = _lower_triangular_system(rng, 2, 3)
+    upper = integrate.rk4_linear(a[:2, :2], g[:2], gens, np.ones(2), 3, 0.1)
+    table = integrate.tabulate(gens[:1], 3, 0.1)
+    with pytest.raises(DimensionError, match="^1 forcing signals for the 2 columns of g$"):
+        integrate.rk4_lower_block(a, g, table, upper, np.ones(3), 0.1)

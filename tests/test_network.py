@@ -85,6 +85,14 @@ def test_graph_invariants_rejected():
         from_edges(3, [(1, 1)], 1.0)
 
 
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_non_finite_weight_rejected(weight):
+    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    a[0, 1] = a[1, 0] = weight
+    with pytest.raises(GraphError, match="^adjacency weights must be finite$"):
+        SensorGraph(a)
+
+
 def test_from_edges_weights():
     g = from_edges(3, [(0, 1), (1, 2, 0.5)], 2.0)
     assert np.array_equal(g.adjacency, [[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
