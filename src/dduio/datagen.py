@@ -15,7 +15,7 @@ import numpy as np
 
 from ._csvio import read_csv, write_csv, write_json
 from .errors import DimensionError, DuioError, ExcitationError, OracleUnavailableError
-from .linalg import numerical_rank, rank_from_singular_values, singular_values
+from .linalg import Rank, decide_rank, numerical_rank
 from .plant import PlantModel, node_unknown_input, simulate
 from .signals import PiecewiseConstantRandom
 
@@ -82,16 +82,9 @@ class NodeDataset:
         return replace(self, W_validation=None)
 
 
-@dataclass(frozen=True)
-class RankReport:
-    ok: bool
-    rank: int
-    required: int
-    singular_values: np.ndarray
-
-
-def check_excitation_rank(ds: NodeDataset, multiplier: float | None = None) -> RankReport:
-    """Full-row-rank test of the stacked [U; W; X] data matrix.
+def check_excitation_rank(ds: NodeDataset, multiplier: float | None = None) -> Rank:
+    """The rank decision on the stacked [U; W; X] data matrix, whose n_m + r + n_x
+    rows the excitation must span.
 
     This is a generation-time oracle: it needs the ground-truth unknown
     inputs, which the design path never sees.
@@ -99,11 +92,7 @@ def check_excitation_rank(ds: NodeDataset, multiplier: float | None = None) -> R
     if ds.W_validation is None:
         raise OracleUnavailableError(
             "rank check needs W_validation; it is absent from this dataset")
-    stack = np.vstack([ds.U, ds.W_validation, ds.X])
-    required = stack.shape[0]
-    sv = singular_values(stack)
-    rank = rank_from_singular_values(sv, stack.shape, multiplier)
-    return RankReport(ok=rank == required, rank=rank, required=required, singular_values=sv)
+    return decide_rank(np.vstack([ds.U, ds.W_validation, ds.X]), multiplier)
 
 
 def check_compatibility(ds: NodeDataset, sample, tol: float = 1e-8) -> tuple[bool, float]:
@@ -198,7 +187,7 @@ def collect(model: PlantModel, i: int, data: DataSection, *, seed: int,
                          X=x.T, Xdot=xdot.T,
                          W_validation=node_unknown_input(model, i, u, d).T,
                          sample_times=t, node_index=i, seed=int(seed))
-        if check_excitation_rank(ds, rank_multiplier).ok:
+        if check_excitation_rank(ds, rank_multiplier).rank == n_min:
             return ds
         last = ds
     raise ExcitationError(
@@ -236,7 +225,9 @@ def _check_meta(meta) -> None:
 def load_dataset(data_dir: str) -> NodeDataset:
     """Inverse of ``save_dataset``; a malformed file is a DuioError naming it.
 
-    Every entry must be finite: a NaN or infinity is malformed.
+    Every entry must be finite: a NaN or infinity is malformed.  Files that
+    disagree on the sample count, with each other or with ``meta.json``'s
+    ``N``, are a DimensionError naming the directory.
     """
     path = os.path.join(data_dir, "meta.json")
     try:
@@ -260,9 +251,12 @@ def load_dataset(data_dir: str) -> NodeDataset:
     except (TypeError, ValueError) as exc:
         raise DuioError(f"dataset file {path} is malformed: {exc}") from None
     try:
-        return NodeDataset(U=arrays["U"], Y=arrays["Y"], Ydot=arrays["Ydot"],
-                           X=arrays["X"], Xdot=arrays["Xdot"],
-                           sample_times=arrays["times"].ravel(), W_validation=None,
-                           node_index=node_index, seed=seed)
+        ds = NodeDataset(U=arrays["U"], Y=arrays["Y"], Ydot=arrays["Ydot"],
+                         X=arrays["X"], Xdot=arrays["Xdot"],
+                         sample_times=arrays["times"].ravel(), W_validation=None,
+                         node_index=node_index, seed=seed)
+        if ds.N != meta["N"]:
+            raise DimensionError(f"meta.json has N={meta['N']}, the files hold {ds.N} samples")
     except DimensionError as exc:
         raise DimensionError(f"dataset {data_dir}: {exc}") from None
+    return ds

@@ -15,8 +15,7 @@ import numpy as np
 from .errors import ConsistencyError, DesignError, RankError
 from .datagen import NodeDataset
 from .design_model import DesignSection, DuioGains, assemble_from_blocks, decouple_node
-from .linalg import (detectability_candidates, numerical_rank, rank_from_singular_values,
-                     singular_values, spectrum_and_pinv)
+from .linalg import decide_rank, detectability_candidates, numerical_rank
 from .network import SensorGraph
 
 
@@ -29,13 +28,10 @@ def check_data_solvability(ds: NodeDataset, multiplier: float | None = None
     the two ranks agree exactly when rank(C B_p) = rank(B_p) on the
     underlying plant.
     """
-    spectra, ranks = {}, []
-    for name, stack in (("U;Ydot;X", np.vstack([ds.U, ds.Ydot, ds.X])),
-                        ("U;X;Xdot", np.vstack([ds.U, ds.X, ds.Xdot]))):
-        spectra[name] = singular_values(stack)
-        ranks.append(rank_from_singular_values(spectra[name], stack.shape, multiplier))
-    lhs, rhs = ranks
-    return lhs == rhs, lhs, rhs, spectra
+    lhs = decide_rank(np.vstack([ds.U, ds.Ydot, ds.X]), multiplier)
+    rhs = decide_rank(np.vstack([ds.U, ds.X, ds.Xdot]), multiplier)
+    return (lhs.rank == rhs.rank, lhs.rank, rhs.rank,
+            {"U;Ydot;X": lhs.singular_values, "U;X;Xdot": rhs.singular_values})
 
 
 def recover_output_map(ds: NodeDataset,
@@ -44,17 +40,16 @@ def recover_output_map(ds: NodeDataset,
 
     Requires the state data to have full row rank.
     """
-    sv, x_pinv = spectrum_and_pinv(ds.X, multiplier)
-    if rank_from_singular_values(sv, ds.X.shape, multiplier) < ds.n_x:
+    x = decide_rank(ds.X, multiplier, pinv=True)
+    if x.rank < ds.n_x:
         raise RankError("state data X is row-rank deficient; cannot recover the output map")
-    return ds.Y @ x_pinv, sv
+    return ds.Y @ x.pinv, x.singular_values
 
 
 def regress_on_known(ds: NodeDataset, multiplier: float | None = None) -> tuple[np.ndarray, int]:
     """The least-squares fit Xdot [U; X]^+ (U's columns first) and rank([U; X]), from one SVD."""
-    known = np.vstack([ds.U, ds.X])
-    sv, known_pinv = spectrum_and_pinv(known, multiplier)
-    return ds.Xdot @ known_pinv, rank_from_singular_values(sv, known.shape, multiplier)
+    known = decide_rank(np.vstack([ds.U, ds.X]), multiplier, pinv=True)
+    return ds.Xdot @ known.pinv, known.rank
 
 
 def solve_data_equation_structured(ds: NodeDataset, r_hat: int, c_rec: np.ndarray,

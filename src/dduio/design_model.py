@@ -13,9 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DesignError, DuioError, NumericsError, SolvabilityError
-from .linalg import (DEFAULT_RANK_MULTIPLIER, block_diag, numerical_rank, pbh_detectable,
-                     rank_from_singular_values, solve_care, spectral_abscissa,
-                     spectrum_and_pinv, symmetric_two_norm)
+from .linalg import (DEFAULT_RANK_MULTIPLIER, block_diag, decide_rank, numerical_rank,
+                     pbh_detectable, solve_care, spectral_abscissa, symmetric_two_norm)
 from .network import SensorGraph
 from .plant import PlantModel
 
@@ -160,12 +159,11 @@ def decoupling_gain(C: np.ndarray, B_p: np.ndarray,
     side passes an orthonormal basis), so the solvability condition
     rank(C B_p) = rank(B_p) is read from the SVD that gives (C B_p)^+.
     """
-    cb = C @ B_p
-    sv, cb_pinv = spectrum_and_pinv(cb, multiplier)
-    if rank_from_singular_values(sv, cb.shape, multiplier) < B_p.shape[1]:
+    cb = decide_rank(C @ B_p, multiplier, pinv=True)
+    if cb.rank < B_p.shape[1]:
         raise SolvabilityError(
             "rank(C B_p) < rank(B_p): no output feedthrough can cancel the unknown input")
-    return B_p @ cb_pinv
+    return B_p @ cb.pinv
 
 
 def check_detectability(model: PlantModel, i: int) -> bool:

@@ -111,19 +111,19 @@ def _recur(out: np.ndarray, phi: np.ndarray, n_steps: int) -> None:
         out[j + 1] += phi @ out[j]
 
 
-def _check_divergence(states: np.ndarray, dt: float, divergence_limit: float) -> None:
+def _check_divergence(states: np.ndarray, dt: float) -> None:
     """Raise DivergenceError at the first row of ``states``, the states at t = dt,
-    2 dt, ..., with an entry whose magnitude reaches the limit (or is NaN)."""
+    2 dt, ..., with an entry whose magnitude reaches DIVERGENCE_LIMIT (or is NaN)."""
+    limit = DIVERGENCE_LIMIT
     # Flat max/min allocate nothing and fail the test on NaN; only a
     # run that fails it pays for the row-wise search of the first row.
-    if states.size and not (states.max() < divergence_limit
-                            and -states.min() < divergence_limit):
+    if states.size and not (states.max() < limit and -states.min() < limit):
         magnitude = np.maximum(states.max(axis=1), -states.min(axis=1))
-        j = int(np.flatnonzero(~(magnitude < divergence_limit))[0])
+        j = int(np.flatnonzero(~(magnitude < limit))[0])
         m = magnitude[j]
         t = j * dt + dt
         raise DivergenceError(
-            f"state magnitude {float(m)!r} exceeded {divergence_limit:g} at t={t:.6g}", t=t)
+            f"state magnitude {float(m)!r} exceeded {limit:g} at t={t:.6g}", t=t)
 
 
 def _check_forcing(g: np.ndarray, count: int) -> None:
@@ -132,7 +132,7 @@ def _check_forcing(g: np.ndarray, count: int) -> None:
         raise DimensionError(f"{count} forcing signals for the {g.shape[1]} columns of g")
 
 
-def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float, divergence_limit: float):
+def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float):
     """States from ``x0`` of the rows of x' = a x + g s(t) below ``upper``'s.
 
     ``upper`` holds the first rows' states at every grid point (None: no
@@ -150,12 +150,12 @@ def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float, divergence_l
         if g.size:
             _accumulate_drives(out, g, [w[k:] for w in weights], half_rows, n_steps)
         _recur(out, np.ascontiguousarray(phi[k:, k:]), n_steps)
-        _check_divergence(out[1:], dt, divergence_limit)
+        _check_divergence(out[1:], dt)
     return out
 
 
 def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
-               n_steps: int, dt: float, divergence_limit: float = DIVERGENCE_LIMIT) -> np.ndarray:
+               n_steps: int, dt: float) -> np.ndarray:
     """Integrate x' = a x + g s(t) with s(t) stacked from ``generators``.
 
     Returns states at the n_steps + 1 grid points j * dt.  Forcing is
@@ -166,12 +166,11 @@ def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
 
     def half_rows(i, k):
         return _half_step_samples(generators, 2 * i, 2 * k + 1, dt)
-    return _integrate(a, g, half_rows, None, x0, n_steps, dt, divergence_limit)
+    return _integrate(a, g, half_rows, None, x0, n_steps, dt)
 
 
 def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper: np.ndarray,
-                    lower0: np.ndarray, dt: float,
-                    divergence_limit: float = DIVERGENCE_LIMIT) -> np.ndarray:
+                    lower0: np.ndarray, dt: float) -> np.ndarray:
     """The lower rows of ``rk4_linear`` for a block lower-triangular ``a``.
 
     ``upper`` holds the first rows' states at every grid point, as
@@ -184,5 +183,4 @@ def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper: np.n
 
     def half_rows(i, k):
         return table[2 * i:2 * k + 1]
-    return _integrate(a, g, half_rows, upper, lower0, upper.shape[0] - 1, dt,
-                      divergence_limit)
+    return _integrate(a, g, half_rows, upper, lower0, upper.shape[0] - 1, dt)

@@ -1,9 +1,12 @@
 """Shared numerical-linear-algebra policies.
 
-All rank decisions and pseudoinverses in the package go through the
-helpers below so that a single SVD threshold policy applies everywhere.
+Every rank decision and pseudoinverse in the package is one
+``decide_rank`` call, so a single SVD threshold policy applies everywhere
+and each decision keeps the singular values and threshold it was read from.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,51 +21,46 @@ DETECT_TOL = 1e-8
 _EPS = np.finfo(float).eps
 
 
-def rank_threshold(sv: np.ndarray, shape: tuple[int, int], multiplier: float | None = None) -> float:
+class Rank(NamedTuple):
+    """One rank decision: the rank, the singular values and the threshold it
+    was read from, and the pseudoinverse under that threshold when asked for."""
+
+    rank: int
+    singular_values: np.ndarray
+    threshold: float
+    pinv: np.ndarray | None = None
+
+
+def decide_rank(a: np.ndarray, multiplier: float | None = None, *, pinv: bool = False) -> Rank:
+    """The rank of ``a`` under the shared SVD threshold, from one SVD.
+
+    The threshold is multiplier * max(shape) * eps * sigma_1, and the rank
+    counts the singular values above it.  The SVD is values-only unless
+    ``pinv`` is asked for; the pseudoinverse drops the same values, with
+    the products of ``np.linalg.pinv``, so it equals ``np.linalg.pinv`` at
+    rcond = multiplier * max(shape) * eps bit for bit.
+    """
     if multiplier is None:
         multiplier = DEFAULT_RANK_MULTIPLIER
-    if sv.size == 0:
-        return 0.0
-    return multiplier * max(shape) * _EPS * float(sv[0])
-
-
-def singular_values(a: np.ndarray) -> np.ndarray:
     a = np.atleast_2d(a)
     if a.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(a, compute_uv=False)
-
-
-def rank_from_singular_values(sv: np.ndarray, shape: tuple[int, int],
-                              multiplier: float | None = None) -> int:
-    """Count of the singular values ``sv`` of a ``shape`` matrix above the threshold."""
-    return int(np.sum(sv > rank_threshold(sv, shape, multiplier)))
+        return Rank(0, np.zeros(0), 0.0, np.zeros(a.shape[::-1]) if pinv else None)
+    if pinv:
+        u, sv, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
+    else:
+        sv = np.linalg.svd(a, compute_uv=False)
+    threshold = multiplier * max(a.shape) * _EPS * float(sv[0])
+    large = sv > threshold
+    inverse = None
+    if pinv:
+        reciprocal = np.divide(1, sv, where=large, out=np.zeros_like(sv))
+        inverse = vt.T @ (reciprocal[:, None] * u.T)
+    return Rank(int(np.count_nonzero(large)), sv, threshold, inverse)
 
 
 def numerical_rank(a: np.ndarray, multiplier: float | None = None) -> int:
     """Rank of ``a`` under the shared SVD threshold policy."""
-    a = np.atleast_2d(a)
-    if a.size == 0:
-        return 0
-    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), a.shape, multiplier)
-
-
-def spectrum_and_pinv(a: np.ndarray,
-                      multiplier: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The singular values of ``a`` and its pseudoinverse, from one SVD.
-
-    Singular values at or below ``rank_threshold`` are dropped, with the
-    cutoff and products of ``np.linalg.pinv``, so the pseudoinverse
-    equals ``np.linalg.pinv`` at that ``rcond`` bit for bit.
-    """
-    a = np.atleast_2d(a)
-    if a.size == 0:
-        return np.zeros(0), np.zeros((a.shape[1], a.shape[0]))
-    u, sv, vt = np.linalg.svd(a, full_matrices=False)
-    large = sv > rank_threshold(sv, a.shape, multiplier)
-    inverse = np.zeros_like(sv)
-    np.divide(1, sv, where=large, out=inverse)
-    return sv, vt.T @ (inverse[:, None] * u.T)
+    return decide_rank(a, multiplier).rank
 
 
 def spectral_abscissa(a: np.ndarray) -> float:

@@ -213,7 +213,7 @@ def test_datasets_out_of_node_order_are_named(tmp_path, capsys, fast_config_path
 
 
 @pytest.mark.parametrize("defect", ["meta-key", "meta-json", "short-row", "missing-row",
-                                    "nan", "inf"])
+                                    "nan", "inf", "short-of-meta-n"])
 def test_malformed_dataset_is_named(tmp_path, capsys, fast_config_path, collected, defect):
     data = Path(shutil.copytree(collected, tmp_path / "ds"))
     node = data / "node_03"
@@ -239,6 +239,12 @@ def test_malformed_dataset_is_named(tmp_path, capsys, fast_config_path, collecte
         lines[5] = ",".join(fields)
         (node / "X.csv").write_text("\n".join(lines) + "\n")
         want = f"dataset file {node / 'X.csv'} is malformed: data row 5, column 3 is {defect}\n"
+    elif defect == "short-of-meta-n":
+        # every file one sample short agrees with the others but not with meta.json
+        for name in ("U", "Y", "Ydot", "X", "Xdot", "times"):
+            lines = (node / f"{name}.csv").read_text().splitlines()
+            (node / f"{name}.csv").write_text("\n".join(lines[:-1]) + "\n")
+        code, want = 6, f"dataset {node}: meta.json has N=50, the files hold 49 samples\n"
     else:
         # a file one sample short is a dimension mismatch, exit 6
         lines = (node / "U.csv").read_text().splitlines()

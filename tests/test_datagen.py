@@ -16,11 +16,15 @@ from conftest import (bench_signals, online_sample, pointwise_dataset,
                       single_node_model)
 
 
+def excitation_rows(ds):
+    """n_m + r + n_x, the rows of [U; W; X] that full excitation must span."""
+    return ds.n_m + ds.W_validation.shape[0] + ds.n_x
+
+
 def test_benchmark_collection_satisfies_rank(bench_datasets):
     for ds in bench_datasets:
         report = check_excitation_rank(ds)
-        assert report.ok
-        assert report.rank == report.required == 7
+        assert report.rank == excitation_rows(ds) == 7
 
 
 def test_generation_identities(bench_model, bench_datasets):
@@ -38,7 +42,7 @@ def test_scalar_system_two_samples():
     ds = collect(model, 0, DataSection(N=2), seed=11)
     assert ds.N == 2
     report = check_excitation_rank(ds)
-    assert report.ok and report.rank == 2
+    assert report.rank == excitation_rows(ds) == 2
 
 
 def test_constant_excitation_fails(bench_model):
@@ -63,7 +67,7 @@ def test_duplicate_columns_keep_rank(bench_datasets):
         sample_times=np.concatenate([ds.sample_times, ds.sample_times]),
         node_index=ds.node_index, seed=ds.seed)
     report = check_excitation_rank(doubled)
-    assert report.ok and report.rank == 7
+    assert report.rank == excitation_rows(doubled) == 7
 
 
 def test_compatibility_member_and_online(bench_model, bench_datasets):
@@ -96,9 +100,9 @@ def test_compatibility_rejects_perturbed_plant(bench_model, bench_datasets):
 
 def test_restarts_and_jitter_modes(bench_model):
     ds_r = collect(bench_model, 0, DataSection(N=20, restarts=4), seed=21)
-    assert ds_r.N == 20 and check_excitation_rank(ds_r).ok
+    assert ds_r.N == 20 and check_excitation_rank(ds_r).rank == excitation_rows(ds_r)
     ds_j = collect(bench_model, 0, DataSection(N=20, jitter=True), seed=22)
-    assert ds_j.N == 20 and check_excitation_rank(ds_j).ok
+    assert ds_j.N == 20 and check_excitation_rank(ds_j).rank == excitation_rows(ds_j)
     assert not np.allclose(np.diff(ds_j.sample_times), ds_j.sample_times[1])
 
 
@@ -154,7 +158,7 @@ def test_pointwise_dataset_is_valid_offline_data():
     rng_a = np.array([[0.0, 1.0], [-1.0, -0.4]])
     ds = pointwise_dataset(rng_a, np.array([[0.0], [1.0]]),
                            np.array([[1.0], [0.0]]), np.eye(2), N=20, seed=4)
-    assert check_excitation_rank(ds).ok
+    assert check_excitation_rank(ds).rank == excitation_rows(ds)
     member = (ds.U[:, 0], ds.Y[:, 0], ds.Ydot[:, 0], ds.X[:, 0], ds.Xdot[:, 0])
     ok, _ = check_compatibility(ds, member)
     assert ok

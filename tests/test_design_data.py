@@ -16,8 +16,8 @@ from dduio.design_data import (analyze_datasets, analyze_node, build_data_driven
 from dduio.design_model import (DesignSection, check_detectability, decoupling_gain,
                                 rank_condition)
 from dduio.errors import ConsistencyError, DesignError, RankError
-from dduio.linalg import (DETECT_TOL, numerical_rank, pbh_detectable, spectral_abscissa,
-                          spectrum_and_pinv)
+from dduio.linalg import (DETECT_TOL, decide_rank, numerical_rank, pbh_detectable,
+                          spectral_abscissa)
 
 from conftest import (BENCH_GAMMA, bench_signals, coupling_matrix, load_bench_module,
                       pointwise_dataset, single_node_model)
@@ -31,7 +31,7 @@ def min_norm_solution(ds):
     Every T + Z (I - S S^+) solves the same equation.
     """
     stack = np.vstack([ds.U, ds.Ydot, ds.X])
-    stack_pinv = spectrum_and_pinv(stack)[1]
+    stack_pinv = decide_rank(stack, pinv=True).pinv
     return ds.Xdot @ stack_pinv, np.eye(stack.shape[0]) - stack @ stack_pinv
 
 
@@ -52,7 +52,7 @@ def test_solvability_benchmark_nodes(bench_datasets):
         # the spectra returned are the ones the two ranks were read from
         for name, stack in (("U;Ydot;X", np.vstack([ds.U, ds.Ydot, ds.X])),
                             ("U;X;Xdot", np.vstack([ds.U, ds.X, ds.Xdot]))):
-            assert spectra[name].tobytes() == linalg.singular_values(stack).tobytes()
+            assert spectra[name].tobytes() == decide_rank(stack).singular_values.tobytes()
         assert list(spectra) == ["U;Ydot;X", "U;X;Xdot"]
 
 
@@ -95,7 +95,7 @@ def test_recover_output_map_benchmark_node3(bench_model, bench_datasets):
     c, sv = recover_output_map(ds)
     assert np.linalg.norm(c - bench_model.nodes[2].C) < 1e-9
     # one SVD gives the spectrum and a pseudoinverse equal to numpy's, bit for bit
-    assert np.allclose(sv, linalg.singular_values(ds.X), rtol=1e-13)
+    assert np.allclose(sv, decide_rank(ds.X).singular_values, rtol=1e-13)
     rcond = linalg.DEFAULT_RANK_MULTIPLIER * max(ds.X.shape) * np.finfo(float).eps
     assert c.tobytes() == (ds.Y @ np.linalg.pinv(ds.X, rcond=rcond)).tobytes()
     report = analyze_node(ds)
@@ -192,7 +192,7 @@ def test_solution_family_membership_and_rank_preserving_members(bench_datasets):
     eye_y = np.eye(ds.n_y)
     proj = eye_y - c_rec @ t_y     # complement of the feedthrough output range
     known = np.vstack([ds.U, ds.X])
-    known_pinv = spectrum_and_pinv(known)[1]
+    known_pinv = decide_rank(known, pinv=True).pinv
     base_detectable = pbh_detectable(t_x, c_rec)
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -434,26 +434,30 @@ def test_leader_test_reuses_the_structured_solve(monkeypatch, kind):
 
 def test_analyze_node_ranks_and_inverts_each_matrix_once(monkeypatch, bench_datasets):
     # Every rank decision and pseudoinverse of one node's pass, the leader's
-    # detectability test included, is computed from its matrix exactly once,
-    # and X is ranked and pseudo-inverted from one SVD.
-    seen = {"numerical_rank": [], "singular_values": [], "spectrum_and_pinv": []}
-    for name in seen:
-        original = getattr(linalg, name)
+    # detectability test included, is one decide_rank call on its matrix,
+    # made exactly once, and X is ranked and pseudo-inverted from one SVD.
+    # numerical_rank calls decide_rank through the module global, so the
+    # spy sees its decisions too.
+    seen = {False: [], True: []}   # keyed by whether the pseudoinverse was asked for
+    original = linalg.decide_rank
 
-        def recording(a, *args, _name=name, _original=original, **kw):
-            arr = np.ascontiguousarray(a)
-            seen[_name].append((arr.shape, arr.dtype.str, arr.tobytes()))
-            return _original(a, *args, **kw)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("dduio") and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, recording)
+    def recording(a, *args, pinv=False, **kw):
+        arr = np.ascontiguousarray(a)
+        seen[pinv].append((arr.shape, arr.dtype.str, arr.tobytes()))
+        return original(a, *args, pinv=pinv, **kw)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("dduio") and getattr(mod, "decide_rank", None) is original:
+            monkeypatch.setattr(mod, "decide_rank", recording)
     report = analyze_node(bench_datasets[0].design_view(), test_detectability=True)
     assert report.solvable and report.detectable
     ds = bench_datasets[0]
-    ranked = [key[2] for name in ("numerical_rank", "singular_values") for key in seen[name]]
+    ranked = [key[2] for key in seen[False]]
     assert np.vstack([ds.U, ds.X, ds.Xdot]).tobytes() in ranked
+    # one complex pencil per leader candidate, ranked through numerical_rank
+    pencils = [key for key in seen[False] if key[1] == np.dtype(complex).str]
+    assert len(pencils) == len(linalg.detectability_candidates(report.T_x)) > 0
     assert len(set(ranked)) == len(ranked)
     assert ds.X.tobytes() not in ranked
-    assert [key[2] for key in seen["spectrum_and_pinv"]].count(ds.X.tobytes()) == 1
-    for name, matrices in seen.items():
-        assert len(set(matrices)) == len(matrices), f"a matrix passed through {name} twice"
+    assert [key[2] for key in seen[True]].count(ds.X.tobytes()) == 1
+    matrices = seen[False] + seen[True]
+    assert len(set(matrices)) == len(matrices), "a matrix passed through decide_rank twice"

@@ -18,9 +18,9 @@ TOL = 1e-10
 DIVERGENCE_MESSAGE = re.compile(r"state magnitude (\S+) exceeded (\S+) at t=(\S+)")
 
 
-def rk4_stage_loop(a, g, generators, x0, n_steps, dt,
-                   divergence_limit=integrate.DIVERGENCE_LIMIT):
+def rk4_stage_loop(a, g, generators, x0, n_steps, dt):
     """Classical RK4, four stages per step, forcing read at the stage times."""
+    divergence_limit = integrate.DIVERGENCE_LIMIT
     x = np.asarray(x0, dtype=float).copy()
     out = np.empty((n_steps + 1, x.size))
     out[0] = x
@@ -100,11 +100,12 @@ def test_unforced_error_dynamics(preset_loop):
     assert_agrees(e, rk4_stage_loop(m, np.zeros((m.shape[0], 0)), [], e0, 2000, 1e-3))
 
 
-def test_divergence_raises_at_the_oracle_time():
+def test_divergence_raises_at_the_oracle_time(monkeypatch):
+    monkeypatch.setattr(integrate, "DIVERGENCE_LIMIT", 1e6)
     a = np.array([[3.0, 1.0], [0.0, 2.0]])
     g = np.array([[1.0], [0.5]])
     gens = [Sinusoid(1.0, 2.0)]
-    args = (a, g, gens, np.array([1.0, -1.0]), 1000, 1e-2, 1e6)
+    args = (a, g, gens, np.array([1.0, -1.0]), 1000, 1e-2)
     with pytest.raises(DivergenceError) as ref:
         rk4_stage_loop(*args)
     with pytest.raises(DivergenceError) as err:
@@ -116,8 +117,9 @@ def test_divergence_raises_at_the_oracle_time():
     assert got[1:] == want[1:] == ("1e+06", "4.96")
 
 
-def test_negative_divergence_raises_at_the_oracle_time():
-    args = (np.array([[2.0]]), np.zeros((1, 0)), [], np.array([-1.0]), 1000, 1e-2, 1e6)
+def test_negative_divergence_raises_at_the_oracle_time(monkeypatch):
+    monkeypatch.setattr(integrate, "DIVERGENCE_LIMIT", 1e6)
+    args = (np.array([[2.0]]), np.zeros((1, 0)), [], np.array([-1.0]), 1000, 1e-2)
     with pytest.raises(DivergenceError) as ref:
         rk4_stage_loop(*args)
     with pytest.raises(DivergenceError) as err:
@@ -135,12 +137,12 @@ def test_unexcited_unstable_mode_stays_unexcited():
     assert_agrees(x, rk4_stage_loop(a, np.zeros((2, 0)), [], x0, 4099, 0.1))
 
 
-def test_overflow_raises_without_warning():
+def test_overflow_raises_without_warning(monkeypatch):
+    monkeypatch.setattr(integrate, "DIVERGENCE_LIMIT", np.inf)
     a = np.array([[400.0]])
     with np.errstate(all="raise"):
         with pytest.raises(DivergenceError) as err:
-            integrate.rk4_linear(a, np.zeros((1, 0)), [], np.ones(1), 5000, 1.0,
-                                 divergence_limit=np.inf)
+            integrate.rk4_linear(a, np.zeros((1, 0)), [], np.ones(1), 5000, 1.0)
     assert err.value.t > 0.0
 
 
@@ -221,17 +223,18 @@ def test_lower_block_matches_the_full_system(n_steps):
     assert_agrees(lower, full[:, 3:])
 
 
-def test_lower_block_divergence_raises_at_the_full_system_time():
+def test_lower_block_divergence_raises_at_the_full_system_time(monkeypatch):
     rng = np.random.default_rng(2)
     a, g, gens = _lower_triangular_system(rng, 2, 3)
     a[2:, 2:] += 4.0 * np.eye(3)
     x0, dt, n_steps = rng.normal(size=5), 0.01, 4099
-    with pytest.raises(DivergenceError) as ref:
-        integrate.rk4_linear(a, g, gens, x0, n_steps, dt, 1e6)
     upper = integrate.rk4_linear(a[:2, :2], g[:2], gens, x0[:2], n_steps, dt)
+    monkeypatch.setattr(integrate, "DIVERGENCE_LIMIT", 1e6)
+    with pytest.raises(DivergenceError) as ref:
+        integrate.rk4_linear(a, g, gens, x0, n_steps, dt)
     with pytest.raises(DivergenceError) as err:
         integrate.rk4_lower_block(a, g, integrate.tabulate(gens, n_steps, dt), upper,
-                                  x0[2:], dt, 1e6)
+                                  x0[2:], dt)
     assert err.value.t == ref.value.t
 
 

@@ -1,11 +1,13 @@
-"""The numpy Riccati solve and block-diagonal helper, against scipy as the oracle."""
+"""The shared rank decision against numpy, and the numpy Riccati solve and
+block-diagonal helper against scipy as the oracle."""
 import numpy as np
 import pytest
 import scipy.linalg
 
 from dduio.config import parse_config
 from dduio.design_model import decouple_node
-from dduio.linalg import block_diag, pbh_detectable, solve_care
+from dduio.linalg import (DEFAULT_RANK_MULTIPLIER, block_diag, decide_rank, numerical_rank,
+                          pbh_detectable, solve_care)
 
 from conftest import load_bench_module
 
@@ -109,3 +111,89 @@ def test_block_diag_matches_scipy():
     assert out.dtype == float
     assert np.array_equal(out, scipy.linalg.block_diag(*blocks))
     assert np.array_equal(block_diag(np.eye(2, dtype=int)), np.eye(2))
+
+
+EPS = np.finfo(float).eps
+MULTIPLIERS = (None, 1.0, 1e6, 1e13)
+
+
+def low_rank(rng, rows, cols, rank):
+    """A seeded real rows x cols matrix of exact rank ``rank``."""
+    return rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+
+
+def pbh_pencil(rng, n, hidden):
+    """[lam I - a; c] at an eigenvalue lam of a, as ``pbh_detectable`` stacks it.
+
+    With ``hidden`` the pair (a, c) leaves lam unobservable, so the pencil
+    has rank n - 1; otherwise it has rank n.
+    """
+    lam = complex(0.3, 1.7)
+    mode = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
+    rest = rng.normal(size=(n - 2, n - 2))
+    t = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    a = t @ block_diag(mode, rest) @ t.T
+    c = rng.normal(size=(2, n))
+    if hidden:
+        c[:, :2] = 0.0
+    c = c @ t.T
+    return np.vstack([lam * np.eye(n) - a, c.astype(complex)])
+
+
+def rank_matrices():
+    rng = np.random.default_rng(11)
+    cases = {f"real-{m}x{n}-rank{r}": low_rank(rng, m, n, r)
+             for m, n, r in ((6, 40, 4), (40, 6, 3), (7, 7, 7), (9, 12, 1))}
+    cases.update({f"pencil-{n}-{'hidden' if h else 'observable'}": pbh_pencil(rng, n, h)
+                  for n in (4, 8) for h in (False, True)})
+    cases.update({"empty-0x3": np.zeros((0, 3)), "empty-3x0": np.zeros((3, 0)),
+                  "zero-4x6": np.zeros((4, 6)), "zero-1x1": np.zeros((1, 1))})
+    return cases
+
+
+RANK_MATRICES = rank_matrices()
+TRUE_RANKS = {"real-6x40-rank4": 4, "real-40x6-rank3": 3, "real-7x7-rank7": 7,
+              "real-9x12-rank1": 1, "pencil-4-observable": 4, "pencil-4-hidden": 3,
+              "pencil-8-observable": 8, "pencil-8-hidden": 7, "empty-0x3": 0,
+              "empty-3x0": 0, "zero-4x6": 0, "zero-1x1": 0}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_MATRICES))
+@pytest.mark.parametrize("multiplier", MULTIPLIERS)
+def test_decide_rank_reads_the_rank_from_its_threshold(name, multiplier):
+    a = RANK_MATRICES[name]
+    decision = decide_rank(a, multiplier)
+    m = DEFAULT_RANK_MULTIPLIER if multiplier is None else multiplier
+    sv = decision.singular_values
+    assert sv.tobytes() == (np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0)).tobytes()
+    assert decision.threshold == (m * max(a.shape) * EPS * sv[0] if sv.size else 0.0)
+    assert decision.rank == int(np.count_nonzero(sv > decision.threshold))
+    assert decision.pinv is None
+    assert numerical_rank(a, multiplier) == decision.rank
+    if multiplier is None:
+        assert decision.rank == TRUE_RANKS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RANK_MATRICES))
+@pytest.mark.parametrize("multiplier", MULTIPLIERS)
+def test_decide_rank_pinv_is_numpys_bit_for_bit(name, multiplier):
+    a = RANK_MATRICES[name]
+    decision = decide_rank(a, multiplier, pinv=True)
+    m = DEFAULT_RANK_MULTIPLIER if multiplier is None else multiplier
+    want = np.linalg.pinv(a, rcond=m * max(a.shape) * EPS)
+    assert decision.pinv.shape == want.shape == a.shape[::-1]
+    assert decision.pinv.tobytes() == want.tobytes()
+    # the full SVD behind the pseudoinverse makes the same decision
+    sv = decision.singular_values
+    assert decision.rank == decide_rank(a, multiplier).rank
+    assert decision.rank == int(np.count_nonzero(sv > decision.threshold))
+    assert decision.threshold == (m * max(a.shape) * EPS * sv[0] if sv.size else 0.0)
+
+
+def test_decide_rank_multiplier_moves_only_the_threshold():
+    # singular values 1, 1e-6 and 1e-12: each larger multiplier drops one more
+    a = np.diag([1.0, 1e-6, 1e-12])
+    ranks = [decide_rank(a, m).rank for m in (1.0, 1e6, 1e13)]
+    assert ranks == [3, 2, 1]
+    assert len({decide_rank(a, m).singular_values.tobytes() for m in (1.0, 1e6, 1e13)}) == 1
+    assert decide_rank(np.ones(5)).rank == 1 == numerical_rank(np.ones(5))
