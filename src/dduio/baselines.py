@@ -32,8 +32,8 @@ def identify_least_squares(ds: NodeDataset, multiplier: float | None = None):
     The regression is the data design's fit of Xdot on [U; X], so any active
     unknown input biases the estimate.  Returns (A_hat, B_m_hat, C_hat).
     """
-    theta, rank = regress_on_known(ds, multiplier)
-    if rank < ds.n_m + ds.n_x:
+    theta, known = regress_on_known(ds, multiplier)
+    if known.rank < ds.n_m + ds.n_x:
         raise RankError("stacked [U; X] is row-rank deficient; identification is ill-posed")
     return theta[:, ds.n_m:], theta[:, :ds.n_m], recover_output_map(ds, multiplier)[0]
 

@@ -94,27 +94,23 @@ def cmd_check(args) -> int:
     except ConsistencyError as exc:
         print(f"FAIL data consistency: {exc}", file=sys.stderr)
         return 3
-    status = 0
-    first_failure = None
+    failures = [f"node {rep.node_index} failed the solvability rank test"
+                for rep in reports if not rep.solvable]
     for rep in reports:
-        mark = "ok" if rep.solvable else "FAIL"
-        print(f"node {rep.node_index}: solvability rank test "
-              f"{rep.rank_with_output_derivs} == {rep.rank_with_state_derivs} [{mark}]")
-        if not rep.solvable and first_failure is None:
-            first_failure = f"node {rep.node_index} failed the solvability rank test"
+        print(f"node {rep.node_index}: solvability rank test {rep.ranks['U;Ydot;X'].rank} == "
+              f"{rep.ranks['U;X;Xdot'].rank} [{'ok' if rep.solvable else 'FAIL'}]")
         if args.explain:
-            for name, sv in rep.spectra.items():
-                print(f"  sv[{name}]: " + " ".join(f"{v:.3e}" for v in sv))
+            for name, decision in rep.ranks.items():
+                print(f"  sv[{name}]: " + " ".join(f"{v:.3e}" for v in decision.singular_values))
     if leader is None:
-        if first_failure is None:
-            first_failure = "no node passed the detectability test"
+        failures.append("no node passed the detectability test")
         print("leader: none", file=sys.stderr)
     else:
         print(f"leader: node {leader} passed the detectability test")
-    if first_failure is not None:
-        print(f"FAIL: {first_failure}", file=sys.stderr)
-        status = 3
-    return status
+    if failures:
+        print(f"FAIL: {failures[0]}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_design(args) -> int:

@@ -134,14 +134,14 @@ def collect(model: PlantModel, i: int, data: DataSection, *, seed: int,
             rank_multiplier: float | None = None) -> NodeDataset:
     """Collect ``data.N`` offline samples for node ``i`` from simulated trajectories.
 
-    Samples come from ``data.restarts`` trajectory segments with fresh
-    random initial states, uniform in [-1, 1]; the excitation holds
-    independent uniform values, within ``data.u_amplitude`` and
-    ``data.d_amplitude``, on every input and disturbance channel over each
-    sampling interval.  With ``data.jitter`` the samples fall at random
-    grid instants instead of the uniform grid; ``data.noise_amplitude``
-    adds uniform output noise on Y and Ydot, for robustness experiments
-    only.  Up to MAX_ATTEMPTS attempts, each with fresh draws, are made
+    Samples come from ``data.restarts`` trajectory segments, each with a
+    fresh random initial state, uniform in [-1, 1], and its own excitation
+    draws; the excitation holds independent uniform values, within
+    ``data.u_amplitude`` and ``data.d_amplitude``, on every input and
+    disturbance channel over each sampling interval.  With ``data.jitter``
+    the samples fall at random grid instants instead of the uniform grid;
+    ``data.noise_amplitude`` adds uniform output noise on Y and Ydot, for
+    robustness experiments only.  Up to MAX_ATTEMPTS attempts, each with fresh draws, are made
     until the stacked [U; W; X] matrix reaches full row rank.
     """
     N, restarts, substeps = data.N, data.restarts, data.substeps
@@ -158,16 +158,19 @@ def collect(model: PlantModel, i: int, data: DataSection, *, seed: int,
 
     dt = data.sample_interval / substeps
     per_seg = [N // restarts + (1 if k < N % restarts else 0) for k in range(restarts)]
+    channels = model.n_u + model.n_d
     last = None
     for attempt in range(MAX_ATTEMPTS):
         ss = np.random.SeedSequence([int(seed), int(i), attempt])
-        children = ss.spawn(3 + model.n_u + model.n_d)
+        children = ss.spawn(3 + restarts * channels)
         rng_x0 = np.random.default_rng(children[0])
         rng_pick = np.random.default_rng(children[1])
         rng_noise = np.random.default_rng(children[2])
-        inputs, dist = _default_excitation(model, data, children[3:])
         picks = []
-        for n_k in per_seg:
+        for k, n_k in enumerate(per_seg):
+            # every segment restarts at t = 0, so each draws its own excitation
+            inputs, dist = _default_excitation(
+                model, data, children[3 + k * channels:3 + (k + 1) * channels])
             grid = 2 * n_k * substeps if data.jitter else n_k * substeps
             traj = simulate(model, rng_x0.uniform(-1.0, 1.0, model.n_x), inputs, dist,
                             horizon=grid * dt, dt=dt)

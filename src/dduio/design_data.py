@@ -15,41 +15,38 @@ import numpy as np
 from .errors import ConsistencyError, DesignError, RankError
 from .datagen import NodeDataset
 from .design_model import DesignSection, DuioGains, assemble_from_blocks, decouple_node
-from .linalg import decide_rank, detectability_candidates, numerical_rank
+from .linalg import Rank, decide_rank, detectability_candidates, numerical_rank
 from .network import SensorGraph
 
 
-def check_data_solvability(ds: NodeDataset, multiplier: float | None = None
-                           ) -> tuple[bool, int, int, dict[str, np.ndarray]]:
+def check_data_solvability(ds: NodeDataset, multiplier: float | None = None) -> tuple[Rank, Rank]:
     """Data-side test of the decoupling solvability condition.
 
-    Returns (holds, rank of [U; Ydot; X], rank of [U; X; Xdot], the
-    singular values behind both ranks keyed "U;Ydot;X" and "U;X;Xdot");
-    the two ranks agree exactly when rank(C B_p) = rank(B_p) on the
-    underlying plant.
+    Returns the rank decisions of [U; Ydot; X] and [U; X; Xdot]; the node
+    is solvable when their ranks agree, which on the underlying plant is
+    exactly rank(C B_p) = rank(B_p).
     """
-    lhs = decide_rank(np.vstack([ds.U, ds.Ydot, ds.X]), multiplier)
-    rhs = decide_rank(np.vstack([ds.U, ds.X, ds.Xdot]), multiplier)
-    return (lhs.rank == rhs.rank, lhs.rank, rhs.rank,
-            {"U;Ydot;X": lhs.singular_values, "U;X;Xdot": rhs.singular_values})
+    return (decide_rank(np.vstack([ds.U, ds.Ydot, ds.X]), multiplier),
+            decide_rank(np.vstack([ds.U, ds.X, ds.Xdot]), multiplier))
 
 
 def recover_output_map(ds: NodeDataset,
-                       multiplier: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """C = Y X^+ and the singular values of X, from one SVD of X.
+                       multiplier: float | None = None) -> tuple[np.ndarray, Rank]:
+    """C = Y X^+ and the rank decision of X, from one SVD of X.
 
     Requires the state data to have full row rank.
     """
     x = decide_rank(ds.X, multiplier, pinv=True)
     if x.rank < ds.n_x:
         raise RankError("state data X is row-rank deficient; cannot recover the output map")
-    return ds.Y @ x.pinv, x.singular_values
+    return ds.Y @ x.pinv, x
 
 
-def regress_on_known(ds: NodeDataset, multiplier: float | None = None) -> tuple[np.ndarray, int]:
-    """The least-squares fit Xdot [U; X]^+ (U's columns first) and rank([U; X]), from one SVD."""
+def regress_on_known(ds: NodeDataset, multiplier: float | None = None) -> tuple[np.ndarray, Rank]:
+    """The least-squares fit Xdot [U; X]^+ (U's columns first) and the rank
+    decision of [U; X], from one SVD."""
     known = decide_rank(np.vstack([ds.U, ds.X]), multiplier, pinv=True)
-    return ds.Xdot @ known.pinv, known.rank
+    return ds.Xdot @ known.pinv, known
 
 
 def solve_data_equation_structured(ds: NodeDataset, r_hat: int, c_rec: np.ndarray,
@@ -113,9 +110,7 @@ class DataDesignReport:
 
     node_index: int
     solvable: bool
-    rank_with_output_derivs: int
-    rank_with_state_derivs: int
-    spectra: dict[str, np.ndarray]  # singular values behind each rank decision
+    ranks: dict[str, Rank]  # decide_rank's records: "U;Ydot;X", "U;X;Xdot", "X" if solvable
     # set only by the design of a solvable node; detectable only for a leader candidate
     detectable: bool | None = None
     T_u: np.ndarray | None = None
@@ -134,25 +129,23 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
     One pass: the unknown-input rank is read from the solvability test and
     the leader's detectability test works on the structured solve's blocks,
     so no matrix is ranked or pseudo-inverted twice.  The report keeps the
-    singular values of the two solvability stacks and, for a solvable
-    node, of X.
+    rank decisions of the two solvability stacks and, for a solvable node,
+    of X.
     """
-    solvable, lhs, rhs, spectra = check_data_solvability(ds, multiplier)
-    if not solvable:
-        return DataDesignReport(
-            node_index=ds.node_index, solvable=False,
-            rank_with_output_derivs=lhs, rank_with_state_derivs=rhs, spectra=spectra)
-    r_hat = max(rhs - ds.n_m - ds.n_x, 0)
-    c_rec, spectra["X"] = recover_output_map(ds, multiplier)
+    lhs, rhs = check_data_solvability(ds, multiplier)
+    ranks = {"U;Ydot;X": lhs, "U;X;Xdot": rhs}
+    if lhs.rank != rhs.rank:
+        return DataDesignReport(node_index=ds.node_index, solvable=False, ranks=ranks)
+    r_hat = max(rhs.rank - ds.n_m - ds.n_x, 0)
+    c_rec, ranks["X"] = recover_output_map(ds, multiplier)
     t_u, t_y, t_x, residual = solve_data_equation_structured(
         ds, r_hat, c_rec, rtol=rtol, multiplier=multiplier)
     detectable = (check_data_detectability(ds, t_x, r_hat, multiplier)
                   if test_detectability else None)
     return DataDesignReport(
-        node_index=ds.node_index, solvable=True,
-        rank_with_output_derivs=lhs, rank_with_state_derivs=rhs,
+        node_index=ds.node_index, solvable=True, ranks=ranks,
         detectable=detectable, T_u=t_u, T_y=t_y, T_x=t_x, C_recovered=c_rec,
-        residual=residual, r_inferred=r_hat, spectra=spectra)
+        residual=residual, r_inferred=r_hat)
 
 
 def analyze_datasets(datasets, rtol: float = DesignSection.residual_rtol,

@@ -170,10 +170,9 @@ def check_detectability(model: PlantModel, i: int) -> bool:
     """Detectability of ((I - H C) A, C) with the particular H."""
     node = model.nodes[i]
     try:
-        h = decoupling_gain(node.C, node.B_p)
+        t, _, _ = decouple_node(model.A, node.B_m, node.B_p, node.C)
     except SolvabilityError:
         return False
-    t = (np.eye(model.n_x) - h @ node.C) @ model.A
     return pbh_detectable(t, node.C)
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,11 +80,23 @@ def path(m: int, weight: float = 1.0) -> SensorGraph:
 
 
 def from_edges(m: int, edges, weight: float) -> SensorGraph:
-    """Graph from (i, j) entries of weight ``weight`` and (i, j, w) entries of weight w."""
+    """Graph from (i, j) entries of weight ``weight`` and (i, j, w) entries of weight w.
+
+    Each entry needs two distinct integer node indices in [0, m) and a
+    finite positive weight; any other entry is a GraphError naming it.
+    """
     a = np.zeros((m, m))
-    for edge in edges:
+    for k, edge in enumerate(edges):
+        if len(edge) not in (2, 3):
+            raise GraphError(f"edge entry {k} {edge!r} must be (i, j) or (i, j, weight)")
         i, j, w = (*edge, weight) if len(edge) == 2 else edge
-        i, j = int(i), int(j)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v < m
+                   for v in (i, j)) or i == j:
+            raise GraphError(f"edge entry {k} {edge!r} needs two distinct integer node "
+                             f"indices in [0, {m})")
+        if not (isinstance(w, numbers.Real) and np.isfinite(w) and w > 0):
+            raise GraphError(f"edge entry {k} {edge!r} has weight {w!r}; "
+                             "it must be finite and > 0")
         a[i, j] = a[j, i] = float(w)
     return SensorGraph(a)
 

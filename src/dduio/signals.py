@@ -6,6 +6,7 @@ identical values.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,10 @@ class AutonomousLinear(SignalGenerator):
             raise ValueError("transition matrix must be square")
         if self.initial.shape[0] != self.transition.shape[0]:
             raise ValueError("initial value length must match transition size")
+        k = self.transition.shape[0]
+        if not (isinstance(component, numbers.Integral) and not isinstance(component, bool)
+                and 0 <= component < k):
+            raise ValueError(f"component must be an integer in [0, {k}), got {component!r}")
         lam, vec = np.linalg.eig(self.transition)
         self._lam = lam
         self._modes = vec[component, :] * np.linalg.solve(vec, self.initial.astype(complex))
@@ -89,8 +94,11 @@ class PiecewiseConstantRandom(SignalGenerator):
     _rng: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.hold <= 0:
-            raise ValueError("hold interval must be positive")
+        if not self.hold > 0:
+            raise ValueError(f"hold interval must be positive, got {self.hold!r}")
+        if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low <= self.high):
+            raise ValueError(f"low and high must be finite with low <= high, "
+                             f"got low={self.low!r}, high={self.high!r}")
         self._rng = np.random.default_rng(self.seed)
 
     def _index(self, ts):

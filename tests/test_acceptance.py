@@ -82,7 +82,8 @@ def test_criterion_3_data_tests_agree_with_model_tests():
             n_min = b_m.shape[1] + b_p.shape[1] + a.shape[0]
             ds = pointwise_dataset(a, b_m, b_p, c, N=n_min + 12,
                                    seed=7000 + trial)
-            holds = check_data_solvability(ds)[0]
+            lhs, rhs = check_data_solvability(ds)
+            holds = lhs.rank == rhs.rank
             assert holds == rank_condition(model.nodes[0].C, model.nodes[0].B_p)
             if holds:
                 solvable_seen += 1

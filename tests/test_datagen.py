@@ -106,6 +106,17 @@ def test_restarts_and_jitter_modes(bench_model):
     assert not np.allclose(np.diff(ds_j.sample_times), ds_j.sample_times[1])
 
 
+@pytest.mark.parametrize("restarts", [2, 25, 50])
+def test_each_restart_segment_draws_its_own_excitation(bench_model, restarts):
+    # every segment restarts at t = 0, so segments sharing generators would
+    # replay one another's inputs, and 25 or 50 of them could not reach full
+    # excitation rank
+    for i in range(bench_model.M):
+        ds = collect(bench_model, i, DataSection(N=50, restarts=restarts), seed=7)
+        assert len(np.unique(ds.U)) == ds.N
+        assert check_excitation_rank(ds).rank == excitation_rows(ds)
+
+
 def test_output_noise_flag(bench_model):
     ds = collect(bench_model, 0, DataSection(N=50, noise_amplitude=1e-3), seed=23)
     node = bench_model.nodes[0]

@@ -46,22 +46,22 @@ def record_solve_calls(monkeypatch):
 
 def test_solvability_benchmark_nodes(bench_datasets):
     for ds in bench_datasets:
-        holds, lhs, rhs, spectra = check_data_solvability(ds)
-        assert holds
-        assert lhs == rhs == 7
+        lhs, rhs = check_data_solvability(ds)
+        assert lhs.rank == rhs.rank == 7
         # the spectra returned are the ones the two ranks were read from
+        spectra = {"U;Ydot;X": lhs.singular_values, "U;X;Xdot": rhs.singular_values}
         for name, stack in (("U;Ydot;X", np.vstack([ds.U, ds.Ydot, ds.X])),
                             ("U;X;Xdot", np.vstack([ds.U, ds.X, ds.Xdot]))):
             assert spectra[name].tobytes() == decide_rank(stack).singular_values.tobytes()
-        assert list(spectra) == ["U;Ydot;X", "U;X;Xdot"]
+        assert list(analyze_node(ds).ranks)[:2] == ["U;Ydot;X", "U;X;Xdot"]
 
 
 def test_solvability_without_unknown_channels():
     a = np.array([[0.0, 1.0], [-2.0, -0.3]])
     ds = pointwise_dataset(a, [[0.0], [1.0]], np.zeros((2, 0)), np.eye(2),
                            N=20, seed=1)
-    holds, lhs, rhs, _ = check_data_solvability(ds)
-    assert holds and lhs == rhs == 3
+    lhs, rhs = check_data_solvability(ds)
+    assert lhs.rank == rhs.rank == 3
     assert analyze_node(ds).r_inferred == 0
 
 
@@ -70,11 +70,36 @@ def test_solvability_fails_when_output_blind_to_unknown():
     a = np.array([[0.1, 0.4], [-0.6, 0.2]])
     ds = pointwise_dataset(a, np.zeros((2, 0)), [[1.0], [0.0]], [[0.0, 1.0]],
                            N=20, seed=2)
-    holds, lhs, rhs, spectra = check_data_solvability(ds)
-    assert not holds
-    assert lhs < rhs
+    lhs, rhs = check_data_solvability(ds)
+    assert lhs.rank < rhs.rank
     # an unsolvable node reports only the two spectra its test used
-    assert analyze_node(ds).spectra.keys() == spectra.keys() == {"U;Ydot;X", "U;X;Xdot"}
+    assert analyze_node(ds).ranks.keys() == {"U;Ydot;X", "U;X;Xdot"}
+
+
+@pytest.mark.parametrize("solvable", [True, False])
+def test_report_stores_the_records_decide_rank_returned(monkeypatch, bench_datasets, solvable):
+    # each report entry is the very record decide_rank returned for its
+    # matrix, not a copy or a rebuilt one
+    if solvable:
+        ds = bench_datasets[0].design_view()
+    else:
+        ds = pointwise_dataset(np.array([[0.1, 0.4], [-0.6, 0.2]]), np.zeros((2, 0)),
+                               [[1.0], [0.0]], [[0.0, 1.0]], N=20, seed=2)
+    decided = []
+    original = design_data.decide_rank
+
+    def recording(a, *args, **kw):
+        decided.append((np.ascontiguousarray(a).tobytes(), original(a, *args, **kw)))
+        return decided[-1][1]
+    monkeypatch.setattr(design_data, "decide_rank", recording)
+    report = analyze_node(ds, test_detectability=True)
+    stacks = {"U;Ydot;X": np.vstack([ds.U, ds.Ydot, ds.X]),
+              "U;X;Xdot": np.vstack([ds.U, ds.X, ds.Xdot]), "X": ds.X}
+    assert report.solvable is solvable
+    assert list(report.ranks) == list(stacks)[:3 if solvable else 2]
+    for name, record in report.ranks.items():
+        ranked = [key for key, returned in decided if returned is record]
+        assert ranked == [stacks[name].tobytes()], name
 
 
 def test_recover_output_map_identity_data():
@@ -92,15 +117,16 @@ def test_recover_output_map_identity_data():
 
 def test_recover_output_map_benchmark_node3(bench_model, bench_datasets):
     ds = bench_datasets[2]
-    c, sv = recover_output_map(ds)
+    c, x_rank = recover_output_map(ds)
+    sv = x_rank.singular_values
     assert np.linalg.norm(c - bench_model.nodes[2].C) < 1e-9
     # one SVD gives the spectrum and a pseudoinverse equal to numpy's, bit for bit
     assert np.allclose(sv, decide_rank(ds.X).singular_values, rtol=1e-13)
     rcond = linalg.DEFAULT_RANK_MULTIPLIER * max(ds.X.shape) * np.finfo(float).eps
     assert c.tobytes() == (ds.Y @ np.linalg.pinv(ds.X, rcond=rcond)).tobytes()
     report = analyze_node(ds)
-    assert list(report.spectra) == ["U;Ydot;X", "U;X;Xdot", "X"]
-    assert report.spectra["X"].tobytes() == sv.tobytes()
+    assert list(report.ranks) == ["U;Ydot;X", "U;X;Xdot", "X"]
+    assert report.ranks["X"].singular_values.tobytes() == sv.tobytes()
     assert report.C_recovered.tobytes() == c.tobytes()
 
 
@@ -329,7 +355,8 @@ def test_rank_tests_agree_with_model_conditions(kind):
         ds = pointwise_dataset(a, b_m, b_p, c,
                                N=b_m.shape[1] + b_p.shape[1] + a.shape[0] + 10,
                                seed=1000 + trial)
-        holds = check_data_solvability(ds)[0]
+        lhs, rhs = check_data_solvability(ds)
+        holds = lhs.rank == rhs.rank
         assert holds == rank_condition(model.nodes[0].C, model.nodes[0].B_p)
         if holds:
             detectable = analyze_node(ds, test_detectability=True).detectable
@@ -414,7 +441,7 @@ def test_leader_test_reuses_the_structured_solve(monkeypatch, kind):
     a, b_m, b_p, c = random_node_system(np.random.default_rng(31), kind)
     ds = pointwise_dataset(a, b_m, b_p, c, N=b_m.shape[1] + b_p.shape[1] + a.shape[0] + 10,
                            seed=77)
-    r_hat = check_data_solvability(ds)[2] - ds.n_m - ds.n_x
+    r_hat = check_data_solvability(ds)[1].rank - ds.n_m - ds.n_x
     c_rec, _ = recover_output_map(ds)
     _, _, t_x, _ = solve_data_equation_structured(ds, r_hat, c_rec)
     detectable = check_data_detectability(ds, t_x, r_hat, None)

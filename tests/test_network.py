@@ -141,3 +141,25 @@ def test_lambda_min_reduced_is_taken_once_per_leader():
         + [g.lambda_min_reduced(3)]
     assert [shape for shape, _ in calls] == [(5, 5), (5, 5)]
     assert first[0] == float(np.linalg.eigvalsh(reduced(g.laplacian, 0))[0])
+
+
+@pytest.mark.parametrize("edges, match", [
+    ([(0, 1), (1, -1)], r"edge entry 1 \(1, -1\) needs two distinct integer node indices"),
+    ([(0, 1.5), (1, 2)], r"edge entry 0 \(0, 1.5\) needs two distinct integer node indices"),
+    ([(0, 1), (1, 5)], r"edge entry 1 \(1, 5\) needs two distinct integer node indices"),
+    ([(0, 1), (True, 2)], r"edge entry 1 \(True, 2\) needs two distinct integer"),
+    ([[0, 1, 0.0], (1, 2)], r"edge entry 0 \[0, 1, 0.0\] has weight 0.0"),
+    ([(0, 1, float("nan")), (1, 2)], r"edge entry 0 .* has weight nan"),
+    ([(0, 1), (1,)], r"edge entry 1 \(1,\) must be \(i, j\) or \(i, j, weight\)"),
+], ids=["negative-index", "float-index", "out-of-range", "bool-index", "zero-weight",
+        "nan-weight", "short-entry"])
+def test_from_edges_refuses_a_misread_entry(edges, match):
+    # unchecked, each entry would be read as some other graph or fail with a
+    # bare IndexError
+    with pytest.raises(GraphError, match=match):
+        from_edges(3, edges, 1.0)
+
+
+def test_from_edges_refuses_a_zero_default_weight():
+    with pytest.raises(GraphError, match=r"edge entry 0 \(0, 1\) has weight 0.0"):
+        path(3, 0.0)

@@ -54,6 +54,27 @@ def test_sample_matches_value(gen):
     np.testing.assert_allclose(sampled, pointwise, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: AutonomousLinear([[-1.0]], [1.0], component=3),
+     r"component must be an integer in \[0, 1\), got 3"),
+    (lambda: AutonomousLinear([[-1.0, 0.0], [0.0, -2.0]], [1.0, 1.0], component=-1),
+     r"component must be an integer in \[0, 2\), got -1"),
+    (lambda: AutonomousLinear([[-1.0, 0.0], [0.0, -2.0]], [1.0, 1.0], component=1.0),
+     r"component must be an integer in \[0, 2\), got 1.0"),
+    (lambda: PiecewiseConstantRandom(1.0, -1.0, 0.1, 0),
+     r"low and high must be finite with low <= high, got low=1.0, high=-1.0"),
+    (lambda: PiecewiseConstantRandom(-1.0, float("inf"), 0.1, 0),
+     r"low and high must be finite"),
+    (lambda: PiecewiseConstantRandom(-1.0, 1.0, float("nan"), 0),
+     r"hold interval must be positive, got nan"),
+], ids=["component-too-large", "component-negative", "component-float", "low-above-high",
+        "infinite-high", "nan-hold"])
+def test_generators_refuse_bad_arguments_when_built(build, match):
+    # refused by name at construction, not at the first sample or value
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_tabulated_replays_its_grid_and_refuses_other_times():
     step = 5e-4
     gen = Sinusoid(0.3, 2.1, 0.4)
