@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +17,12 @@ import yaml
 
 from .datagen import DataSection
 from .design_model import DESIGN_METHODS, DesignSection
-from .errors import ConfigError, DimensionError, GraphError, NumericsError, RankError
+from .errors import (ConfigError, ConnectivityError, DimensionError, GraphError, NumericsError,
+                     RankError)
 from .network import GENERATORS, SensorGraph, from_edges
-from .plant import PlantModel
-from .signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero
+from .plant import PlantModel, step_count
+from .signals import (AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero, float_array,
+                      held_index, transition_modes)
 
 # Required and optional parameter keys of each signal kind.
 _SIGNAL_KEYS = {
@@ -28,9 +31,12 @@ _SIGNAL_KEYS = {
     "piecewise-constant-random": (("low", "high"), ("hold",)),
     "zero": ((), ()),
 }
-# Signal parameters that must be finite numbers whenever they are given.
-_NUMERIC_PARAMS = ("amplitude", "frequency", "phase", "low", "high")
+# Sinusoid parameters, which must be finite numbers whenever they are given.
+_NUMERIC_PARAMS = ("amplitude", "frequency", "phase")
 _Z0_POLICIES = ("zero", "matched")
+# Parse-time builds draw from this one generator, so no parse pays for seeding
+# one; nothing they draw is kept.
+_PARSE_RNG = np.random.default_rng(0)
 
 
 def _check_keys(section, required: tuple, optional: tuple, where: str) -> None:
@@ -49,10 +55,9 @@ def _check_keys(section, required: tuple, optional: tuple, where: str) -> None:
 
 def _matrix(value, where: str) -> np.ndarray:
     try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: not a numeric matrix: {exc}") from exc
-    return m
+        return float_array(value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _is_number(value) -> bool:
@@ -99,9 +104,9 @@ class SignalSpec:
         if self.kind == "autonomous-linear":
             initial = p["initial"]
             if isinstance(initial, dict):
-                lo, hi = initial["uniform"]
-                k = np.atleast_2d(np.asarray(p["transition"], dtype=float)).shape[0]
-                initial = np.random.default_rng(seed).uniform(lo, hi, k)
+                # its row count only: AutonomousLinear then refuses any faulty transition
+                k = np.atleast_2d(float_array(p["transition"], "transition")).shape[0]
+                initial = np.random.default_rng(seed).uniform(*initial["uniform"], k)
             return AutonomousLinear(p["transition"], initial, p.get("component", 0))
         if self.kind == "piecewise-constant-random":
             hold = default_hold if p.get("hold") is None else p["hold"]
@@ -118,33 +123,8 @@ def _check_range(value, where: str) -> None:
         raise ConfigError(f"{where} must be two finite numbers lo <= hi, got {value!r}")
 
 
-def _check_autonomous(spec: dict, where: str) -> None:
-    """A square, finite, diagonalizable transition, with an initial state and a component
-    that fit it."""
-    transition = np.atleast_2d(_matrix(spec["transition"], f"{where}.transition"))
-    shape = transition.shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ConfigError(f"{where}.transition must be a square matrix, "
-                          f"got {spec['transition']!r}")
-    if not np.isfinite(transition).all():
-        raise ConfigError(f"{where}.transition must be finite, got {spec['transition']!r}")
-    # AutonomousLinear evaluates through the eigenvectors, which a defective
-    # transition does not have: the modes it would use are wrong
-    cond = np.linalg.cond(np.linalg.eig(transition)[1])
-    if not cond < 1.0 / math.sqrt(np.finfo(float).eps):
-        raise ConfigError(f"{where}.transition must be diagonalizable, but its eigenvector "
-                          f"matrix has condition number {cond:.3g}")
-    k, initial, component = shape[0], spec["initial"], spec.get("component", 0)
-    if isinstance(initial, dict):
-        _check_keys(initial, ("uniform",), (), f"{where}.initial")
-        _check_range(initial["uniform"], f"{where}.initial.uniform")
-    elif np.atleast_1d(_matrix(initial, f"{where}.initial")).shape != (k,):
-        raise ConfigError(f"{where}.initial must be {k} numbers, got {initial!r}")
-    if not (_is_int(component) and 0 <= component < k):
-        raise ConfigError(f"{where}.component must be an integer in [0, {k}), got {component!r}")
-
-
 def _parse_signal(spec: dict, where: str) -> SignalSpec:
+    """Syntax here; every value rule is the generator's, met by building it once."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: a signal needs a 'kind' field")
     kind = spec["kind"]
@@ -153,17 +133,23 @@ def _parse_signal(spec: dict, where: str) -> SignalSpec:
                           f"choose from {tuple(_SIGNAL_KEYS)}")
     required, optional = _SIGNAL_KEYS[kind]
     _check_keys(spec, ("kind", *required), optional, where)
-    if kind == "autonomous-linear":
-        _check_autonomous(spec, where)
     for key in _NUMERIC_PARAMS:
         if key in spec:
             _check(spec[key], "a finite number", f"{where}.{key}")
-    if kind == "piecewise-constant-random":
-        if spec["low"] > spec["high"]:
-            raise ConfigError(f"{where}: low {spec['low']!r} exceeds high {spec['high']!r}")
-        # null holds the signal for one run.dt
-        _check(spec.get("hold"), "null or a finite number > 0", f"{where}.hold")
-    return SignalSpec(kind=kind, params={k: v for k, v in spec.items() if k != "kind"})
+    signal = SignalSpec(kind=kind, params={k: v for k, v in spec.items() if k != "kind"})
+    try:
+        if isinstance(spec.get("initial"), dict):
+            try:
+                _check_keys(spec["initial"], ("uniform",), (), f"{where}.initial")
+                _check_range(spec["initial"]["uniform"], f"{where}.initial.uniform")
+            except ConfigError:
+                transition_modes(spec["transition"])  # a faulty transition is named first
+                raise
+        # a null hold stands for run.dt; parse_config checks holds against the run
+        signal.build(_PARSE_RNG, default_hold=1.0)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
+    return signal
 
 
 # The paper's numerical example in the explicit plant form: a four-state
@@ -236,19 +222,6 @@ def _parse_plant(section: dict) -> tuple:
     return model, inputs, dist
 
 
-def _check_edge(edge, size: int, where: str) -> tuple:
-    """An (i, j) or (i, j, weight) entry: distinct in-range nodes, positive weight."""
-    if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
-        raise ConfigError(f"{where} must be [i, j] or [i, j, weight], got {edge!r}")
-    i, j = edge[:2]
-    if not all(_is_int(v) and 0 <= v < size for v in (i, j)) or i == j:
-        raise ConfigError(f"{where} needs two distinct node indices in [0, {size}), "
-                          f"got {edge!r}")
-    if len(edge) == 3:
-        _check(edge[2], "a finite number > 0", f"{where} weight")
-    return tuple(edge)
-
-
 def _parse_graph(section) -> SensorGraph:
     """The sensor graph, from a generator or from explicit edges, never both."""
     _check_keys(section, (), ("generator", "size", "edges", "weight"), "graph")
@@ -262,7 +235,7 @@ def _parse_graph(section) -> SensorGraph:
             if gen not in GENERATORS:
                 raise ConfigError(f"graph: unknown generator {gen!r}; "
                                   f"choose from {sorted(GENERATORS)}")
-            return GENERATORS[gen](size, float(weight))
+            return GENERATORS[gen](size, weight)
         if "size" not in section:
             raise ConfigError("graph: explicit edges need 'size'")
         if section.get("generator") is not None:
@@ -270,17 +243,13 @@ def _parse_graph(section) -> SensorGraph:
                               f"got generator {section['generator']!r}")
         if not isinstance(edges, list):
             raise ConfigError(f"graph.edges must be a list, got {edges!r}")
-        checked = [_check_edge(e, size, f"graph.edges[{k}]") for k, e in enumerate(edges)]
-        first = {}
-        for k, e in enumerate(checked):
-            j = first.setdefault(frozenset(e[:2]), k)
-            if j != k:
-                raise ConfigError(f"graph.edges[{j}] and graph.edges[{k}] both join nodes "
-                                  f"{sorted(e[:2])}; list each edge once")
-        return from_edges(size, checked, float(weight))
+        return from_edges(size, edges, weight)
     except GraphError as exc:
-        where = "graph" if edges is None else "graph.edges"
-        raise ConfigError(f"{where}: {exc}") from exc
+        if edges is None or isinstance(exc, ConnectivityError):
+            raise ConfigError(f"{'graph' if edges is None else 'graph.edges'}: {exc}") from exc
+        # from_edges opens its message with the entry, or two for a repeated pair, as edges[k]
+        message = re.sub(r"^(edges\[\d+\] and )edges\[", r"\1graph.edges[", str(exc))
+        raise ConfigError(f"graph.{message}") from exc
 
 
 @dataclass(frozen=True)
@@ -328,8 +297,8 @@ _RULES = {
 }
 
 
-def _validate(sections: dict) -> None:
-    """Reject values that would otherwise fail deep inside a command."""
+def _validate(sections: dict) -> int:
+    """Refuse values that would fail deep inside a command; return the run's step count."""
     for where, kinds in _RULES.items():
         for name, kind in kinds.items():
             _check(getattr(sections[where], name), kind, f"{where}.{name}")
@@ -337,9 +306,13 @@ def _validate(sections: dict) -> None:
     if not (_is_int(data.restarts) and 1 <= data.restarts <= data.N):
         raise ConfigError(f"data.restarts must be an integer in [1, data.N={data.N}], "
                           f"got {data.restarts!r}")
-    if not (_is_number(run.horizon) and run.dt <= run.horizon < math.inf):
+    if not _is_number(run.horizon):
         raise ConfigError(f"run.horizon must be a number of at least run.dt={run.dt!r}, "
                           f"got {run.horizon!r}")
+    try:
+        n_steps = step_count(run.horizon, run.dt)
+    except DimensionError as exc:
+        raise ConfigError(f"run.horizon: {exc}") from exc
     _check_range(list(run.x0_range), "run.x0_range")
     if not compare.methods or any(m not in DESIGN_METHODS for m in compare.methods):
         raise ConfigError(f"compare.methods must be a non-empty list drawn from "
@@ -349,6 +322,7 @@ def _validate(sections: dict) -> None:
         if j != k:
             raise ConfigError(f"compare.methods[{j}] and compare.methods[{k}] both name "
                               f"{method!r}; list each method once")
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -441,7 +415,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sections = {where: _parse_simple(raw.get(where, {}), cls, where)
                 for where, cls in (("data", DataSection), ("design", DesignSection),
                                    ("run", RunSection), ("compare", CompareSection))}
-    _validate(sections)
+    n_steps = _validate(sections)
     x0, n_x = sections["run"].x0, model.n_x
     if x0 is not None and not (len(x0) == n_x and all(map(_KINDS["a finite number"], x0))):
         raise ConfigError(f"run.x0 must be null or a list of {n_x} finite numbers, "
@@ -449,6 +423,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if graph.M != model.M:
         raise ConfigError(f"graph.size is {graph.M} but the plant has "
                           f"{model.M} nodes; they must be equal")
+    # An explicit hold must keep its held values within the ceiling up to the
+    # run's last sample; disturbances the run leaves out are never sampled.
+    run = sections["run"]
+    sampled = (("inputs", inputs), ("disturbances", disturbances if run.disturbance else ()))
+    for name, specs in sampled:
+        for k, spec in enumerate(specs):
+            if spec.params.get("hold") is not None:
+                try:
+                    held_index(n_steps * run.dt, spec.params["hold"])
+                except ValueError as exc:
+                    raise ConfigError(f"plant.{name}[{k}].{exc}") from exc
     return ExperimentConfig(seed=seed, model=model, inputs=inputs,
                             disturbances=disturbances, graph=graph, **sections)
 

@@ -143,8 +143,8 @@ def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float):
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     out = np.zeros((n_steps + 1, x0.size))
     out[0] = x0
-    phi, weights = _propagator(np.asarray(a, dtype=float), dt)
     with np.errstate(over="ignore", invalid="ignore"):
+        phi, weights = _propagator(np.asarray(a, dtype=float), dt)
         if k:
             np.matmul(upper[:-1], phi[k:, :k].T, out=out[1:])
         if g.size:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,21 +84,28 @@ def from_edges(m: int, edges, weight: float) -> SensorGraph:
     """Graph from (i, j) entries of weight ``weight`` and (i, j, w) entries of weight w.
 
     Each entry needs two distinct integer node indices in [0, m) and a
-    finite positive weight; any other entry is a GraphError naming it.
+    finite positive weight, and joins a pair of nodes no other entry
+    joins; any other entry is a GraphError naming it as edges[k].
     """
     a = np.zeros((m, m))
+    first, repeat = {}, None
     for k, edge in enumerate(edges):
-        if len(edge) not in (2, 3):
-            raise GraphError(f"edge entry {k} {edge!r} must be (i, j) or (i, j, weight)")
+        if not isinstance(edge, (list, tuple, np.ndarray)) or len(edge) not in (2, 3):
+            raise GraphError(f"edges[{k}] must be [i, j] or [i, j, weight], got {edge!r}")
         i, j, w = (*edge, weight) if len(edge) == 2 else edge
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v < m
                    for v in (i, j)) or i == j:
-            raise GraphError(f"edge entry {k} {edge!r} needs two distinct integer node "
-                             f"indices in [0, {m})")
-        if not (isinstance(w, numbers.Real) and np.isfinite(w) and w > 0):
-            raise GraphError(f"edge entry {k} {edge!r} has weight {w!r}; "
-                             "it must be finite and > 0")
+            raise GraphError(f"edges[{k}] needs two distinct node indices in [0, {m}), "
+                             f"got {edge!r}")
+        if not (isinstance(w, numbers.Real) and not isinstance(w, bool)
+                and 0 < w <= sys.float_info.max):
+            raise GraphError(f"edges[{k}] weight must be a finite number > 0, got {w!r}")
+        j0 = first.setdefault(frozenset((i, j)), k)
+        if repeat is None and j0 != k:
+            repeat = f"edges[{j0}] and edges[{k}] both join nodes {sorted((i, j))}"
         a[i, j] = a[j, i] = float(w)
+    if repeat:
+        raise GraphError(f"{repeat}; list each edge once")
     return SensorGraph(a)
 
 

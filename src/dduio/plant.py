@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionError, NumericsError, RankError
 from .integrate import rk4_linear
 from .linalg import numerical_rank
+from .signals import MAX_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,21 @@ class Trajectory:
     d: np.ndarray
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """round(horizon / dt); a DimensionError unless 0 < dt <= horizon < inf and
+    horizon <= MAX_SAMPLES * dt, compared before dividing so that none overflows."""
+    if not (0 < dt <= horizon < math.inf and horizon <= MAX_SAMPLES * dt):
+        raise DimensionError(f"need 0 < dt <= horizon < inf and at most {MAX_SAMPLES} steps, "
+                             f"got dt={dt:g}, horizon={horizon!r}")
+    return int(round(horizon / dt))
+
+
 def check_scenario(model: PlantModel, x0, inputs, disturbances, horizon: float,
                    dt: float) -> tuple[np.ndarray, list, int]:
-    """Refuse a scenario unless 0 < dt <= horizon < inf, ``x0`` has n_x entries,
-    ``inputs`` one generator per column of B and ``disturbances`` one per
-    column of E.  Returns x0 flat, the generators stacked inputs first, and
-    the step count round(horizon / dt)."""
-    if not (0 < dt <= horizon < math.inf):
-        raise DimensionError(f"need 0 < dt <= horizon < inf, got dt={dt:g}, "
-                             f"horizon={horizon:g}")
+    """Refuse a scenario unless ``step_count`` takes (horizon, dt), ``x0`` has n_x entries,
+    and there is a generator per column of B (``inputs``) and of E (``disturbances``).
+    Returns x0 flat, the generators stacked inputs first, and the step count."""
+    n_steps = step_count(horizon, dt)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.n_x:
         raise DimensionError(f"x0 has length {x0.size}, expected {model.n_x}")
@@ -167,7 +174,7 @@ def check_scenario(model: PlantModel, x0, inputs, disturbances, horizon: float,
         raise DimensionError(f"need {model.n_u} input generators, got {len(inputs)}")
     if len(disturbances) != model.n_d:
         raise DimensionError(f"need {model.n_d} disturbance generators, got {len(disturbances)}")
-    return x0, list(inputs) + list(disturbances), int(round(horizon / dt))
+    return x0, list(inputs) + list(disturbances), n_steps
 
 
 def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float,

@@ -80,6 +80,20 @@ def test_collect_insufficient_samples(tmp_path, fast_config_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("key, block", [("u_amplitude", "known-input rows U"),
+                                        ("d_amplitude", "unknown-input rows W")])
+def test_signed_zero_amplitude_collects_as_zero(tmp_path, capsys, key, block):
+    # -0.0 once reached numpy's uniform as high = -0.0 below low = 0.0
+    errors = []
+    for amplitude in (0.0, -0.0):
+        path = tmp_path / "zero.yaml"
+        path.write_text(yaml.safe_dump({**FAST_CONFIG, "data": {key: amplitude}}))
+        assert main(["collect", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (f"error: node 0: data remain rank-deficient after 8 "
+                                      f"attempts; deficient block: {block}\n")
+
+
 def test_check_passes_and_explains(collected, capsys):
     assert main(["check", "--data", collected]) == 0
     out = capsys.readouterr().out

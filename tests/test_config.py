@@ -181,13 +181,13 @@ def _preset_signal(section="disturbances", index=0, **params):
     pytest.param(_preset_signal(high=[0.1]),
                  r"plant\.disturbances\[0\]\.high must be a finite number", id="high-list"),
     pytest.param(_preset_signal(low=0.2, high=0.1),
-                 r"plant\.disturbances\[0\]: low 0\.2 exceeds high 0\.1", id="low-above-high"),
+                 r"plant\.disturbances\[0\]\.low 0\.2 exceeds high 0\.1", id="low-above-high"),
     pytest.param(_preset_signal(hold=-0.5),
-                 r"plant\.disturbances\[0\]\.hold must be null", id="hold-negative"),
+                 r"plant\.disturbances\[0\]\.hold must be a finite number > 0", id="hold-negative"),
     pytest.param(_preset_signal(hold=0),
-                 r"plant\.disturbances\[0\]\.hold must be null", id="hold-zero"),
+                 r"plant\.disturbances\[0\]\.hold must be a finite number > 0", id="hold-zero"),
     pytest.param(_preset_signal(hold="0.1"),
-                 r"plant\.disturbances\[0\]\.hold must be null", id="hold-text"),
+                 r"plant\.disturbances\[0\]\.hold must be a finite number > 0", id="hold-text"),
     pytest.param(_preset_signal("inputs", 0, transition=[[1, 2]]),
                  r"plant\.inputs\[0\]\.transition must be a square matrix",
                  id="transition-not-square"),
@@ -209,6 +209,42 @@ def _preset_signal(section="disturbances", index=0, **params):
 def test_bad_signal_values_rejected_at_parse_time(raw, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(raw)
+
+
+def _tiny_hold(**run):
+    raw = _preset_signal(hold=1e-300)
+    raw["run"].update(horizon=1.0, **run)
+    return raw
+
+
+def test_a_hold_too_short_for_the_run_is_refused_without_drawing(monkeypatch):
+    def draw(self, k):
+        raise AssertionError("held values drawn at parse time")
+    monkeypatch.setattr(PiecewiseConstantRandom, "_ensure", draw)
+    with pytest.raises(ConfigError, match=r"^plant\.disturbances\[0\]\.hold 1e-300 reaches held "
+                                          r"value 1e\+300, past 100000000$"):
+        parse_config(_tiny_hold())
+    # an input meets the ceiling too; the run ends at 1.0 / 1e-8 = MAX_SAMPLES holds
+    raw = _preset_signal("inputs", 1, kind="piecewise-constant-random", low=0.0, high=1.0,
+                         hold=0.9e-8)
+    for key in ("amplitude", "frequency", "phase"):
+        del raw["plant"]["inputs"][1][key]
+    raw["run"]["horizon"] = 1.0
+    with pytest.raises(ConfigError, match=r"^plant\.inputs\[1\]\.hold 9e-09 reaches"):
+        parse_config(raw)
+    raw["plant"]["inputs"][1]["hold"] = 1e-8
+    assert parse_config(raw).inputs[1].params["hold"] == 1e-8
+    # disturbances a run leaves out are never sampled
+    assert parse_config(_tiny_hold(disturbance=False)).run.disturbance is False
+
+
+@pytest.mark.parametrize("run", [{"horizon": 9223372036854775808}, {"horizon": 10 ** 400},
+                                 {"horizon": 1e6, "dt": 1e-3}],
+                         ids=["int64-overflow", "beyond-float", "1e9-steps"])
+def test_a_run_past_the_step_ceiling_is_refused_at_parse_time(run):
+    with pytest.raises(ConfigError, match=r"^run\.horizon: need 0 < dt <= horizon < inf and "
+                                          r"at most 100000000 steps, got dt="):
+        parse_config({"run": run})
 
 
 def test_held_signal_keeps_an_explicit_hold():
@@ -360,6 +396,9 @@ def test_graph_size_must_match_the_plant():
     pytest.param({"graph": {"size": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [1, 2]]}},
                  r"^graph\.edges\[1\] and graph\.edges\[4\] both join nodes \[1, 2\]",
                  id="edge-repeated-exact"),
+    pytest.param({"graph": {"size": 5, "edges": [[0, "edges["], [1, 2], [2, 3], [3, 4]]}},
+                 r"^graph\.edges\[0\] needs two distinct node indices in \[0, 5\), "
+                 r"got \[0, 'edges\['\]$", id="edge-text-quoted-as-given"),
     pytest.param({"seed": 1.5}, r"seed must be an integer >= 0", id="seed-float"),
     pytest.param({"seed": -1}, r"seed must be an integer >= 0", id="seed-negative"),
     pytest.param(_one_node_plant(node={"C": [[1.0]], "known_input_indices": [0, 0]}),
@@ -396,7 +435,7 @@ def test_boundary_section_values_accepted():
 
 @pytest.mark.parametrize("command, raw, message", [
     pytest.param("compare", _preset_signal(hold=-0.5),
-                 "error: plant.disturbances[0].hold must be null", id="hold"),
+                 "error: plant.disturbances[0].hold must be a finite number > 0", id="hold"),
     pytest.param("collect", _one_node_plant(),
                  "error: graph.size is 5 but the plant has 1 nodes", id="graph-size"),
     pytest.param("collect", {"data": {"substeps": 0}},
@@ -453,6 +492,12 @@ def test_boundary_section_values_accepted():
                                                            [1, 0, 7.0]]}},
                  "error: graph.edges[0] and graph.edges[4] both join nodes [0, 1]; "
                  "list each edge once\n", id="edge-repeated"),
+    pytest.param("compare", {"run": {"horizon": 9223372036854775808}},
+                 "error: run.horizon: need 0 < dt <= horizon < inf and at most 100000000 steps",
+                 id="step-ceiling"),
+    pytest.param("compare", _tiny_hold(),
+                 "error: plant.disturbances[0].hold 1e-300 reaches held value 1e+300",
+                 id="tiny-hold"),
 ])
 def test_cli_rejects_bad_values_before_any_work(tmp_path, capsys, command, raw, message):
     path = tmp_path / "cfg.yaml"

@@ -139,11 +139,13 @@ def test_unexcited_unstable_mode_stays_unexcited():
 
 def test_overflow_raises_without_warning(monkeypatch):
     monkeypatch.setattr(integrate, "DIVERGENCE_LIMIT", np.inf)
-    a = np.array([[400.0]])
-    with np.errstate(all="raise"):
-        with pytest.raises(DivergenceError) as err:
-            integrate.rk4_linear(a, np.zeros((1, 0)), [], np.ones(1), 5000, 1.0)
-    assert err.value.t > 0.0
+    # at 1e300 the step's own propagator overflows, before any state does
+    for entry in (400.0, 1e300):
+        with np.errstate(all="raise"):
+            with pytest.raises(DivergenceError) as err:
+                integrate.rk4_linear(np.array([[entry]]), np.zeros((1, 0)), [], np.ones(1),
+                                     5000, 1.0)
+        assert err.value.t > 0.0
 
 
 class Spike:

@@ -144,13 +144,13 @@ def test_lambda_min_reduced_is_taken_once_per_leader():
 
 
 @pytest.mark.parametrize("edges, match", [
-    ([(0, 1), (1, -1)], r"edge entry 1 \(1, -1\) needs two distinct integer node indices"),
-    ([(0, 1.5), (1, 2)], r"edge entry 0 \(0, 1.5\) needs two distinct integer node indices"),
-    ([(0, 1), (1, 5)], r"edge entry 1 \(1, 5\) needs two distinct integer node indices"),
-    ([(0, 1), (True, 2)], r"edge entry 1 \(True, 2\) needs two distinct integer"),
-    ([[0, 1, 0.0], (1, 2)], r"edge entry 0 \[0, 1, 0.0\] has weight 0.0"),
-    ([(0, 1, float("nan")), (1, 2)], r"edge entry 0 .* has weight nan"),
-    ([(0, 1), (1,)], r"edge entry 1 \(1,\) must be \(i, j\) or \(i, j, weight\)"),
+    ([(0, 1), (1, -1)], r"^edges\[1\] needs two distinct node indices in \[0, 3\), got \(1, -1\)$"),
+    ([(0, 1.5), (1, 2)], r"^edges\[0\] needs two distinct node indices in \[0, 3\), got \(0, 1.5\)$"),
+    ([(0, 1), (1, 5)], r"^edges\[1\] needs two distinct node indices in \[0, 3\), got \(1, 5\)$"),
+    ([(0, 1), (True, 2)], r"^edges\[1\] needs two distinct node indices .* got \(True, 2\)$"),
+    ([[0, 1, 0.0], (1, 2)], r"^edges\[0\] weight must be a finite number > 0, got 0.0$"),
+    ([(0, 1, float("nan")), (1, 2)], r"^edges\[0\] weight must be a finite number > 0, got nan$"),
+    ([(0, 1), (1,)], r"^edges\[1\] must be \[i, j\] or \[i, j, weight\], got \(1,\)$"),
 ], ids=["negative-index", "float-index", "out-of-range", "bool-index", "zero-weight",
         "nan-weight", "short-entry"])
 def test_from_edges_refuses_a_misread_entry(edges, match):
@@ -161,5 +161,23 @@ def test_from_edges_refuses_a_misread_entry(edges, match):
 
 
 def test_from_edges_refuses_a_zero_default_weight():
-    with pytest.raises(GraphError, match=r"edge entry 0 \(0, 1\) has weight 0.0"):
+    with pytest.raises(GraphError, match=r"^edges\[0\] weight must be a finite number > 0, got 0.0$"):
         path(3, 0.0)
+
+
+@pytest.mark.parametrize("edges, match", [
+    ([(0, 1), (1, 0, 7.0), (1, 2)],
+     r"^edges\[0\] and edges\[1\] both join nodes \[0, 1\]; list each edge once$"),
+    ([(0, 1), (1, 2), (0, 1)], r"^edges\[0\] and edges\[2\] both join nodes \[0, 1\]"),
+    # every entry is checked before any repeat is named
+    ([(0, 1), (1, 0), (0, 5)], r"^edges\[2\] needs two distinct node indices"),
+    ([(0, 1, True), (1, 2)], r"^edges\[0\] weight must be a finite number > 0, got True$"),
+    ([(0, 1, 10 ** 400), (1, 2)], r"^edges\[0\] weight must be a finite number > 0, got 1000"),
+    ([(0, 1), 5], r"^edges\[1\] must be \[i, j\] or \[i, j, weight\], got 5$"),
+], ids=["repeated-reversed", "repeated-exact", "bad-entry-after-repeat", "bool-weight",
+        "huge-integer-weight", "bare-number"])
+def test_from_edges_refuses_a_repeated_or_malformed_entry(edges, match):
+    # unchecked, the repeat would keep its last weight, True would read as 1.0,
+    # and the last two would fail with a bare TypeError
+    with pytest.raises(GraphError, match=match):
+        from_edges(3, edges, 1.0)

@@ -4,7 +4,7 @@ import pytest
 import scipy.linalg
 
 from dduio.errors import DimensionError, DivergenceError, RankError
-from dduio.plant import PlantModel, simulate
+from dduio.plant import MAX_SAMPLES, PlantModel, check_scenario, simulate, step_count
 from dduio.signals import AutonomousLinear, Sinusoid, Zero
 
 from conftest import BENCH, single_node_model
@@ -136,6 +136,23 @@ def test_dimension_errors(bench_model):
 def test_simulate_refuses_nan_and_infinite_times(bench_model, horizon, dt):
     with pytest.raises(DimensionError, match="0 < dt <= horizon < inf"):
         simulate(bench_model, np.zeros(4), bench_inputs(0.1), [Zero()], horizon=horizon, dt=dt)
+
+
+@pytest.mark.parametrize("horizon, dt", [(9223372036854775808, 1e-3), (10 ** 400, 1.0),
+                                         (MAX_SAMPLES * 1e-3 + 1e-3, 1e-3)],
+                         ids=["int64-overflow", "beyond-float", "one-step-past"])
+def test_step_count_past_the_ceiling_is_a_dimension_error(bench_model, horizon, dt):
+    # unchecked, the first two die in np.arange with a bare ValueError
+    with pytest.raises(DimensionError, match=rf"at most {MAX_SAMPLES} steps, got dt="):
+        simulate(bench_model, np.zeros(4), bench_inputs(0.1), [Zero()], horizon=horizon, dt=dt)
+    with pytest.raises(DimensionError, match="at most"):
+        check_scenario(bench_model, np.zeros(4), bench_inputs(0.1), [Zero()], horizon, dt)
+
+
+def test_step_count_is_the_rounded_ratio_up_to_the_ceiling():
+    assert step_count(2.0, 0.5) == 4
+    assert step_count(0.3, 0.1) == 3
+    assert step_count(MAX_SAMPLES * 1e-3, 1e-3) == MAX_SAMPLES
 
 
 def test_divergence_reports_timestamp():

@@ -1,8 +1,11 @@
 """Vectorized signal sampling against pointwise evaluation."""
+import math
+
 import numpy as np
 import pytest
 
-from dduio.signals import AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Tabulated, Zero
+from dduio.signals import (MAX_SAMPLES, AutonomousLinear, PiecewiseConstantRandom, Sinusoid,
+                           Tabulated, Zero)
 
 
 def pointwise_index(t, hold):
@@ -62,17 +65,53 @@ def test_sample_matches_value(gen):
     (lambda: AutonomousLinear([[-1.0, 0.0], [0.0, -2.0]], [1.0, 1.0], component=1.0),
      r"component must be an integer in \[0, 2\), got 1.0"),
     (lambda: PiecewiseConstantRandom(1.0, -1.0, 0.1, 0),
-     r"low and high must be finite with low <= high, got low=1.0, high=-1.0"),
+     r"^low 1.0 exceeds high -1.0$"),
     (lambda: PiecewiseConstantRandom(-1.0, float("inf"), 0.1, 0),
-     r"low and high must be finite"),
+     r"^high must be a finite number, got inf$"),
     (lambda: PiecewiseConstantRandom(-1.0, 1.0, float("nan"), 0),
-     r"hold interval must be positive, got nan"),
+     r"^hold must be a finite number > 0, got nan$"),
+    # evaluated through its eigenvectors, this one would read 0 at t = 1 (true value 2)
+    (lambda: AutonomousLinear([[0, 1], [0, 0]], [1, 1]),
+     r"^transition must be diagonalizable, but its eigenvector matrix has condition number"),
+    (lambda: AutonomousLinear([[np.inf]], [1.0]), r"^transition must be finite"),
+    (lambda: AutonomousLinear([[1, 2], [3]], [1.0]), r"^transition: not a numeric matrix"),
+    (lambda: AutonomousLinear([[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]]),
+     r"^initial must be 2 numbers"),
+    (lambda: PiecewiseConstantRandom(-1.0, 1.0, "0.1", 0),
+     r"^hold must be a finite number > 0, got '0.1'$"),
+    (lambda: PiecewiseConstantRandom(-1.0, 1.0, True, 0),
+     r"^hold must be a finite number > 0, got True$"),
+    (lambda: PiecewiseConstantRandom("-1", 1.0, 0.1, 0), r"^low must be a finite number, got '-1'$"),
+    (lambda: PiecewiseConstantRandom(-1.0, 10 ** 400, 0.1, 0), r"^high must be a finite number"),
 ], ids=["component-too-large", "component-negative", "component-float", "low-above-high",
-        "infinite-high", "nan-hold"])
+        "infinite-high", "nan-hold", "defective-transition", "infinite-transition",
+        "ragged-transition", "initial-column", "text-hold", "bool-hold", "text-low",
+        "huge-integer-high"])
 def test_generators_refuse_bad_arguments_when_built(build, match):
     # refused by name at construction, not at the first sample or value
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize("low, high", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+def test_signed_zero_bounds_read_as_zero(low, high):
+    # numpy's uniform refuses high = -0.0 above low = 0.0 as "high - low < 0"
+    gen = PiecewiseConstantRandom(low, high, 0.1, 3)
+    assert math.copysign(1.0, gen.low) == math.copysign(1.0, gen.high) == 1.0
+    assert gen.sample(np.linspace(0.0, 1.0, 11)).tolist() == [0.0] * 11
+
+
+@pytest.mark.parametrize("hold, t", [(1e-300, 1.0), (1.0, MAX_SAMPLES + 1.0), (1.0, np.nan)],
+                         ids=["tiny-hold", "past", "nan"])
+def test_a_time_past_the_held_value_ceiling_is_refused_before_any_draw(hold, t):
+    # unchecked, the index cast warns and the draw fails with a bare IndexError
+    gen = PiecewiseConstantRandom(-0.1, 0.1, hold, 0)
+    with pytest.raises(ValueError, match=rf"^hold {hold!r} reaches held value .*, "
+                                         rf"past {MAX_SAMPLES}$"):
+        gen.sample(np.array([0.0, t]))
+    with pytest.raises(ValueError, match="past"):
+        gen.value(t)
+    assert gen._values.size == 0
 
 
 def test_tabulated_replays_its_grid_and_refuses_other_times():
