@@ -22,7 +22,7 @@ from .errors import (ConfigError, ConnectivityError, DimensionError, GraphError,
 from .network import GENERATORS, SensorGraph, from_edges
 from .plant import PlantModel, step_count
 from .signals import (AutonomousLinear, PiecewiseConstantRandom, Sinusoid, Zero, float_array,
-                      held_index, transition_modes)
+                      held_index, is_finite_number, transition_modes)
 
 # Required and optional parameter keys of each signal kind.
 _SIGNAL_KEYS = {
@@ -69,15 +69,16 @@ def _is_int(value) -> bool:
 
 
 # Each kind of valid value, keyed by the wording of the error that rejects
-# any other value; NaN fails every comparison.
+# any other value; "finite" is signals.is_finite_number, which also refuses
+# an integer past a float's range.
 _KINDS = {
     "a positive integer": lambda v: _is_int(v) and v > 0,
     "an integer >= 0": lambda v: _is_int(v) and v >= 0,
-    "a finite number": lambda v: _is_number(v) and -math.inf < v < math.inf,
-    "a finite number > 0": lambda v: _is_number(v) and 0 < v < math.inf,
-    "a finite number >= 0": lambda v: _is_number(v) and 0 <= v < math.inf,
-    "a finite number > -1": lambda v: _is_number(v) and -1 < v < math.inf,
-    "null or a finite number > 0": lambda v: v is None or (_is_number(v) and 0 < v < math.inf),
+    "a finite number": is_finite_number,
+    "a finite number > 0": lambda v: is_finite_number(v) and v > 0,
+    "a finite number >= 0": lambda v: is_finite_number(v) and v >= 0,
+    "a finite number > -1": lambda v: is_finite_number(v) and v > -1,
+    "null or a finite number > 0": lambda v: v is None or (is_finite_number(v) and v > 0),
     "true or false": lambda v: isinstance(v, bool),
     f"one of {list(_Z0_POLICIES)}": lambda v: v in _Z0_POLICIES,
 }
@@ -119,7 +120,7 @@ class SignalSpec:
 
 def _check_range(value, where: str) -> None:
     if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(map(_KINDS["a finite number"], value)) and value[0] <= value[1]):
+            and all(map(is_finite_number, value)) and value[0] <= value[1]):
         raise ConfigError(f"{where} must be two finite numbers lo <= hi, got {value!r}")
 
 
@@ -417,7 +418,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                    ("run", RunSection), ("compare", CompareSection))}
     n_steps = _validate(sections)
     x0, n_x = sections["run"].x0, model.n_x
-    if x0 is not None and not (len(x0) == n_x and all(map(_KINDS["a finite number"], x0))):
+    if x0 is not None and not (len(x0) == n_x and all(map(is_finite_number, x0))):
         raise ConfigError(f"run.x0 must be null or a list of {n_x} finite numbers, "
                           f"got {list(x0)!r}")
     if graph.M != model.M:

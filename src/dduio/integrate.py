@@ -5,17 +5,23 @@ affine map x+ = Phi x + W0 g s(t) + Wh g s(t + dt/2) + W1 g s(t + dt),
 with Phi and the W's polynomials in dt * a.  Every stage time is a point
 m * dt/2 of the half-step grid, so the forcing is read as rows of that
 grid: sampled block by block with vectorized ``sample`` calls, or sliced
-from a table sampled once (``tabulate``).  The recurrence runs in
-STRIDE-step blocks; the coarse recurrence over the blocks, with
-Phi**STRIDE, is solved the same way, level by level.
+from a table sampled once (``tabulate``).  Each DRIVE_ROWS-step block of
+drives is one product of the block's stage rows with the stacked gain
+[(W0 g)^T; (Wh g)^T; (W1 g)^T].  The recurrence runs in STRIDE-step
+blocks; the coarse recurrence over the blocks, with Phi**STRIDE, is
+solved the same way, level by level, and every block's start state is
+carried into its rows by one product with the stacked powers Phi**1 ...
+Phi**(STRIDE - 1) per chunk of blocks.
 
 When a is block lower triangular, [[a_xx, 0], [a_zx, a_zz]], so are Phi
 and every W, and the lower rows advance alone given the upper rows'
-trajectory: z+ = Phi_zz z + Phi_zx x + (W g)_z s (``rk4_lower_block``).
+trajectory: z+ = Phi_zz z + Phi_zx x + (W g)_z s (``rk4_lower_block``);
+the coupling Phi_zx x joins the drive product as one more stacked block.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, DivergenceError
 
@@ -35,25 +41,6 @@ def _propagator(a: np.ndarray, dt: float):
     wh = dt * (2.0 * eye / 3.0 + ha / 3.0 + ha2 / 12.0)
     w1 = dt / 6.0 * eye
     return phi, (w0, wh, w1)
-
-
-def _accumulate_drives(out: np.ndarray, g: np.ndarray, weights, half_rows,
-                       n_steps: int) -> None:
-    """Add d_j = sum over stages of W g s(t_j + offset) into out[j + 1].
-
-    ``half_rows(i, k)`` gives the forcing at the half-step times m * dt/2,
-    2i <= m <= 2k, so step j's stages t_j, t_j + dt/2 and t_j + dt are its
-    rows 2j, 2j + 1 and 2j + 2.  Works in blocks of DRIVE_ROWS steps, so no
-    temporary grows with n_steps and a run's peak memory stays that of its
-    output array.
-    """
-    gains = [(w @ g).T for w in weights]
-    for i in range(0, n_steps, DRIVE_ROWS):
-        k = min(i + DRIVE_ROWS, n_steps)
-        rows = out[1 + i:1 + k]
-        block = half_rows(i, k)
-        for s, gain in enumerate(gains):
-            rows += block[s:s + 2 * (k - i):2] @ gain
 
 
 def _half_step_samples(generators, m0: int, m1: int, dt: float) -> np.ndarray:
@@ -102,10 +89,14 @@ def _recur(out: np.ndarray, phi: np.ndarray, n_steps: int) -> None:
             coarse = out[0:n_blocks * STRIDE + 1:STRIDE].copy()
             _recur(coarse, phi_stride, n_blocks)
             out[STRIDE:n_blocks * STRIDE + 1:STRIDE] = coarse[1:]
-            # Row k - 1 of a block adds the block's start state carried k steps.
-            starts = out[0:n_blocks * STRIDE:STRIDE]
-            for k in range(1, STRIDE):
-                blocks[:, k - 1] += starts @ powers[k - 1].T
+            # Row k - 1 of a block adds the block's start state carried k steps:
+            # one product per chunk with [Phi**1 ... Phi**(S-1)]^T side by side.
+            carry = np.hstack([p.T for p in powers[:STRIDE - 1]])
+            chunk = DRIVE_ROWS // STRIDE
+            for b0 in range(0, n_blocks, chunk):
+                b1 = min(b0 + chunk, n_blocks)
+                starts = out[b0 * STRIDE:b1 * STRIDE:STRIDE]
+                blocks[b0:b1, :STRIDE - 1] += (starts @ carry).reshape(b1 - b0, STRIDE - 1, -1)
             done = n_blocks * STRIDE
     for j in range(done, n_steps):
         out[j + 1] += phi @ out[j]
@@ -136,19 +127,30 @@ def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float):
     """States from ``x0`` of the rows of x' = a x + g s(t) below ``upper``'s.
 
     ``upper`` holds the first rows' states at every grid point (None: no
-    such rows); ``half_rows`` is ``_accumulate_drives``' source, read only
-    when ``g`` has a column.
+    such rows).  ``half_rows(i, k)`` gives the forcing at the half-step
+    times m * dt/2, 2i <= m <= 2k, so step j's stages t_j, t_j + dt/2 and
+    t_j + dt are its rows 2j, 2j + 1 and 2j + 2.  Works in blocks of
+    DRIVE_ROWS steps, each one product written straight into ``out``, so
+    no temporary grows with n_steps and a run's peak memory stays that of
+    its output array.
     """
     k = 0 if upper is None else upper.shape[1]
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    out = np.zeros((n_steps + 1, x0.size))
+    out = np.empty((n_steps + 1, x0.size))
     out[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         phi, weights = _propagator(np.asarray(a, dtype=float), dt)
-        if k:
-            np.matmul(upper[:-1], phi[k:, :k].T, out=out[1:])
-        if g.size:
-            _accumulate_drives(out, g, [w[k:] for w in weights], half_rows, n_steps)
+        # out[j + 1] starts as the drive Phi_zx x_j + sum over stages of (W g)_z s
+        gain = np.vstack([phi[k:, :k].T] + [(w[k:] @ g).T for w in weights])
+        for i in range(0, n_steps, DRIVE_ROWS):
+            j = min(i + DRIVE_ROWS, n_steps)
+            rows = np.ascontiguousarray(half_rows(i, j))
+            # step j's stage rows 2j, 2j + 1 and 2j + 2 lie side by side in
+            # memory: a read-only window of three rows, every other row
+            stages = as_strided(rows, (j - i, 3 * g.shape[1]),
+                                (2 * rows.strides[0], rows.itemsize), writeable=False)
+            np.matmul(np.hstack([stages] if upper is None else [upper[i:j], stages]), gain,
+                      out=out[1 + i:1 + j])
         _recur(out, np.ascontiguousarray(phi[k:, k:]), n_steps)
         _check_divergence(out[1:], dt)
     return out

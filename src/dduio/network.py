@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConnectivityError, GraphError
+from .signals import is_finite_number
 
 CONNECTIVITY_TOL = 1e-9
 
@@ -97,8 +97,7 @@ def from_edges(m: int, edges, weight: float) -> SensorGraph:
                    for v in (i, j)) or i == j:
             raise GraphError(f"edges[{k}] needs two distinct node indices in [0, {m}), "
                              f"got {edge!r}")
-        if not (isinstance(w, numbers.Real) and not isinstance(w, bool)
-                and 0 < w <= sys.float_info.max):
+        if not (is_finite_number(w) and w > 0):
             raise GraphError(f"edges[{k}] weight must be a finite number > 0, got {w!r}")
         j0 = first.setdefault(frozenset((i, j)), k)
         if repeat is None and j0 != k:

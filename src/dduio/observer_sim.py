@@ -10,6 +10,7 @@ then advances every observer network's block from that plant trajectory.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -27,13 +28,21 @@ from .signals import Tabulated
 
 @dataclass(frozen=True)
 class RunResult:
-    """Time-stamped truth, per-node estimates, and error summaries."""
+    """Time-stamped truth, per-node estimates, and error summaries.
+
+    ``spread`` (time,), the largest distance between two nodes' estimates,
+    is computed from ``xhat`` on first read and then kept, so a caller that
+    never reads it (``compare``) never pays for it.
+    """
 
     t: np.ndarray
     x: np.ndarray
     xhat: np.ndarray          # (time, node, state)
     error_norms: np.ndarray   # (time, node)
-    spread: np.ndarray        # (time,) max pairwise estimate distance
+
+    @functools.cached_property
+    def spread(self) -> np.ndarray:
+        return _spread(self.xhat)
 
     @property
     def M(self) -> int:
@@ -139,7 +148,7 @@ def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
 
 
 def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains):
-    """xhat_i = z_i + H_i C_i x, the error norms and the pairwise spread.
+    """xhat_i = z_i + H_i C_i x and the error norms.
 
     Writes xhat over ``z``, which the caller hands over, and returns it as
     (time, node, state).  Works on DRIVE_ROWS-row blocks transposed to
@@ -151,14 +160,31 @@ def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains
     # (node * state, state): node i's rows are H_i C_i
     out_map = np.vstack([h @ node.C for h, node in zip(gains.H, model.nodes)])
     error_norms = np.empty((rows, m_nodes))
-    spread = np.empty(rows)
     for r0 in range(0, rows, DRIVE_ROWS):
         r1 = min(r0 + DRIVE_ROWS, rows)
         x_blk = np.ascontiguousarray(x[r0:r1].T)
         est = out_map @ x_blk
         est += z[r0:r1].T
         z[r0:r1] = est.T
+        # the block's estimates are stored, so est becomes the squared errors
         est = est.reshape(m_nodes, n, -1)
+        est -= x_blk
+        est *= est
+        error_norms[r0:r1] = np.sqrt(est.sum(axis=1)).T
+    return z.reshape(rows, m_nodes, n), error_norms
+
+
+def _spread(xhat: np.ndarray) -> np.ndarray:
+    """The largest distance between two nodes' estimates at every time.
+
+    Works on DRIVE_ROWS-row blocks of ``xhat`` transposed to (node, state,
+    time), like ``_estimates``.
+    """
+    rows, m_nodes, _ = xhat.shape
+    spread = np.empty(rows)
+    for r0 in range(0, rows, DRIVE_ROWS):
+        r1 = min(r0 + DRIVE_ROWS, rows)
+        est = np.ascontiguousarray(xhat[r0:r1].transpose(1, 2, 0))
         # squared distances from node i to every later node, maximized
         far = np.zeros(r1 - r0)
         for i in range(m_nodes - 1):
@@ -166,11 +192,7 @@ def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains
             diff *= diff
             np.maximum(far, diff.sum(axis=1).max(axis=0), out=far)
         np.sqrt(far, out=spread[r0:r1])
-        # the block's estimates are stored, so est becomes the squared errors
-        est -= x_blk
-        est *= est
-        error_norms[r0:r1] = np.sqrt(est.sum(axis=1)).T
-    return z.reshape(rows, m_nodes, n), error_norms, spread
+    return spread
 
 
 def error_dynamics_matrix(gains: DuioGains, graph: SensorGraph) -> tuple[np.ndarray, float]:

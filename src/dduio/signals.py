@@ -25,7 +25,8 @@ def float_array(value, name: str) -> np.ndarray:
         raise ValueError(f"{name}: not a numeric matrix: {exc}") from exc
 
 
-def _is_finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
+    """A real number, not a bool, of magnitude at most the largest float."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)  # exact: an int past a float's range fails
 
@@ -99,6 +100,8 @@ class AutonomousLinear(SignalGenerator):
         self.initial = np.atleast_1d(float_array(initial, "initial"))
         if self.initial.shape != (k,):
             raise ValueError(f"initial must be {k} numbers, got {initial!r}")
+        if not np.isfinite(self.initial).all():
+            raise ValueError(f"initial must be finite, got {initial!r}")
         if not (isinstance(component, numbers.Integral) and not isinstance(component, bool)
                 and 0 <= component < k):
             raise ValueError(f"component must be an integer in [0, {k}), got {component!r}")
@@ -131,12 +134,12 @@ class PiecewiseConstantRandom(SignalGenerator):
 
     def __post_init__(self):
         for name, value in (("low", self.low), ("high", self.high)):
-            if not _is_finite_number(value):
+            if not is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             setattr(self, name, float(value) + 0.0)  # a signed zero reads as 0.0
         if self.low > self.high:
             raise ValueError(f"low {self.low!r} exceeds high {self.high!r}")
-        if not (_is_finite_number(self.hold) and self.hold > 0):
+        if not (is_finite_number(self.hold) and self.hold > 0):
             raise ValueError(f"hold must be a finite number > 0, got {self.hold!r}")
         self._rng = np.random.default_rng(self.seed)
 

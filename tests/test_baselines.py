@@ -13,7 +13,8 @@ from dduio.config import ExperimentConfig, parse_config
 from dduio.design_model import DesignSection
 from dduio.errors import DesignError, EmptyRunError, RankError
 from dduio.linalg import spectral_abscissa
-from dduio.observer_sim import RunResult, run
+from dduio import observer_sim
+from dduio.observer_sim import RunResult, export_run, run
 
 from conftest import (BENCH_GAMMA, CountedSignal, bench_signals, coupling_matrix,
                       load_bench_module, pointwise_dataset)
@@ -108,8 +109,7 @@ def _result_with_error(error_of_t, horizon=1.0, dt=1e-3, m_nodes=2):
     xhat = np.zeros((t.size, m_nodes, 3))
     xhat[:, :, 0] = -e[:, None]
     err = np.tile(np.abs(e)[:, None], (1, m_nodes))
-    return RunResult(t=t, x=x, xhat=xhat, error_norms=err,
-                     spread=np.zeros(t.size))
+    return RunResult(t=t, x=x, xhat=xhat, error_norms=err)
 
 
 def test_metrics_trivial_cases():
@@ -134,7 +134,7 @@ def test_metrics_linear_decay_analytic():
 def test_metrics_empty_run():
     res = _result_with_error(lambda t: t)
     short = RunResult(t=res.t[:1], x=res.x[:1], xhat=res.xhat[:1],
-                      error_norms=res.error_norms[:1], spread=res.spread[:1])
+                      error_norms=res.error_norms[:1])
     with pytest.raises(EmptyRunError):
         compute_mse_mae(short)
 
@@ -180,6 +180,33 @@ def test_experiment_metrics_match_one_run_per_design(small_compare_config):
         assert (got.mse, got.mae) == (want.mse, want.mae)
         assert np.array_equal(got.mse_per_node, want.mse_per_node)
         assert np.array_equal(got.mae_per_node, want.mae_per_node)
+
+
+def test_compare_never_computes_the_spread_and_run_export_reads_it_once(
+        monkeypatch, tmp_path, small_compare_config):
+    cfg = small_compare_config
+    spread = observer_sim._spread
+
+    def refuse(xhat):
+        raise AssertionError("spread computed")
+    monkeypatch.setattr(observer_sim, "_spread", refuse)
+    summaries = monte_carlo_compare(cfg, K=1, master_seed=11)
+    assert [s.method for s in summaries] == list(cfg.compare.methods)
+    # run's export reads it, through the same helper
+    model, graph = cfg.build_model(), cfg.build_graph()
+    (res,) = run_experiment(cfg, model, graph, [design_for_method("model", cfg, model, graph)], 9)
+    with pytest.raises(AssertionError, match="^spread computed$"):
+        export_run(res, tmp_path / "refused")
+    calls = []
+
+    def counted(xhat):
+        calls.append(xhat)
+        return spread(xhat)
+    monkeypatch.setattr(observer_sim, "_spread", counted)
+    export_run(res, tmp_path / "run")
+    assert res.summary()["final_spread"] == res.spread[-1] > 0.0
+    assert len(calls) == 1 and calls[0] is res.xhat
+    assert np.load(tmp_path / "run" / "spread.npy").tobytes() == res.spread.tobytes()
 
 
 def _peak_bytes(call) -> int:

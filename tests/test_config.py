@@ -176,6 +176,9 @@ def _preset_signal(section="disturbances", index=0, **params):
                  r"plant\.inputs\[1\]\.phase must be a finite number", id="bool"),
     pytest.param(_preset_signal("inputs", 1, amplitude=float("nan")),
                  r"plant\.inputs\[1\]\.amplitude must be a finite number", id="nan"),
+    pytest.param(_preset_signal("inputs", 1, amplitude=10 ** 400),
+                 r"plant\.inputs\[1\]\.amplitude must be a finite number",
+                 id="past-float-range"),
     pytest.param(_preset_signal(low="-0.1"),
                  r"plant\.disturbances\[0\]\.low must be a finite number", id="low-text"),
     pytest.param(_preset_signal(high=[0.1]),
@@ -196,6 +199,11 @@ def _preset_signal(section="disturbances", index=0, **params):
                  id="transition-ragged"),
     pytest.param(_preset_signal("inputs", 0, initial=[1.0, 2.0]),
                  r"plant\.inputs\[0\]\.initial must be 1 numbers", id="initial-length"),
+    pytest.param(_preset_signal("inputs", 0, initial=[float("nan")]),
+                 r"^plant\.inputs\[0\]\.initial must be finite, got \[nan\]$",
+                 id="initial-nan"),
+    pytest.param(_preset_signal("inputs", 0, initial=None),
+                 r"^plant\.inputs\[0\]\.initial must be finite, got None$", id="initial-null"),
     pytest.param(_preset_signal("inputs", 0, initial={"uniform": [1.0]}),
                  r"plant\.inputs\[0\]\.initial\.uniform must be two finite numbers",
                  id="uniform-short"),
@@ -382,6 +390,19 @@ def test_graph_size_must_match_the_plant():
                  r"run\.x0_range must be two finite numbers", id="x0-range-text"),
     pytest.param({"run": {"x0_range": None}}, r"run\.x0_range must be a list",
                  id="x0-range-null"),
+    # any Python int passes -inf < v < inf; the finite rule refuses these by name
+    pytest.param({"run": {"dt": 10 ** 400}}, r"^run\.dt must be a finite number > 0, got 1000",
+                 id="dt-past-float-range"),
+    pytest.param({"run": {"x0_range": [0, 10 ** 400]}},
+                 r"^run\.x0_range must be two finite numbers lo <= hi",
+                 id="x0-range-past-float-range"),
+    pytest.param({"run": {"x0": [0, 0, 0, -10 ** 400]}},
+                 r"^run\.x0 must be null or a list of 4 finite numbers", id="x0-past-float-range"),
+    pytest.param({"design": {"decay": 10 ** 400}},
+                 r"^design\.decay must be a finite number >= 0", id="decay-past-float-range"),
+    pytest.param({"graph": {"weight": 10 ** 400}},
+                 r"^graph\.weight must be a finite number > 0",
+                 id="graph-weight-past-float-range"),
     pytest.param({"seed": "abc"}, r"seed must be an integer >= 0", id="seed-text"),
     pytest.param({"design": 5}, r"^design: expected a mapping, got 5$", id="design-not-mapping"),
     pytest.param({"graph": 3}, r"^graph: expected a mapping, got 3$", id="graph-not-mapping"),

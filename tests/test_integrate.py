@@ -77,9 +77,16 @@ def test_preset_closed_loop_with_hold_equal_to_dt(preset_loop):
     assert_agrees(x, rk4_stage_loop(a_cl, g_cl, signals(), x0, n_steps, dt))
 
 
+# The fill runs in chunks of DRIVE_ROWS // STRIDE blocks: one step short of a
+# chunk, one over it, and a second chunk with a tail past the last block.
+CHUNK_STRADDLES = [integrate.DRIVE_ROWS - 1, integrate.DRIVE_ROWS + 1,
+                   2 * integrate.DRIVE_ROWS + integrate.STRIDE + 3]
+
+
 # 255: coarse steps stepped plainly; 256, 257: one level of recursion, with
 # and without a tail; 4099: three levels and a tail at the finest.
-@pytest.mark.parametrize("n_steps", [16 * 7 + 5, 16 * 3, 1, 15, 255, 256, 257, 4099])
+@pytest.mark.parametrize("n_steps", [16 * 7 + 5, 16 * 3, 1, 15, 255, 256, 257, 4099,
+                                     *CHUNK_STRADDLES])
 def test_step_counts_off_the_stride(n_steps):
     rng = np.random.default_rng(n_steps)
     a = rng.normal(size=(6, 6)) - 3.0 * np.eye(6)
@@ -223,6 +230,18 @@ def test_lower_block_matches_the_full_system(n_steps):
     assert table.shape == (2 * n_steps + 1, 2)
     lower = integrate.rk4_lower_block(a, g, table, full[:, :3], x0[3:], dt)
     assert_agrees(lower, full[:, 3:])
+
+
+@pytest.mark.parametrize("n_steps", CHUNK_STRADDLES)
+def test_lower_block_with_coupling_matches_the_stage_loop(n_steps):
+    rng = np.random.default_rng(n_steps)
+    a, g, gens = _lower_triangular_system(rng, 3, 5)
+    assert np.abs(a[3:, :3]).min() > 0.0
+    x0, dt = rng.normal(size=8), 0.01
+    ref = rk4_stage_loop(a, g, gens, x0, n_steps, dt)
+    lower = integrate.rk4_lower_block(a, g, integrate.tabulate(gens, n_steps, dt), ref[:, :3],
+                                      x0[3:], dt)
+    assert_agrees(lower, ref[:, 3:])
 
 
 def test_lower_block_divergence_raises_at_the_full_system_time(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from dduio.config import parse_config
 from dduio.design_model import DuioGains, build_model_based_gains
 from dduio.errors import DimensionError, DivergenceError
-from dduio.integrate import DRIVE_ROWS, rk4_linear
+from dduio.integrate import DRIVE_ROWS, rk4_linear, rk4_lower_block, tabulate
 from dduio.linalg import spectral_abscissa
 from dduio.network import SensorGraph, complete
 from dduio.baselines import collect_all_nodes, compute_mse_mae, design_for_method
@@ -414,6 +414,58 @@ def test_scenario_pass_matches_separate_runs(preset, plant):
         count += 1
     assert count == len(starts)
     assert next(passed, None) is None
+
+
+def _estimates_in_pass(x, z, model, gains):
+    """xhat, the error norms and the spread in one blockwise loop, the spread
+    as the scenario pass computed it before it was left to first read."""
+    n, m_nodes = model.n_x, model.M
+    rows = x.shape[0]
+    out_map = np.vstack([h @ node.C for h, node in zip(gains.H, model.nodes)])
+    error_norms = np.empty((rows, m_nodes))
+    spread = np.empty(rows)
+    for r0 in range(0, rows, DRIVE_ROWS):
+        r1 = min(r0 + DRIVE_ROWS, rows)
+        x_blk = np.ascontiguousarray(x[r0:r1].T)
+        est = out_map @ x_blk
+        est += z[r0:r1].T
+        z[r0:r1] = est.T
+        est = est.reshape(m_nodes, n, -1)
+        far = np.zeros(r1 - r0)
+        for i in range(m_nodes - 1):
+            diff = est[i + 1:] - est[i]
+            diff *= diff
+            np.maximum(far, diff.sum(axis=1).max(axis=0), out=far)
+        np.sqrt(far, out=spread[r0:r1])
+        est -= x_blk
+        est *= est
+        error_norms[r0:r1] = np.sqrt(est.sum(axis=1)).T
+    return z.reshape(rows, m_nodes, n), error_norms, spread
+
+
+@pytest.mark.parametrize("n_steps", [DRIVE_ROWS - 1, DRIVE_ROWS, 2 * DRIVE_ROWS + 6])
+@pytest.mark.parametrize("plant", ["preset", "sweep"])
+def test_lazy_spread_is_the_in_pass_spread_bit_for_bit(preset, plant, n_steps):
+    cfg, model, graph, networks = (_preset_networks(preset) if plant == "preset"
+                                   else _sweep_networks())
+    gains, dt = networks[1], cfg.run.dt
+    x0 = cfg.draw_x0(5)
+    # node i starts off by (-1)**i * i, so the last pair starts the farthest apart
+    offsets = np.arange(model.M) * (-1.0) ** np.arange(model.M)
+    z0 = (cfg.initial_observer_states(x0, model, gains) + offsets[:, None]).ravel()
+
+    def signals():
+        return cfg.build_inputs(5), cfg.build_disturbances(5)
+
+    res = run(model, graph, gains, x0, *signals(), n_steps * dt, dt, z0=z0)
+    # the observer states the pass integrated, before xhat was written over them
+    a_cl, g_cl = _closed_loop(model, graph, gains)
+    inputs, disturbances = signals()
+    z = rk4_lower_block(a_cl, g_cl, tabulate(inputs + disturbances, n_steps, dt), res.x, z0, dt)
+    for field, old in zip(("xhat", "error_norms", "spread"),
+                          _estimates_in_pass(res.x, z, model, gains)):
+        assert getattr(res, field).tobytes() == old.tobytes(), field
+    assert res.spread is res.spread
 
 
 def test_one_network_pass_is_run_bit_for_bit(preset):

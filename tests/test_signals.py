@@ -77,6 +77,9 @@ def test_sample_matches_value(gen):
     (lambda: AutonomousLinear([[1, 2], [3]], [1.0]), r"^transition: not a numeric matrix"),
     (lambda: AutonomousLinear([[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]]),
      r"^initial must be 2 numbers"),
+    (lambda: AutonomousLinear([[np.log(0.5)]], [np.nan]), r"^initial must be finite, got \[nan\]$"),
+    (lambda: AutonomousLinear([[-1.0, 0.0], [0.0, -2.0]], [1.0, -np.inf]),
+     r"^initial must be finite, got \[1\.0, -inf\]$"),
     (lambda: PiecewiseConstantRandom(-1.0, 1.0, "0.1", 0),
      r"^hold must be a finite number > 0, got '0.1'$"),
     (lambda: PiecewiseConstantRandom(-1.0, 1.0, True, 0),
@@ -85,8 +88,8 @@ def test_sample_matches_value(gen):
     (lambda: PiecewiseConstantRandom(-1.0, 10 ** 400, 0.1, 0), r"^high must be a finite number"),
 ], ids=["component-too-large", "component-negative", "component-float", "low-above-high",
         "infinite-high", "nan-hold", "defective-transition", "infinite-transition",
-        "ragged-transition", "initial-column", "text-hold", "bool-hold", "text-low",
-        "huge-integer-high"])
+        "ragged-transition", "initial-column", "nan-initial", "infinite-initial", "text-hold",
+        "bool-hold", "text-low", "huge-integer-high"])
 def test_generators_refuse_bad_arguments_when_built(build, match):
     # refused by name at construction, not at the first sample or value
     with pytest.raises(ValueError, match=match):
