@@ -5,13 +5,17 @@ affine map x+ = Phi x + W0 g s(t) + Wh g s(t + dt/2) + W1 g s(t + dt),
 with Phi and the W's polynomials in dt * a.  Every stage time is a point
 m * dt/2 of the half-step grid, so the forcing is read as rows of that
 grid: sampled block by block with vectorized ``sample`` calls, or sliced
-from a table sampled once (``tabulate``).  Each DRIVE_ROWS-step block of
-drives is one product of the block's stage rows with the stacked gain
-[(W0 g)^T; (Wh g)^T; (W1 g)^T].  The recurrence runs in STRIDE-step
-blocks; the coarse recurrence over the blocks, with Phi**STRIDE, is
-solved the same way, level by level, and every block's start state is
-carried into its rows by one product with the stacked powers Phi**1 ...
-Phi**(STRIDE - 1) per chunk of blocks.
+from a table sampled once (``tabulate``).  The recurrence runs in
+STRIDE-step blocks, DRIVE_ROWS steps to a chunk.  A chunk's blocks are
+held step-in-block-major, as STRIDE contiguous (blocks, state) slabs:
+their drives are one product of the stage rows with the stacked gain
+[(W0 g)^T; (Wh g)^T; (W1 g)^T], written straight into the slabs, and
+they are Horner-summed slab by slab, one contiguous product and add per
+step, before one transposed copy writes them into the output.  The
+coarse recurrence over the blocks, with Phi**STRIDE, is summed by the
+same Horner routine and solved level by level, and every block's start
+state is carried into its rows by one product with the stacked powers
+Phi**1 ... Phi**(STRIDE - 1) per chunk of blocks.
 
 When a is block lower triangular, [[a_xx, 0], [a_zx, a_zz]], so are Phi
 and every W, and the lower rows advance alone given the upper rows'
@@ -21,7 +25,6 @@ the coupling Phi_zx x joins the drive product as one more stacked block.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, DivergenceError
 
@@ -61,44 +64,63 @@ def tabulate(generators, n_steps: int, dt: float) -> np.ndarray:
     return _half_step_samples(generators, 0, 2 * n_steps + 1, dt)
 
 
-def _recur(out: np.ndarray, phi: np.ndarray, n_steps: int) -> None:
+def _level(phi: np.ndarray, n_steps: int) -> tuple[list, int]:
+    """Phi**1 ... Phi**STRIDE, and the STRIDE-step blocks a level of n_steps
+    steps is solved in.  Fewer than STRIDE steps are stepped plainly, with
+    Phi alone; so is a level whose Phi**STRIDE is not finite, since
+    inf * 0 = nan could poison rows that a plain step keeps finite."""
+    if n_steps < STRIDE:
+        return [phi], 0
+    powers = [phi]
+    for _ in range(STRIDE - 1):
+        powers.append(powers[-1] @ phi)
+    return powers, n_steps // STRIDE if np.isfinite(powers[-1]).all() else 0
+
+
+def _horner(slabs: np.ndarray, phi_t: np.ndarray, tmp: np.ndarray) -> None:
+    """Slab s of ``slabs`` (STRIDE, blocks, d), every block's drive of step s,
+    becomes the state its first s + 1 drives reach from zero; the last slab
+    holds the blocks' coarse drives.  ``tmp`` is a (blocks, d) scratch slab."""
+    slabs = list(slabs)
+    for prev, slab in zip(slabs, slabs[1:]):
+        np.dot(prev, phi_t, out=tmp)
+        slab += tmp
+
+
+def _recur(out: np.ndarray, powers: list, n_steps: int, n_blocks: int) -> None:
     """Turn out[1:] from drives d_j into states x_{j+1} = Phi x_j + d_j.
 
-    Horner-sums each STRIDE-step block of drives into one coarse drive,
-    solves the coarse recurrence x_{(b+1)S} = Phi**S x_{bS} + c_b by the
-    same routine, then fills the rows inside every block.  Recursion
-    stops when fewer than STRIDE coarse steps remain, or when Phi**S is
-    not finite; the remaining steps are stepped one at a time.
+    ``powers`` and ``n_blocks`` are ``_level``'s, and the first n_blocks
+    STRIDE-step blocks of drives arrive Horner-summed (``_horner``).  The
+    coarse recurrence x_{(b+1)S} = Phi**S x_{bS} + c_b over the blocks is
+    summed and solved by the same routines, then every block's start state
+    is carried into its rows.  The steps past the last block are stepped
+    one at a time.
     """
-    n_blocks = n_steps // STRIDE
-    done = 0
+    phi = powers[0]
     if n_blocks:
-        powers = [phi]
-        for _ in range(STRIDE - 1):
-            powers.append(powers[-1] @ phi)
-        phi_stride = powers[STRIDE - 1]
-        # A non-finite Phi**S (inf * 0 = nan) could poison rows that a
-        # plain step keeps finite, so such a level steps plainly.
-        if np.isfinite(phi_stride).all():
-            blocks = out[1:1 + n_blocks * STRIDE].reshape(n_blocks, STRIDE, -1)
-            # Horner: row k of a block becomes the state k + 1 steps of its
-            # drives reach from zero; the last row is the block's coarse drive.
-            for k in range(1, STRIDE):
-                blocks[:, k] += blocks[:, k - 1] @ phi.T
-            # Coarse steps: the last row of every block becomes a state.
-            coarse = out[0:n_blocks * STRIDE + 1:STRIDE].copy()
-            _recur(coarse, phi_stride, n_blocks)
-            out[STRIDE:n_blocks * STRIDE + 1:STRIDE] = coarse[1:]
-            # Row k - 1 of a block adds the block's start state carried k steps:
-            # one product per chunk with [Phi**1 ... Phi**(S-1)]^T side by side.
-            carry = np.hstack([p.T for p in powers[:STRIDE - 1]])
-            chunk = DRIVE_ROWS // STRIDE
-            for b0 in range(0, n_blocks, chunk):
-                b1 = min(b0 + chunk, n_blocks)
-                starts = out[b0 * STRIDE:b1 * STRIDE:STRIDE]
-                blocks[b0:b1, :STRIDE - 1] += (starts @ carry).reshape(b1 - b0, STRIDE - 1, -1)
-            done = n_blocks * STRIDE
-    for j in range(done, n_steps):
+        # Coarse steps: the last row of every block becomes a state.
+        coarse = out[0:n_blocks * STRIDE + 1:STRIDE].copy()
+        coarse_powers, n_coarse = _level(powers[-1], n_blocks)
+        if n_coarse:
+            rows = coarse[1:1 + n_coarse * STRIDE].reshape(n_coarse, STRIDE, -1)
+            slabs = np.ascontiguousarray(rows.transpose(1, 0, 2))
+            _horner(slabs, np.ascontiguousarray(coarse_powers[0].T), np.empty_like(slabs[0]))
+            rows[:] = slabs.transpose(1, 0, 2)
+        _recur(coarse, coarse_powers, n_blocks, n_coarse)
+        out[STRIDE:n_blocks * STRIDE + 1:STRIDE] = coarse[1:]
+        # Row k - 1 of a block adds the block's start state carried k steps:
+        # one product per chunk with [Phi**1 ... Phi**(S-1)]^T side by side.
+        blocks = out[1:1 + n_blocks * STRIDE].reshape(n_blocks, STRIDE, -1)
+        carry = np.hstack([p.T for p in powers[:STRIDE - 1]])
+        chunk = min(DRIVE_ROWS // STRIDE, n_blocks)
+        carried = np.empty((chunk, carry.shape[1]))
+        for b0 in range(0, n_blocks, chunk):
+            b1 = min(b0 + chunk, n_blocks)
+            starts = out[b0 * STRIDE:b1 * STRIDE:STRIDE]
+            np.matmul(starts, carry, out=carried[:b1 - b0])
+            blocks[b0:b1, :STRIDE - 1] += carried[:b1 - b0].reshape(b1 - b0, STRIDE - 1, -1)
+    for j in range(n_blocks * STRIDE, n_steps):
         out[j + 1] += phi @ out[j]
 
 
@@ -129,29 +151,52 @@ def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float):
     ``upper`` holds the first rows' states at every grid point (None: no
     such rows).  ``half_rows(i, k)`` gives the forcing at the half-step
     times m * dt/2, 2i <= m <= 2k, so step j's stages t_j, t_j + dt/2 and
-    t_j + dt are its rows 2j, 2j + 1 and 2j + 2.  Works in blocks of
-    DRIVE_ROWS steps, each one product written straight into ``out``, so
-    no temporary grows with n_steps and a run's peak memory stays that of
-    its output array.
+    t_j + dt are its rows 2j, 2j + 1 and 2j + 2.  Works in chunks of
+    DRIVE_ROWS steps.  A chunk's whole STRIDE-step blocks are held
+    step-in-block-major, (STRIDE, blocks, state), in buffers sized to one
+    chunk: their drives are one product, Horner-summed slab by slab, then
+    copied into ``out`` in one transposed pass; the drives past the last
+    block are one product written straight into ``out``.  No temporary
+    grows with n_steps, so a run's peak memory stays that of its output.
     """
-    k = 0 if upper is None else upper.shape[1]
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    out = np.empty((n_steps + 1, x0.size))
+    if upper is None:
+        upper = np.empty((n_steps + 1, 0))
+    k, d = upper.shape[1], x0.size
+    out = np.empty((n_steps + 1, d))
     out[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         phi, weights = _propagator(np.asarray(a, dtype=float), dt)
+        powers, n_blocks = _level(np.ascontiguousarray(phi[k:, k:]), n_steps)
+        phi_t = np.ascontiguousarray(powers[0].T)
         # out[j + 1] starts as the drive Phi_zx x_j + sum over stages of (W g)_z s
         gain = np.vstack([phi[k:, :k].T] + [(w[k:] @ g).T for w in weights])
+        width = gain.shape[0]
+        chunk = min(DRIVE_ROWS // STRIDE, n_blocks)
+        left_buf = np.empty(STRIDE * chunk * width)
+        sums_buf = np.empty(STRIDE * chunk * d)
+        tmp_buf = np.empty(chunk * d)
         for i in range(0, n_steps, DRIVE_ROWS):
             j = min(i + DRIVE_ROWS, n_steps)
             rows = np.ascontiguousarray(half_rows(i, j))
             # step j's stage rows 2j, 2j + 1 and 2j + 2 lie side by side in
-            # memory: a read-only window of three rows, every other row
-            stages = as_strided(rows, (j - i, 3 * g.shape[1]),
-                                (2 * rows.strides[0], rows.itemsize), writeable=False)
-            np.matmul(np.hstack([stages] if upper is None else [upper[i:j], stages]), gain,
-                      out=out[1 + i:1 + j])
-        _recur(out, np.ascontiguousarray(phi[k:, k:]), n_steps)
+            # memory: a window of three rows, every other row
+            stages = np.ndarray((j - i, 3 * g.shape[1]), rows.dtype, rows,
+                                strides=(2 * rows.strides[0], rows.itemsize))
+            nb = (j - i) // STRIDE if n_blocks else 0
+            m = nb * STRIDE
+            if nb:
+                # slab s holds step s of every block: [x_j, stage rows of step j]
+                left = left_buf[:m * width].reshape(STRIDE, nb, width)
+                left[..., :k] = upper[i:i + m].reshape(nb, STRIDE, k).transpose(1, 0, 2)
+                left[..., k:] = stages[:m].reshape(nb, STRIDE, -1).transpose(1, 0, 2)
+                sums = sums_buf[:m * d].reshape(STRIDE, nb, d)
+                np.dot(left.reshape(m, width), gain, out=sums.reshape(m, d))
+                _horner(sums, phi_t, tmp_buf[:nb * d].reshape(nb, d))
+                out[1 + i:1 + i + m].reshape(nb, STRIDE, d)[:] = sums.transpose(1, 0, 2)
+            if i + m < j:
+                np.dot(np.hstack([upper[i + m:j], stages[m:]]), gain, out=out[1 + i + m:1 + j])
+        _recur(out, powers, n_steps, n_blocks)
         _check_divergence(out[1:], dt)
     return out
 

@@ -151,26 +151,33 @@ def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains
     """xhat_i = z_i + H_i C_i x and the error norms.
 
     Writes xhat over ``z``, which the caller hands over, and returns it as
-    (time, node, state).  Works on DRIVE_ROWS-row blocks transposed to
-    (state, time), so every elementwise op runs along time and no
-    temporary grows with the run.
+    (time, node, state).  Works on row-major DRIVE_ROWS-row blocks, so
+    every product and elementwise op runs on contiguous rows and no
+    temporary grows with the run.  Each node's squared errors are added
+    state by state, in state order.
     """
     n, m_nodes = model.n_x, model.M
     rows = x.shape[0]
-    # (node * state, state): node i's rows are H_i C_i
-    out_map = np.vstack([h @ node.C for h, node in zip(gains.H, model.nodes)])
+    # (state, node * state): node i's columns are (H_i C_i)^T, and [I ... I]
+    out_map = np.hstack([(h @ node.C).T for h, node in zip(gains.H, model.nodes)])
+    copies = np.tile(np.eye(n), m_nodes)
     error_norms = np.empty((rows, m_nodes))
+    buf = np.empty((min(rows, DRIVE_ROWS), m_nodes * n))
     for r0 in range(0, rows, DRIVE_ROWS):
         r1 = min(r0 + DRIVE_ROWS, rows)
-        x_blk = np.ascontiguousarray(x[r0:r1].T)
-        est = out_map @ x_blk
-        est += z[r0:r1].T
-        z[r0:r1] = est.T
-        # the block's estimates are stored, so est becomes the squared errors
-        est = est.reshape(m_nodes, n, -1)
-        est -= x_blk
-        est *= est
-        error_norms[r0:r1] = np.sqrt(est.sum(axis=1)).T
+        x_blk, xhat, err = x[r0:r1], z[r0:r1], buf[:r1 - r0]
+        np.matmul(x_blk, out_map, out=err)
+        xhat += err
+        # exact copies of x beside every node's estimate: err = xhat - x
+        np.matmul(x_blk, copies, out=err)
+        np.subtract(xhat, err, out=err)
+        err *= err
+        squares = err.reshape(-1, m_nodes, n)
+        norms = error_norms[r0:r1]
+        np.add(squares[:, :, 0], squares[:, :, 1] if n > 1 else 0.0, out=norms)
+        for s in range(2, n):
+            norms += squares[:, :, s]
+        np.sqrt(norms, out=norms)
     return z.reshape(rows, m_nodes, n), error_norms
 
 
@@ -178,7 +185,7 @@ def _spread(xhat: np.ndarray) -> np.ndarray:
     """The largest distance between two nodes' estimates at every time.
 
     Works on DRIVE_ROWS-row blocks of ``xhat`` transposed to (node, state,
-    time), like ``_estimates``.
+    time).
     """
     rows, m_nodes, _ = xhat.shape
     spread = np.empty(rows)

@@ -154,10 +154,11 @@ class Trajectory:
 
 def step_count(horizon: float, dt: float) -> int:
     """round(horizon / dt); a DimensionError unless 0 < dt <= horizon < inf and
-    horizon <= MAX_SAMPLES * dt, compared before dividing so that none overflows."""
+    horizon <= MAX_SAMPLES * dt, compared before dividing so that none overflows.
+    The message gives both as ``repr``, which formats any real number."""
     if not (0 < dt <= horizon < math.inf and horizon <= MAX_SAMPLES * dt):
         raise DimensionError(f"need 0 < dt <= horizon < inf and at most {MAX_SAMPLES} steps, "
-                             f"got dt={dt:g}, horizon={horizon!r}")
+                             f"got dt={dt!r}, horizon={horizon!r}")
     return int(round(horizon / dt))
 
 

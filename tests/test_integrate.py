@@ -210,10 +210,11 @@ def test_forcing_is_sampled_on_the_half_step_grid_only():
         assert np.array_equal(np.unique(times), grid)
 
 
-def _lower_triangular_system(rng, n_upper, n_lower):
-    """A random stable block lower-triangular (a, g) and forcing generators."""
+def _lower_triangular_system(rng, n_upper, n_lower, spread=1.0):
+    """A random stable block lower-triangular (a, g) and forcing generators;
+    ``spread`` scales the random part of ``a`` around -3 I."""
     dim = n_upper + n_lower
-    a = rng.normal(size=(dim, dim)) - 3.0 * np.eye(dim)
+    a = spread * rng.normal(size=(dim, dim)) - 3.0 * np.eye(dim)
     a[:n_upper, n_upper:] = 0.0
     g = rng.normal(size=(dim, 2))
     gens = [Sinusoid(1.0, 3.0, 0.2), PiecewiseConstantRandom(-1.0, 1.0, 0.07, 4)]
@@ -242,6 +243,34 @@ def test_lower_block_with_coupling_matches_the_stage_loop(n_steps):
     lower = integrate.rk4_lower_block(a, g, integrate.tabulate(gens, n_steps, dt), ref[:, :3],
                                       x0[3:], dt)
     assert_agrees(lower, ref[:, 3:])
+
+
+# An observer network's size: the preset's 5 nodes of 4 states below its plant.
+@pytest.mark.parametrize("n_steps", CHUNK_STRADDLES)
+def test_twenty_states_match_the_stage_loop_across_chunks(n_steps):
+    rng = np.random.default_rng(n_steps)
+    a, g, gens = _lower_triangular_system(rng, 4, 20, spread=0.2)
+    x0, dt = rng.normal(size=24), 0.01
+    ref = rk4_stage_loop(a, g, gens, x0, n_steps, dt)
+    assert_agrees(integrate.rk4_linear(a[4:, 4:], g[4:], gens, x0[4:], n_steps, dt),
+                  rk4_stage_loop(a[4:, 4:], g[4:], gens, x0[4:], n_steps, dt))
+    lower = integrate.rk4_lower_block(a, g, integrate.tabulate(gens, n_steps, dt), ref[:, :4],
+                                      x0[4:], dt)
+    assert_agrees(lower, ref[:, 4:])
+
+
+# Fewer blocks than one chunk, as a short collect of a large plant runs: the
+# chunk buffers are sized to the run's blocks; the second also takes a
+# coarse level.
+@pytest.mark.parametrize("n_steps", [16 * 3 + 5, 16 * 17 + 5])
+def test_a_run_shorter_than_one_chunk_matches_the_stage_loop(n_steps):
+    rng = np.random.default_rng(n_steps)
+    a = 0.2 * rng.normal(size=(32, 32)) - 3.0 * np.eye(32)
+    g = rng.normal(size=(32, 2))
+    gens = [Sinusoid(1.0, 3.0, 0.2), PiecewiseConstantRandom(-1.0, 1.0, 0.07, 4)]
+    x0, dt = rng.normal(size=32), 0.01
+    assert_agrees(integrate.rk4_linear(a, g, gens, x0, n_steps, dt),
+                  rk4_stage_loop(a, g, gens, x0, n_steps, dt))
 
 
 def test_lower_block_divergence_raises_at_the_full_system_time(monkeypatch):

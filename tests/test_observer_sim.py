@@ -418,7 +418,10 @@ def test_scenario_pass_matches_separate_runs(preset, plant):
 
 def _estimates_in_pass(x, z, model, gains):
     """xhat, the error norms and the spread in one blockwise loop, the spread
-    as the scenario pass computed it before it was left to first read."""
+    as the scenario pass computed it before it was left to first read.
+
+    Each node's squared errors are added state by state, in state order: a
+    ``sum`` over the state axis would sum pairwise when a block has one row."""
     n, m_nodes = model.n_x, model.M
     rows = x.shape[0]
     out_map = np.vstack([h @ node.C for h, node in zip(gains.H, model.nodes)])
@@ -439,7 +442,10 @@ def _estimates_in_pass(x, z, model, gains):
         np.sqrt(far, out=spread[r0:r1])
         est -= x_blk
         est *= est
-        error_norms[r0:r1] = np.sqrt(est.sum(axis=1)).T
+        norms = est[:, 0].copy()
+        for state in range(1, n):
+            norms += est[:, state]
+        error_norms[r0:r1] = np.sqrt(norms).T
     return z.reshape(rows, m_nodes, n), error_norms, spread
 
 

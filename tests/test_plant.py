@@ -149,6 +149,13 @@ def test_step_count_past_the_ceiling_is_a_dimension_error(bench_model, horizon, 
         check_scenario(bench_model, np.zeros(4), bench_inputs(0.1), [Zero()], horizon, dt)
 
 
+@pytest.mark.parametrize("dt", [10 ** 400, -10 ** 400], ids=["beyond-float", "negative"])
+def test_step_count_refuses_a_dt_beyond_float_range(dt):
+    # formatting such a dt as a float raised a bare OverflowError
+    with pytest.raises(DimensionError, match=rf"got dt={dt}, horizon=1\.0$"):
+        step_count(1.0, dt)
+
+
 def test_step_count_is_the_rounded_ratio_up_to_the_ceiling():
     assert step_count(2.0, 0.5) == 4
     assert step_count(0.3, 0.1) == 3
