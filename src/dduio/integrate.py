@@ -77,12 +77,14 @@ def _level(phi: np.ndarray, n_steps: int) -> tuple[list, int]:
     return powers, n_steps // STRIDE if np.isfinite(powers[-1]).all() else 0
 
 
-def _horner(slabs: np.ndarray, phi_t: np.ndarray, tmp: np.ndarray) -> None:
+def _horner(slabs: np.ndarray, phi: np.ndarray) -> None:
     """Slab s of ``slabs`` (STRIDE, blocks, d), every block's drive of step s,
     becomes the state its first s + 1 drives reach from zero; the last slab
-    holds the blocks' coarse drives.  ``tmp`` is a (blocks, d) scratch slab."""
-    slabs = list(slabs)
-    for prev, slab in zip(slabs, slabs[1:]):
+    holds the blocks' coarse drives."""
+    phi_t = np.ascontiguousarray(phi.T)
+    tmp = np.empty_like(slabs[0])
+    steps = list(slabs)
+    for prev, slab in zip(steps, steps[1:]):
         np.dot(prev, phi_t, out=tmp)
         slab += tmp
 
@@ -105,7 +107,7 @@ def _recur(out: np.ndarray, powers: list, n_steps: int, n_blocks: int) -> None:
         if n_coarse:
             rows = coarse[1:1 + n_coarse * STRIDE].reshape(n_coarse, STRIDE, -1)
             slabs = np.ascontiguousarray(rows.transpose(1, 0, 2))
-            _horner(slabs, np.ascontiguousarray(coarse_powers[0].T), np.empty_like(slabs[0]))
+            _horner(slabs, coarse_powers[0])
             rows[:] = slabs.transpose(1, 0, 2)
         _recur(coarse, coarse_powers, n_blocks, n_coarse)
         out[STRIDE:n_blocks * STRIDE + 1:STRIDE] = coarse[1:]
@@ -154,10 +156,11 @@ def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float):
     t_j + dt are its rows 2j, 2j + 1 and 2j + 2.  Works in chunks of
     DRIVE_ROWS steps.  A chunk's whole STRIDE-step blocks are held
     step-in-block-major, (STRIDE, blocks, state), in buffers sized to one
-    chunk: their drives are one product, Horner-summed slab by slab, then
-    copied into ``out`` in one transposed pass; the drives past the last
-    block are one product written straight into ``out``.  No temporary
-    grows with n_steps, so a run's peak memory stays that of its output.
+    chunk or to the run's blocks if fewer: their drives are one product,
+    Horner-summed slab by slab, then copied into ``out`` in one transposed
+    pass; the drives past the last block are one product written straight
+    into ``out``.  No temporary grows with n_steps, so a run's peak memory
+    stays that of its output.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if upper is None:
@@ -168,14 +171,12 @@ def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float):
     with np.errstate(over="ignore", invalid="ignore"):
         phi, weights = _propagator(np.asarray(a, dtype=float), dt)
         powers, n_blocks = _level(np.ascontiguousarray(phi[k:, k:]), n_steps)
-        phi_t = np.ascontiguousarray(powers[0].T)
         # out[j + 1] starts as the drive Phi_zx x_j + sum over stages of (W g)_z s
         gain = np.vstack([phi[k:, :k].T] + [(w[k:] @ g).T for w in weights])
         width = gain.shape[0]
         chunk = min(DRIVE_ROWS // STRIDE, n_blocks)
         left_buf = np.empty(STRIDE * chunk * width)
         sums_buf = np.empty(STRIDE * chunk * d)
-        tmp_buf = np.empty(chunk * d)
         for i in range(0, n_steps, DRIVE_ROWS):
             j = min(i + DRIVE_ROWS, n_steps)
             rows = np.ascontiguousarray(half_rows(i, j))
@@ -192,7 +193,7 @@ def _integrate(a, g, half_rows, upper, x0, n_steps: int, dt: float):
                 left[..., k:] = stages[:m].reshape(nb, STRIDE, -1).transpose(1, 0, 2)
                 sums = sums_buf[:m * d].reshape(STRIDE, nb, d)
                 np.dot(left.reshape(m, width), gain, out=sums.reshape(m, d))
-                _horner(sums, phi_t, tmp_buf[:nb * d].reshape(nb, d))
+                _horner(sums, powers[0])
                 out[1 + i:1 + i + m].reshape(nb, STRIDE, d)[:] = sums.transpose(1, 0, 2)
             if i + m < j:
                 np.dot(np.hstack([upper[i + m:j], stages[m:]]), gain, out=out[1 + i + m:1 + j])
