@@ -20,7 +20,7 @@ from .design_model import (DesignSection, DuioGains, assemble_from_node_matrices
                            build_model_based_gains)
 from .errors import DesignError, DimensionError, EmptyRunError, RankError
 from .network import SensorGraph
-from .observer_sim import RunResult, run_scenario
+from .observer_sim import RunResult, error_norm_chunks, run_scenario
 from .plant import PlantModel
 
 METHOD_LABELS = {"model": "model-based", "data": "data-driven", "id": "identification-based"}
@@ -63,24 +63,32 @@ class MethodMetrics:
                 "mae_per_node": self.mae_per_node.tolist()}
 
 
-def compute_mse_mae(result: RunResult) -> MethodMetrics:
-    """Per-node (1/T) integrals of the squared and absolute error norms.
-
-    Both are trapezoid integrals written as sums over the samples with one
-    weight vector, (t_{k+1} - t_{k-1}) / 2 from ``t`` (uneven grids
-    included), so no (time, node) temporary is made.
-    """
-    t, norms = result.t, result.error_norms
+def trapezoid_weights(t: np.ndarray) -> np.ndarray:
+    """The weights (t_{k+1} - t_{k-1}) / 2 of the samples at ``t`` (uneven grids
+    included), over t[-1]: a (1/T) trapezoid integral is their dot product with
+    the samples."""
     if t.size < 2:
         raise EmptyRunError("metrics need at least two samples")
     weights = np.empty(t.size)
     weights[0], weights[-1] = t[1] - t[0], t[-1] - t[-2]
     weights[1:-1] = t[2:] - t[:-2]
     weights *= 0.5 / t[-1]
-    mse_nodes = np.einsum("t,tm,tm->m", weights, norms, norms)
-    mae_nodes = weights @ norms
+    return weights
+
+
+def _metrics(mse_nodes: np.ndarray, mae_nodes: np.ndarray) -> MethodMetrics:
     return MethodMetrics(mse=float(mse_nodes.mean()), mae=float(mae_nodes.mean()),
                          mse_per_node=mse_nodes, mae_per_node=mae_nodes)
+
+
+def compute_mse_mae(result: RunResult) -> MethodMetrics:
+    """Per-node (1/T) integrals of the squared and absolute error norms.
+
+    Both are trapezoid integrals, sums over the samples with one weight
+    vector (``trapezoid_weights``), so no (time, node) temporary is made.
+    """
+    weights, norms = trapezoid_weights(result.t), result.error_norms
+    return _metrics(np.einsum("t,tm,tm->m", weights, norms, norms), weights @ norms)
 
 
 @dataclass(frozen=True)
@@ -103,11 +111,32 @@ def run_experiment(config, model: PlantModel, graph: SensorGraph, designs, seed:
     A caller that drops each result before taking the next holds one
     network's arrays at a time.
     """
+    return run_scenario(*_experiment(config, model, graph, designs, seed))
+
+
+def experiment_metrics(config, model: PlantModel, graph: SensorGraph, designs, seed: int):
+    """An iterator of ``compute_mse_mae`` of each ``run_experiment`` result.
+
+    The metrics' sums are folded chunk by chunk from the pass
+    (``error_norm_chunks``), so no network's full-length arrays are made.
+    """
+    for t, chunks in error_norm_chunks(*_experiment(config, model, graph, designs, seed)):
+        weights = trapezoid_weights(t)
+        mse_nodes = mae_nodes = 0.0
+        for r0, norms in chunks:
+            w = weights[r0:r0 + norms.shape[0]]
+            mse_nodes = mse_nodes + np.einsum("t,tm,tm->m", w, norms, norms)
+            mae_nodes = mae_nodes + w @ norms
+        yield _metrics(mse_nodes, mae_nodes)
+
+
+def _experiment(config, model: PlantModel, graph: SensorGraph, designs, seed: int):
+    """The scenario-pass arguments of ``seed``'s experiment: each design with its
+    initial observer states, the initial state, the signals and the grid."""
     x0 = config.draw_x0(seed)
-    return run_scenario(model, graph,
-                        [(g, config.initial_observer_states(x0, model, g)) for g in designs],
-                        x0, config.build_inputs(seed), config.build_disturbances(seed),
-                        horizon=config.run.horizon, dt=config.run.dt)
+    return (model, graph, [(g, config.initial_observer_states(x0, model, g)) for g in designs],
+            x0, config.build_inputs(seed), config.build_disturbances(seed),
+            config.run.horizon, config.run.dt)
 
 
 def _derived_seed(*parts) -> int:
@@ -180,10 +209,8 @@ def monte_carlo_compare(config, K: int, master_seed: int,
                    else design_for_method(method, config, model, graph, datasets)
                    for method in methods]
         experiment_record = {"experiment": k, "seed": exp_seed, "methods": {}}
-        # map, not a loop over the results: no result stays bound while the
-        # next network is integrated
-        runs = run_experiment(config, model, graph, designs, exp_seed)
-        for method, metrics in zip(methods, map(compute_mse_mae, runs)):
+        for method, metrics in zip(methods, experiment_metrics(config, model, graph, designs,
+                                                               exp_seed)):
             per_method[method].append(metrics)
             experiment_record["methods"][method] = metrics.to_json_dict()
         if artifacts_dir is not None:

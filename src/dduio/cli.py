@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import yaml
-
 from . import __version__
 from ._csvio import write_json
 from .baselines import (collect_all_nodes, compute_mse_mae, design_for_method,
@@ -39,6 +37,7 @@ def _get_config(args) -> ExperimentConfig:
     """
     raw = None
     if getattr(args, "config", None):
+        import yaml  # only a config file needs the parser
         with open(args.config) as fh:
             raw = yaml.safe_load(fh)
     if raw is None:  # no file, or an empty one

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .datagen import DataSection
 from .design_model import DESIGN_METHODS, DesignSection
@@ -439,10 +438,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                             disturbances=disturbances, graph=graph, **sections)
 
 
-# libyaml's emitter where PyYAML was built with it; its output is safe_dump's
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-
 def write_resolved(config: ExperimentConfig, path: str) -> None:
+    import yaml  # imported here, so that a command that writes no YAML never loads it
+    # libyaml's emitter where PyYAML was built with it; its output is safe_dump's
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     with open(path, "w", newline="\n") as fh:
-        yaml.dump(config.resolved_dict(), fh, Dumper=_DUMPER, sort_keys=True)
+        yaml.dump(config.resolved_dict(), fh, Dumper=dumper, sort_keys=True)

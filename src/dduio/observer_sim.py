@@ -6,7 +6,10 @@ integrator).  The plant's rows hold no observer terms, so the closed-loop
 matrix is block lower triangular, and so is every RK4 step.  A scenario
 pass therefore integrates the plant alone, as ``plant.simulate`` does,
 then advances every observer network's block from that plant trajectory.
-``run`` is the pass with one network.
+Each chunk of a network's states becomes its estimates and error norms
+while it is in cache: ``run_scenario`` keeps them whole, and
+``error_norm_chunks`` hands on the norms a chunk at a time.  ``run`` is
+the pass with one network.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import numpy as np
 from ._csvio import write_json
 from .design_model import DuioGains, coupled_abscissa
 from .errors import DimensionError
-from .integrate import DRIVE_ROWS, rk4_linear, rk4_lower_block, tabulate
+from .integrate import DRIVE_ROWS, rk4_chunks, rk4_linear, tabulate
 from .linalg import block_diag
 from .network import SensorGraph
 from .plant import PlantModel, check_scenario
@@ -119,13 +122,47 @@ def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
 
     The scenario is checked by ``plant.check_scenario``.  The signals are
     tabulated once on RK4's half-step grid, and the plant is integrated
-    once from ``x0``, by the call ``plant.simulate`` makes.  Every
-    network then advances only its observer block, z_{j+1} = Phi_zz z_j +
+    once from ``x0``, as ``plant.simulate`` integrates it.  Every network
+    then advances only its observer block, z_{j+1} = Phi_zz z_j +
     Phi_zx x_j + d_z,j, from that trajectory, so each result is ``run``'s
     bit for bit.  The pass keeps only the current network's states, so a
     caller that drops each result holds one network's full-length arrays at
     a time.  A ``z0`` of None means zero observer states.
     """
+    for t, x, table, gains, z0 in _scenario(model, graph, observers, x0, inputs,
+                                            disturbances, horizon, dt):
+        yield _kept_run(model, graph, gains, z0, t, x, table, dt)
+
+
+def _kept_run(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0, t, x, table,
+              dt: float) -> RunResult:
+    """The RunResult of one network's pass, its rows written into full arrays."""
+    rows = t.size
+    result = RunResult(t, x, np.empty((rows, model.M, model.n_x)), np.empty((rows, model.M)))
+    for _ in _estimate_chunks(model, graph, gains, z0, x, table, dt,
+                              result.xhat.reshape(rows, -1), result.error_norms):
+        pass
+    return result
+
+
+def error_norm_chunks(model: PlantModel, graph: SensorGraph, observers, x0,
+                      inputs, disturbances, horizon: float, dt: float):
+    """Yield, per network of ``run_scenario``'s pass, its grid ``t`` and an iterator
+    of its error norms chunk by chunk, (first row, rows).
+
+    The norms are ``run_scenario``'s, but no network's full-length arrays
+    are made: each chunk lives in a buffer that the next one overwrites.
+    Drain each iterator before taking the next network's.
+    """
+    for t, x, table, gains, z0 in _scenario(model, graph, observers, x0, inputs,
+                                            disturbances, horizon, dt):
+        yield t, _estimate_chunks(model, graph, gains, z0, x, table, dt, None, None)
+
+
+def _scenario(model: PlantModel, graph: SensorGraph, observers, x0,
+              inputs, disturbances, horizon: float, dt: float):
+    """Check a scenario and its networks, tabulate its signals and integrate its
+    plant; then yield (t, x, table, gains, z0) per network."""
     x0, gens, n_steps = check_scenario(model, x0, inputs, disturbances, horizon, dt)
     n, m_nodes = model.n_x, model.M
     starts = []
@@ -142,43 +179,48 @@ def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
     x = rk4_linear(model.A, np.hstack([model.B, model.E_dist]),
                    [Tabulated(column, 0.5 * dt) for column in table.T], x0, n_steps, dt)
     for gains, z0 in starts:
-        a_cl, g_cl = _closed_loop(model, graph, gains)
-        yield RunResult(t, x, *_estimates(x, rk4_lower_block(a_cl, g_cl, table, x, z0, dt),
-                                          model, gains))
+        yield t, x, table, gains, z0
 
 
-def _estimates(x: np.ndarray, z: np.ndarray, model: PlantModel, gains: DuioGains):
-    """xhat_i = z_i + H_i C_i x and the error norms.
+def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0,
+                     x: np.ndarray, table: np.ndarray, dt: float, xhat, error_norms):
+    """One network's pass: yield its error norms chunk by chunk, (first row, rows).
 
-    Writes xhat over ``z``, which the caller hands over, and returns it as
-    (time, node, state).  Works on row-major DRIVE_ROWS-row blocks, so
-    every product and elementwise op runs on contiguous rows and no
-    temporary grows with the run.  Each node's squared errors are added
-    state by state, in state order.
+    Each chunk of observer states from ``rk4_chunks`` becomes xhat_i = z_i +
+    H_i C_i x, written over it, and the error norms while it is in cache.
+    Both are kept in ``xhat`` (time, node * state) and ``error_norms`` (time,
+    node) when given, else in one chunk's buffers.  Each node's squared
+    errors are added state by state, in state order.
     """
     n, m_nodes = model.n_x, model.M
-    rows = x.shape[0]
+    a_cl, g_cl = _closed_loop(model, graph, gains)
     # (state, node * state): node i's columns are (H_i C_i)^T, and [I ... I]
     out_map = np.hstack([(h @ node.C).T for h, node in zip(gains.H, model.nodes)])
     copies = np.tile(np.eye(n), m_nodes)
-    error_norms = np.empty((rows, m_nodes))
-    buf = np.empty((min(rows, DRIVE_ROWS), m_nodes * n))
-    for r0 in range(0, rows, DRIVE_ROWS):
-        r1 = min(r0 + DRIVE_ROWS, rows)
-        x_blk, xhat, err = x[r0:r1], z[r0:r1], buf[:r1 - r0]
+    size = min(x.shape[0], DRIVE_ROWS)
+    kept = error_norms is not None
+    buf = None
+    for r0, z in rk4_chunks(a_cl, g_cl, table, x, z0, dt, xhat):
+        if buf is None:
+            # made once the pass's first block is final, after its block starts
+            buf = np.empty((size, m_nodes * n))
+            if not kept:
+                error_norms = np.empty((size, m_nodes))
+        r1 = r0 + z.shape[0]
+        x_blk, err = x[r0:r1], buf[:r1 - r0]
+        norms = error_norms[r0:r1] if kept else error_norms[:r1 - r0]
         np.matmul(x_blk, out_map, out=err)
-        xhat += err
+        z += err
         # exact copies of x beside every node's estimate: err = xhat - x
         np.matmul(x_blk, copies, out=err)
-        np.subtract(xhat, err, out=err)
+        np.subtract(z, err, out=err)
         err *= err
         squares = err.reshape(-1, m_nodes, n)
-        norms = error_norms[r0:r1]
         np.add(squares[:, :, 0], squares[:, :, 1] if n > 1 else 0.0, out=norms)
         for s in range(2, n):
             norms += squares[:, :, s]
         np.sqrt(norms, out=norms)
-    return z.reshape(rows, m_nodes, n), error_norms
+        yield r0, norms
 
 
 def _spread(xhat: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericsError, RankError
-from .integrate import rk4_linear
+from .integrate import rk4_lower_block, tabulate
 from .linalg import numerical_rank
 from .signals import MAX_SAMPLES
 
@@ -182,13 +182,15 @@ def simulate(model: PlantModel, x0, inputs, disturbances, horizon: float,
              dt: float) -> Trajectory:
     """Integrate the plant with classical fixed-step RK4 after ``check_scenario``.
 
-    Sample instants are j * dt for j = 0 .. round(horizon / dt).
+    Sample instants are j * dt for j = 0 .. round(horizon / dt).  The signals
+    are tabulated once on RK4's half-step grid, as ``rk4_linear`` samples
+    them; u and d are its even rows, the grid points.
     """
     x0, gens, n_steps = check_scenario(model, x0, inputs, disturbances, horizon, dt)
-    x = rk4_linear(model.A, np.hstack([model.B, model.E_dist]), gens, x0, n_steps, dt)
+    table = tabulate(gens, n_steps, dt)
+    x = rk4_lower_block(model.A, np.hstack([model.B, model.E_dist]), table, None, x0, dt)
 
     t = np.arange(n_steps + 1) * dt
-    u = np.column_stack([gen.sample(t) for gen in inputs]) if inputs else np.zeros((t.size, 0))
-    d = np.column_stack([gen.sample(t) for gen in disturbances]) if disturbances else np.zeros((t.size, 0))
+    u, d = table[::2, :model.n_u], table[::2, model.n_u:]
     xdot = x @ model.A.T + u @ model.B.T + d @ model.E_dist.T
     return Trajectory(t=t, x=x, xdot=xdot, u=u, d=d)

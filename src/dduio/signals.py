@@ -108,12 +108,16 @@ class AutonomousLinear(SignalGenerator):
         self.component = component
         self._lam = lam
         self._modes = vec[component, :] * np.linalg.solve(vec, self.initial.astype(complex))
+        # all real: ``sample`` takes real exponentials, the complex formula to rounding
+        self._real = not (lam.imag.any() or self._modes.imag.any())
 
     def value(self, t: float) -> float:
         return float(np.real(np.sum(self._modes * np.exp(self._lam * t))))
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        if self._real:
+            return np.exp(np.outer(ts, self._lam.real)) @ self._modes.real
         return np.real(np.exp(np.outer(ts, self._lam)) @ self._modes)
 
 

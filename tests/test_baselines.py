@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from dduio import baselines
 from dduio.baselines import (build_identified_gains, collect_all_nodes, compute_mse_mae,
-                             design_for_method, identify_least_squares, monte_carlo_compare,
-                             run_experiment, write_comparison_table)
+                             design_for_method, experiment_metrics, identify_least_squares,
+                             monte_carlo_compare, run_experiment, write_comparison_table)
 from dduio.config import ExperimentConfig, parse_config
 from dduio.design_model import DesignSection
 from dduio.errors import DesignError, EmptyRunError, RankError
@@ -247,6 +248,49 @@ def test_compare_holds_one_run_at_a_time():
     # scoring a run keeps nothing of it, so the next network's integration
     # starts with one run's arrays freed
     assert peak(three) - peak(one) <= 2 ** 20
+
+
+def _sweep_compare_config():
+    """A design-sweep plant (n_x 16, M 8) under active online signals, run for
+    two chunks and a part."""
+    raw = sweep_plant_config(1, 0)
+    n_inputs = len(raw["plant"]["inputs"])
+    raw["plant"]["inputs"] = [{"kind": "sinusoid", "amplitude": 1.0, "frequency": 0.5 + k}
+                              for k in range(n_inputs)]
+    raw["plant"]["disturbances"] = [{"kind": "piecewise-constant-random", "low": -1.0,
+                                     "high": 1.0, "hold": 0.05}]
+    raw["run"] = {"horizon": 4.5, "dt": 1e-3}
+    return parse_config(raw)
+
+
+@pytest.mark.parametrize("plant", ["preset", "sweep"])
+def test_compare_folds_the_metrics_of_each_run(plant):
+    # compare folds every network's MSE and MAE chunk by chunk from the pass;
+    # they are compute_mse_mae of the same experiment's runs, to rounding
+    cfg = parse_config({}) if plant == "preset" else _sweep_compare_config()
+    model, graph = cfg.build_model(), cfg.build_graph()
+    summaries = monte_carlo_compare(cfg, K=1, master_seed=7)
+    seed = baselines._derived_seed(7, 1000)
+    datasets = collect_all_nodes(cfg, model, seed)
+    designs = [design_for_method(m, cfg, model, graph, datasets) for m in cfg.compare.methods]
+    runs = map(compute_mse_mae, run_experiment(cfg, model, graph, designs, seed))
+    folded = experiment_metrics(cfg, model, graph, designs, seed)
+    count = 0
+    for summary, got, want in zip(summaries, folded, runs):
+        for stat in ("mse", "mae", "mse_per_node", "mae_per_node"):
+            np.testing.assert_allclose(getattr(got, stat), getattr(want, stat), rtol=1e-12,
+                                       atol=0.0, err_msg=stat)
+        assert (summary.per_experiment_mse[0], summary.per_experiment_mae[0]) == \
+            (got.mse, got.mae)
+        count += 1
+    assert count == len(cfg.compare.methods) == 3
+
+
+def test_compare_peak_memory_holds_no_full_length_network_array():
+    # a preset K=1 compare keeps one run's plant states and signal table;
+    # every network's estimates and error norms live one chunk at a time
+    peak = _peak_bytes(lambda: monte_carlo_compare(parse_config({}), K=1, master_seed=3))
+    assert peak < 9 * 2 ** 20
 
 
 def test_compare_samples_each_online_signal_once_per_experiment(monkeypatch,

@@ -652,3 +652,32 @@ def test_no_command_path_loads_scipy(tmp_path, fast_config_path):
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0, 0]
     assert loaded == []
+
+
+NO_YAML_COMMANDS = """
+import json, sys
+import dduio.cli
+data, out = sys.argv[1:]
+loaded = ["yaml" in sys.modules]
+for argv in (["check", "--data", data],
+             ["design", "--method", "data", "--data", data, "--out", out + "/data.json"],
+             ["design", "--method", "model", "--out", out + "/model.json"]):
+    loaded.append((dduio.cli.main(argv), "yaml" in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_only_config_files_load_yaml(tmp_path):
+    # import dduio.cli, check and design without --config never parse or
+    # write YAML; collect, run and compare still write the resolved config
+    # as safe_dump does
+    data, gains = str(tmp_path / "data"), str(tmp_path / "model.json")
+    assert main(["collect", "--out", data]) == 0
+    proc = _python("-c", NO_YAML_COMMANDS, data, str(tmp_path))
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, [0, False], [0, False],
+                                                        [0, False]]
+    assert main(["run", "--gains", gains, "--out", str(tmp_path / "run")]) == 0
+    assert main(["compare", "--k", "1", "--out", str(tmp_path / "compare")]) == 0
+    for out, raw in (("data", {}), ("run", {}), ("compare", {"compare": {"K": 1}})):
+        want = yaml.safe_dump(parse_config(raw).resolved_dict(), sort_keys=True)
+        assert (tmp_path / out / "config.resolved.yaml").read_text() == want, out

@@ -301,3 +301,71 @@ def test_lower_block_table_width_must_match_the_columns_of_g():
     table = integrate.tabulate(gens[:1], 3, 0.1)
     with pytest.raises(DimensionError, match="^1 forcing signals for the 2 columns of g$"):
         integrate.rk4_lower_block(a, g, table, upper, np.ones(3), 0.1)
+
+
+# Pass 1 solves the block starts level by level: 15 blocks are stepped
+# plainly at the coarse level; 256 blocks take two coarse levels, the second
+# of exactly STRIDE coarse steps.
+@pytest.mark.parametrize("n_steps", [16 * 15 + 7, 16 * 256])
+def test_coarse_levels_match_the_stage_loop(n_steps):
+    rng = np.random.default_rng(n_steps)
+    a, g, gens = _lower_triangular_system(rng, 3, 5)
+    x0, dt = rng.normal(size=8), 0.01
+    ref = rk4_stage_loop(a, g, gens, x0, n_steps, dt)
+    assert_agrees(integrate.rk4_linear(a, g, gens, x0, n_steps, dt), ref)
+    lower = integrate.rk4_lower_block(a, g, integrate.tabulate(gens, n_steps, dt), ref[:, :3],
+                                      x0[3:], dt)
+    assert_agrees(lower, ref[:, 3:])
+
+
+def test_divergence_in_a_later_chunk_raises_at_the_oracle_time(monkeypatch):
+    monkeypatch.setattr(integrate, "DIVERGENCE_LIMIT", 1e6)
+    rng = np.random.default_rng(4)
+    a, g, gens = _lower_triangular_system(rng, 2, 3, spread=0.1)
+    a[2:, 2:] += 3.5 * np.eye(3)
+    x0, dt, n_steps = rng.normal(size=5), 0.01, 2 * integrate.DRIVE_ROWS + 6
+    with pytest.raises(DivergenceError) as ref:
+        rk4_stage_loop(a, g, gens, x0, n_steps, dt)
+    # the first bad row lies in the second chunk, past whole chunks of blocks
+    assert integrate.DRIVE_ROWS < round(ref.value.t / dt) < 2 * integrate.DRIVE_ROWS
+    upper = rk4_stage_loop(a[:2, :2], g[:2], gens, x0[:2], n_steps, dt)
+    table = integrate.tabulate(gens, n_steps, dt)
+    for integrated in (lambda: integrate.rk4_linear(a, g, gens, x0, n_steps, dt),
+                       lambda: integrate.rk4_lower_block(a, g, table, upper, x0[2:], dt),
+                       lambda: list(integrate.rk4_chunks(a, g, table, upper, x0[2:], dt))):
+        with pytest.raises(DivergenceError) as err:
+            integrated()
+        assert err.value.t == ref.value.t
+
+
+def test_non_finite_stride_power_steps_every_step_plainly():
+    # Phi**16 of the unexcited mode overflows while Phi stays finite, so no
+    # block is summed: every step, across chunks, is stepped plainly
+    a = np.diag([-1.0, 2e6])
+    g = np.array([[1.0], [0.0]])
+    gens = [Sinusoid(1.0, 0.3)]
+    x0, dt, n_steps = np.array([1.0, 0.0]), 0.1, 2 * integrate.DRIVE_ROWS + 6
+    phi, _ = integrate._propagator(a, dt)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(phi).all() and integrate._powers(phi) is None
+    x = integrate.rk4_linear(a, g, gens, x0, n_steps, dt)
+    assert not x[:, 1].any()
+    assert_agrees(x, rk4_stage_loop(a, g, gens, x0, n_steps, dt))
+
+
+@pytest.mark.parametrize("n_steps", [1, 15, 255, integrate.DRIVE_ROWS, *CHUNK_STRADDLES,
+                                     2 * integrate.DRIVE_ROWS])
+def test_lower_block_rows_are_the_same_kept_or_handed_on(n_steps):
+    rng = np.random.default_rng(n_steps)
+    a, g, gens = _lower_triangular_system(rng, 3, 5)
+    x0, dt = rng.normal(size=8), 0.01
+    upper = integrate.rk4_linear(a[:3, :3], g[:3], gens, x0[:3], n_steps, dt)
+    table = integrate.tabulate(gens, n_steps, dt)
+    kept = integrate.rk4_lower_block(a, g, table, upper, x0[3:], dt)
+    firsts, handed = [], []
+    for first, rows in integrate.rk4_chunks(a, g, table, upper, x0[3:], dt):
+        firsts.append(first)
+        handed.append(rows.copy())   # the next chunk overwrites the buffer
+    # blocks of DRIVE_ROWS rows from row 0, the last one shorter
+    assert firsts == list(range(0, n_steps + 1, integrate.DRIVE_ROWS))
+    assert np.vstack(handed).tobytes() == kept.tobytes()

@@ -57,6 +57,19 @@ def test_sample_matches_value(gen):
     np.testing.assert_allclose(sampled, pointwise, rtol=1e-15, atol=0.0)
 
 
+def test_autonomous_signal_takes_complex_exponentials_only_for_complex_modes():
+    ts = np.linspace(0.0, 12.0, 1201)
+
+    def complex_formula(gen):
+        return np.real(np.exp(np.outer(ts, gen._lam)) @ gen._modes)
+    # real eigenvalues and modes: real exponentials, equal to rounding
+    decay = AutonomousLinear([[-0.2, 0.1], [0.0, -0.7]], [0.8, -0.3])
+    np.testing.assert_allclose(decay.sample(ts), complex_formula(decay), rtol=1e-15, atol=0.0)
+    # an oscillator keeps the complex formula bit for bit
+    oscillator = AutonomousLinear([[0.0, 1.5], [-1.5, -0.1]], [1.0, -0.5], component=1)
+    assert oscillator.sample(ts).tobytes() == complex_formula(oscillator).tobytes()
+
+
 @pytest.mark.parametrize("build, match", [
     (lambda: AutonomousLinear([[-1.0]], [1.0], component=3),
      r"component must be an integer in \[0, 1\), got 3"),
