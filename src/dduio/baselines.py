@@ -20,7 +20,7 @@ from .design_model import (DesignSection, DuioGains, assemble_from_node_matrices
                            build_model_based_gains)
 from .errors import DesignError, DimensionError, EmptyRunError, RankError
 from .network import SensorGraph
-from .observer_sim import RunResult, error_norm_chunks, run_scenario
+from .observer_sim import RunResult, error_norm_chunks, run
 from .plant import PlantModel
 
 METHOD_LABELS = {"model": "model-based", "data": "data-driven", "id": "identification-based"}
@@ -76,19 +76,27 @@ def trapezoid_weights(t: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _metrics(mse_nodes: np.ndarray, mae_nodes: np.ndarray) -> MethodMetrics:
+def _fold_metrics(t: np.ndarray, chunks) -> MethodMetrics:
+    """Per-node (1/T) integrals of the squared and absolute error norms, folded
+    over ``chunks`` of the norms on the grid ``t``, (first row, rows).
+
+    Both are trapezoid integrals, sums over the samples with one weight
+    vector (``trapezoid_weights``), so no (time, node) temporary is made.
+    """
+    weights = trapezoid_weights(t)
+    mse_nodes = mae_nodes = 0.0
+    for r0, norms in chunks:
+        w = weights[r0:r0 + norms.shape[0]]
+        mse_nodes = mse_nodes + np.einsum("t,tm,tm->m", w, norms, norms)
+        mae_nodes = mae_nodes + w @ norms
     return MethodMetrics(mse=float(mse_nodes.mean()), mae=float(mae_nodes.mean()),
                          mse_per_node=mse_nodes, mae_per_node=mae_nodes)
 
 
 def compute_mse_mae(result: RunResult) -> MethodMetrics:
-    """Per-node (1/T) integrals of the squared and absolute error norms.
-
-    Both are trapezoid integrals, sums over the samples with one weight
-    vector (``trapezoid_weights``), so no (time, node) temporary is made.
-    """
-    weights, norms = trapezoid_weights(result.t), result.error_norms
-    return _metrics(np.einsum("t,tm,tm->m", weights, norms, norms), weights @ norms)
+    """Per-node (1/T) integrals of a run's squared and absolute error norms:
+    ``_fold_metrics`` of its norms as one chunk."""
+    return _fold_metrics(result.t, [(0, result.error_norms)])
 
 
 @dataclass(frozen=True)
@@ -103,40 +111,33 @@ class MetricSummary:
     experiments: int
 
 
-def run_experiment(config, model: PlantModel, graph: SensorGraph, designs, seed: int):
-    """An iterator of one RunResult per gains in ``designs``, all on ``seed``'s scenario.
-
-    The initial state and the signals are pure functions of the seed, so
-    every design meets the same scenario, simulated once (``run_scenario``).
-    A caller that drops each result before taking the next holds one
-    network's arrays at a time.
-    """
-    return run_scenario(*_experiment(config, model, graph, designs, seed))
+def run_experiment(config, model: PlantModel, graph: SensorGraph, gains: DuioGains,
+                   seed: int) -> RunResult:
+    """``run`` of ``gains`` on ``seed``'s scenario, drawn from the seed as
+    ``experiment_metrics`` draws it (``_experiment``)."""
+    ((gains, z0),), scenario = _experiment(config, model, [gains], seed)
+    return run(model, graph, gains, *scenario, z0=z0)
 
 
 def experiment_metrics(config, model: PlantModel, graph: SensorGraph, designs, seed: int):
-    """An iterator of ``compute_mse_mae`` of each ``run_experiment`` result.
+    """An iterator of the metrics of each design's ``run_experiment``, all in one
+    pass over ``seed``'s scenario.
 
     The metrics' sums are folded chunk by chunk from the pass
     (``error_norm_chunks``), so no network's full-length arrays are made.
     """
-    for t, chunks in error_norm_chunks(*_experiment(config, model, graph, designs, seed)):
-        weights = trapezoid_weights(t)
-        mse_nodes = mae_nodes = 0.0
-        for r0, norms in chunks:
-            w = weights[r0:r0 + norms.shape[0]]
-            mse_nodes = mse_nodes + np.einsum("t,tm,tm->m", w, norms, norms)
-            mae_nodes = mae_nodes + w @ norms
-        yield _metrics(mse_nodes, mae_nodes)
+    observers, scenario = _experiment(config, model, designs, seed)
+    for t, chunks in error_norm_chunks(model, graph, observers, *scenario):
+        yield _fold_metrics(t, chunks)
 
 
-def _experiment(config, model: PlantModel, graph: SensorGraph, designs, seed: int):
-    """The scenario-pass arguments of ``seed``'s experiment: each design with its
-    initial observer states, the initial state, the signals and the grid."""
+def _experiment(config, model: PlantModel, designs, seed: int):
+    """Each design with its initial observer states, and ``seed``'s scenario:
+    the initial state, the signals, the horizon and the step."""
     x0 = config.draw_x0(seed)
-    return (model, graph, [(g, config.initial_observer_states(x0, model, g)) for g in designs],
-            x0, config.build_inputs(seed), config.build_disturbances(seed),
-            config.run.horizon, config.run.dt)
+    return ([(g, config.initial_observer_states(x0, model, g)) for g in designs],
+            (x0, config.build_inputs(seed), config.build_disturbances(seed),
+             config.run.horizon, config.run.dt))
 
 
 def _derived_seed(*parts) -> int:
@@ -187,7 +188,7 @@ def monte_carlo_compare(config, K: int, master_seed: int,
     Every experiment draws a fresh initial state, fresh online signal
     realizations, and fresh offline datasets (for the data-driven and
     identification methods), designs every method, then runs them all in
-    one pass over the identical online scenario (``run_experiment``).
+    one pass over the identical online scenario (``experiment_metrics``).
     Identical seeds reproduce identical summaries.
     When ``artifacts_dir`` is given, per-experiment metrics are written
     under it as k_###/metrics.json.

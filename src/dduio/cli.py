@@ -20,7 +20,7 @@ from .config import DESIGN_METHODS, ExperimentConfig, parse_config, write_resolv
 from .datagen import load_dataset, save_dataset
 from .design_data import analyze_datasets
 from .design_model import DuioGains, coupled_abscissa
-from .errors import (ConsistencyError, DesignError, DimensionError, DuioError,
+from .errors import (ConfigError, ConsistencyError, DesignError, DimensionError, DuioError,
                      ExcitationError, NumericsError, SolvabilityError)
 from .observer_sim import export_run, verify_decoupling
 
@@ -38,8 +38,12 @@ def _get_config(args) -> ExperimentConfig:
     raw = None
     if getattr(args, "config", None):
         import yaml  # only a config file needs the parser
-        with open(args.config) as fh:
-            raw = yaml.safe_load(fh)
+        # bytes, so that the parser reads the encoding as YAML defines it
+        with open(args.config, "rb") as fh:
+            try:
+                raw = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"config file {args.config} is not YAML: {exc}") from None
     if raw is None:  # no file, or an empty one
         raw = {}
     for flag, section, key in _OVERRIDES:
@@ -144,12 +148,12 @@ def cmd_run(args) -> int:
     with open(args.gains) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DuioError(f"gains file {args.gains} is not JSON: {exc}") from None
     if not (isinstance(payload, dict) and isinstance(payload.get("gains"), dict)):
         raise DuioError(f"gains file {args.gains} has no top-level 'gains' object")
     gains = DuioGains.from_json_dict(payload["gains"])
-    (result,) = run_experiment(cfg, model, graph, [gains], cfg.seed)
+    result = run_experiment(cfg, model, graph, gains, cfg.seed)
     metrics = compute_mse_mae(result)
     os.makedirs(args.out, exist_ok=True)
     export_run(result, args.out, extra_summary={

@@ -247,14 +247,6 @@ def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float, out=None):
         yield n_steps, rows[-1:]
 
 
-def _kept(a, g, table, upper, x0, dt) -> np.ndarray:
-    """Every row of ``rk4_chunks``, kept in one (n_steps + 1, d) array."""
-    out = np.empty(((table.shape[0] + 1) // 2, np.size(x0)))
-    for _ in rk4_chunks(a, g, table, upper, x0, dt, out):
-        pass
-    return out
-
-
 def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
                n_steps: int, dt: float) -> np.ndarray:
     """Integrate x' = a x + g s(t) with s(t) stacked from ``generators``.
@@ -265,7 +257,7 @@ def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
     sampled once, over the whole half-step grid (``tabulate``).
     """
     _check_forcing(g, len(generators))
-    return _kept(a, g, tabulate(generators, n_steps, dt), None, x0, dt)
+    return rk4_lower_block(a, g, tabulate(generators, n_steps, dt), None, x0, dt)
 
 
 def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper,
@@ -277,6 +269,10 @@ def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper,
     ``tabulate``.  Returns the remaining rows' states from ``lower0``;
     they equal rk4_linear's to rounding, since one RK4 step of such a
     system is block lower triangular too.  An ``upper`` of None means no
-    upper rows: the whole system, as ``rk4_linear`` integrates it.
+    upper rows: the whole system, as ``rk4_linear`` integrates it.  Every
+    row of ``rk4_chunks`` is kept, in one (n_steps + 1, d) array.
     """
-    return _kept(a, g, table, upper, lower0, dt)
+    out = np.empty(((table.shape[0] + 1) // 2, np.size(lower0)))
+    for _ in rk4_chunks(a, g, table, upper, lower0, dt, out):
+        pass
+    return out

@@ -7,9 +7,8 @@ matrix is block lower triangular, and so is every RK4 step.  A scenario
 pass therefore integrates the plant alone, as ``plant.simulate`` does,
 then advances every observer network's block from that plant trajectory.
 Each chunk of a network's states becomes its estimates and error norms
-while it is in cache: ``run_scenario`` keeps them whole, and
-``error_norm_chunks`` hands on the norms a chunk at a time.  ``run`` is
-the pass with one network.
+while it is in cache: ``run`` keeps one network's whole, and
+``error_norm_chunks`` hands on several networks' norms a chunk at a time.
 """
 from __future__ import annotations
 
@@ -110,33 +109,15 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
     """Integrate plant plus observer network and report estimation errors.
 
     Each node reads only its own known inputs, its own output, and its
-    neighbors' estimates.  ``z0`` defaults to zero observer states.
-    """
-    return next(run_scenario(model, graph, [(gains, z0)], x0, inputs, disturbances,
-                             horizon, dt))
-
-
-def run_scenario(model: PlantModel, graph: SensorGraph, observers, x0,
-                 inputs, disturbances, horizon: float, dt: float):
-    """Yield one RunResult per (gains, z0) of ``observers``, all on one scenario.
-
-    The scenario is checked by ``plant.check_scenario``.  The signals are
+    neighbors' estimates.  ``z0`` defaults to zero observer states.  The
+    scenario is checked by ``plant.check_scenario``, the signals are
     tabulated once on RK4's half-step grid, and the plant is integrated
-    once from ``x0``, as ``plant.simulate`` integrates it.  Every network
-    then advances only its observer block, z_{j+1} = Phi_zz z_j +
-    Phi_zx x_j + d_z,j, from that trajectory, so each result is ``run``'s
-    bit for bit.  The pass keeps only the current network's states, so a
-    caller that drops each result holds one network's full-length arrays at
-    a time.  A ``z0`` of None means zero observer states.
+    from ``x0`` as ``plant.simulate`` integrates it; the observer block
+    then advances alone, z_{j+1} = Phi_zz z_j + Phi_zx x_j + d_z,j, from
+    that trajectory, its rows written into the result's full arrays.
     """
-    for t, x, table, gains, z0 in _scenario(model, graph, observers, x0, inputs,
-                                            disturbances, horizon, dt):
-        yield _kept_run(model, graph, gains, z0, t, x, table, dt)
-
-
-def _kept_run(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0, t, x, table,
-              dt: float) -> RunResult:
-    """The RunResult of one network's pass, its rows written into full arrays."""
+    ((t, x, table, gains, z0),) = _scenario(model, graph, [(gains, z0)], x0, inputs,
+                                            disturbances, horizon, dt)
     rows = t.size
     result = RunResult(t, x, np.empty((rows, model.M, model.n_x)), np.empty((rows, model.M)))
     for _ in _estimate_chunks(model, graph, gains, z0, x, table, dt,
@@ -147,12 +128,14 @@ def _kept_run(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0, t, x,
 
 def error_norm_chunks(model: PlantModel, graph: SensorGraph, observers, x0,
                       inputs, disturbances, horizon: float, dt: float):
-    """Yield, per network of ``run_scenario``'s pass, its grid ``t`` and an iterator
-    of its error norms chunk by chunk, (first row, rows).
+    """Yield, per (gains, z0) of ``observers``, all on one scenario, its grid ``t``
+    and an iterator of its error norms chunk by chunk, (first row, rows).
 
-    The norms are ``run_scenario``'s, but no network's full-length arrays
-    are made: each chunk lives in a buffer that the next one overwrites.
-    Drain each iterator before taking the next network's.
+    The signals are tabulated and the plant is integrated once for every
+    network.  Each network's norms are its own ``run``'s bit for bit, but
+    no network's full-length arrays are made: each chunk lives in a buffer
+    that the next one overwrites.  Drain each iterator before taking the
+    next network's.  A ``z0`` of None means zero observer states.
     """
     for t, x, table, gains, z0 in _scenario(model, graph, observers, x0, inputs,
                                             disturbances, horizon, dt):

@@ -172,8 +172,8 @@ def test_experiment_metrics_match_one_run_per_design(small_compare_config):
     datasets = collect_all_nodes(cfg, model, 8)
     designs = [design_for_method(m, cfg, model, graph, datasets) for m in cfg.compare.methods]
     x0 = cfg.draw_x0(9)
-    pass_metrics = map(compute_mse_mae, run_experiment(cfg, model, graph, designs, 9))
-    for got, gains in zip(pass_metrics, designs):
+    for gains in designs:
+        got = compute_mse_mae(run_experiment(cfg, model, graph, gains, 9))
         want = compute_mse_mae(run(model, graph, gains, x0, cfg.build_inputs(9),
                                    cfg.build_disturbances(9), horizon=cfg.run.horizon,
                                    dt=cfg.run.dt,
@@ -195,7 +195,7 @@ def test_compare_never_computes_the_spread_and_run_export_reads_it_once(
     assert [s.method for s in summaries] == list(cfg.compare.methods)
     # run's export reads it, through the same helper
     model, graph = cfg.build_model(), cfg.build_graph()
-    (res,) = run_experiment(cfg, model, graph, [design_for_method("model", cfg, model, graph)], 9)
+    res = run_experiment(cfg, model, graph, design_for_method("model", cfg, model, graph), 9)
     with pytest.raises(AssertionError, match="^spread computed$"):
         export_run(res, tmp_path / "refused")
     calls = []
@@ -219,22 +219,6 @@ def _peak_bytes(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_experiment_pass_holds_one_design_at_a_time():
-    cfg = parse_config({})
-    model, graph = cfg.build_model(), cfg.build_graph()
-    datasets = collect_all_nodes(cfg, model, 4)
-    designs = [design_for_method(m, cfg, model, graph, datasets) for m in cfg.compare.methods]
-
-    def peak(gains_list):
-        return _peak_bytes(lambda: list(map(compute_mse_mae,
-                                            run_experiment(cfg, model, graph, gains_list, 3))))
-
-    # every pass tabulates the signals and integrates the plant once, and
-    # holds one design's states at a time
-    assert len(designs) == 3
-    assert peak(designs) - peak(designs[:1]) <= 2 ** 20
 
 
 def test_compare_holds_one_run_at_a_time():
@@ -273,7 +257,7 @@ def test_compare_folds_the_metrics_of_each_run(plant):
     seed = baselines._derived_seed(7, 1000)
     datasets = collect_all_nodes(cfg, model, seed)
     designs = [design_for_method(m, cfg, model, graph, datasets) for m in cfg.compare.methods]
-    runs = map(compute_mse_mae, run_experiment(cfg, model, graph, designs, seed))
+    runs = (compute_mse_mae(run_experiment(cfg, model, graph, g, seed)) for g in designs)
     folded = experiment_metrics(cfg, model, graph, designs, seed)
     count = 0
     for summary, got, want in zip(summaries, folded, runs):

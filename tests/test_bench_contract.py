@@ -43,6 +43,22 @@ def test_one_operation_of_each_workload_passes_its_check(tmp_path, name):
             wl.close()
 
 
+def test_traced_cli_pipeline_times_the_closed_loop_run(tmp_path):
+    # cmd_run reaches observer_sim.run through baselines.run_experiment, so the
+    # benchmark's observer_sim.run span reads on cli-pipeline
+    wl = workloads.WORKLOADS["cli-pipeline"](1, str(tmp_path))
+    wl.setup()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        output = wl.op(wl.round_keys(0)[0])
+    finally:
+        tr.uninstall()
+        wl.close()
+    assert output["codes"] == [0, 0, 0, 0]
+    assert tr.metrics().get("observer_sim.run.busy_s", 0.0) > 0.0
+
+
 def _mc_compare_check(tmp_path, monkeypatch, integrator):
     """mc-compare's check of one operation with observer_sim.rk4_linear swapped."""
     monkeypatch.setattr(dduio.observer_sim, "rk4_linear", integrator)

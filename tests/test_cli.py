@@ -553,13 +553,16 @@ MALFORMED_GAINS = {
 }
 
 
-@pytest.mark.parametrize("drop", ["gamma", "L", "gains", "json", *MALFORMED_GAINS])
+@pytest.mark.parametrize("drop", ["gamma", "L", "gains", "json", "utf-8", *MALFORMED_GAINS])
 def test_run_names_a_missing_gains_key(tmp_path, capsys, fast_config_path, gains_path, drop):
     payload = json.loads(Path(gains_path).read_text())
     bad = tmp_path / "bad_gains.json"
     if drop == "json":
         bad.write_text("nope")
         want = f"error: gains file {bad} is not JSON: Expecting value"
+    elif drop == "utf-8":
+        bad.write_bytes(b'{"gains": "\xff"}')
+        want = f"error: gains file {bad} is not JSON: 'utf-8' codec can't decode byte 0xff"
     elif drop == "gains":
         bad.write_text(json.dumps({"verification": payload["verification"]}))
         want = f"error: gains file {bad} has no top-level 'gains' object\n"
@@ -578,8 +581,20 @@ def test_run_names_a_missing_gains_key(tmp_path, capsys, fast_config_path, gains
                  "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     # The decoder's own text follows the JSON message; every other message is the whole line.
-    assert err.startswith(want) if drop == "json" else err == want
+    assert err.startswith(want) if drop in ("json", "utf-8") else err == want
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("text, detail", [
+    (b"seed: [1, 2\n", "while parsing a flow sequence"),
+    (b"seed: \xe9\n", "unacceptable character #x00e9: invalid continuation byte"),
+], ids=["malformed", "not-utf-8"])
+def test_unreadable_config_file_is_named(tmp_path, capsys, text, detail):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text)
+    assert main(["collect", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {path} is not YAML: {detail}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_gains_without_a_method_run_as_model(tmp_path, fast_config_path, gains_path):

@@ -11,9 +11,9 @@ from dduio.errors import DimensionError, DivergenceError
 from dduio.integrate import DRIVE_ROWS, rk4_linear, rk4_lower_block, tabulate
 from dduio.linalg import spectral_abscissa
 from dduio.network import SensorGraph, complete
-from dduio.baselines import collect_all_nodes, compute_mse_mae, design_for_method
-from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run, run,
-                                run_scenario, verify_decoupling)
+from dduio.baselines import collect_all_nodes, design_for_method
+from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, error_norm_chunks,
+                                export_run, run, verify_decoupling)
 from dduio.plant import PlantModel, simulate
 from dduio.signals import Sinusoid, Zero
 
@@ -230,8 +230,8 @@ def test_run_refuses_inputs_standing_in_for_disturbances(bench_model, bench_grap
     with pytest.raises(DimensionError, match=message):
         run(bench_model, bench_graph, model_gains, *args, horizon=1.0, dt=1e-3)
     with pytest.raises(DimensionError, match=message):
-        next(run_scenario(bench_model, bench_graph, [(model_gains, None)] * 2, *args,
-                          horizon=1.0, dt=1e-3))
+        next(error_norm_chunks(bench_model, bench_graph, [(model_gains, None)] * 2, *args,
+                               horizon=1.0, dt=1e-3))
 
 
 def test_divergent_plant_raises_at_the_time_simulate_does(bench_model, bench_graph,
@@ -243,8 +243,8 @@ def test_divergent_plant_raises_at_the_time_simulate_does(bench_model, bench_gra
     with pytest.raises(DivergenceError) as alone:
         run(unstable, bench_graph, model_gains, x0, *bench_signals(5, 6, 1e-2),
             horizon=10.0, dt=1e-2)
-    passed = run_scenario(unstable, bench_graph, [(model_gains, None)] * 2, x0,
-                          *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
+    passed = error_norm_chunks(unstable, bench_graph, [(model_gains, None)] * 2, x0,
+                               *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
     with pytest.raises(DivergenceError) as shared:
         next(passed)
     assert 0.0 < plant.value.t < 10.0
@@ -383,6 +383,18 @@ def _sweep_networks():
     return cfg, model, graph, [gains, dataclasses.replace(gains, gamma=1.5 * gains.gamma)]
 
 
+def _joined_norms(chunks, rows):
+    """A network's error norms from ``error_norm_chunks``, joined; each chunk
+    starts where the last one ended, and together they cover ``rows`` rows."""
+    parts, end = [], 0
+    for r0, norms in chunks:
+        assert r0 == end
+        parts.append(norms.copy())
+        end += norms.shape[0]
+    assert end == rows
+    return np.concatenate(parts)
+
+
 def _assert_rel(new, old, rtol):
     assert np.shape(new) == np.shape(old)
     assert np.abs(np.asarray(new) - old).max() <= rtol * np.abs(old).max()
@@ -390,7 +402,7 @@ def _assert_rel(new, old, rtol):
 
 @pytest.mark.parametrize("plant", ["preset", "sweep"])
 def test_scenario_pass_matches_separate_runs(preset, plant):
-    # every network of a pass is its own run bit for bit
+    # every network's norms in a shared pass are its own run's bit for bit
     cfg, model, graph, networks = (_preset_networks(preset) if plant == "preset"
                                    else _sweep_networks())
     x0 = cfg.draw_x0(5)
@@ -402,15 +414,13 @@ def test_scenario_pass_matches_separate_runs(preset, plant):
     def signals():
         return cfg.build_inputs(5), cfg.build_disturbances(5)
 
-    passed = run_scenario(model, graph, starts, x0, *signals(), horizon, cfg.run.dt)
+    passed = error_norm_chunks(model, graph, starts, x0, *signals(), horizon, cfg.run.dt)
     count = 0
-    for (gains, z0), res in zip(starts, passed):
+    for (gains, z0), (t, chunks) in zip(starts, passed):
         alone = run(model, graph, gains, x0, *signals(), horizon, cfg.run.dt, z0=z0)
-        for field in ("t", "x", "xhat", "error_norms", "spread"):
-            assert getattr(res, field).tobytes() == getattr(alone, field).tobytes(), field
-        got, want = compute_mse_mae(res), compute_mse_mae(alone)
-        for stat in ("mse", "mae", "mse_per_node", "mae_per_node"):
-            assert np.array_equal(getattr(got, stat), getattr(want, stat)), stat
+        assert t.tobytes() == alone.t.tobytes()
+        norms = _joined_norms(chunks, n_steps + 1)
+        assert norms.tobytes() == alone.error_norms.tobytes()
         count += 1
     assert count == len(starts)
     assert next(passed, None) is None
@@ -474,18 +484,6 @@ def test_lazy_spread_is_the_in_pass_spread_bit_for_bit(preset, plant, n_steps):
     assert res.spread is res.spread
 
 
-def test_one_network_pass_is_run_bit_for_bit(preset):
-    cfg, model, graph, gains = preset
-    x0 = cfg.draw_x0(3)
-    z0 = cfg.initial_observer_states(x0, model, gains)
-    args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
-    results = list(run_scenario(model, graph, [(gains, z0)], x0, *args))
-    alone = run(model, graph, gains, x0, *args, z0=z0)
-    assert len(results) == 1
-    for field in ("t", "x", "xhat", "error_norms", "spread"):
-        assert getattr(results[0], field).tobytes() == getattr(alone, field).tobytes()
-
-
 def test_first_network_of_a_shared_pass_is_run_bit_for_bit(preset):
     # the pass advances a second network beside the first; the first must
     # not see it
@@ -494,10 +492,13 @@ def test_first_network_of_a_shared_pass_is_run_bit_for_bit(preset):
     z0 = cfg.initial_observer_states(x0, model, gains)
     args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
     second = dataclasses.replace(gains, gamma=1.5 * gains.gamma)
-    first = next(run_scenario(model, graph, [(gains, z0), (second, z0)], x0, *args))
+    passed = error_norm_chunks(model, graph, [(gains, z0), (second, z0)], x0, *args)
     alone = run(model, graph, gains, x0, *args, z0=z0)
-    for field in ("x", "xhat", "error_norms", "spread"):
-        assert getattr(first, field).tobytes() == getattr(alone, field).tobytes(), field
+    _, chunks = next(passed)
+    assert _joined_norms(chunks, alone.t.size).tobytes() == alone.error_norms.tobytes()
+    _, chunks = next(passed)
+    _joined_norms(chunks, alone.t.size)
+    assert next(passed, None) is None
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -512,12 +513,13 @@ def test_scenario_pass_diverges_where_the_network_alone_does(bench_model, bench_
     with pytest.raises(DivergenceError) as alone:
         run(bench_model, bench_graph, unstable, x0, *bench_signals(5, 6, 1e-2),
             horizon=10.0, dt=1e-2)
-    passed = run_scenario(bench_model, bench_graph, networks, x0, *bench_signals(5, 6, 1e-2),
-                          horizon=10.0, dt=1e-2)
+    passed = error_norm_chunks(bench_model, bench_graph, networks, x0,
+                               *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
     for _ in range(position):
-        next(passed)
+        _joined_norms(next(passed)[1], 1001)
+    _, chunks = next(passed)
     with pytest.raises(DivergenceError) as err:
-        next(passed)
+        _joined_norms(chunks, 1001)
     assert err.value.t == alone.value.t
 
 
@@ -527,6 +529,7 @@ def test_scenario_pass_samples_each_signal_once(preset):
     dist = [CountedSignal(g) for g in cfg.build_disturbances(3)]
     networks = [(gains, None), (dataclasses.replace(gains, gamma=2.0 * gains.gamma), None),
                 (gains, np.ones((model.M, model.n_x)))]
-    assert len(list(run_scenario(model, graph, networks, cfg.draw_x0(3), inputs, dist,
-                                 horizon=5.0, dt=cfg.run.dt))) == 3
+    passed = error_norm_chunks(model, graph, networks, cfg.draw_x0(3), inputs, dist,
+                               horizon=5.0, dt=cfg.run.dt)
+    assert len([_joined_norms(chunks, t.size) for t, chunks in passed]) == 3
     assert [g.calls for g in inputs + dist] == [1] * len(inputs + dist)
