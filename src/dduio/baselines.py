@@ -112,11 +112,12 @@ class MetricSummary:
 
 
 def run_experiment(config, model: PlantModel, graph: SensorGraph, gains: DuioGains,
-                   seed: int) -> RunResult:
+                   seed: int, xhat_file=None) -> RunResult:
     """``run`` of ``gains`` on ``seed``'s scenario, drawn from the seed as
-    ``experiment_metrics`` draws it (``_experiment``)."""
+    ``experiment_metrics`` draws it (``_experiment``), its estimates written
+    to ``xhat_file`` when given."""
     ((gains, z0),), scenario = _experiment(config, model, [gains], seed)
-    return run(model, graph, gains, *scenario, z0=z0)
+    return run(model, graph, gains, *scenario, z0=z0, xhat_file=xhat_file)
 
 
 def experiment_metrics(config, model: PlantModel, graph: SensorGraph, designs, seed: int):

@@ -22,7 +22,7 @@ from .design_data import analyze_datasets
 from .design_model import DuioGains, coupled_abscissa
 from .errors import (ConfigError, ConsistencyError, DesignError, DimensionError, DuioError,
                      ExcitationError, NumericsError, SolvabilityError)
-from .observer_sim import export_run, verify_decoupling
+from .observer_sim import export_run, verify_decoupling, xhat_writer
 
 
 # Each flag that overrides one config key: (flag, section or None, key).
@@ -153,9 +153,10 @@ def cmd_run(args) -> int:
     if not (isinstance(payload, dict) and isinstance(payload.get("gains"), dict)):
         raise DuioError(f"gains file {args.gains} has no top-level 'gains' object")
     gains = DuioGains.from_json_dict(payload["gains"])
-    result = run_experiment(cfg, model, graph, gains, cfg.seed)
+    # the estimates go to xhat.npy chunk by chunk, so no (T, M, n_x) array is held
+    with xhat_writer(args.out) as xhat_file:
+        result = run_experiment(cfg, model, graph, gains, cfg.seed, xhat_file)
     metrics = compute_mse_mae(result)
-    os.makedirs(args.out, exist_ok=True)
     export_run(result, args.out, extra_summary={
         **metrics.to_json_dict(), "seed": cfg.seed, "method": gains.method})
     write_resolved(cfg, os.path.join(args.out, "config.resolved.yaml"))

@@ -7,12 +7,14 @@ matrix is block lower triangular, and so is every RK4 step.  A scenario
 pass therefore integrates the plant alone, as ``plant.simulate`` does,
 then advances every observer network's block from that plant trajectory.
 Each chunk of a network's states becomes its estimates and error norms
-while it is in cache: ``run`` keeps one network's whole, and
-``error_norm_chunks`` hands on several networks' norms a chunk at a time.
+while it is in cache: ``run`` keeps one network's norms whole, and its
+estimates too unless it writes them to a ``.npy`` file chunk by chunk
+(``xhat_writer``), and ``error_norm_chunks`` hands on several networks'
+norms a chunk at a time.
 """
 from __future__ import annotations
 
-import functools
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -32,23 +34,18 @@ from .signals import Tabulated
 class RunResult:
     """Time-stamped truth, per-node estimates, and error summaries.
 
-    ``spread`` (time,), the largest distance between two nodes' estimates,
-    is computed from ``xhat`` on first read and then kept, so a caller that
-    never reads it (``compare``) never pays for it.
+    ``xhat`` is None when ``run`` wrote the estimates to a file instead.
     """
 
     t: np.ndarray
     x: np.ndarray
-    xhat: np.ndarray          # (time, node, state)
+    xhat: np.ndarray | None   # (time, node, state)
     error_norms: np.ndarray   # (time, node)
-
-    @functools.cached_property
-    def spread(self) -> np.ndarray:
-        return _spread(self.xhat)
+    spread: np.ndarray        # (time,) the largest distance between two nodes' estimates
 
     @property
     def M(self) -> int:
-        return self.xhat.shape[1]
+        return self.error_norms.shape[1]
 
     @property
     def final_error_norms(self) -> np.ndarray:
@@ -105,7 +102,7 @@ def _closed_loop(model: PlantModel, graph: SensorGraph, gains: DuioGains):
 
 def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
         inputs, disturbances, horizon: float, dt: float,
-        z0=None) -> RunResult:
+        z0=None, xhat_file=None) -> RunResult:
     """Integrate plant plus observer network and report estimation errors.
 
     Each node reads only its own known inputs, its own output, and its
@@ -114,16 +111,33 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
     tabulated once on RK4's half-step grid, and the plant is integrated
     from ``x0`` as ``plant.simulate`` integrates it; the observer block
     then advances alone, z_{j+1} = Phi_zz z_j + Phi_zx x_j + d_z,j, from
-    that trajectory, its rows written into the result's full arrays.
+    that trajectory, and each finished chunk of observer states becomes
+    estimates and error norms.  The estimates are kept whole, and the
+    spread is computed from them; or, given a binary file ``xhat_file``,
+    each chunk gives its rows of the spread and is written to the file,
+    which then holds ``xhat`` as ``np.save`` writes it, and the result's
+    ``xhat`` is None.
     """
     ((t, x, table, gains, z0),) = _scenario(model, graph, [(gains, z0)], x0, inputs,
                                             disturbances, horizon, dt)
-    rows = t.size
-    result = RunResult(t, x, np.empty((rows, model.M, model.n_x)), np.empty((rows, model.M)))
-    for _ in _estimate_chunks(model, graph, gains, z0, x, table, dt,
-                              result.xhat.reshape(rows, -1), result.error_norms):
-        pass
-    return result
+    shape = (t.size, model.M, model.n_x)
+    error_norms = np.empty(shape[:2])
+    if xhat_file is None:
+        xhat = np.empty(shape)
+        for _ in _estimate_chunks(model, graph, gains, z0, x, table, dt,
+                                  xhat.reshape(t.size, -1), error_norms):
+            pass
+        return RunResult(t, x, xhat, error_norms, _spread(xhat))
+    np.lib.format.write_array_header_1_0(xhat_file, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+        "fortran_order": False, "shape": shape})
+    spread = np.empty(t.size)
+    for r0, est, _ in _estimate_chunks(model, graph, gains, z0, x, table, dt, None,
+                                       error_norms):
+        est = est.reshape(-1, model.M, model.n_x)
+        _spread_rows(est, spread[r0:r0 + est.shape[0]])
+        xhat_file.write(est)
+    return RunResult(t, x, None, error_norms, spread)
 
 
 def error_norm_chunks(model: PlantModel, graph: SensorGraph, observers, x0,
@@ -139,7 +153,8 @@ def error_norm_chunks(model: PlantModel, graph: SensorGraph, observers, x0,
     """
     for t, x, table, gains, z0 in _scenario(model, graph, observers, x0, inputs,
                                             disturbances, horizon, dt):
-        yield t, _estimate_chunks(model, graph, gains, z0, x, table, dt, None, None)
+        yield t, ((r0, norms) for r0, _, norms in
+                  _estimate_chunks(model, graph, gains, z0, x, table, dt, None, None))
 
 
 def _scenario(model: PlantModel, graph: SensorGraph, observers, x0,
@@ -167,7 +182,8 @@ def _scenario(model: PlantModel, graph: SensorGraph, observers, x0,
 
 def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0,
                      x: np.ndarray, table: np.ndarray, dt: float, xhat, error_norms):
-    """One network's pass: yield its error norms chunk by chunk, (first row, rows).
+    """One network's pass: yield its estimates and error norms chunk by chunk,
+    (first row, estimates (rows, node * state), norms (rows, node)).
 
     Each chunk of observer states from ``rk4_chunks`` becomes xhat_i = z_i +
     H_i C_i x, written over it, and the error norms while it is in cache.
@@ -203,27 +219,33 @@ def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0
         for s in range(2, n):
             norms += squares[:, :, s]
         np.sqrt(norms, out=norms)
-        yield r0, norms
+        yield r0, z, norms
+
+
+def _spread_rows(xhat: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the largest distance between two nodes' estimates in
+    each row of ``xhat`` (rows, node, state), one chunk of a pass.
+
+    Each pair's differences are held as (state, time), so that their
+    squares are added state by state, in state order.
+    """
+    rows, m_nodes, n = xhat.shape
+    est = np.ascontiguousarray(xhat.transpose(1, 2, 0))
+    far = np.zeros(rows)
+    diff = np.empty((n, rows))
+    for i in range(m_nodes - 1):
+        for j in range(i + 1, m_nodes):
+            np.subtract(est[j], est[i], out=diff)
+            diff *= diff
+            np.maximum(far, diff.sum(axis=0), out=far)
+    np.sqrt(far, out=out)
 
 
 def _spread(xhat: np.ndarray) -> np.ndarray:
-    """The largest distance between two nodes' estimates at every time.
-
-    Works on DRIVE_ROWS-row blocks of ``xhat`` transposed to (node, state,
-    time).
-    """
-    rows, m_nodes, _ = xhat.shape
-    spread = np.empty(rows)
-    for r0 in range(0, rows, DRIVE_ROWS):
-        r1 = min(r0 + DRIVE_ROWS, rows)
-        est = np.ascontiguousarray(xhat[r0:r1].transpose(1, 2, 0))
-        # squared distances from node i to every later node, maximized
-        far = np.zeros(r1 - r0)
-        for i in range(m_nodes - 1):
-            diff = est[i + 1:] - est[i]
-            diff *= diff
-            np.maximum(far, diff.sum(axis=1).max(axis=0), out=far)
-        np.sqrt(far, out=spread[r0:r1])
+    """``_spread_rows`` of a whole run's ``xhat``, in the pass's DRIVE_ROWS-row chunks."""
+    spread = np.empty(xhat.shape[0])
+    for r0 in range(0, xhat.shape[0], DRIVE_ROWS):
+        _spread_rows(xhat[r0:r0 + DRIVE_ROWS], spread[r0:r0 + DRIVE_ROWS])
     return spread
 
 
@@ -280,17 +302,48 @@ def verify_decoupling(model: PlantModel, gains: DuioGains) -> DecouplingReport:
                             state_residuals=np.array(res_state))
 
 
+@contextlib.contextmanager
+def xhat_writer(out_dir: str):
+    """A binary file for ``run``'s ``xhat_file``, which becomes
+    ``out_dir``/xhat.npy when the block exits cleanly.
+
+    Until then it has a temporary name.  On an exception it is removed,
+    and so is each directory this made for it that is still empty, so a
+    failed run leaves nothing behind.
+    """
+    made, path = [], os.path.abspath(out_dir)
+    while not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(out_dir, exist_ok=True)
+    part = os.path.join(out_dir, ".xhat.npy.part")
+    try:
+        with open(part, "wb") as fh:
+            yield fh
+        os.replace(part, os.path.join(out_dir, "xhat.npy"))
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+
+
 def export_run(result: RunResult, out_dir: str, extra_summary: dict | None = None) -> None:
     """Write each dense field of ``result`` as ``<field>.npy``, and summary.json.
 
     ``t`` (T,), ``x`` (T, n_x), ``xhat`` (T, M, n_x), ``error_norms``
-    (T, M) and ``spread`` (T,) are saved as bit-exact float64 arrays.  The
-    ``.npy`` header holds no timestamp, so reruns are byte-identical.
+    (T, M) and ``spread`` (T,) are saved as bit-exact float64 arrays; an
+    ``xhat`` of None is skipped, as ``run`` wrote it already
+    (``xhat_writer``).  The ``.npy`` header holds no timestamp, so reruns
+    are byte-identical.
     """
     os.makedirs(out_dir, exist_ok=True)
     for name in ("t", "x", "xhat", "error_norms", "spread"):
-        np.save(os.path.join(out_dir, f"{name}.npy"), getattr(result, name),
-                allow_pickle=False)
+        array = getattr(result, name)
+        if array is not None:
+            np.save(os.path.join(out_dir, f"{name}.npy"), array, allow_pickle=False)
     summary = result.summary()
     if extra_summary:
         summary.update(extra_summary)

@@ -15,7 +15,8 @@ from dduio.design_model import DesignSection
 from dduio.errors import DesignError, EmptyRunError, RankError
 from dduio.linalg import spectral_abscissa
 from dduio import observer_sim
-from dduio.observer_sim import RunResult, export_run, run
+from dduio.integrate import DRIVE_ROWS
+from dduio.observer_sim import RunResult, export_run, run, xhat_writer
 
 from conftest import (BENCH_GAMMA, CountedSignal, bench_signals, coupling_matrix,
                       load_bench_module, pointwise_dataset)
@@ -110,7 +111,8 @@ def _result_with_error(error_of_t, horizon=1.0, dt=1e-3, m_nodes=2):
     xhat = np.zeros((t.size, m_nodes, 3))
     xhat[:, :, 0] = -e[:, None]
     err = np.tile(np.abs(e)[:, None], (1, m_nodes))
-    return RunResult(t=t, x=x, xhat=xhat, error_norms=err)
+    # every node holds the same estimate
+    return RunResult(t=t, x=x, xhat=xhat, error_norms=err, spread=np.zeros(t.size))
 
 
 def test_metrics_trivial_cases():
@@ -135,7 +137,7 @@ def test_metrics_linear_decay_analytic():
 def test_metrics_empty_run():
     res = _result_with_error(lambda t: t)
     short = RunResult(t=res.t[:1], x=res.x[:1], xhat=res.xhat[:1],
-                      error_norms=res.error_norms[:1])
+                      error_norms=res.error_norms[:1], spread=res.spread[:1])
     with pytest.raises(EmptyRunError):
         compute_mse_mae(short)
 
@@ -183,30 +185,36 @@ def test_experiment_metrics_match_one_run_per_design(small_compare_config):
         assert np.array_equal(got.mae_per_node, want.mae_per_node)
 
 
-def test_compare_never_computes_the_spread_and_run_export_reads_it_once(
+def test_compare_never_computes_the_spread_and_run_computes_it_by_chunk(
         monkeypatch, tmp_path, small_compare_config):
     cfg = small_compare_config
-    spread = observer_sim._spread
+    spread_rows = observer_sim._spread_rows
 
-    def refuse(xhat):
+    def refuse(xhat, out):
         raise AssertionError("spread computed")
-    monkeypatch.setattr(observer_sim, "_spread", refuse)
+    monkeypatch.setattr(observer_sim, "_spread_rows", refuse)
     summaries = monte_carlo_compare(cfg, K=1, master_seed=11)
     assert [s.method for s in summaries] == list(cfg.compare.methods)
-    # run's export reads it, through the same helper
+    # a run that writes its estimates to a file computes it, through the same helper
     model, graph = cfg.build_model(), cfg.build_graph()
-    res = run_experiment(cfg, model, graph, design_for_method("model", cfg, model, graph), 9)
+    gains = design_for_method("model", cfg, model, graph)
     with pytest.raises(AssertionError, match="^spread computed$"):
-        export_run(res, tmp_path / "refused")
-    calls = []
+        with xhat_writer(tmp_path / "refused") as xhat_file:
+            run_experiment(cfg, model, graph, gains, 9, xhat_file)
+    assert not (tmp_path / "refused").exists()
+    rows = []
 
-    def counted(xhat):
-        calls.append(xhat)
-        return spread(xhat)
-    monkeypatch.setattr(observer_sim, "_spread", counted)
+    def counted(xhat, out):
+        rows.append(xhat.shape[0])
+        return spread_rows(xhat, out)
+    monkeypatch.setattr(observer_sim, "_spread_rows", counted)
+    with xhat_writer(tmp_path / "run") as xhat_file:
+        res = run_experiment(cfg, model, graph, gains, 9, xhat_file)
     export_run(res, tmp_path / "run")
+    assert res.xhat is None
     assert res.summary()["final_spread"] == res.spread[-1] > 0.0
-    assert len(calls) == 1 and calls[0] is res.xhat
+    # once per chunk of the pass, never on a whole run's estimates
+    assert rows == [DRIVE_ROWS, res.t.size - DRIVE_ROWS]
     assert np.load(tmp_path / "run" / "spread.npy").tobytes() == res.spread.tobytes()
 
 

@@ -2,9 +2,11 @@
 import copy
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +520,57 @@ def test_run_output_directory_holds_exactly_the_run_files(tmp_path, fast_config_
     assert main(["run", "--config", fast_config_path, "--gains", gains_path,
                  "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == sorted(RUN_FILES)
+
+
+@pytest.fixture(scope="module")
+def preset_gains_path(tmp_path_factory):
+    out = tmp_path_factory.mktemp("preset") / "gains.json"
+    assert main(["design", "--seed", "1", "--method", "model", "--out", str(out)]) == 0
+    return out
+
+
+def test_run_command_holds_no_full_length_estimate_array(tmp_path, preset_gains_path):
+    # the preset's 40 s run; the estimates go to xhat.npy one chunk at a time
+    def run_into(name):
+        out = tmp_path / name
+        assert main(["run", "--seed", "1", "--gains", str(preset_gains_path),
+                     "--out", str(out)]) == 0
+        return out
+
+    run_into("warm-up")
+    tracemalloc.start()
+    try:
+        out = run_into("traced")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model = parse_config({}).build_model()
+    kept = {f: np.load(out / f"{f}.npy") for f in ("t", "x", "error_norms", "spread")}
+    rows = kept["t"].size
+    table = (2 * rows - 1) * (model.n_u + model.n_d) * 8
+    held = sum(a.nbytes for a in kept.values()) + table
+    xhat = rows * model.M * model.n_x * 8
+    assert np.load(out / "xhat.npy", mmap_mode="r").nbytes == xhat
+    # beyond what the command must hold, less than half of one full xhat
+    assert peak - held < xhat // 2
+
+
+@pytest.mark.parametrize("out", ["r", "new/r", "existing"],
+                         ids=["new-dir", "new-parents", "existing-dir"])
+def test_diverging_run_leaves_no_file_behind(tmp_path, capsys, preset_gains_path, out):
+    payload = json.loads(preset_gains_path.read_text())
+    for node in payload["gains"]["nodes"]:
+        node["E"] = np.eye(len(node["E"])).tolist()
+    gains = tmp_path / "diverging.json"
+    gains.write_text(json.dumps(payload))
+    (tmp_path / "existing").mkdir()
+    capsys.readouterr()
+    assert main(["run", "--seed", "1", "--gains", str(gains), "--out", str(tmp_path / out)]) == 1
+    assert re.fullmatch(r"error: state magnitude \S+ exceeded 1e\+12 at t=26\.949\n",
+                        capsys.readouterr().err)
+    # nothing, as when no estimate was written during the pass: not even a directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diverging.json", "existing"]
+    assert list((tmp_path / "existing").iterdir()) == []
 
 
 def test_gains_file_has_no_k_and_ignores_an_old_one(tmp_path, fast_config_path, gains_path):

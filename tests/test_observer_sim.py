@@ -1,5 +1,7 @@
 """Closed-loop plant/observer simulation and the error-dynamics identities."""
 import dataclasses
+import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,13 +10,13 @@ import pytest
 from dduio.config import parse_config
 from dduio.design_model import DuioGains, build_model_based_gains
 from dduio.errors import DimensionError, DivergenceError
-from dduio.integrate import DRIVE_ROWS, rk4_linear, rk4_lower_block, tabulate
+from dduio.integrate import DRIVE_ROWS, STRIDE, rk4_linear, rk4_lower_block, tabulate
 from dduio.linalg import spectral_abscissa
 from dduio.network import SensorGraph, complete
 from dduio.baselines import collect_all_nodes, design_for_method
 from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, error_norm_chunks,
-                                export_run, run, verify_decoupling)
-from dduio.plant import PlantModel, simulate
+                                export_run, run, verify_decoupling, xhat_writer)
+from dduio.plant import PlantModel, simulate, step_count
 from dduio.signals import Sinusoid, Zero
 
 from conftest import (CountedSignal, bench_signals, coupling_matrix, load_bench_module,
@@ -267,6 +269,39 @@ def test_export_files_and_determinism(tmp_path, bench_model, bench_graph, model_
         saved = np.load(d1 / f"{field}.npy", allow_pickle=False)
         assert saved.dtype == np.float64 and saved.shape == shape
         assert saved.tobytes() == getattr(res, field).tobytes()
+
+
+@pytest.mark.parametrize("case", ["preset", "whole-chunks", "under-stride", "sweep"])
+def test_streamed_export_is_np_save_of_the_kept_run(tmp_path, preset, case):
+    # the preset's 40 s end in a partial chunk, 2 * DRIVE_ROWS steps in a
+    # one-row chunk, and fewer than STRIDE steps are stepped plainly
+    cfg, model, graph, gains = preset
+    if case == "sweep":
+        cfg, model, graph, (gains, _) = _sweep_networks()
+    dt = cfg.run.dt
+    n_steps = {"preset": step_count(cfg.run.horizon, dt), "whole-chunks": 2 * DRIVE_ROWS,
+               "under-stride": STRIDE - 1, "sweep": 2 * DRIVE_ROWS + 6}[case]
+    x0 = cfg.draw_x0(5)
+    offsets = np.arange(model.M) * (-1.0) ** np.arange(model.M)
+    z0 = (cfg.initial_observer_states(x0, model, gains) + offsets[:, None]).ravel()
+
+    def one_run(xhat_file=None):
+        return run(model, graph, gains, x0, cfg.build_inputs(5), cfg.build_disturbances(5),
+                   n_steps * dt, dt, z0=z0, xhat_file=xhat_file)
+
+    kept = one_run()
+    out = tmp_path / "streamed"
+    with xhat_writer(out) as xhat_file:
+        streamed = one_run(xhat_file)
+    assert streamed.xhat is None
+    export_run(streamed, out)
+    fields = ("t", "x", "xhat", "error_norms", "spread")
+    assert sorted(os.listdir(out)) == sorted([f"{f}.npy" for f in fields] + ["summary.json"])
+    for field in fields:
+        saved = io.BytesIO()
+        np.save(saved, getattr(kept, field), allow_pickle=False)
+        assert (out / f"{field}.npy").read_bytes() == saved.getvalue(), field
+    assert streamed.summary() == kept.summary()
 
 
 def estimates_oracle(xi, model, gains):
