@@ -166,15 +166,15 @@ def _check_forcing(g: np.ndarray, count: int) -> None:
         raise DimensionError(f"{count} forcing signals for the {g.shape[1]} columns of g")
 
 
-def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float, out=None):
+def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float):
     """Yield ``rk4_lower_block``'s states in blocks of DRIVE_ROWS rows from row
     0, as (first row, rows), each as soon as it is final.
 
     Pass 2 finishes DRIVE_ROWS steps at a time and checks them for
     divergence; their rows, led by the row before them, then make one
-    block.  The rows are views of ``out`` (the n_steps + 1 rows, kept) or,
-    without it, of one buffer that the next block overwrites.  A caller may
-    write over a block it has been handed: the pass never reads it again.
+    block, a view of one buffer that the next block overwrites.  A caller
+    may write over a block it has been handed: the pass never reads it
+    again.
     """
     _check_forcing(g, table.shape[1])
     n_steps = (table.shape[0] - 1) // 2
@@ -199,25 +199,15 @@ def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float, out=None):
     chunk = min(DRIVE_ROWS // STRIDE, n_blocks)
     left_buf = np.empty(STRIDE * chunk * width)
     sums_buf = np.empty(STRIDE * chunk * d)
-    kept = out is not None
-    if not kept:
-        # one chunk's rows, led by the row before them
-        out = np.empty((min(DRIVE_ROWS, n_steps) + 1, d))
-    elif n_blocks:
-        # park the block starts in their rows, so that pass 2 holds no array
-        # of them beside the output
-        out[STRIDE:n_blocks * STRIDE:STRIDE] = starts[1:n_blocks]
-        starts = None
-    out[0] = x0
-    rows = out[:1]
+    # one chunk's rows, led by the row before them
+    buf = np.empty((min(DRIVE_ROWS, n_steps) + 1, d))
+    buf[0] = x0
+    rows = buf[:1]
     for i in range(0, n_steps, DRIVE_ROWS):
         j = min(i + DRIVE_ROWS, n_steps)
-        if kept:
-            rows = out[i:j + 1]
-        else:
-            if i:
-                out[0] = out[DRIVE_ROWS]
-            rows = out[:1 + j - i]
+        if i:
+            buf[0] = buf[DRIVE_ROWS]
+        rows = buf[:1 + j - i]
         dest = rows[1:]
         nb = (j - i) // STRIDE if n_blocks else 0
         m = nb * STRIDE
@@ -230,10 +220,9 @@ def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float, out=None):
                 sums = sums_buf[:m * d].reshape(STRIDE, nb, d)
                 np.dot(left.reshape(m, width), gain, out=sums.reshape(m, d))
                 # a chunk's first block starts from its lead row, the others
-                # from their parked starts
-                if starts is not None:
-                    b0 = i // STRIDE
-                    rows[STRIDE:m:STRIDE] = starts[b0 + 1:b0 + nb]
+                # from pass 1's starts
+                b0 = i // STRIDE
+                rows[STRIDE:m:STRIDE] = starts[b0 + 1:b0 + nb]
                 _horner(sums, rows[:m:STRIDE], phi_zz)
                 dest[:m].reshape(nb, STRIDE, d)[:] = sums.transpose(1, 0, 2)
             if m < j - i:
@@ -269,10 +258,10 @@ def rk4_lower_block(a: np.ndarray, g: np.ndarray, table: np.ndarray, upper,
     ``tabulate``.  Returns the remaining rows' states from ``lower0``;
     they equal rk4_linear's to rounding, since one RK4 step of such a
     system is block lower triangular too.  An ``upper`` of None means no
-    upper rows: the whole system, as ``rk4_linear`` integrates it.  Every
-    row of ``rk4_chunks`` is kept, in one (n_steps + 1, d) array.
+    upper rows: the whole system, as ``rk4_linear`` integrates it.  Each
+    chunk of ``rk4_chunks`` is copied into one (n_steps + 1, d) array.
     """
     out = np.empty(((table.shape[0] + 1) // 2, np.size(lower0)))
-    for _ in rk4_chunks(a, g, table, upper, lower0, dt, out):
-        pass
+    for r0, rows in rk4_chunks(a, g, table, upper, lower0, dt):
+        out[r0:r0 + rows.shape[0]] = rows
     return out

@@ -113,10 +113,16 @@ def solve_care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def detectability_candidates(a: np.ndarray) -> np.ndarray:
     """The eigenvalues of real ``a`` a detectability test ranks: Re >= -DETECT_TOL,
-    and of a conjugate pair only the member with Im >= 0 (a real pencil has the
-    same rank at both)."""
+    of a conjugate pair only the member with Im >= 0 (a real pencil has the
+    same rank at both), and of eigenvalues within DETECT_TOL of each other
+    only the first, so that a double eigenvalue costs one pencil whether
+    rounding splits it into a pair or into two reals."""
     lam = np.linalg.eigvals(a)
-    return lam[(lam.real >= -DETECT_TOL) & (lam.imag >= 0)]
+    kept = []
+    for s in lam[(lam.real >= -DETECT_TOL) & (lam.imag >= 0)]:
+        if all(abs(s - k) > DETECT_TOL for k in kept):
+            kept.append(s)
+    return np.array(kept, dtype=lam.dtype)
 
 
 def pbh_detectable(a: np.ndarray, c: np.ndarray, multiplier: float | None = None) -> bool:

@@ -7,10 +7,11 @@ matrix is block lower triangular, and so is every RK4 step.  A scenario
 pass therefore integrates the plant alone, as ``plant.simulate`` does,
 then advances every observer network's block from that plant trajectory.
 Each chunk of a network's states becomes its estimates and error norms
-while it is in cache: ``run`` keeps one network's norms whole, and its
-estimates too unless it writes them to a ``.npy`` file chunk by chunk
-(``xhat_writer``), and ``error_norm_chunks`` hands on several networks'
-norms a chunk at a time.
+while it is in cache, in one buffer that the next chunk overwrites: ``run``
+keeps one network's norms and spread whole and writes its estimates to a
+``.npy`` file chunk by chunk when given one (``xhat_writer``), and
+``error_norm_chunks`` hands on several networks' norms a chunk at a time.
+No pass holds a (time, node, state) array.
 """
 from __future__ import annotations
 
@@ -32,14 +33,11 @@ from .signals import Tabulated
 
 @dataclass(frozen=True)
 class RunResult:
-    """Time-stamped truth, per-node estimates, and error summaries.
-
-    ``xhat`` is None when ``run`` wrote the estimates to a file instead.
-    """
+    """Time-stamped truth and per-node error summaries; the estimates
+    themselves leave ``run`` only through its ``xhat_file``."""
 
     t: np.ndarray
     x: np.ndarray
-    xhat: np.ndarray | None   # (time, node, state)
     error_norms: np.ndarray   # (time, node)
     spread: np.ndarray        # (time,) the largest distance between two nodes' estimates
 
@@ -112,32 +110,27 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
     from ``x0`` as ``plant.simulate`` integrates it; the observer block
     then advances alone, z_{j+1} = Phi_zz z_j + Phi_zx x_j + d_z,j, from
     that trajectory, and each finished chunk of observer states becomes
-    estimates and error norms.  The estimates are kept whole, and the
-    spread is computed from them; or, given a binary file ``xhat_file``,
-    each chunk gives its rows of the spread and is written to the file,
-    which then holds ``xhat`` as ``np.save`` writes it, and the result's
-    ``xhat`` is None.
+    estimates, error norms and rows of the spread while it is in cache.
+    Given a binary file ``xhat_file``, each chunk of estimates is written
+    to it, and the file then holds ``xhat`` (time, node, state) as
+    ``np.save`` writes it; the result holds no estimates.
     """
     ((t, x, table, gains, z0),) = _scenario(model, graph, [(gains, z0)], x0, inputs,
                                             disturbances, horizon, dt)
     shape = (t.size, model.M, model.n_x)
-    error_norms = np.empty(shape[:2])
-    if xhat_file is None:
-        xhat = np.empty(shape)
-        for _ in _estimate_chunks(model, graph, gains, z0, x, table, dt,
-                                  xhat.reshape(t.size, -1), error_norms):
-            pass
-        return RunResult(t, x, xhat, error_norms, _spread(xhat))
-    np.lib.format.write_array_header_1_0(xhat_file, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-        "fortran_order": False, "shape": shape})
-    spread = np.empty(t.size)
-    for r0, est, _ in _estimate_chunks(model, graph, gains, z0, x, table, dt, None,
-                                       error_norms):
+    if xhat_file is not None:
+        np.lib.format.write_array_header_1_0(xhat_file, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+            "fortran_order": False, "shape": shape})
+    error_norms, spread = np.empty(shape[:2]), np.empty(t.size)
+    for r0, est, norms in _estimate_chunks(model, graph, gains, z0, x, table, dt):
+        r1 = r0 + norms.shape[0]
+        error_norms[r0:r1] = norms
         est = est.reshape(-1, model.M, model.n_x)
-        _spread_rows(est, spread[r0:r0 + est.shape[0]])
-        xhat_file.write(est)
-    return RunResult(t, x, None, error_norms, spread)
+        _spread_rows(est, spread[r0:r1])
+        if xhat_file is not None:
+            xhat_file.write(est)
+    return RunResult(t, x, error_norms, spread)
 
 
 def error_norm_chunks(model: PlantModel, graph: SensorGraph, observers, x0,
@@ -154,7 +147,7 @@ def error_norm_chunks(model: PlantModel, graph: SensorGraph, observers, x0,
     for t, x, table, gains, z0 in _scenario(model, graph, observers, x0, inputs,
                                             disturbances, horizon, dt):
         yield t, ((r0, norms) for r0, _, norms in
-                  _estimate_chunks(model, graph, gains, z0, x, table, dt, None, None))
+                  _estimate_chunks(model, graph, gains, z0, x, table, dt))
 
 
 def _scenario(model: PlantModel, graph: SensorGraph, observers, x0,
@@ -181,15 +174,14 @@ def _scenario(model: PlantModel, graph: SensorGraph, observers, x0,
 
 
 def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0,
-                     x: np.ndarray, table: np.ndarray, dt: float, xhat, error_norms):
+                     x: np.ndarray, table: np.ndarray, dt: float):
     """One network's pass: yield its estimates and error norms chunk by chunk,
     (first row, estimates (rows, node * state), norms (rows, node)).
 
     Each chunk of observer states from ``rk4_chunks`` becomes xhat_i = z_i +
     H_i C_i x, written over it, and the error norms while it is in cache.
-    Both are kept in ``xhat`` (time, node * state) and ``error_norms`` (time,
-    node) when given, else in one chunk's buffers.  Each node's squared
-    errors are added state by state, in state order.
+    Both are views of buffers that the next chunk overwrites.  Each node's
+    squared errors are added state by state, in state order.
     """
     n, m_nodes = model.n_x, model.M
     a_cl, g_cl = _closed_loop(model, graph, gains)
@@ -197,17 +189,13 @@ def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0
     out_map = np.hstack([(h @ node.C).T for h, node in zip(gains.H, model.nodes)])
     copies = np.tile(np.eye(n), m_nodes)
     size = min(x.shape[0], DRIVE_ROWS)
-    kept = error_norms is not None
     buf = None
-    for r0, z in rk4_chunks(a_cl, g_cl, table, x, z0, dt, xhat):
+    for r0, z in rk4_chunks(a_cl, g_cl, table, x, z0, dt):
         if buf is None:
             # made once the pass's first block is final, after its block starts
-            buf = np.empty((size, m_nodes * n))
-            if not kept:
-                error_norms = np.empty((size, m_nodes))
+            buf, norms_buf = np.empty((size, m_nodes * n)), np.empty((size, m_nodes))
         r1 = r0 + z.shape[0]
-        x_blk, err = x[r0:r1], buf[:r1 - r0]
-        norms = error_norms[r0:r1] if kept else error_norms[:r1 - r0]
+        x_blk, err, norms = x[r0:r1], buf[:r1 - r0], norms_buf[:r1 - r0]
         np.matmul(x_blk, out_map, out=err)
         z += err
         # exact copies of x beside every node's estimate: err = xhat - x
@@ -239,14 +227,6 @@ def _spread_rows(xhat: np.ndarray, out: np.ndarray) -> None:
             diff *= diff
             np.maximum(far, diff.sum(axis=0), out=far)
     np.sqrt(far, out=out)
-
-
-def _spread(xhat: np.ndarray) -> np.ndarray:
-    """``_spread_rows`` of a whole run's ``xhat``, in the pass's DRIVE_ROWS-row chunks."""
-    spread = np.empty(xhat.shape[0])
-    for r0 in range(0, xhat.shape[0], DRIVE_ROWS):
-        _spread_rows(xhat[r0:r0 + DRIVE_ROWS], spread[r0:r0 + DRIVE_ROWS])
-    return spread
 
 
 def error_dynamics_matrix(gains: DuioGains, graph: SensorGraph) -> tuple[np.ndarray, float]:
@@ -333,17 +313,15 @@ def xhat_writer(out_dir: str):
 def export_run(result: RunResult, out_dir: str, extra_summary: dict | None = None) -> None:
     """Write each dense field of ``result`` as ``<field>.npy``, and summary.json.
 
-    ``t`` (T,), ``x`` (T, n_x), ``xhat`` (T, M, n_x), ``error_norms``
-    (T, M) and ``spread`` (T,) are saved as bit-exact float64 arrays; an
-    ``xhat`` of None is skipped, as ``run`` wrote it already
+    ``t`` (T,), ``x`` (T, n_x), ``error_norms`` (T, M) and ``spread`` (T,)
+    are saved as bit-exact float64 arrays; ``xhat.npy`` is ``run``'s own
     (``xhat_writer``).  The ``.npy`` header holds no timestamp, so reruns
     are byte-identical.
     """
     os.makedirs(out_dir, exist_ok=True)
-    for name in ("t", "x", "xhat", "error_norms", "spread"):
-        array = getattr(result, name)
-        if array is not None:
-            np.save(os.path.join(out_dir, f"{name}.npy"), array, allow_pickle=False)
+    for name in ("t", "x", "error_norms", "spread"):
+        np.save(os.path.join(out_dir, f"{name}.npy"), getattr(result, name),
+                allow_pickle=False)
     summary = result.summary()
     if extra_summary:
         summary.update(extra_summary)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib.util
+import io
 import sys
 from collections import Counter
 from pathlib import Path
@@ -18,7 +19,7 @@ from dduio.design_model import (HURWITZ_TOL, DesignSection, build_model_based_ga
                                 follower_norm, gamma_lower_bound)
 from dduio.integrate import rk4_linear
 from dduio.linalg import spectral_abscissa
-from dduio.observer_sim import error_dynamics_matrix
+from dduio.observer_sim import error_dynamics_matrix, run
 from dduio.plant import PlantModel
 from dduio.signals import SignalGenerator
 
@@ -97,6 +98,15 @@ def bench_signals(input_seed, dist_seed, dt_hold, active=True):
     """
     cfg = parse_config({"run": {"dt": dt_hold, "disturbance": active}})
     return cfg.build_inputs(input_seed), cfg.build_disturbances(dist_seed)
+
+
+def run_with_estimates(*args, **kwargs):
+    """``observer_sim.run`` and the estimates (time, node, state) it streamed
+    to its ``xhat_file``, loaded back from memory."""
+    stream = io.BytesIO()
+    res = run(*args, **kwargs, xhat_file=stream)
+    stream.seek(0)
+    return res, np.load(stream, allow_pickle=False)
 
 
 def online_sample(model, traj, i, k):

@@ -25,7 +25,7 @@ from dduio.signals import Zero
 
 from conftest import (BENCH, BENCH_GAMMA, bench_signals, coupling_matrix, online_sample,
                       pointwise_dataset, random_connected_graph, random_coupled_systems,
-                      random_node_system, single_node_model)
+                      random_node_system, run_with_estimates, single_node_model)
 
 
 class _Budget:
@@ -60,12 +60,13 @@ def test_criterion_2_unknown_input_insensitivity(bench_model, bench_graph,
     with _Budget("2 unknown-input insensitivity", 10.0):
         x0 = np.array([0.45, -0.35, 0.25, 0.65])
         inputs, dist = bench_signals(41, 42, 1e-3)
-        res_a = run(bench_model, bench_graph, data_gains, x0,
-                    inputs, dist, horizon=10.0, dt=1e-3)
-        res_b = run(bench_model, bench_graph, data_gains, x0,
-                    [inputs[0], Zero()], [Zero()], horizon=10.0, dt=1e-3)
-        e_a = res_a.x[:, None, :] - res_a.xhat
-        e_b = res_b.x[:, None, :] - res_b.xhat
+        res_a, xhat_a = run_with_estimates(bench_model, bench_graph, data_gains, x0,
+                                           inputs, dist, horizon=10.0, dt=1e-3)
+        res_b, xhat_b = run_with_estimates(bench_model, bench_graph, data_gains, x0,
+                                           [inputs[0], Zero()], [Zero()], horizon=10.0,
+                                           dt=1e-3)
+        e_a = res_a.x[:, None, :] - xhat_a
+        e_b = res_b.x[:, None, :] - xhat_b
         assert np.abs(e_a - e_b).max() < 1e-8
 
 

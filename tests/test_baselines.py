@@ -108,11 +108,9 @@ def _result_with_error(error_of_t, horizon=1.0, dt=1e-3, m_nodes=2):
     t = np.arange(int(round(horizon / dt)) + 1) * dt
     e = error_of_t(t)
     x = np.zeros((t.size, 3))
-    xhat = np.zeros((t.size, m_nodes, 3))
-    xhat[:, :, 0] = -e[:, None]
     err = np.tile(np.abs(e)[:, None], (1, m_nodes))
     # every node holds the same estimate
-    return RunResult(t=t, x=x, xhat=xhat, error_norms=err, spread=np.zeros(t.size))
+    return RunResult(t=t, x=x, error_norms=err, spread=np.zeros(t.size))
 
 
 def test_metrics_trivial_cases():
@@ -136,8 +134,8 @@ def test_metrics_linear_decay_analytic():
 
 def test_metrics_empty_run():
     res = _result_with_error(lambda t: t)
-    short = RunResult(t=res.t[:1], x=res.x[:1], xhat=res.xhat[:1],
-                      error_norms=res.error_norms[:1], spread=res.spread[:1])
+    short = RunResult(t=res.t[:1], x=res.x[:1], error_norms=res.error_norms[:1],
+                      spread=res.spread[:1])
     with pytest.raises(EmptyRunError):
         compute_mse_mae(short)
 
@@ -195,7 +193,7 @@ def test_compare_never_computes_the_spread_and_run_computes_it_by_chunk(
     monkeypatch.setattr(observer_sim, "_spread_rows", refuse)
     summaries = monte_carlo_compare(cfg, K=1, master_seed=11)
     assert [s.method for s in summaries] == list(cfg.compare.methods)
-    # a run that writes its estimates to a file computes it, through the same helper
+    # run computes it, through the same helper, as it streams the estimates
     model, graph = cfg.build_model(), cfg.build_graph()
     gains = design_for_method("model", cfg, model, graph)
     with pytest.raises(AssertionError, match="^spread computed$"):
@@ -211,7 +209,6 @@ def test_compare_never_computes_the_spread_and_run_computes_it_by_chunk(
     with xhat_writer(tmp_path / "run") as xhat_file:
         res = run_experiment(cfg, model, graph, gains, 9, xhat_file)
     export_run(res, tmp_path / "run")
-    assert res.xhat is None
     assert res.summary()["final_spread"] == res.spread[-1] > 0.0
     # once per chunk of the pass, never on a whole run's estimates
     assert rows == [DRIVE_ROWS, res.t.size - DRIVE_ROWS]

@@ -369,3 +369,5 @@ def test_lower_block_rows_are_the_same_kept_or_handed_on(n_steps):
     # blocks of DRIVE_ROWS rows from row 0, the last one shorter
     assert firsts == list(range(0, n_steps + 1, integrate.DRIVE_ROWS))
     assert np.vstack(handed).tobytes() == kept.tobytes()
+    # rk4_lower_block copies these chunks, so only the oracle can fault them
+    assert_agrees(np.vstack(handed), rk4_stage_loop(a, g, gens, x0, n_steps, dt)[:, 3:])

@@ -6,8 +6,8 @@ import scipy.linalg
 
 from dduio.config import parse_config
 from dduio.design_model import decouple_node
-from dduio.linalg import (DEFAULT_RANK_MULTIPLIER, block_diag, decide_rank, numerical_rank,
-                          pbh_detectable, solve_care)
+from dduio.linalg import (DEFAULT_RANK_MULTIPLIER, DETECT_TOL, block_diag, decide_rank,
+                          detectability_candidates, numerical_rank, pbh_detectable, solve_care)
 
 from conftest import load_bench_module
 
@@ -111,6 +111,20 @@ def test_block_diag_matches_scipy():
     assert out.dtype == float
     assert np.array_equal(out, scipy.linalg.block_diag(*blocks))
     assert np.array_equal(block_diag(np.eye(2, dtype=int)), np.eye(2))
+
+
+@pytest.mark.parametrize("a, want", [
+    ([[0.0, 5e-17], [-5e-17, 0.0]], [5e-17j]),
+    ([[3e-16, 0.0], [0.0, -3e-16]], [3e-16]),
+    ([[0.0, 0.0], [0.0, 3 * DETECT_TOL]], [0.0, 3 * DETECT_TOL]),
+    ([[0.2, 2.0, 0.0], [-2.0, 0.2, 0.0], [0.0, 0.0, -1.0]], [0.2 + 2j]),
+], ids=["double-zero-as-pair", "double-zero-as-reals", "apart", "pair-and-stable"])
+def test_detectability_candidates_rank_near_equal_eigenvalues_once(a, want):
+    # a double eigenvalue is one candidate however rounding splits it; members
+    # of a pair below the real axis and stable eigenvalues are none
+    got = detectability_candidates(np.array(a))
+    assert got.shape == (len(want),)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 EPS = np.finfo(float).eps

@@ -20,7 +20,8 @@ from dduio.plant import PlantModel, simulate, step_count
 from dduio.signals import Sinusoid, Zero
 
 from conftest import (CountedSignal, bench_signals, coupling_matrix, load_bench_module,
-                      random_connected_graph, simulate_error_dynamics, single_node_model)
+                      random_connected_graph, run_with_estimates, simulate_error_dynamics,
+                      single_node_model)
 
 sweep_plant_config = load_bench_module("workloads").sweep_plant_config
 
@@ -59,7 +60,7 @@ def test_single_node_matches_standalone_observer_oracle():
     u = Sinusoid(0.7, 1.3, 0.4)
     x0 = np.array([0.8, -0.1])
     dt, horizon = 1e-3, 4.0
-    res = run(model, graph, gains, x0, [u], [], horizon=horizon, dt=dt)
+    res, xhat = run_with_estimates(model, graph, gains, x0, [u], [], horizon=horizon, dt=dt)
 
     e_mat, f_mat, l_mat, h_mat = gains.E_obs[0], gains.F[0], gains.L[0], gains.H[0]
     c = model.nodes[0].C
@@ -81,7 +82,7 @@ def test_single_node_matches_standalone_observer_oracle():
         z = z + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
     xhat_oracle = z + h_mat @ (c @ x)
     assert np.linalg.norm(res.x[-1] - x) < 1e-9
-    assert np.linalg.norm(res.xhat[-1, 0] - xhat_oracle) < 1e-9
+    assert np.linalg.norm(xhat[-1, 0] - xhat_oracle) < 1e-9
 
 
 def test_error_matrix_shapes_and_cases(bench_graph, model_gains):
@@ -142,13 +143,13 @@ def test_decoupling_report(bench_model, model_gains, data_gains):
 def test_run_matches_error_ode(bench_model, bench_graph, model_gains):
     x0 = np.array([0.6, -0.2, 0.4, 0.1])
     inputs, dist = bench_signals(9, 10, 1e-3)
-    res = run(bench_model, bench_graph, model_gains, x0, inputs, dist,
-              horizon=10.0, dt=1e-3)
+    res, xhat = run_with_estimates(bench_model, bench_graph, model_gains, x0, inputs, dist,
+                                   horizon=10.0, dt=1e-3)
     e0 = np.concatenate([x0 - model_gains.H[i] @ (bench_model.nodes[i].C @ x0)
                          for i in range(5)])
     t, e = simulate_error_dynamics(model_gains, bench_graph, e0,
                                    horizon=10.0, dt=1e-3)
-    e_run = (res.x[:, None, :] - res.xhat).reshape(len(t), -1)
+    e_run = (res.x[:, None, :] - xhat).reshape(len(t), -1)
     assert np.abs(e_run - e).max() < 1e-7
 
 
@@ -172,13 +173,13 @@ def test_error_ode_trivial_and_envelope(bench_graph, model_gains):
 def test_unknown_input_insensitivity(bench_model, bench_graph, data_gains):
     x0 = np.array([0.3, 0.3, -0.4, 0.2])
     inputs_a, dist_a = bench_signals(13, 14, 1e-3)
-    res_a = run(bench_model, bench_graph, data_gains, x0, inputs_a, dist_a,
-                horizon=3.0, dt=1e-3)
+    res_a, xhat_a = run_with_estimates(bench_model, bench_graph, data_gains, x0, inputs_a,
+                                       dist_a, horizon=3.0, dt=1e-3)
     inputs_b = [inputs_a[0], Zero()]        # unknown input channel silenced
-    res_b = run(bench_model, bench_graph, data_gains, x0, inputs_b, [Zero()],
-                horizon=3.0, dt=1e-3)
-    e_a = res_a.x[:, None, :] - res_a.xhat
-    e_b = res_b.x[:, None, :] - res_b.xhat
+    res_b, xhat_b = run_with_estimates(bench_model, bench_graph, data_gains, x0, inputs_b,
+                                       [Zero()], horizon=3.0, dt=1e-3)
+    e_a = res_a.x[:, None, :] - xhat_a
+    e_b = res_b.x[:, None, :] - xhat_b
     assert np.abs(e_a - e_b).max() < 1e-8
 
 
@@ -261,47 +262,15 @@ def test_export_files_and_determinism(tmp_path, bench_model, bench_graph, model_
     d1, d2 = tmp_path / "a", tmp_path / "b"
     export_run(res, d1)
     export_run(res, d2)
-    shapes = {"t": (101,), "x": (101, 4), "xhat": (101, 5, 4),
-              "error_norms": (101, 5), "spread": (101,)}
+    shapes = {"t": (101,), "x": (101, 4), "error_norms": (101, 5), "spread": (101,)}
+    assert sorted(os.listdir(d1)) == sorted([f"{field}.npy" for field in shapes]
+                                            + ["summary.json"])
     for name in [f"{field}.npy" for field in shapes] + ["summary.json"]:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     for field, shape in shapes.items():
         saved = np.load(d1 / f"{field}.npy", allow_pickle=False)
         assert saved.dtype == np.float64 and saved.shape == shape
         assert saved.tobytes() == getattr(res, field).tobytes()
-
-
-@pytest.mark.parametrize("case", ["preset", "whole-chunks", "under-stride", "sweep"])
-def test_streamed_export_is_np_save_of_the_kept_run(tmp_path, preset, case):
-    # the preset's 40 s end in a partial chunk, 2 * DRIVE_ROWS steps in a
-    # one-row chunk, and fewer than STRIDE steps are stepped plainly
-    cfg, model, graph, gains = preset
-    if case == "sweep":
-        cfg, model, graph, (gains, _) = _sweep_networks()
-    dt = cfg.run.dt
-    n_steps = {"preset": step_count(cfg.run.horizon, dt), "whole-chunks": 2 * DRIVE_ROWS,
-               "under-stride": STRIDE - 1, "sweep": 2 * DRIVE_ROWS + 6}[case]
-    x0 = cfg.draw_x0(5)
-    offsets = np.arange(model.M) * (-1.0) ** np.arange(model.M)
-    z0 = (cfg.initial_observer_states(x0, model, gains) + offsets[:, None]).ravel()
-
-    def one_run(xhat_file=None):
-        return run(model, graph, gains, x0, cfg.build_inputs(5), cfg.build_disturbances(5),
-                   n_steps * dt, dt, z0=z0, xhat_file=xhat_file)
-
-    kept = one_run()
-    out = tmp_path / "streamed"
-    with xhat_writer(out) as xhat_file:
-        streamed = one_run(xhat_file)
-    assert streamed.xhat is None
-    export_run(streamed, out)
-    fields = ("t", "x", "xhat", "error_norms", "spread")
-    assert sorted(os.listdir(out)) == sorted([f"{f}.npy" for f in fields] + ["summary.json"])
-    for field in fields:
-        saved = io.BytesIO()
-        np.save(saved, getattr(kept, field), allow_pickle=False)
-        assert (out / f"{field}.npy").read_bytes() == saved.getvalue(), field
-    assert streamed.summary() == kept.summary()
 
 
 def estimates_oracle(xi, model, gains):
@@ -322,7 +291,8 @@ def estimates_oracle(xi, model, gains):
 
 
 def assert_run_matches_oracle(model, graph, gains, x0, z0, signals, n_steps, dt):
-    res = run(model, graph, gains, x0, *signals(), horizon=n_steps * dt, dt=dt, z0=z0)
+    res, xhat = run_with_estimates(model, graph, gains, x0, *signals(), horizon=n_steps * dt,
+                                   dt=dt, z0=z0)
     assert np.array_equal(res.t, np.arange(n_steps + 1) * dt)
     assert res.x.tobytes() == simulate(model, x0, *signals(), n_steps * dt, dt).x.tobytes()
     # the plant and the network integrated as one system
@@ -331,11 +301,11 @@ def assert_run_matches_oracle(model, graph, gains, x0, z0, signals, n_steps, dt)
     xi = rk4_linear(a_cl, g_cl, list(inputs) + list(dist),
                     np.concatenate([x0, z0.ravel()]), n_steps, dt)
     _assert_rel(res.x, xi[:, :model.n_x], 1e-14)
-    for new, old in zip((res.xhat, res.error_norms, res.spread),
+    for new, old in zip((xhat, res.error_norms, res.spread),
                         estimates_oracle(xi, model, gains)):
         assert new.shape == old.shape
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
-    return res
+    return res, xhat
 
 
 @pytest.fixture(scope="module")
@@ -354,10 +324,10 @@ def test_run_estimates_match_the_node_loop_oracle(preset, n_steps):
     # node i starts at (-1)**i * i, so the last pair is the farthest apart
     offsets = np.arange(model.M) * (-1.0) ** np.arange(model.M)
     z0 = np.outer(offsets, np.ones(model.n_x))
-    res = assert_run_matches_oracle(
+    res, xhat = assert_run_matches_oracle(
         model, graph, gains, cfg.draw_x0(3), z0,
         lambda: (cfg.build_inputs(3), cfg.build_disturbances(3)), n_steps, dt)
-    assert res.spread[0] == pytest.approx(np.linalg.norm(res.xhat[0, -1] - res.xhat[0, -2]))
+    assert res.spread[0] == pytest.approx(np.linalg.norm(xhat[0, -1] - xhat[0, -2]))
 
 
 def test_single_node_run_matches_oracle_with_zero_spread():
@@ -366,7 +336,7 @@ def test_single_node_run_matches_oracle_with_zero_spread():
                               np.array([[1.0, 0.0]]))
     graph = SensorGraph(np.zeros((1, 1)))
     gains = build_model_based_gains(model, graph)
-    res = assert_run_matches_oracle(
+    res, _ = assert_run_matches_oracle(
         model, graph, gains, np.array([0.8, -0.1]), np.zeros((1, 2)),
         lambda: ([Sinusoid(0.7, 1.3, 0.4)], []), DRIVE_ROWS + 5, 1e-3)
     assert res.error_norms.max() > 0.0
@@ -389,11 +359,11 @@ def test_run_allocates_no_full_length_temporary(preset):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # xhat is written over the observer states z
-    integrated = res.x.nbytes + res.xhat.nbytes
-    returned = sum(a.nbytes for a in (res.t, res.error_norms, res.spread))
-    table = (2 * res.t.size - 1) * (model.n_u + model.n_d) * 8
-    assert peak - integrated - returned <= table + 2 ** 20
+    held = sum(a.nbytes for a in (res.t, res.x, res.error_norms, res.spread))
+    held += (2 * res.t.size - 1) * (model.n_u + model.n_d) * 8   # the signal table
+    # beyond what the run must hold, less than half of one full xhat: the
+    # estimates live one chunk at a time
+    assert peak - held < res.t.size * model.M * model.n_x * 8 // 2
 
 
 def _preset_networks(preset):
@@ -494,12 +464,21 @@ def _estimates_in_pass(x, z, model, gains):
     return z.reshape(rows, m_nodes, n), error_norms, spread
 
 
-@pytest.mark.parametrize("n_steps", [DRIVE_ROWS - 1, DRIVE_ROWS, 2 * DRIVE_ROWS + 6])
-@pytest.mark.parametrize("plant", ["preset", "sweep"])
-def test_lazy_spread_is_the_in_pass_spread_bit_for_bit(preset, plant, n_steps):
-    cfg, model, graph, networks = (_preset_networks(preset) if plant == "preset"
-                                   else _sweep_networks())
-    gains, dt = networks[1], cfg.run.dt
+@pytest.mark.parametrize("case", ["preset", "whole-chunks", "one-chunk", "under-stride",
+                                  "sweep"])
+def test_streamed_export_is_np_save_of_the_kept_run(tmp_path, preset, case):
+    # The kept run is the test's own: _estimates_in_pass over the observer
+    # states integrated whole.  The preset's 40 s end in a partial chunk,
+    # 2 * DRIVE_ROWS steps in a one-row chunk, DRIVE_ROWS - 1 steps make one
+    # chunk with a plainly stepped tail, and fewer than STRIDE steps are all
+    # stepped plainly.
+    cfg, model, graph, gains = preset
+    if case == "sweep":
+        cfg, model, graph, (gains, _) = _sweep_networks()
+    dt = cfg.run.dt
+    n_steps = {"preset": step_count(cfg.run.horizon, dt), "whole-chunks": 2 * DRIVE_ROWS,
+               "one-chunk": DRIVE_ROWS - 1, "under-stride": STRIDE - 1,
+               "sweep": 2 * DRIVE_ROWS + 6}[case]
     x0 = cfg.draw_x0(5)
     # node i starts off by (-1)**i * i, so the last pair starts the farthest apart
     offsets = np.arange(model.M) * (-1.0) ** np.arange(model.M)
@@ -508,15 +487,21 @@ def test_lazy_spread_is_the_in_pass_spread_bit_for_bit(preset, plant, n_steps):
     def signals():
         return cfg.build_inputs(5), cfg.build_disturbances(5)
 
-    res = run(model, graph, gains, x0, *signals(), n_steps * dt, dt, z0=z0)
-    # the observer states the pass integrated, before xhat was written over them
+    out = tmp_path / "streamed"
+    with xhat_writer(out) as xhat_file:
+        res = run(model, graph, gains, x0, *signals(), n_steps * dt, dt, z0=z0,
+                  xhat_file=xhat_file)
+    export_run(res, out)
     a_cl, g_cl = _closed_loop(model, graph, gains)
     inputs, disturbances = signals()
     z = rk4_lower_block(a_cl, g_cl, tabulate(inputs + disturbances, n_steps, dt), res.x, z0, dt)
-    for field, old in zip(("xhat", "error_norms", "spread"),
-                          _estimates_in_pass(res.x, z, model, gains)):
-        assert getattr(res, field).tobytes() == old.tobytes(), field
-    assert res.spread is res.spread
+    kept = dict(zip(("t", "x", "xhat", "error_norms", "spread"),
+                    (res.t, res.x, *_estimates_in_pass(res.x, z, model, gains))))
+    assert sorted(os.listdir(out)) == sorted([f"{f}.npy" for f in kept] + ["summary.json"])
+    for field, array in kept.items():
+        saved = io.BytesIO()
+        np.save(saved, array, allow_pickle=False)
+        assert (out / f"{field}.npy").read_bytes() == saved.getvalue(), field
 
 
 def test_first_network_of_a_shared_pass_is_run_bit_for_bit(preset):
