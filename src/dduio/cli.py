@@ -21,7 +21,7 @@ from .datagen import load_dataset, save_dataset
 from .design_data import analyze_datasets
 from .design_model import DuioGains, coupled_abscissa
 from .errors import (ConfigError, ConsistencyError, DesignError, DimensionError, DuioError,
-                     ExcitationError, NumericsError, SolvabilityError)
+                     ExcitationError, NumericsError, RankError, SolvabilityError)
 from .observer_sim import export_run, verify_decoupling, xhat_writer
 
 
@@ -96,6 +96,9 @@ def cmd_check(args) -> int:
                                            multiplier=cfg.design.rank_multiplier)
     except ConsistencyError as exc:
         print(f"FAIL data consistency: {exc}", file=sys.stderr)
+        return 3
+    except RankError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
         return 3
     failures = [f"node {rep.node_index} failed the solvability rank test"
                 for rep in reports if not rep.solvable]
@@ -227,7 +230,7 @@ EXIT_CODES = (
     (ExcitationError, 2),
     (ConsistencyError, 3),
     (OSError, 4),
-    ((DesignError, SolvabilityError, NumericsError), 5),
+    ((DesignError, SolvabilityError, NumericsError, RankError), 5),
     (DimensionError, 6),
     (DuioError, 1),
 )

@@ -20,8 +20,9 @@ gain [(W0 g)^T; (Wh g)^T; (W1 g)^T], Horner-summed slab by slab from the
 blocks' start states, one contiguous product and add per step, and one
 transposed copy writes them out.  The chunk is then checked for
 divergence and handed on (``rk4_chunks``) while it is still in cache.
-Steps past the last whole block, and every step of a level whose
-Phi**STRIDE is not finite, are stepped plainly.
+The steps past a chunk's or a level's last whole block (all of them when
+Phi**STRIDE is not finite) make one more block of one row, seeded from
+the row before them and summed the same way.
 
 When a is block lower triangular, [[a_xx, 0], [a_zx, a_zz]], so are Phi
 and every W, and the lower rows advance alone given the upper rows'
@@ -77,10 +78,11 @@ def _powers(phi: np.ndarray) -> np.ndarray | None:
 
 
 def _horner(slabs: np.ndarray, seed: np.ndarray, phi: np.ndarray) -> None:
-    """Slab s of ``slabs`` (STRIDE, blocks, d), every block's drive of step s,
-    becomes the state after step s of blocks that start from ``seed``'s rows."""
+    """Slab s of ``slabs`` (steps, blocks, d), every block's drive of step s,
+    becomes the state after step s of blocks that start from ``seed``'s rows;
+    every step of the integrator is taken here."""
     phi_t = np.ascontiguousarray(phi.T)
-    tmp = np.empty_like(slabs[0])
+    tmp = np.empty(seed.shape)
     prev = seed
     for slab in slabs:
         np.dot(prev, phi_t, out=tmp)
@@ -93,13 +95,14 @@ def _solve(states: np.ndarray, phi: np.ndarray) -> None:
 
     Each STRIDE steps' coarse drive is one reshaped product with the stacked
     powers, the coarse recurrence is solved alike, and every block is then
-    carried from its start by a seeded Horner pass.
+    carried from its start by a seeded Horner pass; so are the steps past
+    the last whole block, from the row before them.
     """
     n, d = states.shape[0] - 1, states.shape[1]
     powers = _powers(phi) if n >= STRIDE else None
     n_blocks = n // STRIDE if powers is not None else 0
+    m = n_blocks * STRIDE
     if n_blocks:
-        m = n_blocks * STRIDE
         blocks = states[1:1 + m].reshape(n_blocks, STRIDE, d)
         # step s of a block is carried to the block's end by phi**(STRIDE-1-s)
         carry = powers[STRIDE - 1::-1].transpose(0, 2, 1).reshape(STRIDE * d, d)
@@ -110,19 +113,19 @@ def _solve(states: np.ndarray, phi: np.ndarray) -> None:
         slabs = np.ascontiguousarray(blocks.transpose(1, 0, 2))
         _horner(slabs, starts[:-1], phi)
         blocks[:] = slabs.transpose(1, 0, 2)
-    for j in range(n_blocks * STRIDE, n):
-        states[j + 1] += phi @ states[j]
+    _horner(states[m + 1:, None], states[m:m + 1], phi)
 
 
 def _block_starts(phi, phi_zx, stage_gains, table, upper, x0, n_steps):
-    """Pass 1: the states at every STRIDE-th step, (blocks + 1, d), and the block
-    count; None and 0 when there are fewer than STRIDE steps or Phi**STRIDE is
-    not finite."""
+    """Pass 1: the states at every STRIDE-th step, (blocks + 1, d); x0 alone
+    when there are fewer than STRIDE steps or Phi**STRIDE is not finite."""
     powers = _powers(phi) if n_steps >= STRIDE else None
-    if powers is None:
-        return None, 0
+    n_blocks, d = (n_steps // STRIDE if powers is not None else 0), phi.shape[0]
+    starts = np.empty((n_blocks + 1, d))
+    starts[0] = x0
+    if not n_blocks:
+        return starts
     w0g, whg, w1g = stage_gains
-    n_blocks, d = n_steps // STRIDE, phi.shape[0]
     carry = powers[STRIDE - 1::-1]
     # A block's table rows 2s carry W0 g of its step s and W1 g of step s - 1
     # to the block's end, rows 2s + 1 Wh g of step s; the next block's first
@@ -132,8 +135,6 @@ def _block_starts(phi, phi_zx, stage_gains, table, upper, x0, n_steps):
     gain[2::2] += np.matmul(carry[:-1], w1g)
     gain[1::2] = np.matmul(carry, whg)
     m = n_blocks * STRIDE
-    starts = np.empty((n_blocks + 1, d))
-    starts[0] = x0
     np.matmul(table[:2 * m].reshape(n_blocks, -1), gain.transpose(0, 2, 1).reshape(-1, d),
               out=starts[1:])
     starts[1:] += table[2 * STRIDE:2 * m + 1:2 * STRIDE] @ w1g.T
@@ -141,7 +142,7 @@ def _block_starts(phi, phi_zx, stage_gains, table, upper, x0, n_steps):
         coupling = np.matmul(carry, phi_zx).transpose(0, 2, 1).reshape(-1, d)
         starts[1:] += upper[:m].reshape(n_blocks, -1) @ coupling
     _solve(starts, powers[STRIDE])
-    return starts, n_blocks
+    return starts
 
 
 def _check_divergence(states: np.ndarray, dt: float, offset: int) -> None:
@@ -160,12 +161,6 @@ def _check_divergence(states: np.ndarray, dt: float, offset: int) -> None:
             f"state magnitude {float(m)!r} exceeded {limit:g} at t={t:.6g}", t=t)
 
 
-def _check_forcing(g: np.ndarray, count: int) -> None:
-    """One forcing signal per column of ``g``."""
-    if g.shape[1] != count:
-        raise DimensionError(f"{count} forcing signals for the {g.shape[1]} columns of g")
-
-
 def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float):
     """Yield ``rk4_lower_block``'s states in blocks of DRIVE_ROWS rows from row
     0, as (first row, rows), each as soon as it is final.
@@ -176,7 +171,9 @@ def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float):
     may write over a block it has been handed: the pass never reads it
     again.
     """
-    _check_forcing(g, table.shape[1])
+    if g.shape[1] != table.shape[1]:
+        raise DimensionError(
+            f"{table.shape[1]} forcing signals for the {g.shape[1]} columns of g")
     n_steps = (table.shape[0] - 1) // 2
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if upper is None:
@@ -191,16 +188,15 @@ def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float):
         phi, weights = _propagator(np.asarray(a, dtype=float), dt)
         phi_zz, phi_zx = np.ascontiguousarray(phi[k:, k:]), phi[k:, :k]
         stage_gains = [w[k:] @ g for w in weights]
-        starts, n_blocks = _block_starts(phi_zz, phi_zx, stage_gains, table, upper, x0,
-                                         n_steps)
+        starts = _block_starts(phi_zz, phi_zx, stage_gains, table, upper, x0, n_steps)
     # a step's drive: [x_j, stage rows of step j] @ gain
     gain = np.vstack([phi_zx.T] + [s.T for s in stage_gains])
     width = gain.shape[0]
-    chunk = min(DRIVE_ROWS // STRIDE, n_blocks)
-    left_buf = np.empty(STRIDE * chunk * width)
-    sums_buf = np.empty(STRIDE * chunk * d)
+    size = min(DRIVE_ROWS, n_steps)
+    left_buf = np.empty(size * width)
+    sums_buf = np.empty(size * d)
     # one chunk's rows, led by the row before them
-    buf = np.empty((min(DRIVE_ROWS, n_steps) + 1, d))
+    buf = np.empty((size + 1, d))
     buf[0] = x0
     rows = buf[:1]
     for i in range(0, n_steps, DRIVE_ROWS):
@@ -208,28 +204,27 @@ def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float):
         if i:
             buf[0] = buf[DRIVE_ROWS]
         rows = buf[:1 + j - i]
-        dest = rows[1:]
-        nb = (j - i) // STRIDE if n_blocks else 0
-        m = nb * STRIDE
+        # the chunk's whole blocks, none without pass 1's starts: the first
+        # starts from the chunk's lead row, the others from pass 1's
+        m = (j - i) // STRIDE * STRIDE if len(starts) > 1 else 0
+        b0 = i // STRIDE
+        rows[STRIDE:m:STRIDE] = starts[b0 + 1:b0 + m // STRIDE]
         with np.errstate(over="ignore", invalid="ignore"):
-            if nb:
+            # the whole blocks, then the steps past them as one more block,
+            # led by the row before them
+            for r0, r1, steps in ((0, m, STRIDE), (m, j - i, j - i - m)):
+                if r0 == r1:
+                    continue
+                n, nb = r1 - r0, (r1 - r0) // steps
                 # slab s holds step s of every block: [x_j, stage rows of step j]
-                left = left_buf[:m * width].reshape(STRIDE, nb, width)
-                left[..., :k] = upper[i:i + m].reshape(nb, STRIDE, k).transpose(1, 0, 2)
-                left[..., k:] = stages[i:i + m].reshape(nb, STRIDE, -1).transpose(1, 0, 2)
-                sums = sums_buf[:m * d].reshape(STRIDE, nb, d)
-                np.dot(left.reshape(m, width), gain, out=sums.reshape(m, d))
-                # a chunk's first block starts from its lead row, the others
-                # from pass 1's starts
-                b0 = i // STRIDE
-                rows[STRIDE:m:STRIDE] = starts[b0 + 1:b0 + nb]
-                _horner(sums, rows[:m:STRIDE], phi_zz)
-                dest[:m].reshape(nb, STRIDE, d)[:] = sums.transpose(1, 0, 2)
-            if m < j - i:
-                np.dot(np.hstack([upper[i + m:j], stages[i + m:j]]), gain, out=dest[m:])
-                for r in range(m, j - i):
-                    dest[r] += phi_zz @ rows[r]
-            _check_divergence(dest, dt, i)
+                left = left_buf[:n * width].reshape(steps, nb, width)
+                left[..., :k] = upper[i + r0:i + r1].reshape(nb, steps, k).transpose(1, 0, 2)
+                left[..., k:] = stages[i + r0:i + r1].reshape(nb, steps, -1).transpose(1, 0, 2)
+                sums = sums_buf[:n * d].reshape(steps, nb, d)
+                np.dot(left.reshape(n, width), gain, out=sums.reshape(n, d))
+                _horner(sums, rows[r0:r1:steps], phi_zz)
+                rows[1 + r0:1 + r1].reshape(nb, steps, d)[:] = sums.transpose(1, 0, 2)
+            _check_divergence(rows[1:], dt, i)
         # rows i ... j are final; row j leads the next block
         yield i, rows[:DRIVE_ROWS]
     if n_steps % DRIVE_ROWS == 0:
@@ -245,7 +240,6 @@ def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,
     retain the full fourth-order accuracy of the method; each generator is
     sampled once, over the whole half-step grid (``tabulate``).
     """
-    _check_forcing(g, len(generators))
     return rk4_lower_block(a, g, tabulate(generators, n_steps, dt), None, x0, dt)
 
 

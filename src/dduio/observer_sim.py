@@ -185,9 +185,8 @@ def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0
     """
     n, m_nodes = model.n_x, model.M
     a_cl, g_cl = _closed_loop(model, graph, gains)
-    # (state, node * state): node i's columns are (H_i C_i)^T, and [I ... I]
+    # (state, node * state): node i's columns are (H_i C_i)^T
     out_map = np.hstack([(h @ node.C).T for h, node in zip(gains.H, model.nodes)])
-    copies = np.tile(np.eye(n), m_nodes)
     size = min(x.shape[0], DRIVE_ROWS)
     buf = None
     for r0, z in rk4_chunks(a_cl, g_cl, table, x, z0, dt):
@@ -198,11 +197,10 @@ def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0
         x_blk, err, norms = x[r0:r1], buf[:r1 - r0], norms_buf[:r1 - r0]
         np.matmul(x_blk, out_map, out=err)
         z += err
-        # exact copies of x beside every node's estimate: err = xhat - x
-        np.matmul(x_blk, copies, out=err)
-        np.subtract(z, err, out=err)
-        err *= err
+        # every node's error xhat_i - x, squared
         squares = err.reshape(-1, m_nodes, n)
+        np.subtract(z.reshape(squares.shape), x_blk[:, None], out=squares)
+        squares *= squares
         np.add(squares[:, :, 0], squares[:, :, 1] if n > 1 else 0.0, out=norms)
         for s in range(2, n):
             norms += squares[:, :, s]

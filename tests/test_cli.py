@@ -307,7 +307,7 @@ def test_meta_json_seed_may_be_null(tmp_path, fast_config_path, collected):
 @pytest.mark.parametrize("method, multiplier, code, message", [
     # the first node whose decoupling condition fails at 5e13 is node 0
     ("model", 5.0e13, 5, "node 0: rank(C B_p) < rank(B_p), decoupling unsolvable"),
-    ("id", 1.0e13, 1, "stacked [U; X] is row-rank deficient; identification is ill-posed"),
+    ("id", 1.0e13, 5, "stacked [U; X] is row-rank deficient; identification is ill-posed"),
 ], ids=["model", "id"])
 def test_rank_multiplier_reaches_each_design_path(tmp_path, capsys, collected, method,
                                                   multiplier, code, message):
@@ -317,6 +317,26 @@ def test_rank_multiplier_reaches_each_design_path(tmp_path, capsys, collected, m
     assert main(["design", "--config", str(path), "--method", method, "--data", collected,
                  "--out", str(out)]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_rank_deficient_state_data_fail_the_check_and_the_data_designs(
+        tmp_path, capsys, fast_config_path, collected):
+    # one entry of 1e160 leaves node 0's X numerically of rank one
+    data = Path(shutil.copytree(collected, tmp_path / "ds"))
+    x_csv = data / "node_00" / "X.csv"
+    lines = x_csv.read_text().splitlines()
+    lines[1] = ",".join(["1e160"] + lines[1].split(",")[1:])
+    x_csv.write_text("\n".join(lines) + "\n")
+    x_rank = "state data X is row-rank deficient; cannot recover the output map"
+    assert main(["check", "--config", fast_config_path, "--data", str(data)]) == 3
+    assert capsys.readouterr() == ("", f"FAIL: {x_rank}\n")
+    out = tmp_path / "gains.json"
+    for method, message in (("data", x_rank), ("id", "stacked [U; X] is row-rank deficient; "
+                                                      "identification is ill-posed")):
+        assert main(["design", "--config", fast_config_path, "--method", method,
+                     "--data", str(data), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

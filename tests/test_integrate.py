@@ -83,8 +83,9 @@ CHUNK_STRADDLES = [integrate.DRIVE_ROWS - 1, integrate.DRIVE_ROWS + 1,
                    2 * integrate.DRIVE_ROWS + integrate.STRIDE + 3]
 
 
-# 255: coarse steps stepped plainly; 256, 257: one level of recursion, with
-# and without a tail; 4099: three levels and a tail at the finest.
+# 255: the coarse steps are one seeded tail block; 256, 257: one level of
+# recursion, with and without a tail; 4099: three levels and a tail at the
+# finest.
 @pytest.mark.parametrize("n_steps", [16 * 7 + 5, 16 * 3, 1, 15, 255, 256, 257, 4099,
                                      *CHUNK_STRADDLES])
 def test_step_counts_off_the_stride(n_steps):
@@ -303,9 +304,9 @@ def test_lower_block_table_width_must_match_the_columns_of_g():
         integrate.rk4_lower_block(a, g, table, upper, np.ones(3), 0.1)
 
 
-# Pass 1 solves the block starts level by level: 15 blocks are stepped
-# plainly at the coarse level; 256 blocks take two coarse levels, the second
-# of exactly STRIDE coarse steps.
+# Pass 1 solves the block starts level by level: 15 blocks make one seeded
+# tail block at the coarse level; 256 blocks take two coarse levels, the
+# second of exactly STRIDE coarse steps.
 @pytest.mark.parametrize("n_steps", [16 * 15 + 7, 16 * 256])
 def test_coarse_levels_match_the_stage_loop(n_steps):
     rng = np.random.default_rng(n_steps)
@@ -338,9 +339,37 @@ def test_divergence_in_a_later_chunk_raises_at_the_oracle_time(monkeypatch):
         assert err.value.t == ref.value.t
 
 
+def test_divergence_in_the_tail_raises_at_the_oracle_time(monkeypatch):
+    rng = np.random.default_rng(4)
+    a, g, gens = _lower_triangular_system(rng, 2, 3, spread=0.1)
+    a[2:, 2:] += 3.5 * np.eye(3)
+    x0, dt, n_steps = rng.normal(size=5), 0.01, 2 * integrate.DRIVE_ROWS + 6
+    # the limit falls between the largest entry before row 2 DRIVE_ROWS + 3 and
+    # that row's: the first bad row is the third of the 6 steps past the last
+    # whole block
+    bad = 2 * integrate.DRIVE_ROWS + 3
+    monkeypatch.setattr(integrate, "DIVERGENCE_LIMIT", np.inf)
+    magnitude = np.abs(rk4_stage_loop(a, g, gens, x0, n_steps, dt)).max(axis=1)
+    assert magnitude[bad] > magnitude[:bad].max()
+    monkeypatch.setattr(integrate, "DIVERGENCE_LIMIT",
+                        np.sqrt(magnitude[bad] * magnitude[:bad].max()))
+    with pytest.raises(DivergenceError) as ref:
+        rk4_stage_loop(a, g, gens, x0, n_steps, dt)
+    assert round(ref.value.t / dt) == bad
+    upper = rk4_stage_loop(a[:2, :2], g[:2], gens, x0[:2], n_steps, dt)
+    table = integrate.tabulate(gens, n_steps, dt)
+    for integrated in (lambda: integrate.rk4_linear(a, g, gens, x0, n_steps, dt),
+                       lambda: integrate.rk4_lower_block(a, g, table, upper, x0[2:], dt),
+                       lambda: list(integrate.rk4_chunks(a, g, table, upper, x0[2:], dt))):
+        with pytest.raises(DivergenceError) as err:
+            integrated()
+        assert err.value.t == ref.value.t
+
+
 def test_non_finite_stride_power_steps_every_step_plainly():
     # Phi**16 of the unexcited mode overflows while Phi stays finite, so no
-    # block is summed: every step, across chunks, is stepped plainly
+    # STRIDE-step block is summed: each chunk is one block of one row, seeded
+    # from the row before it
     a = np.diag([-1.0, 2e6])
     g = np.array([[1.0], [0.0]])
     gens = [Sinusoid(1.0, 0.3)]

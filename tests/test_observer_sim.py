@@ -470,8 +470,8 @@ def test_streamed_export_is_np_save_of_the_kept_run(tmp_path, preset, case):
     # The kept run is the test's own: _estimates_in_pass over the observer
     # states integrated whole.  The preset's 40 s end in a partial chunk,
     # 2 * DRIVE_ROWS steps in a one-row chunk, DRIVE_ROWS - 1 steps make one
-    # chunk with a plainly stepped tail, and fewer than STRIDE steps are all
-    # stepped plainly.
+    # chunk with a tail block past its whole blocks, and fewer than STRIDE
+    # steps are one tail block.
     cfg, model, graph, gains = preset
     if case == "sweep":
         cfg, model, graph, (gains, _) = _sweep_networks()
