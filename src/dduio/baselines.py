@@ -81,13 +81,15 @@ def _fold_metrics(t: np.ndarray, chunks) -> MethodMetrics:
     over ``chunks`` of the norms on the grid ``t``, (first row, rows).
 
     Both are trapezoid integrals, sums over the samples with one weight
-    vector (``trapezoid_weights``), so no (time, node) temporary is made.
+    vector (``trapezoid_weights``): each chunk adds one weight product for
+    each, ``w @ (norms * norms)`` and ``w @ norms``, so the largest
+    temporary is one chunk's squares.
     """
     weights = trapezoid_weights(t)
     mse_nodes = mae_nodes = 0.0
     for r0, norms in chunks:
         w = weights[r0:r0 + norms.shape[0]]
-        mse_nodes = mse_nodes + np.einsum("t,tm,tm->m", w, norms, norms)
+        mse_nodes = mse_nodes + w @ (norms * norms)
         mae_nodes = mae_nodes + w @ norms
     return MethodMetrics(mse=float(mse_nodes.mean()), mae=float(mae_nodes.mean()),
                          mse_per_node=mse_nodes, mae_per_node=mae_nodes)

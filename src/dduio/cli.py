@@ -97,14 +97,14 @@ def cmd_check(args) -> int:
     except ConsistencyError as exc:
         print(f"FAIL data consistency: {exc}", file=sys.stderr)
         return 3
-    except RankError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 3
-    failures = [f"node {rep.node_index} failed the solvability rank test"
-                for rep in reports if not rep.solvable]
+    failures = [rep.rank_error for rep in reports if rep.rank_error is not None]
+    failures += [f"node {rep.node_index} failed the solvability rank test"
+                 for rep in reports if not rep.solvable]
     for rep in reports:
         print(f"node {rep.node_index}: solvability rank test {rep.ranks['U;Ydot;X'].rank} == "
               f"{rep.ranks['U;X;Xdot'].rank} [{'ok' if rep.solvable else 'FAIL'}]")
+        if rep.rank_error is not None:
+            print(f"node {rep.node_index}: {rep.rank_error} [FAIL]")
         if args.explain:
             for name, decision in rep.ranks.items():
                 print(f"  sv[{name}]: " + " ".join(f"{v:.3e}" for v in decision.singular_values))

@@ -110,7 +110,9 @@ class DataDesignReport:
 
     node_index: int
     solvable: bool
-    ranks: dict[str, Rank]  # decide_rank's records: "U;Ydot;X", "U;X;Xdot", "X" if solvable
+    ranks: dict[str, Rank]  # decide_rank's records: "U;Ydot;X", "U;X;Xdot", "X" if designed
+    # the RankError that stopped the design of a solvable node, as its message
+    rank_error: str | None = None
     # set only by the design of a solvable node; detectable only for a leader candidate
     detectable: bool | None = None
     T_u: np.ndarray | None = None
@@ -130,14 +132,19 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
     the leader's detectability test works on the structured solve's blocks,
     so no matrix is ranked or pseudo-inverted twice.  The report keeps the
     rank decisions of the two solvability stacks and, for a solvable node,
-    of X.
+    of X.  A solvable node whose X is row-rank deficient is reported with
+    that ``rank_error`` and no blocks.
     """
     lhs, rhs = check_data_solvability(ds, multiplier)
     ranks = {"U;Ydot;X": lhs, "U;X;Xdot": rhs}
     if lhs.rank != rhs.rank:
         return DataDesignReport(node_index=ds.node_index, solvable=False, ranks=ranks)
     r_hat = max(rhs.rank - ds.n_m - ds.n_x, 0)
-    c_rec, ranks["X"] = recover_output_map(ds, multiplier)
+    try:
+        c_rec, ranks["X"] = recover_output_map(ds, multiplier)
+    except RankError as exc:
+        return DataDesignReport(node_index=ds.node_index, solvable=True, ranks=ranks,
+                                rank_error=str(exc))
     t_u, t_y, t_x, residual = solve_data_equation_structured(
         ds, r_hat, c_rec, rtol=rtol, multiplier=multiplier)
     detectable = (check_data_detectability(ds, t_x, r_hat, multiplier)
@@ -150,7 +157,10 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
 
 def analyze_datasets(datasets, rtol: float = DesignSection.residual_rtol,
                      multiplier: float | None = None) -> tuple[list[DataDesignReport], int | None]:
-    """Per-node reports plus the first node passing the detectability test."""
+    """Per-node reports plus the first node passing the detectability test.
+
+    Every node is analyzed: a node's rank failure is recorded in its report
+    (``rank_error``), and the leader test moves on to the next node."""
     reports = []
     leader = None
     for ds in datasets:
@@ -167,9 +177,13 @@ def build_data_driven_gains(reports, graph: SensorGraph,
                             design: DesignSection = DesignSection()) -> DuioGains:
     """Observer gains from per-node data reports.
 
-    Preconditions: every node solvable and some node detectable from data.
+    Preconditions: every node designed (a node's ``rank_error`` is raised
+    first), every node solvable and some node detectable from data.
     """
     reports = list(reports)
+    for rep in reports:
+        if rep.rank_error is not None:
+            raise RankError(rep.rank_error)
     for rep in reports:
         if not rep.solvable:
             raise DesignError(f"node {rep.node_index}: data solvability rank test failed")

@@ -180,13 +180,17 @@ def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0
 
     Each chunk of observer states from ``rk4_chunks`` becomes xhat_i = z_i +
     H_i C_i x, written over it, and the error norms while it is in cache.
-    Both are views of buffers that the next chunk overwrites.  Each node's
-    squared errors are added state by state, in state order.
+    Both are views of buffers that the next chunk overwrites.  The error
+    buffer first takes x once per node, by a product with the 0/1 matrix
+    [I ... I], which is exact for finite x since every other term is a
+    signed zero; xhat - x is then one contiguous subtraction, and each
+    node's squared errors are added state by state, in state order.
     """
     n, m_nodes = model.n_x, model.M
     a_cl, g_cl = _closed_loop(model, graph, gains)
-    # (state, node * state): node i's columns are (H_i C_i)^T
+    # (state, node * state): node i's columns are (H_i C_i)^T in out_map, I in copies
     out_map = np.hstack([(h @ node.C).T for h, node in zip(gains.H, model.nodes)])
+    copies = np.tile(np.eye(n), m_nodes)
     size = min(x.shape[0], DRIVE_ROWS)
     buf = None
     for r0, z in rk4_chunks(a_cl, g_cl, table, x, z0, dt):
@@ -198,9 +202,10 @@ def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0
         np.matmul(x_blk, out_map, out=err)
         z += err
         # every node's error xhat_i - x, squared
+        np.matmul(x_blk, copies, out=err)
+        np.subtract(z, err, out=err)
+        err *= err
         squares = err.reshape(-1, m_nodes, n)
-        np.subtract(z.reshape(squares.shape), x_blk[:, None], out=squares)
-        squares *= squares
         np.add(squares[:, :, 0], squares[:, :, 1] if n > 1 else 0.0, out=norms)
         for s in range(2, n):
             norms += squares[:, :, s]

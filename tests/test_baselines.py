@@ -334,6 +334,22 @@ def test_quadrature_refinement(bench_model, bench_graph, model_gains):
     assert abs(values[0] - values[1]) / values[1] < 0.005
 
 
+def test_fold_metrics_of_odd_chunks_on_an_uneven_grid_match_scipy_trapezoid():
+    # the fold sums one weight product per chunk; chunks split at odd rows (one
+    # of them a single row) on a grid of uneven steps give the (1/T) trapezoid
+    # integrals of the squared and absolute norms to 1e-13, relative
+    rng = np.random.default_rng(11)
+    rows = 5001
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(2e-4, 1.8e-3, rows - 1))])
+    norms = np.abs(rng.standard_normal((rows, 4))) * np.exp(-t)[:, None]
+    cuts = [0, 1, 2, 7, 1023, 2049, 3001, rows]
+    m = baselines._fold_metrics(t, [(a, norms[a:b]) for a, b in zip(cuts, cuts[1:])])
+    for got, integrand in ((m.mse_per_node, norms ** 2), (m.mae_per_node, norms)):
+        want = scipy.integrate.trapezoid(integrand, t, axis=0) / t[-1]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert (m.mse, m.mae) == (float(m.mse_per_node.mean()), float(m.mae_per_node.mean()))
+
+
 def test_metrics_match_scipy_trapezoid(bench_model, bench_graph, model_gains):
     # 2001 samples: scipy's own sum drifts by up to ~8e-15 of the exact
     # trapezoid at 5001, too close to the bound to say which side is off.

@@ -330,7 +330,13 @@ def test_rank_deficient_state_data_fail_the_check_and_the_data_designs(
     x_csv.write_text("\n".join(lines) + "\n")
     x_rank = "state data X is row-rank deficient; cannot recover the output map"
     assert main(["check", "--config", fast_config_path, "--data", str(data)]) == 3
-    assert capsys.readouterr() == ("", f"FAIL: {x_rank}\n")
+    # node 0's failure is recorded in its report: every node's verdict and the
+    # leader, which moves on to node 1, are still printed
+    verdicts = [f"node {i}: solvability rank test 7 == 7 [ok]" for i in range(1, 5)]
+    assert capsys.readouterr() == (
+        "\n".join(["node 0: solvability rank test 1 == 1 [ok]", f"node 0: {x_rank} [FAIL]",
+                   *verdicts, "leader: node 1 passed the detectability test", ""]),
+        f"FAIL: {x_rank}\n")
     out = tmp_path / "gains.json"
     for method, message in (("data", x_rank), ("id", "stacked [U; X] is row-rank deficient; "
                                                       "identification is ill-posed")):

@@ -391,6 +391,25 @@ def test_build_gains_preconditions(bench_datasets, bench_graph):
         build_data_driven_gains(undetected, bench_graph)
 
 
+def test_rank_error_is_recorded_in_its_node_report_and_raised_by_the_design(
+        bench_datasets, bench_graph):
+    # one entry of 1e160 leaves node 1's X numerically of rank one: every node
+    # is still analyzed, and the design raises that node's error before node
+    # 0's solvability failure
+    views = [ds.design_view() for ds in bench_datasets]
+    x = views[1].X.copy()
+    x[0, 0] = 1e160
+    views[1] = dataclasses.replace(views[1], X=x)
+    reports, leader = analyze_datasets(views)
+    message = "state data X is row-rank deficient; cannot recover the output map"
+    assert [r.rank_error for r in reports] == [None, message, None, None, None]
+    assert reports[1].solvable and reports[1].T_x is None and "X" not in reports[1].ranks
+    assert leader == 0 and all(r.T_x is not None for i, r in enumerate(reports) if i != 1)
+    broken = [dataclasses.replace(reports[0], solvable=False)] + reports[1:]
+    with pytest.raises(RankError, match=f"^{message}$"):
+        build_data_driven_gains(broken, bench_graph)
+
+
 class _Poison:
     """Raises on any use; proves the design path never reads ground truth."""
 

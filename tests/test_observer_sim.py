@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dduio import integrate, observer_sim
 from dduio.config import parse_config
 from dduio.design_model import DuioGains, build_model_based_gains
 from dduio.errors import DimensionError, DivergenceError
@@ -431,9 +432,10 @@ def test_scenario_pass_matches_separate_runs(preset, plant):
     assert next(passed, None) is None
 
 
-def _estimates_in_pass(x, z, model, gains):
-    """xhat, the error norms and the spread in one blockwise loop, the spread
-    as the scenario pass computed it before it was left to first read.
+def _estimates_in_pass(x, z, model, gains, block=DRIVE_ROWS):
+    """xhat, the error norms and the spread in one loop over blocks of ``block``
+    rows (the pass's chunks), the spread as the scenario pass computed it
+    before it was left to first read.
 
     Each node's squared errors are added state by state, in state order: a
     ``sum`` over the state axis would sum pairwise when a block has one row."""
@@ -442,8 +444,8 @@ def _estimates_in_pass(x, z, model, gains):
     out_map = np.vstack([h @ node.C for h, node in zip(gains.H, model.nodes)])
     error_norms = np.empty((rows, m_nodes))
     spread = np.empty(rows)
-    for r0 in range(0, rows, DRIVE_ROWS):
-        r1 = min(r0 + DRIVE_ROWS, rows)
+    for r0 in range(0, rows, block):
+        r1 = min(r0 + block, rows)
         x_blk = np.ascontiguousarray(x[r0:r1].T)
         est = out_map @ x_blk
         est += z[r0:r1].T
@@ -502,6 +504,55 @@ def test_streamed_export_is_np_save_of_the_kept_run(tmp_path, preset, case):
         saved = io.BytesIO()
         np.save(saved, array, allow_pickle=False)
         assert (out / f"{field}.npy").read_bytes() == saved.getvalue(), field
+
+
+def _scalar_network():
+    """A scalar plant with one known input, which three nodes of a complete graph
+    each measure through their own gain, and its model-based gains."""
+    model = PlantModel.assemble([[-0.5]], [[1.0]], np.zeros((1, 0)),
+                                [([[c]], (0,), None) for c in (1.0, 2.0, 0.5)])
+    graph = complete(3)
+    return model, graph, build_model_based_gains(model, graph)
+
+
+@pytest.mark.parametrize("chunks", ["one-row", "whole-then-one-row"])
+@pytest.mark.parametrize("plant", ["scalar", "preset"])
+def test_error_step_is_the_oracle_bit_for_bit_on_edge_values(monkeypatch, preset, plant,
+                                                             chunks):
+    # The plant pass is replaced by states holding -0.0, subnormals and entries
+    # near 1e11, so x's copy per node must be exact where a sign, an exponent or
+    # a last bit could slip.  Every chunk has one row (DRIVE_ROWS 1), or one
+    # whole chunk is followed by a one-row chunk; the oracle works in the same
+    # blocks, since a one-row product H C x may sum in another order.
+    if plant == "preset":
+        cfg, model, graph, gains = preset
+        signals = cfg.build_inputs(5), cfg.build_disturbances(5)
+    else:
+        model, graph, gains = _scalar_network()
+        signals = [Sinusoid(0.7, 1.3, 0.4)], []
+    n_steps, block = DRIVE_ROWS, DRIVE_ROWS
+    if chunks == "one-row":
+        for module in (integrate, observer_sim):
+            monkeypatch.setattr(module, "DRIVE_ROWS", 1)
+        n_steps, block = 40, 1
+    dt = 1e-3
+    edge = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e-300, 9.87654321e10, -1.2345678e11,
+                     0.3, -1.7])
+    rng = np.random.default_rng(7)
+    x = rng.choice(edge, size=(n_steps + 1, model.n_x))
+    x[:3] = np.resize(edge, (3, model.n_x))
+    z0 = rng.choice(edge[:5], size=model.M * model.n_x)
+    monkeypatch.setattr(observer_sim, "rk4_linear", lambda *args: x)
+    res, xhat = run_with_estimates(model, graph, gains, x[0], *signals, n_steps * dt, dt,
+                                   z0=z0)
+    a_cl, g_cl = _closed_loop(model, graph, gains)
+    z = rk4_lower_block(a_cl, g_cl, tabulate(signals[0] + signals[1], n_steps, dt), x, z0, dt)
+    want = _estimates_in_pass(x, z, model, gains, block)
+    for name, got, expected in zip(("xhat", "error_norms", "spread"),
+                                   (xhat, res.error_norms, res.spread), want):
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+    assert res.error_norms.max() > 1e10 and (res.error_norms < 1e-300).any()
 
 
 def test_first_network_of_a_shared_pass_is_run_bit_for_bit(preset):
