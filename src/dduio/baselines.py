@@ -20,7 +20,7 @@ from .design_model import (DesignSection, DuioGains, assemble_from_node_matrices
                            build_model_based_gains)
 from .errors import DesignError, DimensionError, EmptyRunError, RankError
 from .network import SensorGraph
-from .observer_sim import RunResult, error_norm_chunks, run
+from .observer_sim import RunResult, passes, run
 from .plant import PlantModel
 
 METHOD_LABELS = {"model": "model-based", "data": "data-driven", "id": "identification-based"}
@@ -126,12 +126,12 @@ def experiment_metrics(config, model: PlantModel, graph: SensorGraph, designs, s
     """An iterator of the metrics of each design's ``run_experiment``, all in one
     pass over ``seed``'s scenario.
 
-    The metrics' sums are folded chunk by chunk from the pass
-    (``error_norm_chunks``), so no network's full-length arrays are made.
+    The metrics' sums are folded from each network's norms chunk by chunk
+    (``passes``), so no network's full-length arrays are made.
     """
     observers, scenario = _experiment(config, model, designs, seed)
-    for t, chunks in error_norm_chunks(model, graph, observers, *scenario):
-        yield _fold_metrics(t, chunks)
+    for t, _, chunks in passes(model, graph, observers, *scenario):
+        yield _fold_metrics(t, ((r0, norms) for r0, _, norms in chunks))
 
 
 def _experiment(config, model: PlantModel, designs, seed: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -34,14 +35,25 @@ def _get_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with the override flags written in.
 
     The flags go into the raw mapping, so each meets its key's parse rule.
+    The file is read as ``yaml.safe_load`` reads it, except that an exponent
+    float which YAML 1.1 leaves a string, such as ``1e-3``, ``1.5e3`` or
+    ``.5e3``, is a float, as YAML 1.2 reads it.
     """
     raw = None
     if getattr(args, "config", None):
         import yaml  # only a config file needs the parser
+
+        class Loader(yaml.SafeLoader):
+            """``safe_load``'s loader, which also reads YAML 1.2's exponent floats."""
+
+        Loader.add_implicit_resolver(
+            "tag:yaml.org,2002:float",
+            re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+            list("-+.0123456789"))
         # bytes, so that the parser reads the encoding as YAML defines it
         with open(args.config, "rb") as fh:
             try:
-                raw = yaml.safe_load(fh)
+                raw = yaml.load(fh, Loader=Loader)
             except yaml.YAMLError as exc:
                 raise ConfigError(f"config file {args.config} is not YAML: {exc}") from None
     if raw is None:  # no file, or an empty one

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DesignError, RankError
+from .errors import ConsistencyError, DesignError, DimensionError, RankError
 from .datagen import NodeDataset
 from .design_model import DesignSection, DuioGains, assemble_from_blocks, decouple_node
 from .linalg import Rank, decide_rank, detectability_candidates, numerical_rank
@@ -160,7 +160,14 @@ def analyze_datasets(datasets, rtol: float = DesignSection.residual_rtol,
     """Per-node reports plus the first node passing the detectability test.
 
     Every node is analyzed: a node's rank failure is recorded in its report
-    (``rank_error``), and the leader test moves on to the next node."""
+    (``rank_error``), and the leader test moves on to the next node.  Every
+    node must hold node 0's n_x states (a DimensionError otherwise); their
+    inputs and outputs may differ."""
+    datasets = list(datasets)
+    for ds in datasets[1:]:
+        if ds.n_x != datasets[0].n_x:
+            raise DimensionError(f"node {ds.node_index}: dataset n_x = {ds.n_x}, "
+                                 f"node {datasets[0].node_index}'s n_x = {datasets[0].n_x}")
     reports = []
     leader = None
     for ds in datasets:

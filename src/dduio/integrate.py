@@ -19,7 +19,9 @@ slabs: their drives are one product of the stage rows with the stacked
 gain [(W0 g)^T; (Wh g)^T; (W1 g)^T], Horner-summed slab by slab from the
 blocks' start states, one contiguous product and add per step, and one
 transposed copy writes them out.  The chunk is then checked for
-divergence and handed on (``rk4_chunks``) while it is still in cache.
+divergence and handed on (``rk4_chunks``) while it is still in cache:
+chunks start every DRIVE_ROWS rows from row 0, and the last one also
+holds the final row, so no chunk of a pass that takes a step has one row.
 The steps past a chunk's or a level's last whole block (all of them when
 Phi**STRIDE is not finite) make one more block of one row, seeded from
 the row before them and summed the same way.
@@ -163,7 +165,8 @@ def _check_divergence(states: np.ndarray, dt: float, offset: int) -> None:
 
 def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float):
     """Yield ``rk4_lower_block``'s states in blocks of DRIVE_ROWS rows from row
-    0, as (first row, rows), each as soon as it is final.
+    0, the last one with the final row too, as (first row, rows), each as
+    soon as it is final.
 
     Pass 2 finishes DRIVE_ROWS steps at a time and checks them for
     divergence; their rows, led by the row before them, then make one
@@ -198,8 +201,8 @@ def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float):
     # one chunk's rows, led by the row before them
     buf = np.empty((size + 1, d))
     buf[0] = x0
-    rows = buf[:1]
-    for i in range(0, n_steps, DRIVE_ROWS):
+    # zero steps make one chunk, x0's row
+    for i in range(0, max(n_steps, 1), DRIVE_ROWS):
         j = min(i + DRIVE_ROWS, n_steps)
         if i:
             buf[0] = buf[DRIVE_ROWS]
@@ -225,10 +228,8 @@ def rk4_chunks(a, g, table: np.ndarray, upper, x0, dt: float):
                 _horner(sums, rows[r0:r1:steps], phi_zz)
                 rows[1 + r0:1 + r1].reshape(nb, steps, d)[:] = sums.transpose(1, 0, 2)
             _check_divergence(rows[1:], dt, i)
-        # rows i ... j are final; row j leads the next block
-        yield i, rows[:DRIVE_ROWS]
-    if n_steps % DRIVE_ROWS == 0:
-        yield n_steps, rows[-1:]
+        # rows i ... j are final; row j leads the next block, or ends the last
+        yield i, rows if j == n_steps else rows[:-1]
 
 
 def rk4_linear(a: np.ndarray, g: np.ndarray, generators, x0: np.ndarray,

@@ -6,12 +6,12 @@ integrator).  The plant's rows hold no observer terms, so the closed-loop
 matrix is block lower triangular, and so is every RK4 step.  A scenario
 pass therefore integrates the plant alone, as ``plant.simulate`` does,
 then advances every observer network's block from that plant trajectory.
-Each chunk of a network's states becomes its estimates and error norms
-while it is in cache, in one buffer that the next chunk overwrites: ``run``
-keeps one network's norms and spread whole and writes its estimates to a
-``.npy`` file chunk by chunk when given one (``xhat_writer``), and
-``error_norm_chunks`` hands on several networks' norms a chunk at a time.
-No pass holds a (time, node, state) array.
+``passes`` is that scenario pass: it hands on each network's estimates and
+error norms chunk by chunk, each made while the chunk is in cache, in one
+buffer that the next chunk overwrites.  ``run`` drains one network, keeping
+its norms and spread whole and writing its estimates to a ``.npy`` file
+chunk by chunk when given one (``xhat_writer``); the comparison folds each
+network's norms into its metrics.  No pass holds a (time, node, state) array.
 """
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ class RunResult:
     x: np.ndarray
     error_norms: np.ndarray   # (time, node)
     spread: np.ndarray        # (time,) the largest distance between two nodes' estimates
-
-    @property
-    def M(self) -> int:
-        return self.error_norms.shape[1]
 
     @property
     def final_error_norms(self) -> np.ndarray:
@@ -115,15 +111,15 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
     to it, and the file then holds ``xhat`` (time, node, state) as
     ``np.save`` writes it; the result holds no estimates.
     """
-    ((t, x, table, gains, z0),) = _scenario(model, graph, [(gains, z0)], x0, inputs,
-                                            disturbances, horizon, dt)
+    ((t, x, chunks),) = passes(model, graph, [(gains, z0)], x0, inputs, disturbances,
+                               horizon, dt)
     shape = (t.size, model.M, model.n_x)
     if xhat_file is not None:
         np.lib.format.write_array_header_1_0(xhat_file, {
             "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
             "fortran_order": False, "shape": shape})
     error_norms, spread = np.empty(shape[:2]), np.empty(t.size)
-    for r0, est, norms in _estimate_chunks(model, graph, gains, z0, x, table, dt):
+    for r0, est, norms in chunks:
         r1 = r0 + norms.shape[0]
         error_norms[r0:r1] = norms
         est = est.reshape(-1, model.M, model.n_x)
@@ -133,27 +129,17 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
     return RunResult(t, x, error_norms, spread)
 
 
-def error_norm_chunks(model: PlantModel, graph: SensorGraph, observers, x0,
-                      inputs, disturbances, horizon: float, dt: float):
-    """Yield, per (gains, z0) of ``observers``, all on one scenario, its grid ``t``
-    and an iterator of its error norms chunk by chunk, (first row, rows).
+def passes(model: PlantModel, graph: SensorGraph, observers, x0,
+           inputs, disturbances, horizon: float, dt: float):
+    """The scenario pass: yield, per (gains, z0) of ``observers``, all on one
+    scenario, (t, x, chunks), its grid, the plant's states and its network's
+    pass (``_estimate_chunks``), an iterator of (first row, estimates, norms).
 
-    The signals are tabulated and the plant is integrated once for every
-    network.  Each network's norms are its own ``run``'s bit for bit, but
-    no network's full-length arrays are made: each chunk lives in a buffer
-    that the next one overwrites.  Drain each iterator before taking the
-    next network's.  A ``z0`` of None means zero observer states.
+    The scenario and every network are checked first.  The signals are then
+    tabulated and the plant is integrated once for every network, and each
+    network's chunks are its own ``run``'s bit for bit.  A ``z0`` of None
+    means zero observer states.
     """
-    for t, x, table, gains, z0 in _scenario(model, graph, observers, x0, inputs,
-                                            disturbances, horizon, dt):
-        yield t, ((r0, norms) for r0, _, norms in
-                  _estimate_chunks(model, graph, gains, z0, x, table, dt))
-
-
-def _scenario(model: PlantModel, graph: SensorGraph, observers, x0,
-              inputs, disturbances, horizon: float, dt: float):
-    """Check a scenario and its networks, tabulate its signals and integrate its
-    plant; then yield (t, x, table, gains, z0) per network."""
     x0, gens, n_steps = check_scenario(model, x0, inputs, disturbances, horizon, dt)
     n, m_nodes = model.n_x, model.M
     starts = []
@@ -170,7 +156,7 @@ def _scenario(model: PlantModel, graph: SensorGraph, observers, x0,
     x = rk4_linear(model.A, np.hstack([model.B, model.E_dist]),
                    [Tabulated(column, 0.5 * dt) for column in table.T], x0, n_steps, dt)
     for gains, z0 in starts:
-        yield t, x, table, gains, z0
+        yield t, x, _estimate_chunks(model, graph, gains, z0, x, table, dt)
 
 
 def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0,
@@ -191,7 +177,8 @@ def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0
     # (state, node * state): node i's columns are (H_i C_i)^T in out_map, I in copies
     out_map = np.hstack([(h @ node.C).T for h, node in zip(gains.H, model.nodes)])
     copies = np.tile(np.eye(n), m_nodes)
-    size = min(x.shape[0], DRIVE_ROWS)
+    # the last chunk holds the final row too
+    size = min(x.shape[0], DRIVE_ROWS + 1)
     buf = None
     for r0, z in rk4_chunks(a_cl, g_cl, table, x, z0, dt):
         if buf is None:

@@ -1,4 +1,5 @@
 """Command-line pipeline: exit codes, file contracts, reproducibility."""
+import argparse
 import copy
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import yaml
 
 import dduio
+from dduio import cli
 from dduio.cli import main
 from dduio.config import PRESETS, parse_config
 from dduio.design_model import DuioGains
@@ -504,6 +506,29 @@ def test_id_design_names_datasets_of_another_plant(tmp_path, capsys, fast_config
         assert main([*argv, "--method", "data"]) == 0
 
 
+def test_datasets_of_two_plants_are_refused_by_every_data_command(tmp_path, capsys,
+                                                                   fast_config_path, collected):
+    # four preset nodes and a node_04 of a three-state plant: the data design
+    # would meet blocks of two sizes
+    data, other = tmp_path / "mixed", tmp_path / "other.yaml"
+    shutil.copytree(collected, data)
+    shutil.rmtree(data / "node_04")
+    other.write_text(yaml.safe_dump({**FAST_CONFIG, "plant": _other_plant("three-state")}))
+    assert main(["collect", "--config", str(other), "--out", str(tmp_path / "three")]) == 0
+    shutil.copytree(tmp_path / "three" / "node_04", data / "node_04")
+    capsys.readouterr()
+    gains = tmp_path / "g.json"
+    for argv, want in [
+            (["check"], "node 4: dataset n_x = 3, node 0's n_x = 4"),
+            (["design", "--method", "data", "--out", str(gains)],
+             "node 4: dataset n_x = 3, node 0's n_x = 4"),
+            (["design", "--method", "id", "--out", str(gains)],
+             "node 4: dataset (n_x, n_m, n_y) = (3, 1, 3), configured plant (4, 1, 4)")]:
+        assert main([*argv, "--config", fast_config_path, "--data", str(data)]) == 6
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+        assert not gains.exists()
+
+
 def test_design_deterministic(tmp_path, fast_config_path, collected):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):
@@ -682,6 +707,28 @@ def test_unreadable_config_file_is_named(tmp_path, capsys, text, detail):
     assert main(["collect", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: config file {path} is not YAML: {detail}")
     assert not (tmp_path / "out").exists()
+
+
+def test_exponent_floats_in_a_config_file_are_floats(tmp_path, capsys, gains_path):
+    # YAML 1.1 reads 1e-3 and .0001e1 as strings; they mean what 0.001 means
+    trees, configs = [], []
+    for dt in ("1e-3", ".0001e1", "0.001"):
+        path = tmp_path / f"{dt}.yaml"
+        path.write_text(f"seed: 5\nrun:\n  horizon: 0.5\n  dt: {dt}\n")
+        configs.append(cli._get_config(argparse.Namespace(config=str(path))).resolved_dict())
+        out = tmp_path / f"run-{dt}"
+        assert main(["run", "--config", str(path), "--gains", gains_path, "--out", str(out)]) == 0
+        trees.append(_tree_bytes(out))
+    assert configs[0] == configs[1] == configs[2] and configs[0]["run"]["dt"] == 0.001
+    assert trees[0] == trees[1] == trees[2]
+    assert sorted(trees[0]) == sorted(RUN_FILES)
+    capsys.readouterr()
+    quoted = tmp_path / "quoted.yaml"
+    quoted.write_text("run:\n  dt: '1e-3'\n")
+    assert main(["run", "--config", str(quoted), "--gains", gains_path,
+                 "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == "error: run.dt must be a finite number > 0, got '1e-3'\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_gains_without_a_method_run_as_model(tmp_path, fast_config_path, gains_path):

@@ -382,6 +382,13 @@ def test_non_finite_stride_power_steps_every_step_plainly():
     assert_agrees(x, rk4_stage_loop(a, g, gens, x0, n_steps, dt))
 
 
+def test_zero_steps_give_the_initial_state_alone():
+    # no step is taken: x0's row is the one chunk
+    a, g, gens = _lower_triangular_system(np.random.default_rng(0), 3, 5)
+    x0 = np.arange(8.0)
+    assert integrate.rk4_linear(a, g, gens, x0, 0, 0.01).tobytes() == x0[None].tobytes()
+
+
 @pytest.mark.parametrize("n_steps", [1, 15, 255, integrate.DRIVE_ROWS, *CHUNK_STRADDLES,
                                      2 * integrate.DRIVE_ROWS])
 def test_lower_block_rows_are_the_same_kept_or_handed_on(n_steps):
@@ -395,8 +402,8 @@ def test_lower_block_rows_are_the_same_kept_or_handed_on(n_steps):
     for first, rows in integrate.rk4_chunks(a, g, table, upper, x0[3:], dt):
         firsts.append(first)
         handed.append(rows.copy())   # the next chunk overwrites the buffer
-    # blocks of DRIVE_ROWS rows from row 0, the last one shorter
-    assert firsts == list(range(0, n_steps + 1, integrate.DRIVE_ROWS))
+    # blocks of DRIVE_ROWS rows from row 0, the last one with the final row too
+    assert firsts == list(range(0, n_steps, integrate.DRIVE_ROWS))
     assert np.vstack(handed).tobytes() == kept.tobytes()
     # rk4_lower_block copies these chunks, so only the oracle can fault them
     assert_agrees(np.vstack(handed), rk4_stage_loop(a, g, gens, x0, n_steps, dt)[:, 3:])

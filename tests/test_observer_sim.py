@@ -11,12 +11,13 @@ from dduio import integrate, observer_sim
 from dduio.config import parse_config
 from dduio.design_model import DuioGains, build_model_based_gains
 from dduio.errors import DimensionError, DivergenceError
-from dduio.integrate import DRIVE_ROWS, STRIDE, rk4_linear, rk4_lower_block, tabulate
+from dduio.integrate import (DRIVE_ROWS, STRIDE, rk4_chunks, rk4_linear, rk4_lower_block,
+                             tabulate)
 from dduio.linalg import spectral_abscissa
 from dduio.network import SensorGraph, complete
 from dduio.baselines import collect_all_nodes, design_for_method
-from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, error_norm_chunks,
-                                export_run, run, verify_decoupling, xhat_writer)
+from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run, passes, run,
+                                verify_decoupling, xhat_writer)
 from dduio.plant import PlantModel, simulate, step_count
 from dduio.signals import Sinusoid, Zero
 
@@ -234,8 +235,8 @@ def test_run_refuses_inputs_standing_in_for_disturbances(bench_model, bench_grap
     with pytest.raises(DimensionError, match=message):
         run(bench_model, bench_graph, model_gains, *args, horizon=1.0, dt=1e-3)
     with pytest.raises(DimensionError, match=message):
-        next(error_norm_chunks(bench_model, bench_graph, [(model_gains, None)] * 2, *args,
-                               horizon=1.0, dt=1e-3))
+        next(passes(bench_model, bench_graph, [(model_gains, None)] * 2, *args,
+                    horizon=1.0, dt=1e-3))
 
 
 def test_divergent_plant_raises_at_the_time_simulate_does(bench_model, bench_graph,
@@ -247,8 +248,8 @@ def test_divergent_plant_raises_at_the_time_simulate_does(bench_model, bench_gra
     with pytest.raises(DivergenceError) as alone:
         run(unstable, bench_graph, model_gains, x0, *bench_signals(5, 6, 1e-2),
             horizon=10.0, dt=1e-2)
-    passed = error_norm_chunks(unstable, bench_graph, [(model_gains, None)] * 2, x0,
-                               *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
+    passed = passes(unstable, bench_graph, [(model_gains, None)] * 2, x0,
+                    *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
     with pytest.raises(DivergenceError) as shared:
         next(passed)
     assert 0.0 < plant.value.t < 10.0
@@ -390,10 +391,10 @@ def _sweep_networks():
 
 
 def _joined_norms(chunks, rows):
-    """A network's error norms from ``error_norm_chunks``, joined; each chunk
-    starts where the last one ended, and together they cover ``rows`` rows."""
+    """A network's error norms from ``passes``, joined; each chunk starts where
+    the last one ended, and together they cover ``rows`` rows."""
     parts, end = [], 0
-    for r0, norms in chunks:
+    for r0, _, norms in chunks:
         assert r0 == end
         parts.append(norms.copy())
         end += norms.shape[0]
@@ -420,9 +421,9 @@ def test_scenario_pass_matches_separate_runs(preset, plant):
     def signals():
         return cfg.build_inputs(5), cfg.build_disturbances(5)
 
-    passed = error_norm_chunks(model, graph, starts, x0, *signals(), horizon, cfg.run.dt)
+    passed = passes(model, graph, starts, x0, *signals(), horizon, cfg.run.dt)
     count = 0
-    for (gains, z0), (t, chunks) in zip(starts, passed):
+    for (gains, z0), (t, _, chunks) in zip(starts, passed):
         alone = run(model, graph, gains, x0, *signals(), horizon, cfg.run.dt, z0=z0)
         assert t.tobytes() == alone.t.tobytes()
         norms = _joined_norms(chunks, n_steps + 1)
@@ -434,8 +435,8 @@ def test_scenario_pass_matches_separate_runs(preset, plant):
 
 def _estimates_in_pass(x, z, model, gains, block=DRIVE_ROWS):
     """xhat, the error norms and the spread in one loop over blocks of ``block``
-    rows (the pass's chunks), the spread as the scenario pass computed it
-    before it was left to first read.
+    rows, the last one with the final row too (the pass's chunks), the spread
+    as the scenario pass computed it before it was left to first read.
 
     Each node's squared errors are added state by state, in state order: a
     ``sum`` over the state axis would sum pairwise when a block has one row."""
@@ -444,8 +445,8 @@ def _estimates_in_pass(x, z, model, gains, block=DRIVE_ROWS):
     out_map = np.vstack([h @ node.C for h, node in zip(gains.H, model.nodes)])
     error_norms = np.empty((rows, m_nodes))
     spread = np.empty(rows)
-    for r0 in range(0, rows, block):
-        r1 = min(r0 + block, rows)
+    for r0 in range(0, rows - 1, block):
+        r1 = r0 + block if r0 + block < rows - 1 else rows
         x_blk = np.ascontiguousarray(x[r0:r1].T)
         est = out_map @ x_blk
         est += z[r0:r1].T
@@ -471,9 +472,9 @@ def _estimates_in_pass(x, z, model, gains, block=DRIVE_ROWS):
 def test_streamed_export_is_np_save_of_the_kept_run(tmp_path, preset, case):
     # The kept run is the test's own: _estimates_in_pass over the observer
     # states integrated whole.  The preset's 40 s end in a partial chunk,
-    # 2 * DRIVE_ROWS steps in a one-row chunk, DRIVE_ROWS - 1 steps make one
-    # chunk with a tail block past its whole blocks, and fewer than STRIDE
-    # steps are one tail block.
+    # 2 * DRIVE_ROWS steps in a whole chunk that holds the final row too,
+    # DRIVE_ROWS - 1 steps make one chunk with a tail block past its whole
+    # blocks, and fewer than STRIDE steps are one tail block.
     cfg, model, graph, gains = preset
     if case == "sweep":
         cfg, model, graph, (gains, _) = _sweep_networks()
@@ -515,15 +516,16 @@ def _scalar_network():
     return model, graph, build_model_based_gains(model, graph)
 
 
-@pytest.mark.parametrize("chunks", ["one-row", "whole-then-one-row"])
+@pytest.mark.parametrize("chunks", ["one-row", "one-chunk"])
 @pytest.mark.parametrize("plant", ["scalar", "preset"])
 def test_error_step_is_the_oracle_bit_for_bit_on_edge_values(monkeypatch, preset, plant,
                                                              chunks):
     # The plant pass is replaced by states holding -0.0, subnormals and entries
     # near 1e11, so x's copy per node must be exact where a sign, an exponent or
-    # a last bit could slip.  Every chunk has one row (DRIVE_ROWS 1), or one
-    # whole chunk is followed by a one-row chunk; the oracle works in the same
-    # blocks, since a one-row product H C x may sum in another order.
+    # a last bit could slip.  Every chunk but the last, which holds the final
+    # row too, has one row (DRIVE_ROWS 1), or one whole chunk holds every row;
+    # the oracle works in the same blocks, since a one-row product H C x may
+    # sum in another order.
     if plant == "preset":
         cfg, model, graph, gains = preset
         signals = cfg.build_inputs(5), cfg.build_disturbances(5)
@@ -563,11 +565,11 @@ def test_first_network_of_a_shared_pass_is_run_bit_for_bit(preset):
     z0 = cfg.initial_observer_states(x0, model, gains)
     args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
     second = dataclasses.replace(gains, gamma=1.5 * gains.gamma)
-    passed = error_norm_chunks(model, graph, [(gains, z0), (second, z0)], x0, *args)
+    passed = passes(model, graph, [(gains, z0), (second, z0)], x0, *args)
     alone = run(model, graph, gains, x0, *args, z0=z0)
-    _, chunks = next(passed)
+    _, _, chunks = next(passed)
     assert _joined_norms(chunks, alone.t.size).tobytes() == alone.error_norms.tobytes()
-    _, chunks = next(passed)
+    _, _, chunks = next(passed)
     _joined_norms(chunks, alone.t.size)
     assert next(passed, None) is None
 
@@ -584,11 +586,11 @@ def test_scenario_pass_diverges_where_the_network_alone_does(bench_model, bench_
     with pytest.raises(DivergenceError) as alone:
         run(bench_model, bench_graph, unstable, x0, *bench_signals(5, 6, 1e-2),
             horizon=10.0, dt=1e-2)
-    passed = error_norm_chunks(bench_model, bench_graph, networks, x0,
-                               *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
+    passed = passes(bench_model, bench_graph, networks, x0,
+                    *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
     for _ in range(position):
-        _joined_norms(next(passed)[1], 1001)
-    _, chunks = next(passed)
+        _joined_norms(next(passed)[2], 1001)
+    _, _, chunks = next(passed)
     with pytest.raises(DivergenceError) as err:
         _joined_norms(chunks, 1001)
     assert err.value.t == alone.value.t
@@ -600,7 +602,31 @@ def test_scenario_pass_samples_each_signal_once(preset):
     dist = [CountedSignal(g) for g in cfg.build_disturbances(3)]
     networks = [(gains, None), (dataclasses.replace(gains, gamma=2.0 * gains.gamma), None),
                 (gains, np.ones((model.M, model.n_x)))]
-    passed = error_norm_chunks(model, graph, networks, cfg.draw_x0(3), inputs, dist,
-                               horizon=5.0, dt=cfg.run.dt)
-    assert len([_joined_norms(chunks, t.size) for t, chunks in passed]) == 3
+    passed = passes(model, graph, networks, cfg.draw_x0(3), inputs, dist,
+                    horizon=5.0, dt=cfg.run.dt)
+    assert len([_joined_norms(chunks, t.size) for t, _, chunks in passed]) == 3
     assert [g.calls for g in inputs + dist] == [1] * len(inputs + dist)
+
+
+@pytest.mark.parametrize("n_steps", [1, 15, DRIVE_ROWS - 1, DRIVE_ROWS, DRIVE_ROWS + 1,
+                                     2 * DRIVE_ROWS])
+def test_chunks_tile_every_row_once_and_none_has_one_row(bench_model, bench_graph,
+                                                         model_gains, n_steps):
+    # a one-row product H C x may sum in another order than a chunk's, so no
+    # row may fall in a chunk of its own, the final one included
+    dt = 1e-3
+    inputs, dist = bench_signals(5, 6, dt)
+    ((_, x, chunks),) = passes(bench_model, bench_graph, [(model_gains, None)], np.ones(4),
+                               inputs, dist, n_steps * dt, dt)
+    passed = []
+    for r0, est, norms in chunks:
+        assert est.shape[0] == norms.shape[0]
+        passed.append((r0, norms.shape[0]))
+    a_cl, g_cl = _closed_loop(bench_model, bench_graph, model_gains)
+    table = tabulate([*inputs, *dist], n_steps, dt)
+    integrated = [(r0, rows.shape[0]) for r0, rows in
+                  rk4_chunks(a_cl, g_cl, table, x, np.zeros(bench_model.M * 4), dt)]
+    for name, sizes in (("passes", passed), ("rk4_chunks", integrated)):
+        rows = [r0 + k for r0, size in sizes for k in range(size)]
+        assert rows == list(range(n_steps + 1)), name
+        assert min(size for _, size in sizes) >= 2, name
