@@ -19,6 +19,7 @@ from .design_data import (analyze_datasets, build_data_driven_gains, recover_out
 from .design_model import (DesignSection, DuioGains, assemble_from_node_matrices,
                            build_model_based_gains)
 from .errors import DesignError, DimensionError, EmptyRunError, RankError
+from .integrate import DRIVE_ROWS
 from .network import SensorGraph
 from .observer_sim import RunResult, passes, run
 from .plant import PlantModel
@@ -63,42 +64,47 @@ class MethodMetrics:
                 "mae_per_node": self.mae_per_node.tolist()}
 
 
-def trapezoid_weights(t: np.ndarray) -> np.ndarray:
-    """The weights (t_{k+1} - t_{k-1}) / 2 of the samples at ``t`` (uneven grids
-    included), over t[-1]: a (1/T) trapezoid integral is their dot product with
-    the samples."""
+def trapezoid_weights(t: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The weights (t_{k+1} - t_{k-1}) / 2 of the samples t[start:stop] of the
+    grid ``t`` (uneven grids included; t_{-1} is t_0 and t_T is t_{T-1}), over
+    t[-1]: a (1/T) trapezoid integral is their dot product with the samples."""
     if t.size < 2:
         raise EmptyRunError("metrics need at least two samples")
-    weights = np.empty(t.size)
-    weights[0], weights[-1] = t[1] - t[0], t[-1] - t[-2]
-    weights[1:-1] = t[2:] - t[:-2]
+    weights = np.empty(stop - start)
+    lo, hi = max(start, 1), min(stop, t.size - 1)
+    np.subtract(t[lo + 1:hi + 1], t[lo - 1:hi - 1], out=weights[lo - start:hi - start])
+    if start == 0:
+        weights[0] = t[1] - t[0]
+    if stop == t.size:
+        weights[-1] = t[-1] - t[-2]
     weights *= 0.5 / t[-1]
     return weights
 
 
-def _fold_metrics(t: np.ndarray, chunks) -> MethodMetrics:
-    """Per-node (1/T) integrals of the squared and absolute error norms, folded
-    over ``chunks`` of the norms on the grid ``t``, (first row, rows).
+def _fold_metrics(t: np.ndarray, chunks) -> list[MethodMetrics]:
+    """Each network's per-node (1/T) integrals of the squared and absolute
+    error norms, folded over ``chunks`` of the norms on the grid ``t``,
+    (first row, norms (rows, network, node)).
 
-    Both are trapezoid integrals, sums over the samples with one weight
-    vector (``trapezoid_weights``): each chunk adds one weight product for
-    each, ``w @ (norms * norms)`` and ``w @ norms``, so the largest
-    temporary is one chunk's squares.
+    Both are trapezoid integrals, sums over the samples with the chunk's
+    weights (``trapezoid_weights``): each chunk adds one weight product per
+    network for each, ``w @ (norms * norms)`` and ``w @ norms``, so the
+    largest temporary is one chunk's squares.
     """
-    weights = trapezoid_weights(t)
     mse_nodes = mae_nodes = 0.0
     for r0, norms in chunks:
-        w = weights[r0:r0 + norms.shape[0]]
-        mse_nodes = mse_nodes + w @ (norms * norms)
-        mae_nodes = mae_nodes + w @ norms
-    return MethodMetrics(mse=float(mse_nodes.mean()), mae=float(mae_nodes.mean()),
-                         mse_per_node=mse_nodes, mae_per_node=mae_nodes)
+        w = trapezoid_weights(t, r0, r0 + norms.shape[0])
+        mse_nodes = mse_nodes + w @ (norms * norms).transpose(1, 0, 2)
+        mae_nodes = mae_nodes + w @ norms.transpose(1, 0, 2)
+    return [MethodMetrics(mse=float(mse.mean()), mae=float(mae.mean()),
+                          mse_per_node=mse, mae_per_node=mae)
+            for mse, mae in zip(mse_nodes, mae_nodes)]
 
 
 def compute_mse_mae(result: RunResult) -> MethodMetrics:
     """Per-node (1/T) integrals of a run's squared and absolute error norms:
     ``_fold_metrics`` of its norms as one chunk."""
-    return _fold_metrics(result.t, [(0, result.error_norms)])
+    return _fold_metrics(result.t, [(0, result.error_norms[:, None])])[0]
 
 
 @dataclass(frozen=True)
@@ -123,15 +129,33 @@ def run_experiment(config, model: PlantModel, graph: SensorGraph, gains: DuioGai
 
 
 def experiment_metrics(config, model: PlantModel, graph: SensorGraph, designs, seed: int):
-    """An iterator of the metrics of each design's ``run_experiment``, all in one
-    pass over ``seed``'s scenario.
+    """The metrics of each design's ``run_experiment``, in order, all from one
+    stacked pass over ``seed``'s scenario.
 
-    The metrics' sums are folded from each network's norms chunk by chunk
+    The metrics' sums are folded from every network's norms chunk by chunk
     (``passes``), so no network's full-length arrays are made.
     """
     observers, scenario = _experiment(config, model, designs, seed)
-    for t, _, chunks in passes(model, graph, observers, *scenario):
-        yield _fold_metrics(t, ((r0, norms) for r0, _, norms in chunks))
+    t, _, chunks = passes(model, graph, observers, *scenario)
+    return _fold_metrics(t, _drive_row_chunks(((r0, norms) for r0, _, norms in chunks), t.size))
+
+
+def _drive_row_chunks(blocks, rows: int):
+    """``blocks`` of (first row, norms) that tile ``rows`` rows, regrouped into
+    chunks of DRIVE_ROWS rows from row 0, the last with the final row too.
+
+    A stacked pass hands on blocks of fewer rows (``rk4_chunks``); the fold
+    sums one weight product per chunk, so its chunks are kept at DRIVE_ROWS
+    rows, and the metrics do not move with the number of networks.
+    """
+    buf = None
+    for r0, norms in blocks:
+        c0, r1 = r0 - r0 % DRIVE_ROWS, r0 + len(norms)
+        if buf is None:
+            buf = np.empty((min(DRIVE_ROWS + 1, rows),) + norms.shape[1:])
+        buf[r0 - c0:r1 - c0] = norms
+        if r1 - c0 == DRIVE_ROWS or r1 == rows:
+            yield c0, buf[:r1 - c0]
 
 
 def _experiment(config, model: PlantModel, designs, seed: int):

@@ -112,9 +112,11 @@ def cmd_check(args) -> int:
     failures = [rep.rank_error for rep in reports if rep.rank_error is not None]
     failures += [f"node {rep.node_index} failed the solvability rank test"
                  for rep in reports if not rep.solvable]
-    for rep in reports:
+    for ds, rep in zip(datasets, reports):
+        rhs, floor = rep.ranks['U;X;Xdot'].rank, ds.n_m + ds.n_x
+        below = f", below n_m + n_x = {floor}" if rhs < floor else ""
         print(f"node {rep.node_index}: solvability rank test {rep.ranks['U;Ydot;X'].rank} == "
-              f"{rep.ranks['U;X;Xdot'].rank} [{'ok' if rep.solvable else 'FAIL'}]")
+              f"{rhs}{below} [{'ok' if rep.solvable else 'FAIL'}]")
         if rep.rank_error is not None:
             print(f"node {rep.node_index}: {rep.rank_error} [FAIL]")
         if args.explain:

@@ -24,7 +24,9 @@ def check_data_solvability(ds: NodeDataset, multiplier: float | None = None) -> 
 
     Returns the rank decisions of [U; Ydot; X] and [U; X; Xdot]; the node
     is solvable when their ranks agree, which on the underlying plant is
-    exactly rank(C B_p) = rank(B_p).
+    exactly rank(C B_p) = rank(B_p), and the second reaches its floor
+    n_m + n_x, the rank of exciting [U; X]: below it, one large entry has
+    hidden every other direction of the data.
     """
     return (decide_rank(np.vstack([ds.U, ds.Ydot, ds.X]), multiplier),
             decide_rank(np.vstack([ds.U, ds.X, ds.Xdot]), multiplier))
@@ -137,9 +139,9 @@ def analyze_node(ds: NodeDataset, test_detectability: bool = False,
     """
     lhs, rhs = check_data_solvability(ds, multiplier)
     ranks = {"U;Ydot;X": lhs, "U;X;Xdot": rhs}
-    if lhs.rank != rhs.rank:
+    if lhs.rank != rhs.rank or rhs.rank < ds.n_m + ds.n_x:
         return DataDesignReport(node_index=ds.node_index, solvable=False, ranks=ranks)
-    r_hat = max(rhs.rank - ds.n_m - ds.n_x, 0)
+    r_hat = rhs.rank - ds.n_m - ds.n_x
     try:
         c_rec, ranks["X"] = recover_output_map(ds, multiplier)
     except RankError as exc:

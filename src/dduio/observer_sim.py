@@ -5,13 +5,15 @@ the consensus term continuously (same-stage values inside the
 integrator).  The plant's rows hold no observer terms, so the closed-loop
 matrix is block lower triangular, and so is every RK4 step.  A scenario
 pass therefore integrates the plant alone, as ``plant.simulate`` does,
-then advances every observer network's block from that plant trajectory.
-``passes`` is that scenario pass: it hands on each network's estimates and
-error norms chunk by chunk, each made while the chunk is in cache, in one
-buffer that the next chunk overwrites.  ``run`` drains one network, keeping
-its norms and spread whole and writing its estimates to a ``.npy`` file
-chunk by chunk when given one (``xhat_writer``); the comparison folds each
-network's norms into its metrics.  No pass holds a (time, node, state) array.
+then advances the observer networks' blocks from that plant trajectory,
+all of them in one stacked integrator pass.  ``passes`` is that scenario
+pass: it hands on every network's estimates and error norms chunk by
+chunk, each made while the chunk is in cache, in buffers that the next
+chunk overwrites.  ``run`` drains a pass of one network, keeping its norms
+and spread whole and writing its estimates to a ``.npy`` file chunk by
+chunk when given one (``xhat_writer``); the comparison folds every
+network's norms into its metrics.  No pass holds a (time, node, state)
+array.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 from ._csvio import write_json
 from .design_model import DuioGains, coupled_abscissa
 from .errors import DimensionError
-from .integrate import DRIVE_ROWS, rk4_chunks, rk4_linear, tabulate
+from .integrate import rk4_chunks, rk4_linear, tabulate
 from .linalg import block_diag
 from .network import SensorGraph
 from .plant import PlantModel, check_scenario
@@ -111,8 +113,7 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
     to it, and the file then holds ``xhat`` (time, node, state) as
     ``np.save`` writes it; the result holds no estimates.
     """
-    ((t, x, chunks),) = passes(model, graph, [(gains, z0)], x0, inputs, disturbances,
-                               horizon, dt)
+    t, x, chunks = passes(model, graph, [(gains, z0)], x0, inputs, disturbances, horizon, dt)
     shape = (t.size, model.M, model.n_x)
     if xhat_file is not None:
         np.lib.format.write_array_header_1_0(xhat_file, {
@@ -120,6 +121,7 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
             "fortran_order": False, "shape": shape})
     error_norms, spread = np.empty(shape[:2]), np.empty(t.size)
     for r0, est, norms in chunks:
+        est, norms = est[:, 0], norms[:, 0]
         r1 = r0 + norms.shape[0]
         error_norms[r0:r1] = norms
         est = est.reshape(-1, model.M, model.n_x)
@@ -131,14 +133,16 @@ def run(model: PlantModel, graph: SensorGraph, gains: DuioGains, x0,
 
 def passes(model: PlantModel, graph: SensorGraph, observers, x0,
            inputs, disturbances, horizon: float, dt: float):
-    """The scenario pass: yield, per (gains, z0) of ``observers``, all on one
-    scenario, (t, x, chunks), its grid, the plant's states and its network's
-    pass (``_estimate_chunks``), an iterator of (first row, estimates, norms).
+    """The scenario pass of every (gains, z0) of ``observers``, all on one
+    scenario: (t, x, chunks), the grid, the plant's states and the networks'
+    stacked pass (``_estimate_chunks``), an iterator of (first row, estimates
+    (rows, network, node * state), norms (rows, network, node)).
 
     The scenario and every network are checked first.  The signals are then
     tabulated and the plant is integrated once for every network, and each
-    network's chunks are its own ``run``'s bit for bit.  A ``z0`` of None
-    means zero observer states.
+    network's estimates and norms are its own ``run``'s bit for bit, though
+    a stack's chunks are shorter (``rk4_chunks``).  A ``z0`` of None means
+    zero observer states.
     """
     x0, gens, n_steps = check_scenario(model, x0, inputs, disturbances, horizon, dt)
     n, m_nodes = model.n_x, model.M
@@ -149,53 +153,56 @@ def passes(model: PlantModel, graph: SensorGraph, observers, x0,
         if z0.size != m_nodes * n:
             raise DimensionError(f"z0 has {z0.size} entries, expected M*n_x = {m_nodes * n}")
         starts.append((gains, z0.reshape(m_nodes * n)))
-    if not starts:
-        return
     t = np.arange(n_steps + 1) * dt
     table = tabulate(gens, n_steps, dt)
     x = rk4_linear(model.A, np.hstack([model.B, model.E_dist]),
                    [Tabulated(column, 0.5 * dt) for column in table.T], x0, n_steps, dt)
-    for gains, z0 in starts:
-        yield t, x, _estimate_chunks(model, graph, gains, z0, x, table, dt)
+    return t, x, _estimate_chunks(model, graph, starts, x, table, dt)
 
 
-def _estimate_chunks(model: PlantModel, graph: SensorGraph, gains: DuioGains, z0,
+def _estimate_chunks(model: PlantModel, graph: SensorGraph, networks,
                      x: np.ndarray, table: np.ndarray, dt: float):
-    """One network's pass: yield its estimates and error norms chunk by chunk,
-    (first row, estimates (rows, node * state), norms (rows, node)).
+    """Every (gains, z0) network's pass, one stacked ``rk4_chunks``: yield
+    their estimates and error norms chunk by chunk, (first row, estimates
+    (rows, network, node * state), norms (rows, network, node)).
 
-    Each chunk of observer states from ``rk4_chunks`` becomes xhat_i = z_i +
-    H_i C_i x, written over it, and the error norms while it is in cache.
-    Both are views of buffers that the next chunk overwrites.  The error
-    buffer first takes x once per node, by a product with the 0/1 matrix
-    [I ... I], which is exact for finite x since every other term is a
-    signed zero; xhat - x is then one contiguous subtraction, and each
-    node's squared errors are added state by state, in state order.
+    Each chunk of observer states becomes xhat_i = z_i + H_i C_i x, written
+    over it, and the error norms while it is in cache.  Both are views of
+    buffers that the next chunk overwrites, and the pass allocates nothing
+    per chunk: the error step works in the integrator's drive-sum buffer
+    (``rk4_chunks``' scratch).  There x is first copied once per node of
+    every network, by a product with the 0/1 matrix [I ... I], which is
+    exact for finite x since every other term is a signed zero; xhat - x is
+    then one contiguous subtraction, and each node's squared errors are
+    added state by state, in state order.
     """
     n, m_nodes = model.n_x, model.M
-    a_cl, g_cl = _closed_loop(model, graph, gains)
-    # (state, node * state): node i's columns are (H_i C_i)^T in out_map, I in copies
-    out_map = np.hstack([(h @ node.C).T for h, node in zip(gains.H, model.nodes)])
-    copies = np.tile(np.eye(n), m_nodes)
-    # the last chunk holds the final row too
-    size = min(x.shape[0], DRIVE_ROWS + 1)
-    buf = None
-    for r0, z in rk4_chunks(a_cl, g_cl, table, x, z0, dt):
-        if buf is None:
-            # made once the pass's first block is final, after its block starts
-            buf, norms_buf = np.empty((size, m_nodes * n)), np.empty((size, m_nodes))
+    loops = [_closed_loop(model, graph, gains) for gains, _ in networks]
+    # (network, state, node * state): node i's columns are (H_i C_i)^T
+    out_maps = np.stack([np.hstack([(h @ node.C).T for h, node in zip(gains.H, model.nodes)])
+                         for gains, _ in networks])
+    copies = np.tile(np.eye(n), len(networks) * m_nodes)
+    norms_buf = None
+    for r0, z, scratch in rk4_chunks(np.stack([a for a, _ in loops]),
+                                     np.stack([g for _, g in loops]), table, x,
+                                     np.stack([z0 for _, z0 in networks]), dt):
+        if norms_buf is None:
+            # made once the pass's first chunk is final, after its block
+            # starts; no chunk is longer, but the last holds the final row too
+            norms_buf = np.empty(min(x.shape[0], len(z) + 1) * z[0].size // n)
         r1 = r0 + z.shape[0]
-        x_blk, err, norms = x[r0:r1], buf[:r1 - r0], norms_buf[:r1 - r0]
-        np.matmul(x_blk, out_map, out=err)
+        x_blk, err = x[r0:r1], scratch.reshape(z.shape)
+        norms = norms_buf[:z.size // n].reshape(z.shape[:2] + (m_nodes,))
+        np.matmul(x_blk, out_maps, out=err.transpose(1, 0, 2))
         z += err
         # every node's error xhat_i - x, squared
-        np.matmul(x_blk, copies, out=err)
+        np.matmul(x_blk, copies, out=err.reshape(len(err), -1))
         np.subtract(z, err, out=err)
         err *= err
-        squares = err.reshape(-1, m_nodes, n)
-        np.add(squares[:, :, 0], squares[:, :, 1] if n > 1 else 0.0, out=norms)
+        squares = err.reshape(z.shape[:2] + (m_nodes, n))
+        np.add(squares[..., 0], squares[..., 1] if n > 1 else 0.0, out=norms)
         for s in range(2, n):
-            norms += squares[:, :, s]
+            norms += squares[..., s]
         np.sqrt(norms, out=norms)
         yield r0, z, norms
 

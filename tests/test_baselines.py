@@ -343,7 +343,7 @@ def test_fold_metrics_of_odd_chunks_on_an_uneven_grid_match_scipy_trapezoid():
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(2e-4, 1.8e-3, rows - 1))])
     norms = np.abs(rng.standard_normal((rows, 4))) * np.exp(-t)[:, None]
     cuts = [0, 1, 2, 7, 1023, 2049, 3001, rows]
-    m = baselines._fold_metrics(t, [(a, norms[a:b]) for a, b in zip(cuts, cuts[1:])])
+    [m] = baselines._fold_metrics(t, [(a, norms[a:b, None]) for a, b in zip(cuts, cuts[1:])])
     for got, integrand in ((m.mse_per_node, norms ** 2), (m.mae_per_node, norms)):
         want = scipy.integrate.trapezoid(integrand, t, axis=0) / t[-1]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -368,3 +368,38 @@ def test_metrics_match_scipy_trapezoid(bench_model, bench_graph, model_gains):
             want = scipy.integrate.trapezoid(integrand, case.t, axis=0) / horizon
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
         assert m.mse == pytest.approx(float(np.mean(m.mse_per_node)), rel=1e-15)
+
+
+def test_fold_metrics_of_stacked_networks_are_each_networks_own():
+    # chunks of three networks' norms (rows, network, node) fold, network by
+    # network, to the metrics of each network's norms folded alone, bit for bit
+    rng = np.random.default_rng(12)
+    rows = 4099
+    t = np.arange(rows) * 1e-3
+    norms = np.abs(rng.standard_normal((rows, 3, 5))) * np.exp(-t)[:, None, None]
+    cuts = [0, 2048, rows]
+    stacked = baselines._fold_metrics(t, [(a, norms[a:b]) for a, b in zip(cuts, cuts[1:])])
+    assert len(stacked) == 3
+    for k, got in enumerate(stacked):
+        [own] = baselines._fold_metrics(t, [(a, np.ascontiguousarray(norms[a:b, k:k + 1]))
+                                            for a, b in zip(cuts, cuts[1:])])
+        assert (got.mse, got.mae) == (own.mse, own.mae)
+        assert got.mse_per_node.tobytes() == own.mse_per_node.tobytes()
+        assert got.mae_per_node.tobytes() == own.mae_per_node.tobytes()
+
+
+@pytest.mark.parametrize("plant", ["preset", "sweep"])
+def test_stacked_metrics_are_each_network_folded_alone_bit_for_bit(plant):
+    # the stacked pass hands on shorter chunks than one network's pass; the
+    # fold regroups them, so each design's metrics are those of its own pass
+    cfg = parse_config({}) if plant == "preset" else _sweep_compare_config()
+    model, graph = cfg.build_model(), cfg.build_graph()
+    datasets = collect_all_nodes(cfg, model, 7)
+    designs = [design_for_method(m, cfg, model, graph, datasets) for m in cfg.compare.methods]
+    stacked = experiment_metrics(cfg, model, graph, designs, 7)
+    assert len(stacked) == len(designs) == 3
+    for gains, got in zip(designs, stacked):
+        [want] = experiment_metrics(cfg, model, graph, [gains], 7)
+        assert (got.mse, got.mae) == (want.mse, want.mae)
+        assert got.mse_per_node.tobytes() == want.mse_per_node.tobytes()
+        assert got.mae_per_node.tobytes() == want.mae_per_node.tobytes()

@@ -330,18 +330,19 @@ def test_rank_deficient_state_data_fail_the_check_and_the_data_designs(
     lines = x_csv.read_text().splitlines()
     lines[1] = ",".join(["1e160"] + lines[1].split(",")[1:])
     x_csv.write_text("\n".join(lines) + "\n")
-    x_rank = "state data X is row-rank deficient; cannot recover the output map"
     assert main(["check", "--config", fast_config_path, "--data", str(data)]) == 3
     # node 0's failure is recorded in its report: every node's verdict and the
-    # leader, which moves on to node 1, are still printed
+    # leader, which moves on to node 1, are still printed; equal ranks below
+    # the floor n_m + n_x are no solvability verdict
     verdicts = [f"node {i}: solvability rank test 7 == 7 [ok]" for i in range(1, 5)]
     assert capsys.readouterr() == (
-        "\n".join(["node 0: solvability rank test 1 == 1 [ok]", f"node 0: {x_rank} [FAIL]",
+        "\n".join(["node 0: solvability rank test 1 == 1, below n_m + n_x = 5 [FAIL]",
                    *verdicts, "leader: node 1 passed the detectability test", ""]),
-        f"FAIL: {x_rank}\n")
+        "FAIL: node 0 failed the solvability rank test\n")
     out = tmp_path / "gains.json"
-    for method, message in (("data", x_rank), ("id", "stacked [U; X] is row-rank deficient; "
-                                                      "identification is ill-posed")):
+    for method, message in (("data", "node 0: data solvability rank test failed"),
+                            ("id", "stacked [U; X] is row-rank deficient; "
+                                   "identification is ill-posed")):
         assert main(["design", "--config", fast_config_path, "--method", method,
                      "--data", str(data), "--out", str(out)]) == 5
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -393,12 +393,13 @@ def test_build_gains_preconditions(bench_datasets, bench_graph):
 
 def test_rank_error_is_recorded_in_its_node_report_and_raised_by_the_design(
         bench_datasets, bench_graph):
-    # one entry of 1e160 leaves node 1's X numerically of rank one: every node
-    # is still analyzed, and the design raises that node's error before node
-    # 0's solvability failure
+    # a zero first state row leaves node 1's X row-rank deficient while both
+    # solvability stacks keep rank 7 through Xdot: every node is still
+    # analyzed, and the design raises that node's error before node 0's
+    # solvability failure
     views = [ds.design_view() for ds in bench_datasets]
     x = views[1].X.copy()
-    x[0, 0] = 1e160
+    x[0] = 0.0
     views[1] = dataclasses.replace(views[1], X=x)
     reports, leader = analyze_datasets(views)
     message = "state data X is row-rank deficient; cannot recover the output map"
@@ -408,6 +409,17 @@ def test_rank_error_is_recorded_in_its_node_report_and_raised_by_the_design(
     broken = [dataclasses.replace(reports[0], solvable=False)] + reports[1:]
     with pytest.raises(RankError, match=f"^{message}$"):
         build_data_driven_gains(broken, bench_graph)
+
+
+def test_equal_ranks_below_the_floor_are_not_solvable(bench_datasets):
+    # one entry of 1e160 leaves both of node 0's stacks numerically of rank
+    # one: the ranks agree, but below n_m + n_x they decide nothing
+    view = bench_datasets[0].design_view()
+    x = view.X.copy()
+    x[0, 0] = 1e160
+    report = analyze_node(dataclasses.replace(view, X=x))
+    assert (report.ranks["U;Ydot;X"].rank, report.ranks["U;X;Xdot"].rank) == (1, 1)
+    assert not report.solvable and report.rank_error is None and report.T_x is None
 
 
 class _Poison:

@@ -399,7 +399,7 @@ def test_lower_block_rows_are_the_same_kept_or_handed_on(n_steps):
     table = integrate.tabulate(gens, n_steps, dt)
     kept = integrate.rk4_lower_block(a, g, table, upper, x0[3:], dt)
     firsts, handed = [], []
-    for first, rows in integrate.rk4_chunks(a, g, table, upper, x0[3:], dt):
+    for first, rows, _ in integrate.rk4_chunks(a, g, table, upper, x0[3:], dt):
         firsts.append(first)
         handed.append(rows.copy())   # the next chunk overwrites the buffer
     # blocks of DRIVE_ROWS rows from row 0, the last one with the final row too
@@ -407,3 +407,80 @@ def test_lower_block_rows_are_the_same_kept_or_handed_on(n_steps):
     assert np.vstack(handed).tobytes() == kept.tobytes()
     # rk4_lower_block copies these chunks, so only the oracle can fault them
     assert_agrees(np.vstack(handed), rk4_stage_loop(a, g, gens, x0, n_steps, dt)[:, 3:])
+
+
+def _chunks_kept(chunks):
+    """Each chunk of an ``rk4_chunks`` pass, copied before the next one, after
+    which the pass's block and scratch are overwritten with NaN: the pass
+    reads neither again."""
+    kept = []
+    for first, rows, scratch in chunks:
+        assert scratch.size == rows.size
+        kept.append((first, rows.copy()))
+        rows[...] = np.nan
+        scratch[...] = np.nan
+    return kept
+
+
+@pytest.mark.parametrize("n_steps", [1, 15, 2047, 2048, 2049, 4096])
+@pytest.mark.parametrize("systems", [1, 2, 3])
+def test_stacked_systems_are_each_systems_own_pass_bit_for_bit(n_steps, systems):
+    # B lower blocks with their own a, g and x0 share one table, one upper
+    # trajectory and one chunking; each system's rows are its own pass's
+    rng = np.random.default_rng(100 * n_steps + systems)
+    stack = [_lower_triangular_system(rng, 3, 5) for _ in range(systems)]
+    x0s = rng.normal(size=(systems, 5))
+    dt, gens = 0.01, stack[0][2]
+    table = integrate.tabulate(gens, n_steps, dt)
+    upper = integrate.rk4_linear(stack[0][0][:3, :3], stack[0][1][:3], gens,
+                                 rng.normal(size=3), n_steps, dt)
+    together = _chunks_kept(integrate.rk4_chunks(
+        np.stack([a for a, _, _ in stack]), np.stack([g for _, g, _ in stack]), table, upper,
+        x0s, dt))
+    assert all(rows.shape[1:] == (systems, 5) for _, rows in together)
+    # a stack's chunks are DRIVE_ROWS / 2**k rows, 2**k <= systems
+    rows_per = integrate.DRIVE_ROWS // (2 if systems > 1 else 1)
+    assert [first for first, _ in together] == list(range(0, max(n_steps, 1), rows_per))
+    rows = np.vstack([rows for _, rows in together])
+    for b, (a, g, _) in enumerate(stack):
+        alone = _chunks_kept(integrate.rk4_chunks(a, g, table, upper, x0s[b], dt))
+        assert rows[:, b].tobytes() == np.vstack([own for _, own in alone]).tobytes()
+
+
+def test_stacked_system_with_a_non_finite_stride_power_steps_the_stack_plainly(monkeypatch):
+    # system 1's Phi**16 overflows while its Phi stays finite, so the stack
+    # steps every row plainly, from the row before it.  Excited, system 1
+    # diverges at its own run's time, with its own run's message; unexcited,
+    # its rows are its own run's bit for bit and system 0's agree with its
+    # own run to rounding
+    monkeypatch.setattr(integrate, "DIVERGENCE_LIMIT", 1e250)
+    rng = np.random.default_rng(5)
+    stable, g, gens = _lower_triangular_system(rng, 3, 5)
+    fast = stable.copy()
+    fast[3:, 3:] = np.diag([-1.0, 2e6, -2.0, -3.0, -4.0])
+    dt, n_steps = 0.1, 2 * integrate.DRIVE_ROWS + 6
+    phi, _ = integrate._propagator(fast[3:, 3:], dt)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(phi).all() and integrate._powers(phi[None]) is None
+    table = integrate.tabulate(gens, n_steps, dt)
+    upper = integrate.rk4_linear(stable[:3, :3], g[:3], gens, np.ones(3), n_steps, dt)
+    x0s = rng.normal(size=(2, 5))
+    with pytest.raises(DivergenceError) as alone:
+        integrate.rk4_lower_block(fast, g, table, upper, x0s[1], dt)
+    with pytest.raises(DivergenceError) as together:
+        list(integrate.rk4_chunks(np.stack([stable, fast]), np.stack([g, g]), table, upper,
+                                  x0s, dt))
+    assert 0.0 < alone.value.t < n_steps * dt
+    assert together.value.t == alone.value.t
+    assert str(together.value) == str(alone.value)
+    # nothing drives the fast mode: no coupling, no forcing, a zero start
+    quiet, g_quiet, x0s[1, 1] = fast.copy(), g.copy(), 0.0
+    quiet[4, :4], quiet[4, 5:], g_quiet[4] = 0.0, 0.0, 0.0
+    stacked = _chunks_kept(integrate.rk4_chunks(np.stack([stable, quiet]),
+                                                np.stack([g, g_quiet]), table, upper, x0s, dt))
+    rows = np.vstack([rows for _, rows in stacked])
+    own = [integrate.rk4_lower_block(a, b, table, upper, z0, dt)
+           for a, b, z0 in ((stable, g, x0s[0]), (quiet, g_quiet, x0s[1]))]
+    assert not rows[:, 1, 1].any()
+    assert rows[:, 1].tobytes() == own[1].tobytes()
+    assert_agrees(rows[:, 0], own[0])

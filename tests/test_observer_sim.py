@@ -15,7 +15,7 @@ from dduio.integrate import (DRIVE_ROWS, STRIDE, rk4_chunks, rk4_linear, rk4_low
                              tabulate)
 from dduio.linalg import spectral_abscissa
 from dduio.network import SensorGraph, complete
-from dduio.baselines import collect_all_nodes, design_for_method
+from dduio.baselines import collect_all_nodes, design_for_method, monte_carlo_compare
 from dduio.observer_sim import (_closed_loop, error_dynamics_matrix, export_run, passes, run,
                                 verify_decoupling, xhat_writer)
 from dduio.plant import PlantModel, simulate, step_count
@@ -235,8 +235,8 @@ def test_run_refuses_inputs_standing_in_for_disturbances(bench_model, bench_grap
     with pytest.raises(DimensionError, match=message):
         run(bench_model, bench_graph, model_gains, *args, horizon=1.0, dt=1e-3)
     with pytest.raises(DimensionError, match=message):
-        next(passes(bench_model, bench_graph, [(model_gains, None)] * 2, *args,
-                    horizon=1.0, dt=1e-3))
+        passes(bench_model, bench_graph, [(model_gains, None)] * 2, *args, horizon=1.0,
+               dt=1e-3)
 
 
 def test_divergent_plant_raises_at_the_time_simulate_does(bench_model, bench_graph,
@@ -248,10 +248,9 @@ def test_divergent_plant_raises_at_the_time_simulate_does(bench_model, bench_gra
     with pytest.raises(DivergenceError) as alone:
         run(unstable, bench_graph, model_gains, x0, *bench_signals(5, 6, 1e-2),
             horizon=10.0, dt=1e-2)
-    passed = passes(unstable, bench_graph, [(model_gains, None)] * 2, x0,
-                    *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
     with pytest.raises(DivergenceError) as shared:
-        next(passed)
+        passes(unstable, bench_graph, [(model_gains, None)] * 2, x0,
+               *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
     assert 0.0 < plant.value.t < 10.0
     assert alone.value.t == shared.value.t == plant.value.t
     assert str(alone.value) == str(shared.value) == str(plant.value)
@@ -391,11 +390,12 @@ def _sweep_networks():
 
 
 def _joined_norms(chunks, rows):
-    """A network's error norms from ``passes``, joined; each chunk starts where
-    the last one ended, and together they cover ``rows`` rows."""
+    """Every network's error norms from ``passes``, joined (rows, network,
+    node); each chunk starts where the last one ended, and together they
+    cover ``rows`` rows."""
     parts, end = [], 0
-    for r0, _, norms in chunks:
-        assert r0 == end
+    for r0, est, norms in chunks:
+        assert r0 == end and est.shape[:2] == norms.shape[:2]
         parts.append(norms.copy())
         end += norms.shape[0]
     assert end == rows
@@ -421,16 +421,15 @@ def test_scenario_pass_matches_separate_runs(preset, plant):
     def signals():
         return cfg.build_inputs(5), cfg.build_disturbances(5)
 
-    passed = passes(model, graph, starts, x0, *signals(), horizon, cfg.run.dt)
+    t, _, chunks = passes(model, graph, starts, x0, *signals(), horizon, cfg.run.dt)
+    joined = _joined_norms(chunks, n_steps + 1)
     count = 0
-    for (gains, z0), (t, _, chunks) in zip(starts, passed):
+    for (gains, z0), norms in zip(starts, joined.transpose(1, 0, 2)):
         alone = run(model, graph, gains, x0, *signals(), horizon, cfg.run.dt, z0=z0)
         assert t.tobytes() == alone.t.tobytes()
-        norms = _joined_norms(chunks, n_steps + 1)
         assert norms.tobytes() == alone.error_norms.tobytes()
         count += 1
-    assert count == len(starts)
-    assert next(passed, None) is None
+    assert count == len(starts) == joined.shape[1]
 
 
 def _estimates_in_pass(x, z, model, gains, block=DRIVE_ROWS):
@@ -534,8 +533,7 @@ def test_error_step_is_the_oracle_bit_for_bit_on_edge_values(monkeypatch, preset
         signals = [Sinusoid(0.7, 1.3, 0.4)], []
     n_steps, block = DRIVE_ROWS, DRIVE_ROWS
     if chunks == "one-row":
-        for module in (integrate, observer_sim):
-            monkeypatch.setattr(module, "DRIVE_ROWS", 1)
+        monkeypatch.setattr(integrate, "DRIVE_ROWS", 1)
         n_steps, block = 40, 1
     dt = 1e-3
     edge = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e-300, 9.87654321e10, -1.2345678e11,
@@ -565,13 +563,11 @@ def test_first_network_of_a_shared_pass_is_run_bit_for_bit(preset):
     z0 = cfg.initial_observer_states(x0, model, gains)
     args = (cfg.build_inputs(3), cfg.build_disturbances(3), cfg.run.horizon, cfg.run.dt)
     second = dataclasses.replace(gains, gamma=1.5 * gains.gamma)
-    passed = passes(model, graph, [(gains, z0), (second, z0)], x0, *args)
+    _, _, chunks = passes(model, graph, [(gains, z0), (second, z0)], x0, *args)
     alone = run(model, graph, gains, x0, *args, z0=z0)
-    _, _, chunks = next(passed)
-    assert _joined_norms(chunks, alone.t.size).tobytes() == alone.error_norms.tobytes()
-    _, _, chunks = next(passed)
-    _joined_norms(chunks, alone.t.size)
-    assert next(passed, None) is None
+    joined = _joined_norms(chunks, alone.t.size)
+    assert joined.shape[1] == 2
+    assert joined[:, 0].tobytes() == alone.error_norms.tobytes()
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -586,11 +582,8 @@ def test_scenario_pass_diverges_where_the_network_alone_does(bench_model, bench_
     with pytest.raises(DivergenceError) as alone:
         run(bench_model, bench_graph, unstable, x0, *bench_signals(5, 6, 1e-2),
             horizon=10.0, dt=1e-2)
-    passed = passes(bench_model, bench_graph, networks, x0,
-                    *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
-    for _ in range(position):
-        _joined_norms(next(passed)[2], 1001)
-    _, _, chunks = next(passed)
+    _, _, chunks = passes(bench_model, bench_graph, networks, x0,
+                          *bench_signals(5, 6, 1e-2), horizon=10.0, dt=1e-2)
     with pytest.raises(DivergenceError) as err:
         _joined_norms(chunks, 1001)
     assert err.value.t == alone.value.t
@@ -602,9 +595,9 @@ def test_scenario_pass_samples_each_signal_once(preset):
     dist = [CountedSignal(g) for g in cfg.build_disturbances(3)]
     networks = [(gains, None), (dataclasses.replace(gains, gamma=2.0 * gains.gamma), None),
                 (gains, np.ones((model.M, model.n_x)))]
-    passed = passes(model, graph, networks, cfg.draw_x0(3), inputs, dist,
-                    horizon=5.0, dt=cfg.run.dt)
-    assert len([_joined_norms(chunks, t.size) for t, _, chunks in passed]) == 3
+    t, _, chunks = passes(model, graph, networks, cfg.draw_x0(3), inputs, dist,
+                          horizon=5.0, dt=cfg.run.dt)
+    assert _joined_norms(chunks, t.size).shape[1] == 3
     assert [g.calls for g in inputs + dist] == [1] * len(inputs + dist)
 
 
@@ -616,17 +609,55 @@ def test_chunks_tile_every_row_once_and_none_has_one_row(bench_model, bench_grap
     # row may fall in a chunk of its own, the final one included
     dt = 1e-3
     inputs, dist = bench_signals(5, 6, dt)
-    ((_, x, chunks),) = passes(bench_model, bench_graph, [(model_gains, None)], np.ones(4),
-                               inputs, dist, n_steps * dt, dt)
+    _, x, chunks = passes(bench_model, bench_graph, [(model_gains, None)], np.ones(4),
+                          inputs, dist, n_steps * dt, dt)
     passed = []
     for r0, est, norms in chunks:
         assert est.shape[0] == norms.shape[0]
         passed.append((r0, norms.shape[0]))
     a_cl, g_cl = _closed_loop(bench_model, bench_graph, model_gains)
     table = tabulate([*inputs, *dist], n_steps, dt)
-    integrated = [(r0, rows.shape[0]) for r0, rows in
+    integrated = [(r0, rows.shape[0]) for r0, rows, _ in
                   rk4_chunks(a_cl, g_cl, table, x, np.zeros(bench_model.M * 4), dt)]
     for name, sizes in (("passes", passed), ("rk4_chunks", integrated)):
         rows = [r0 + k for r0, size in sizes for k in range(size)]
         assert rows == list(range(n_steps + 1)), name
         assert min(size for _, size in sizes) >= 2, name
+
+
+def test_scenario_pass_raises_at_the_earlier_of_two_divergences(bench_model, bench_graph,
+                                                                 model_gains):
+    # the slower network comes first; the stacked pass stops where the faster
+    # one's own run does, with that run's message
+    unstable = [dataclasses.replace(model_gains, gamma=0.0,
+                                    E_obs=tuple(e + shift * np.eye(4) for e in model_gains.E_obs))
+                for shift in (6.0, 10.0)]
+    x0, horizon = np.ones(4), 10.0
+    args = (horizon, 1e-2)
+    alone = []
+    for gains in unstable:
+        with pytest.raises(DivergenceError) as err:
+            run(bench_model, bench_graph, gains, x0, *bench_signals(5, 6, 1e-2), *args)
+        alone.append(err.value)
+    assert 0.0 < alone[1].t < alone[0].t < horizon
+    _, _, chunks = passes(bench_model, bench_graph, [(g, None) for g in unstable], x0,
+                          *bench_signals(5, 6, 1e-2), *args)
+    with pytest.raises(DivergenceError) as err:
+        _joined_norms(chunks, 1001)
+    assert err.value.t == alone[1].t
+    assert str(err.value) == str(alone[1])
+
+
+def test_compare_makes_one_network_pass_per_experiment(monkeypatch):
+    calls = []
+
+    def counted(a, *args):
+        calls.append(np.shape(a))
+        return rk4_chunks(a, *args)
+    monkeypatch.setattr(observer_sim, "rk4_chunks", counted)
+    cfg = parse_config({})
+    monte_carlo_compare(cfg, K=1, master_seed=3)
+    model = cfg.build_model()
+    # one stack of every method's closed loop, the plant rows and the network's
+    dim = model.n_x * (1 + model.M)
+    assert calls == [(len(cfg.compare.methods), dim, dim)]
